@@ -152,13 +152,13 @@ void BM_BuildRepairProblem(benchmark::State& state) {
     benchmark::DoNotOptimize(problem->fixes.size());
   }
   state.counters["sets"] =
-      static_cast<double>(prepared.problem.instance.num_sets());
+      static_cast<double>(prepared.csr.num_sets());
 }
 
 void BM_ApplyCover(benchmark::State& state) {
   const PreparedProblem& prepared =
       ClientBuyProblem(static_cast<size_t>(state.range(0)), 1);
-  auto cover = ModifiedGreedySetCover(prepared.problem.instance);
+  auto cover = ModifiedGreedySetCover(prepared.csr);
   if (!cover.ok()) {
     state.SkipWithError(cover.status().ToString().c_str());
     return;

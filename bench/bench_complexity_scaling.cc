@@ -44,6 +44,7 @@ const PreparedProblem& HotspotProblem(size_t num_clients) {
                                     DistanceFunction());
   if (!problem.ok()) std::abort();
   prepared.problem = std::move(problem).value();
+  prepared.csr = CsrSetCoverInstance::Freeze(prepared.problem.instance);
   return cache->emplace(num_clients, std::move(prepared)).first->second;
 }
 
@@ -65,7 +66,7 @@ void BM_ModifiedGreedyBoundedDegree(benchmark::State& state) {
   const PreparedProblem& prepared =
       ClientBuyProblem(static_cast<size_t>(state.range(0)), 1);
   for (auto _ : state) {
-    auto solution = ModifiedGreedySetCover(prepared.problem.instance);
+    auto solution = ModifiedGreedySetCover(prepared.csr);
     benchmark::DoNotOptimize(solution.ok());
   }
   Report(state, prepared);
@@ -75,7 +76,7 @@ void BM_GreedyBoundedDegree(benchmark::State& state) {
   const PreparedProblem& prepared =
       ClientBuyProblem(static_cast<size_t>(state.range(0)), 1);
   for (auto _ : state) {
-    auto solution = GreedySetCover(prepared.problem.instance);
+    auto solution = GreedySetCover(prepared.csr);
     benchmark::DoNotOptimize(solution.ok());
   }
   Report(state, prepared);
@@ -85,7 +86,7 @@ void BM_ModifiedGreedyHotspotDegree(benchmark::State& state) {
   const PreparedProblem& prepared =
       HotspotProblem(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto solution = ModifiedGreedySetCover(prepared.problem.instance);
+    auto solution = ModifiedGreedySetCover(prepared.csr);
     benchmark::DoNotOptimize(solution.ok());
   }
   Report(state, prepared);

@@ -80,7 +80,6 @@ SetCoverInstance ZipfComponentInstance(size_t elements, uint64_t seed) {
       instance.weights.push_back(8.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -132,8 +131,7 @@ void BM_ComponentSolve(benchmark::State& state) {
   state.counters["cover_weight"] = weight;
 }
 
-// Baseline: the monolithic solver on the same frozen instance (what
-// --no-component-shard runs).
+// Baseline: the monolithic solver on the same frozen instance.
 void BM_MonolithicSolve(benchmark::State& state) {
   const size_t elements = static_cast<size_t>(state.range(0));
   const Workload& workload = CachedWorkload(elements);

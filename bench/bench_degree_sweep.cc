@@ -21,7 +21,7 @@ void BM_CensusDegreeSweep(benchmark::State& state) {
   const PreparedProblem& prepared =
       CensusProblem(households, max_members, /*seed=*/1);
   for (auto _ : state) {
-    auto solution = ModifiedGreedySetCover(prepared.problem.instance);
+    auto solution = ModifiedGreedySetCover(prepared.csr);
     if (!solution.ok()) {
       state.SkipWithError(solution.status().ToString().c_str());
       return;

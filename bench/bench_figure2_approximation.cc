@@ -53,6 +53,7 @@ const PreparedProblem& OverlapProblem(size_t num_clients, uint64_t seed) {
                                     DistanceFunction(), SharedBuildOptions());
   if (!problem.ok()) std::abort();
   prepared.problem = std::move(problem).value();
+  prepared.csr = CsrSetCoverInstance::Freeze(prepared.problem.instance);
   return cache->emplace(key, std::move(prepared)).first->second;
 }
 
@@ -109,15 +110,15 @@ int main(int argc, char** argv) {
     for (const uint64_t seed : seeds) {
       const PreparedProblem& prepared = ClientBuyProblem(clients, seed);
       tuples = prepared.workload->db.TotalTuples();
-      const auto greedy = GreedySetCover(prepared.problem.instance);
-      const auto layer = LayerSetCover(prepared.problem.instance);
+      const auto greedy = GreedySetCover(prepared.csr);
+      const auto layer = LayerSetCover(prepared.csr);
       if (!greedy.ok() || !layer.ok()) return 1;
       greedy_total += greedy->weight;
       layer_total += layer->weight;
       if (have_exact) {
         ExactSetCoverOptions options;
         options.max_nodes = 20'000'000;
-        const auto exact = ExactSetCover(prepared.problem.instance, options);
+        const auto exact = ExactSetCover(prepared.csr, options);
         if (exact.ok()) {
           exact_total += exact->weight;
         } else {
@@ -155,19 +156,19 @@ int main(int argc, char** argv) {
     for (const uint64_t seed : seeds) {
       const PreparedProblem& prepared = OverlapProblem(clients, seed);
       tuples = prepared.workload->db.TotalTuples();
-      const auto greedy = GreedySetCover(prepared.problem.instance);
-      const auto layer = LayerSetCover(prepared.problem.instance);
+      const auto greedy = GreedySetCover(prepared.csr);
+      const auto layer = LayerSetCover(prepared.csr);
       if (!greedy.ok() || !layer.ok()) return 1;
       greedy_total += greedy->weight;
       layer_total += layer->weight;
       greedy_pruned +=
-          PruneRedundantSets(prepared.problem.instance, *greedy).weight;
+          PruneRedundantSets(prepared.csr, *greedy).weight;
       layer_pruned +=
-          PruneRedundantSets(prepared.problem.instance, *layer).weight;
+          PruneRedundantSets(prepared.csr, *layer).weight;
       if (have_exact) {
         ExactSetCoverOptions options;
         options.max_nodes = 20'000'000;
-        const auto exact = ExactSetCover(prepared.problem.instance, options);
+        const auto exact = ExactSetCover(prepared.csr, options);
         if (exact.ok()) {
           exact_total += exact->weight;
         } else {

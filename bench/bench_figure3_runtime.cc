@@ -26,7 +26,7 @@ void RunSolver(benchmark::State& state, SolverKind kind) {
   const PreparedProblem& prepared = ClientBuyProblem(clients, /*seed=*/1);
   double weight = 0;
   for (auto _ : state) {
-    auto solution = SolveSetCover(kind, prepared.problem.instance);
+    auto solution = SolveSetCover(kind, prepared.csr);
     if (!solution.ok()) {
       state.SkipWithError(solution.status().ToString().c_str());
       return;
@@ -39,7 +39,7 @@ void RunSolver(benchmark::State& state, SolverKind kind) {
   state.counters["violations"] =
       static_cast<double>(prepared.problem.violations.size());
   state.counters["sets"] =
-      static_cast<double>(prepared.problem.instance.num_sets());
+      static_cast<double>(prepared.csr.num_sets());
   state.counters["cover_weight"] = weight;
 }
 
@@ -63,7 +63,7 @@ void BM_BuildPipelineThreads(benchmark::State& state) {
       state.SkipWithError(problem.status().ToString().c_str());
       return;
     }
-    num_sets = problem->instance.num_sets();
+    num_sets = problem->instance.sets.size();
     benchmark::DoNotOptimize(problem->fixes.data());
   }
   state.counters["tuples"] =
@@ -91,7 +91,7 @@ void RunBuildScan(benchmark::State& state, bool use_columnar) {
       state.SkipWithError(problem.status().ToString().c_str());
       return;
     }
-    num_sets = problem->instance.num_sets();
+    num_sets = problem->instance.sets.size();
     benchmark::DoNotOptimize(problem->fixes.data());
   }
   const auto tuples = prepared.workload->db.TotalTuples();

@@ -37,6 +37,7 @@ const PreparedProblem& RatioProblem(int ratio_percent) {
                                     DistanceFunction());
   if (!problem.ok()) std::abort();
   prepared.problem = std::move(problem).value();
+  prepared.csr = CsrSetCoverInstance::Freeze(prepared.problem.instance);
   return cache->emplace(ratio_percent, std::move(prepared)).first->second;
 }
 
@@ -44,7 +45,7 @@ void BM_ModifiedGreedyByRatio(benchmark::State& state) {
   const PreparedProblem& prepared =
       RatioProblem(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto solution = ModifiedGreedySetCover(prepared.problem.instance);
+    auto solution = ModifiedGreedySetCover(prepared.csr);
     if (!solution.ok()) {
       state.SkipWithError(solution.status().ToString().c_str());
       return;
@@ -54,14 +55,14 @@ void BM_ModifiedGreedyByRatio(benchmark::State& state) {
   state.counters["violations"] =
       static_cast<double>(prepared.problem.violations.size());
   state.counters["candidate_fixes"] =
-      static_cast<double>(prepared.problem.instance.num_sets());
+      static_cast<double>(prepared.csr.num_sets());
 }
 
 void BM_LayerByRatio(benchmark::State& state) {
   const PreparedProblem& prepared =
       RatioProblem(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    auto solution = LayerSetCover(prepared.problem.instance);
+    auto solution = LayerSetCover(prepared.csr);
     if (!solution.ok()) {
       state.SkipWithError(solution.status().ToString().c_str());
       return;

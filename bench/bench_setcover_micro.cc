@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
+#include "repair/setcover/csr_instance.h"
 #include "repair/setcover/indexed_heap.h"
 #include "repair/setcover/solvers.h"
 
@@ -14,11 +15,11 @@ using namespace dbrepair;  // NOLINT(build/namespaces)
 
 namespace {
 
-// Random feasible instance: `sets` sets of size <= 4 over `elements`
-// elements, frequency kept small (each element in ~2-3 sets) to model
-// bounded-degree repair instances.
-SetCoverInstance RandomInstance(size_t elements, size_t sets,
-                                uint64_t seed) {
+// Random feasible instance, frozen: `sets` sets of size <= 4 over
+// `elements` elements, frequency kept small (each element in ~2-3 sets) to
+// model bounded-degree repair instances.
+CsrSetCoverInstance RandomInstance(size_t elements, size_t sets,
+                                   uint64_t seed) {
   Rng rng(seed);
   SetCoverInstance instance;
   instance.num_elements = elements;
@@ -41,12 +42,12 @@ SetCoverInstance RandomInstance(size_t elements, size_t sets,
       instance.weights.push_back(50.0);
     }
   }
-  instance.BuildLinks();
-  return instance;
+  return CsrSetCoverInstance::Freeze(instance);
 }
 
-const SetCoverInstance& CachedInstance(size_t elements) {
-  static auto* cache = new std::map<size_t, SetCoverInstance>();
+// Built and frozen once per size, outside every timed loop.
+const CsrSetCoverInstance& CachedInstance(size_t elements) {
+  static auto* cache = new std::map<size_t, CsrSetCoverInstance>();
   const auto it = cache->find(elements);
   if (it != cache->end()) return it->second;
   return cache->emplace(elements,
@@ -55,7 +56,7 @@ const SetCoverInstance& CachedInstance(size_t elements) {
 }
 
 void RunKind(benchmark::State& state, SolverKind kind) {
-  const SetCoverInstance& instance =
+  const CsrSetCoverInstance& instance =
       CachedInstance(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     auto solution = SolveSetCover(kind, instance);

@@ -13,6 +13,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/context.h"
 #include "repair/instance_builder.h"
+#include "repair/setcover/csr_instance.h"
 
 namespace dbrepair::bench {
 
@@ -54,11 +55,13 @@ inline void InstallObsSnapshotAtExit() {
 
 /// A fully-built repair problem ready for solver benchmarking: the paper's
 /// Figure 3 times only the MWSCP solver (+ mapping), so benchmarks build
-/// the instance once outside the timed region.
+/// the instance and freeze it once outside the timed region.
 struct PreparedProblem {
   std::shared_ptr<GeneratedWorkload> workload;
   std::vector<BoundConstraint> bound;
   RepairProblem problem;
+  /// `problem.instance` frozen: what every solver reads.
+  CsrSetCoverInstance csr;
 };
 
 /// Build options the memoised problem builders below use. Benchmark mains
@@ -99,6 +102,7 @@ inline const PreparedProblem& ClientBuyProblem(size_t num_clients,
                                     SharedBuildOptions());
   if (!problem.ok()) std::abort();
   prepared.problem = std::move(problem).value();
+  prepared.csr = CsrSetCoverInstance::Freeze(prepared.problem.instance);
   return cache->emplace(key, std::move(prepared)).first->second;
 }
 
@@ -133,6 +137,7 @@ inline const PreparedProblem& CensusProblem(size_t households,
                                     SharedBuildOptions());
   if (!problem.ok()) std::abort();
   prepared.problem = std::move(problem).value();
+  prepared.csr = CsrSetCoverInstance::Freeze(prepared.problem.instance);
   return cache->emplace(key, std::move(prepared)).first->second;
 }
 

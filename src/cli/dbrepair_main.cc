@@ -61,7 +61,7 @@ void PrintUsage() {
          "                [--distance L1|L2] [--mode update|insert|dump]\n"
          "                [--output PATH] [--metrics-out PATH]"
          " [--trace-out PATH]\n"
-         "                [--threads N] [--no-columnar] [--no-component-shard]\n"
+         "                [--threads N] [--no-columnar]\n"
          "                [--batch-file PATH] [--batch-size N]\n"
          "                [--trace] [--quiet] [--report] [--measure]\n"
          "       dbrepair check <config> [--quiet]\n"
@@ -103,9 +103,6 @@ void PrintUsage() {
          "                      the repair is identical either way)\n"
          "  --no-columnar       force the row-store scan path instead of the\n"
          "                      columnar snapshot (same repair, slower scan)\n"
-         "  --no-component-shard  solve the set-cover instance monolithically\n"
-         "                      instead of one task per conflict component\n"
-         "                      (same repair, serial solve phase)\n"
          "  --batch-file PATH   after the initial repair, replay PATH's\n"
          "                      'relation,v1,v2,...' lines through a repair\n"
          "                      session: rows are inserted in batches and\n"
@@ -326,7 +323,6 @@ int RunRepair(RepairConfig config, int argc, char** argv, int arg_start) {
   bool measure = false;
   bool trace = false;
   bool no_columnar = false;
-  bool no_component_shard = false;
   size_t num_threads = 0;
   size_t batch_size = 0;
   std::string metrics_out;
@@ -352,8 +348,6 @@ int RunRepair(RepairConfig config, int argc, char** argv, int arg_start) {
                   "record worker events; write Chrome trace JSON to PATH");
   flags.AddBool(kFlagNoColumnar, &no_columnar,
                 "force the row-store scan path");
-  flags.AddBool(kFlagNoComponentShard, &no_component_shard,
-                "force the monolithic solve (no per-component tasks)");
   flags.AddString("--batch-file", &batch_file,
                   "replay 'relation,v1,...' rows through a repair session");
   flags.AddSize("--batch-size", &batch_size,
@@ -403,7 +397,6 @@ int RunRepair(RepairConfig config, int argc, char** argv, int arg_start) {
   options.distance = config.distance;
   options.num_threads = num_threads;
   options.use_columnar_scan = !no_columnar;
-  options.shard_components = !no_component_shard;
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid);
 
@@ -492,7 +485,6 @@ int RunGenerate(int argc, char** argv, int arg_start) {
   bool measure = false;
   bool trace = false;
   bool no_columnar = false;
-  bool no_component_shard = false;
   size_t rows = 1000;
   size_t seed = 1;
   size_t degree = 8;
@@ -526,8 +518,6 @@ int RunGenerate(int argc, char** argv, int arg_start) {
                   "record worker events; write Chrome trace JSON to PATH");
   flags.AddBool(kFlagNoColumnar, &no_columnar,
                 "force the row-store scan path");
-  flags.AddBool(kFlagNoComponentShard, &no_component_shard,
-                "force the monolithic solve (no per-component tasks)");
   flags.AddBool("--trace", &trace, "print the span tree to stderr");
   flags.AddBool("--quiet", &quiet, "suppress incidental output");
   flags.AddBool("--report", &report, "print the repair report to stderr");
@@ -580,7 +570,6 @@ int RunGenerate(int argc, char** argv, int arg_start) {
   }
   options.num_threads = num_threads;
   options.use_columnar_scan = !no_columnar;
-  options.shard_components = !no_component_shard;
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid);
 

@@ -14,7 +14,6 @@ namespace dbrepair {
 /// repeating the string, so the spellings cannot drift apart.
 inline constexpr const char kFlagThreads[] = "--threads";
 inline constexpr const char kFlagNoColumnar[] = "--no-columnar";
-inline constexpr const char kFlagNoComponentShard[] = "--no-component-shard";
 inline constexpr const char kFlagSolver[] = "--solver";
 inline constexpr const char kFlagTraceOut[] = "--trace-out";
 

@@ -14,7 +14,7 @@ namespace dbrepair {
 
 /// A worst-case high-degree adversary: drives Deg(D, IC) to exactly
 /// `target_degree`, stressing the degree-bounded complexity and the
-/// layer solver's f = MaxFrequency approximation factor.
+/// layer solver's f = max_frequency() approximation factor.
 ///
 ///   AHub(K, G, A)    key {K},    F = {A}
 ///   ASat(SID, G, B)  key {SID},  F = {B}

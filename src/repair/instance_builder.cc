@@ -297,15 +297,18 @@ Result<RepairProblem> BuildRepairProblem(
   problem.instance.weights.reserve(problem.fixes.size());
   problem.instance.sets.reserve(problem.fixes.size());
   obs::Histogram* set_sizes = obs.metrics.GetHistogram("build.fix_set_size");
+  // Per element, how many sets cover it; a zero is a violation set no fix
+  // can solve.
+  std::vector<uint32_t> coverage(problem.instance.num_elements, 0);
   for (const CandidateFix& fix : problem.fixes) {
     problem.instance.weights.push_back(fix.weight);
     problem.instance.sets.push_back(fix.solved);
     set_sizes->Record(fix.solved.size());
+    for (const uint32_t e : fix.solved) ++coverage[e];
   }
-  problem.instance.BuildLinks();
 
   for (uint32_t e = 0; e < problem.instance.num_elements; ++e) {
-    if (problem.instance.element_sets[e].empty()) {
+    if (coverage[e] == 0) {
       return Status::Internal(
           "violation set " + problem.violations[e].ToString() +
           " is solvable by no mono-local fix; the IC set is not local "
@@ -313,9 +316,9 @@ Result<RepairProblem> BuildRepairProblem(
     }
   }
 
-  // ---- Conflict components: one union-find pass over the links just
-  // merged, while they are still cache-hot. Labels feed the sharded solve
-  // phase and the repair.components decomposition gauge. ----
+  // ---- Conflict components: one union-find pass over the sets just
+  // assembled, while they are still cache-hot. Labels feed the sharded
+  // solve phase and the repair.components decomposition gauge. ----
   {
     obs::Span components_span(&obs.tracer, "components");
     problem.components = ComponentIndex::Build(problem.instance);

@@ -28,8 +28,8 @@ struct RepairProblem {
   DegreeInfo degrees;
   /// Conflict components of `instance` (the paper's locality decomposition:
   /// violation sets linked by shared candidate fixes). Computed from the
-  /// freshly built element->set links; the repairer shards the solve phase
-  /// by component and a session keeps the index live across batches.
+  /// freshly built sets; the repairer shards the solve phase by component
+  /// and a session keeps the index live across batches.
   ComponentIndex components;
   /// The columnar snapshot the violation scan ran against (invalid when the
   /// columnar path was disabled or externally supplied). The repairer's
@@ -61,8 +61,8 @@ struct BuildOptions {
 /// deduplicated candidate mono-local fixes of `violations` and links each
 /// against the violation sets it solves. `solved` holds *global* violation
 /// ids — the position within `violations` plus `vid_offset` — so a repair
-/// session generating fixes for one batch's new violations can splice them
-/// straight into its cached SetCoverInstance (the full build passes 0).
+/// session generating fixes for one batch's new violations can append them
+/// straight to its frozen CsrSetCoverInstance (the full build passes 0).
 /// Candidates whose solved list is empty are dropped (Definition 2.6(b)).
 /// Weights are computed against the tuples' *current* cell values.
 /// Deterministic for any `num_threads` (shard-order merge); `pool` may be

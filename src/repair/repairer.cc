@@ -47,11 +47,10 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
 
   obs::Span solve_span(&obs.tracer, "solve");
   // Freeze the built instance into the flat CSR view once; every solver hot
-  // loop then streams contiguous arenas. The cover is byte-identical to the
-  // nested representation's.
+  // loop then streams contiguous arenas.
   const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(problem.instance);
   SetCoverSolution cover;
-  if (options.shard_components && SolverShardsByComponent(options.solver)) {
+  if (SolverShardsByComponent(options.solver)) {
     // Solve each conflict component independently and merge the covers on
     // (pick key, set id) — byte-identical to the monolithic solve (see
     // component_solve.h) but each task touches one component's arenas.

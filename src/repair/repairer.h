@@ -35,24 +35,16 @@ struct RepairOptions {
   /// `--no-columnar` on the CLI) forces the row path everywhere; the repair
   /// is byte-identical either way.
   bool use_columnar_scan = true;
-  /// Solve each conflict component of the MWSCP instance independently (the
-  /// paper's locality decomposition) and merge the per-component covers on
-  /// (pick key, set id) — one solve task per component on the shared thread
-  /// pool, byte-identical to the monolithic solve at any thread count.
-  /// Applies to the greedy family; layer/modified-layer/exact always solve
-  /// monolithically (their floating-point trajectories are globally
-  /// coupled; see component_solve.h). Disable (or `--no-component-shard` on
-  /// the CLI) to force the monolithic solve for every solver — the repair
-  /// is byte-identical either way.
-  bool shard_components = true;
   /// Worker threads for the build, solve, and verify phases (the apply
   /// phase stays serial — it is an ordered scan over the chosen cover).
-  /// The solve phase parallelises across conflict components when
-  /// `shard_components` is on. 0 (the default) means one per hardware
-  /// thread; 1 is the exact serial path. Any value produces a byte-identical
-  /// repair: parallel phases shard their input and merge per-shard buffers
-  /// in a deterministic order, so no output ever depends on thread
-  /// scheduling. Overrides `build.num_threads`.
+  /// The greedy family solves each conflict component of the MWSCP
+  /// instance as its own task and merges the covers on (pick key, set id),
+  /// byte-identical to the monolithic solve; layer/modified-layer/exact
+  /// always solve monolithically (see component_solve.h). 0 (the default)
+  /// means one per hardware thread; 1 is the exact serial path. Any value
+  /// produces a byte-identical repair: parallel phases shard their input
+  /// and merge per-shard buffers in a deterministic order, so no output
+  /// ever depends on thread scheduling. Overrides `build.num_threads`.
   size_t num_threads = 0;
   BuildOptions build;
 

@@ -104,7 +104,6 @@ Status RepairSession::Init() {
       BuildRepairProblem(db_, bound_, distance_, build, pool_.get()));
   violations_ = std::move(problem.violations);
   fixes_ = std::move(problem.fixes);
-  instance_ = std::move(problem.instance);
   components_ = std::move(problem.components);
   component_count_.store(components_.num_components(),
                          std::memory_order_relaxed);
@@ -115,6 +114,7 @@ Status RepairSession::Init() {
     fix_ids_.emplace(FixKey{fixes_[f].tuple.Packed(), fixes_[f].attribute,
                             fixes_[f].new_value},
                      f);
+    std::vector<uint32_t>().swap(fixes_[f].solved);  // csr_ holds the links
   }
 
   ViolationEngineOptions engine_options = options_.build.engine;
@@ -124,8 +124,8 @@ Status RepairSession::Init() {
   engine_ = std::make_unique<ViolationEngine>(db_, bound_, engine_options);
 
   // Freeze the built instance once; the incremental solver reads only the
-  // flat view and every batch re-freezes by appending its epoch.
-  csr_ = CsrSetCoverInstance::Freeze(instance_);
+  // flat view and every batch grows it by appending its epoch.
+  csr_ = CsrSetCoverInstance::Freeze(problem.instance);
   solver_ = std::make_unique<IncrementalGreedySolver>(&csr_);
 
   obs::Span solve_span(&obs.tracer, "solve");
@@ -520,15 +520,15 @@ Status RepairSession::PatchInstance(std::vector<ViolationSet> new_violations,
                                     std::vector<CandidateFix> new_fixes,
                                     BatchStats* stats) {
   const size_t vid_offset = violations_.size();
+  const auto first_new_set = static_cast<uint32_t>(csr_.num_sets());
   CsrEpochDelta delta;
   delta.new_elements = new_violations.size();
-  delta.first_new_set = static_cast<uint32_t>(instance_.num_sets());
-  instance_.AddElements(new_violations.size());
   components_.AddElements(new_violations.size());
 
-  // Phase 1: patch the mutable instance (the patch log), recording what
-  // changed. Solver callbacks wait until phase 3, after the frozen view
-  // has caught up — the solver only ever reads the CSR arenas.
+  // Phase 1: route each fix to a new set or to an extension of its earlier,
+  // still-unchosen set, recording the epoch. Solver callbacks wait until
+  // phase 3, after the frozen view has caught up — the solver only ever
+  // reads the CSR arenas.
   for (CandidateFix& fix : new_fixes) {
     const FixKey key{fix.tuple.Packed(), fix.attribute, fix.new_value};
     const auto it = fix_ids_.find(key);
@@ -538,31 +538,26 @@ Status RepairSession::PatchInstance(std::vector<ViolationSet> new_violations,
       // against the cell's current value (an applied fix on the same cell
       // may have moved it since the set was created).
       const uint32_t set_id = it->second;
-      const size_t old_size = instance_.sets[set_id].size();
-      bool reweighted = false;
-      if (instance_.weights[set_id] != fix.weight) {
-        instance_.SetWeight(set_id, fix.weight);
+      CsrEpochDelta::Extension ext{set_id, std::move(fix.solved), {}};
+      if (csr_.weight(set_id) != fix.weight) {
+        ext.weight = fix.weight;
         fixes_[set_id].weight = fix.weight;
         fixes_[set_id].old_value = fix.old_value;
-        reweighted = true;
       }
-      DBREPAIR_RETURN_IF_ERROR(instance_.ExtendSet(set_id, fix.solved));
-      stats->components_merged += components_.ExtendSet(set_id, fix.solved);
-      delta.extended.push_back({set_id, old_size, reweighted});
-      fixes_[set_id].solved.insert(fixes_[set_id].solved.end(),
-                                   fix.solved.begin(), fix.solved.end());
+      stats->components_merged += components_.ExtendSet(set_id, ext.elements);
+      delta.extended.push_back(std::move(ext));
       stats->num_extended_fixes += 1;
     } else {
-      const uint32_t set_id = instance_.AddSet(fix.weight, fix.solved);
       stats->components_merged += components_.AddSet(fix.solved);
-      fix_ids_.emplace(key, set_id);
+      fix_ids_.emplace(key, static_cast<uint32_t>(fixes_.size()));
+      delta.added.push_back({fix.weight, std::move(fix.solved)});
       fixes_.push_back(std::move(fix));
       stats->num_new_fixes += 1;
     }
   }
 
-  // Phase 2: re-freeze — append this batch's epoch to the flat view.
-  DBREPAIR_RETURN_IF_ERROR(csr_.AppendEpoch(instance_, delta));
+  // Phase 2: append this batch's epoch to the flat view.
+  DBREPAIR_RETURN_IF_ERROR(csr_.AppendEpoch(delta));
 
   // Phase 3: replay the delta into the solver. Batching the callbacks
   // after the mutations is order-safe: the heap's pop order depends only
@@ -571,13 +566,13 @@ Status RepairSession::PatchInstance(std::vector<ViolationSet> new_violations,
   // state another callback writes.
   solver_->OnElementsAdded(delta.new_elements);
   for (const CsrEpochDelta::Extension& ext : delta.extended) {
-    if (ext.reweighted) {
+    if (ext.weight.has_value()) {
       DBREPAIR_RETURN_IF_ERROR(solver_->OnWeightChanged(ext.set_id));
     }
-    DBREPAIR_RETURN_IF_ERROR(
-        solver_->OnSetExtended(ext.set_id, ext.first_new_index));
+    DBREPAIR_RETURN_IF_ERROR(solver_->OnSetExtended(
+        ext.set_id, csr_.set_size(ext.set_id) - ext.elements.size()));
   }
-  for (uint32_t s = delta.first_new_set; s < instance_.num_sets(); ++s) {
+  for (uint32_t s = first_new_set; s < csr_.num_sets(); ++s) {
     DBREPAIR_RETURN_IF_ERROR(solver_->OnSetAdded(s));
   }
 

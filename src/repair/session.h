@@ -24,7 +24,6 @@
 #include "repair/setcover/components.h"
 #include "repair/setcover/csr_instance.h"
 #include "repair/setcover/incremental.h"
-#include "repair/setcover/instance.h"
 #include "storage/column_view.h"
 #include "storage/database.h"
 
@@ -119,8 +118,8 @@ struct SessionStats {
 /// runs one full repair (build + modified-greedy solve + apply), and caches
 /// everything the full pipeline would throw away: the columnar snapshot,
 /// the violation engine with its join indexes, the candidate fixes with
-/// their (tuple, attribute, value) keys, the MWSCP instance, and the greedy
-/// solver's covered/heap state. Each ApplyBatch then:
+/// their (tuple, attribute, value) keys, the frozen MWSCP instance, and the
+/// greedy solver's covered/heap state. Each ApplyBatch then:
 ///
 ///  1. validates and inserts the rows (the whole batch is checked before
 ///     any row lands, so a bad batch leaves the session untouched);
@@ -129,7 +128,7 @@ struct SessionStats {
 ///     (ViolationEngine::FindViolationsSince) — when the pre-batch instance
 ///     was consistent these are ALL violation sets of the grown instance;
 ///  4. generates mono-local fixes for the new violation sets only and
-///     patches them into the cached instance in place (new sets, extended
+///     appends them to the frozen instance as one epoch (new sets, extended
 ///     sets, refreshed weights);
 ///  5. continues the modified-greedy loop over whatever became uncovered
 ///     and applies the picked fixes;
@@ -219,17 +218,12 @@ class RepairSession {
   /// cumulative cover weight / repair distance after the batch.
   obs::Json TelemetryToJson() const;
 
-  /// The mutable MWSCP instance (the session's patch log). Exposed for
-  /// tests and diagnostics.
-  const SetCoverInstance& instance() const { return instance_; }
-
-  /// The frozen CSR view the incremental solver actually reads; kept in
-  /// sync with instance() by one AppendEpoch per batch. Exposed for tests
-  /// and diagnostics.
+  /// The frozen MWSCP instance the incremental solver reads; grown by one
+  /// AppendEpoch per batch. Exposed for tests and diagnostics.
   const CsrSetCoverInstance& frozen_instance() const { return csr_; }
 
-  /// The live conflict-component index over instance(): adopted from the
-  /// initial build and maintained incrementally as each batch's delta
+  /// The live conflict-component index over frozen_instance(): adopted from
+  /// the initial build and maintained incrementally as each batch's delta
   /// appends elements and adds/extends sets (a batch only ever merges
   /// components, never splits them). Exposed for tests and diagnostics.
   const ComponentIndex& components() const { return components_; }
@@ -297,11 +291,12 @@ class RepairSession {
   std::unique_ptr<ViolationEngine> engine_;  // holds &db_, &bound_, &snapshot_
 
   std::vector<ViolationSet> violations_;  // element ids are indices here
-  std::vector<CandidateFix> fixes_;       // set ids are indices here
+  // Set ids are indices here. Only the cell, value and weight of each fix
+  // are kept: its solved violation ids live in csr_.
+  std::vector<CandidateFix> fixes_;
   std::unordered_map<FixKey, uint32_t, FixKeyHash> fix_ids_;
-  SetCoverInstance instance_;       // the mutable patch log
   CsrSetCoverInstance csr_;         // frozen view; one AppendEpoch per batch
-  ComponentIndex components_;       // live index; mutated next to instance_
+  ComponentIndex components_;       // live index; follows each epoch
   // Published copy of components_.num_components() for lock-free STATS
   // reads; stored after Open and after each completed batch.
   std::atomic<size_t> component_count_{0};

@@ -7,9 +7,9 @@ namespace dbrepair {
 ComponentIndex ComponentIndex::Build(const SetCoverInstance& instance) {
   ComponentIndex index;
   index.owner_.assign(instance.num_elements, kNone);
-  index.parent_.reserve(instance.num_sets());
-  index.size_.reserve(instance.num_sets());
-  index.attached_.reserve(instance.num_sets());
+  index.parent_.reserve(instance.sets.size());
+  index.size_.reserve(instance.sets.size());
+  index.attached_.reserve(instance.sets.size());
   for (const std::vector<uint32_t>& set : instance.sets) {
     index.AddSet(set);
   }

@@ -17,12 +17,12 @@ namespace dbrepair {
 ///
 /// Implementation: union-find over *set* ids. Each element remembers one
 /// covering set (`owner`); absorbing a set unions it with the owners of its
-/// elements, which is exactly a pass over the element->set links the build
-/// phase just produced. Repair sessions keep the index alive across
-/// batches: AddElements/AddSet/ExtendSet mirror the SetCoverInstance
-/// mutators one to one, and a batch whose fix touches violations of two
-/// previously separate components merges them (the count of merges is
-/// reported for telemetry).
+/// elements, which is exactly one pass over the sets the build phase just
+/// assembled. Repair sessions keep the index alive across
+/// batches: AddElements/AddSet/ExtendSet follow each epoch's new elements,
+/// new sets and extended sets one to one, and a batch whose fix touches
+/// violations of two previously separate components merges them (the count
+/// of merges is reported for telemetry).
 ///
 /// The index never renumbers: dense, deterministic component labels are
 /// produced on demand by Partition(), ordered by each component's smallest
@@ -32,7 +32,7 @@ class ComponentIndex {
  public:
   ComponentIndex() = default;
 
-  /// Builds the index of a fully built instance (one Absorb per set).
+  /// Builds the index of a build record (one Absorb per set).
   static ComponentIndex Build(const SetCoverInstance& instance);
 
   /// Grows the element universe by `count` fresh, uncovered ids. Uncovered

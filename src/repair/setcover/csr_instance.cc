@@ -17,6 +17,17 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+// Checks that `elements` is strictly ascending and lies in the fresh id
+// range [first, end) of the epoch.
+bool FreshAscending(const std::vector<uint32_t>& elements, size_t first,
+                    size_t end) {
+  for (size_t i = 0; i < elements.size(); ++i) {
+    if (elements[i] < first || elements[i] >= end) return false;
+    if (i > 0 && elements[i] <= elements[i - 1]) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 CsrSetCoverInstance CsrSetCoverInstance::Freeze(
@@ -43,9 +54,8 @@ CsrSetCoverInstance CsrSetCoverInstance::Freeze(
 
   // ---- Element -> set cross links: two-pass counting fill. ----
   // Pass 1 counts each element's frequency; the prefix sum becomes the
-  // offsets array. Pass 2 scatters set ids through a cursor copy, which —
-  // iterating sets in ascending id order — reproduces BuildLinks()'s
-  // ascending link lists exactly.
+  // offsets array. Pass 2 scatters set ids through a cursor copy; iterating
+  // sets in ascending id order leaves every link list ascending.
   std::vector<uint32_t> counts(source.num_elements, 0);
   for (const std::vector<uint32_t>& set : source.sets) {
     for (const uint32_t e : set) ++counts[e];
@@ -133,86 +143,108 @@ size_t CsrSetCoverInstance::arena_bytes() const {
          weights_.size() * sizeof(double);
 }
 
-Status CsrSetCoverInstance::AppendEpoch(const SetCoverInstance& patched,
-                                        const CsrEpochDelta& delta) {
+Status CsrSetCoverInstance::AppendEpoch(const CsrEpochDelta& delta) {
   const auto start = std::chrono::steady_clock::now();
   const size_t old_elements = num_elements_;
+  const size_t new_universe = old_elements + delta.new_elements;
   const auto old_sets = static_cast<uint32_t>(weights_.size());
-  if (patched.num_elements != old_elements + delta.new_elements) {
-    return Status::Internal(
-        "csr epoch append: element universe does not match the delta");
+
+  // ---- Check the whole delta before the first arena write, so a rejected
+  // delta leaves the view exactly as it was. A delta may link only the
+  // epoch's fresh elements: a pre-epoch element's link list cannot grow
+  // without rewriting the cross-link arena. ----
+  // Extensions in ascending set-id order: the order the counting fill below
+  // must scatter them in to keep every link list ascending.
+  std::vector<uint32_t> by_set(delta.extended.size());
+  for (uint32_t i = 0; i < by_set.size(); ++i) by_set[i] = i;
+  std::sort(by_set.begin(), by_set.end(), [&](uint32_t a, uint32_t b) {
+    return delta.extended[a].set_id < delta.extended[b].set_id;
+  });
+  for (size_t k = 0; k < by_set.size(); ++k) {
+    const CsrEpochDelta::Extension& ext = delta.extended[by_set[k]];
+    if (ext.set_id >= old_sets) {
+      return Status::Internal("csr epoch append: extension of a set the "
+                              "frozen view has never seen");
+    }
+    if (k > 0 && delta.extended[by_set[k - 1]].set_id == ext.set_id) {
+      return Status::Internal("csr epoch append: set " +
+                              std::to_string(ext.set_id) +
+                              " is extended twice in one epoch");
+    }
+    if (ext.elements.empty() ||
+        !FreshAscending(ext.elements, old_elements, new_universe)) {
+      return Status::Internal(
+          "csr epoch append: extension of set " + std::to_string(ext.set_id) +
+          " is not an ascending run of fresh elements (the cross-link arena "
+          "would go stale)");
+    }
   }
-  if (delta.first_new_set != old_sets || patched.sets.size() < old_sets) {
-    return Status::Internal(
-        "csr epoch append: set range does not continue the frozen view");
-  }
-  if (patched.element_sets.size() != patched.num_elements) {
-    return Status::Internal(
-        "csr epoch append requires element links (call BuildLinks)");
+  for (const CsrEpochDelta::NewSet& set : delta.added) {
+    if (!FreshAscending(set.elements, old_elements, new_universe)) {
+      return Status::Internal(
+          "csr epoch append: appended set is not an ascending run of fresh "
+          "elements (the cross-link arena would go stale)");
+    }
   }
 
-  // ---- Element -> set arena: pure append. A batch's fixes only ever
-  // reference that batch's fresh violation ids, so no pre-epoch element's
-  // link list can have grown; the new elements' lists extend the arena and
-  // the offsets in place. ----
-  size_t new_links = 0;
-  for (size_t e = old_elements; e < patched.num_elements; ++e) {
-    new_links += patched.element_sets[e].size();
+  // ---- Element -> set arena: pure append. The fresh elements' link lists
+  // are filled by counting, scattering extended sets (ascending ids, all
+  // pre-epoch) before appended sets (ascending ids after them), so every
+  // list is ascending exactly as Freeze() would lay it out. ----
+  std::vector<uint32_t> counts(delta.new_elements, 0);
+  for (const CsrEpochDelta::Extension& ext : delta.extended) {
+    for (const uint32_t e : ext.elements) ++counts[e - old_elements];
   }
-  elem_arena_.reserve(elem_arena_.size() + new_links);
-  elem_offsets_.reserve(patched.num_elements + 1);
-  for (size_t e = old_elements; e < patched.num_elements; ++e) {
-    const std::vector<uint32_t>& links = patched.element_sets[e];
-    elem_arena_.insert(elem_arena_.end(), links.begin(), links.end());
-    elem_offsets_.push_back(static_cast<uint32_t>(elem_arena_.size()));
-    max_frequency_ = std::max(max_frequency_, links.size());
+  for (const CsrEpochDelta::NewSet& set : delta.added) {
+    for (const uint32_t e : set.elements) ++counts[e - old_elements];
   }
-  num_elements_ = patched.num_elements;
+  elem_offsets_.reserve(new_universe + 1);
+  for (const uint32_t count : counts) {
+    elem_offsets_.push_back(elem_offsets_.back() + count);
+    max_frequency_ = std::max<size_t>(max_frequency_, count);
+  }
+  std::vector<uint32_t> cursor(elem_offsets_.begin() + old_elements,
+                               elem_offsets_.end() - 1);
+  elem_arena_.resize(elem_offsets_.back());
+  for (const uint32_t i : by_set) {
+    const CsrEpochDelta::Extension& ext = delta.extended[i];
+    for (const uint32_t e : ext.elements) {
+      elem_arena_[cursor[e - old_elements]++] = ext.set_id;
+    }
+  }
+  for (uint32_t i = 0; i < delta.added.size(); ++i) {
+    for (const uint32_t e : delta.added[i].elements) {
+      elem_arena_[cursor[e - old_elements]++] = old_sets + i;
+    }
+  }
+  num_elements_ = new_universe;
 
   // ---- Extended pre-epoch sets: relocate the grown span to the tail. The
   // old span becomes dead slack; the set id (and thus every cross link)
   // is untouched. ----
   for (const CsrEpochDelta::Extension& ext : delta.extended) {
-    if (ext.set_id >= old_sets) {
-      return Status::Internal("csr epoch append: extension of a set the "
-                              "frozen view has never seen");
-    }
-    const std::vector<uint32_t>& elems = patched.sets[ext.set_id];
-    if (ext.first_new_index != set_size_[ext.set_id] ||
-        elems.size() <= ext.first_new_index) {
-      return Status::Internal(
-          "csr epoch append: extension suffix does not continue the frozen "
-          "span of set " + std::to_string(ext.set_id));
-    }
-    for (size_t i = ext.first_new_index; i < elems.size(); ++i) {
-      if (elems[i] < old_elements) {
-        return Status::Internal(
-            "csr epoch append: extension links a pre-epoch element (the "
-            "cross-link arena would go stale)");
-      }
-    }
-    dead_slots_ += set_size_[ext.set_id];
-    set_begin_[ext.set_id] = static_cast<uint32_t>(set_arena_.size());
-    set_size_[ext.set_id] = static_cast<uint32_t>(elems.size());
-    set_arena_.insert(set_arena_.end(), elems.begin(), elems.end());
-    weights_[ext.set_id] = patched.weights[ext.set_id];
+    const uint32_t old_begin = set_begin_[ext.set_id];
+    const uint32_t old_size = set_size_[ext.set_id];
+    const auto begin = static_cast<uint32_t>(set_arena_.size());
+    set_arena_.resize(begin + old_size + ext.elements.size());
+    std::copy_n(set_arena_.begin() + old_begin, old_size,
+                set_arena_.begin() + begin);
+    std::copy(ext.elements.begin(), ext.elements.end(),
+              set_arena_.begin() + begin + old_size);
+    dead_slots_ += old_size;
+    set_begin_[ext.set_id] = begin;
+    set_size_[ext.set_id] =
+        old_size + static_cast<uint32_t>(ext.elements.size());
+    if (ext.weight.has_value()) weights_[ext.set_id] = *ext.weight;
   }
 
   // ---- Appended sets extend the tail of the span arena. ----
-  const auto new_sets = static_cast<uint32_t>(patched.sets.size());
-  for (uint32_t s = old_sets; s < new_sets; ++s) {
-    const std::vector<uint32_t>& elems = patched.sets[s];
-    for (const uint32_t e : elems) {
-      if (e < old_elements) {
-        return Status::Internal(
-            "csr epoch append: appended set covers a pre-epoch element (the "
-            "cross-link arena would go stale)");
-      }
-    }
+  for (const CsrEpochDelta::NewSet& set : delta.added) {
     set_begin_.push_back(static_cast<uint32_t>(set_arena_.size()));
-    set_size_.push_back(static_cast<uint32_t>(elems.size()));
-    set_arena_.insert(set_arena_.end(), elems.begin(), elems.end());
-    weights_.push_back(patched.weights[s]);
+    set_size_.push_back(static_cast<uint32_t>(set.elements.size()));
+    set_arena_.insert(set_arena_.end(), set.elements.begin(),
+                      set.elements.end());
+    weights_.push_back(set.weight);
   }
 
   // Long sessions with many relocations accumulate dead slack; compact
@@ -319,40 +351,6 @@ Status CsrSetCoverInstance::Validate() const {
                                 std::to_string(e) +
                                 " are not strictly ascending");
       }
-    }
-  }
-  return Status::OK();
-}
-
-Status CsrSetCoverInstance::Mirrors(const SetCoverInstance& source) const {
-  if (num_elements_ != source.num_elements ||
-      weights_.size() != source.sets.size()) {
-    return Status::Internal("csr mirror: universe size mismatch");
-  }
-  if (source.element_sets.size() != source.num_elements) {
-    return Status::Internal(
-        "csr mirror check requires element links (call BuildLinks)");
-  }
-  for (uint32_t s = 0; s < weights_.size(); ++s) {
-    if (weights_[s] != source.weights[s]) {
-      return Status::Internal("csr mirror: weight drift at set " +
-                              std::to_string(s));
-    }
-    const std::span<const uint32_t> span = elements_of(s);
-    if (!std::equal(span.begin(), span.end(), source.sets[s].begin(),
-                    source.sets[s].end())) {
-      return Status::Internal("csr mirror: span of set " + std::to_string(s) +
-                              " diverges from the nested instance");
-    }
-  }
-  for (uint32_t e = 0; e < num_elements_; ++e) {
-    const std::span<const uint32_t> links = sets_of(e);
-    if (!std::equal(links.begin(), links.end(),
-                    source.element_sets[e].begin(),
-                    source.element_sets[e].end())) {
-      return Status::Internal("csr mirror: links of element " +
-                              std::to_string(e) +
-                              " diverge from the nested instance");
     }
   }
   return Status::OK();

@@ -2,6 +2,7 @@
 #define DBREPAIR_REPAIR_SETCOVER_CSR_INSTANCE_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -10,19 +11,25 @@
 
 namespace dbrepair {
 
-/// One repair batch's delta against a frozen CSR instance, recorded while
-/// the mutable SetCoverInstance (the patch log) is being patched and then
-/// replayed into the arenas by CsrSetCoverInstance::AppendEpoch.
+/// One repair batch's delta against a frozen CSR instance: everything
+/// CsrSetCoverInstance::AppendEpoch needs, carried in the delta itself.
+/// The batch's fresh elements get ids [num_elements(), num_elements() +
+/// new_elements), and every element id a delta links must be one of them.
 struct CsrEpochDelta {
-  /// Elements AddElements() appended this batch.
+  /// Elements this batch appends to the universe.
   size_t new_elements = 0;
-  /// Sets [first_new_set, patched.num_sets()) were AddSet()-appended.
-  uint32_t first_new_set = 0;
+
+  struct NewSet {
+    double weight = 0.0;
+    std::vector<uint32_t> elements;  ///< sorted fresh element ids
+  };
+  /// Appended sets, in id order: the i-th gets id num_sets() + i.
+  std::vector<NewSet> added;
 
   struct Extension {
-    uint32_t set_id = 0;         ///< pre-epoch set that ExtendSet() grew
-    size_t first_new_index = 0;  ///< index of its first appended element
-    bool reweighted = false;     ///< SetWeight() also refreshed its weight
+    uint32_t set_id = 0;             ///< pre-epoch set that gained elements
+    std::vector<uint32_t> elements;  ///< sorted fresh ids appended to it
+    std::optional<double> weight;    ///< its refreshed weight, if changed
   };
   /// Pre-epoch sets that gained elements (each at most once per batch —
   /// candidate fixes are deduplicated on their key before patching).
@@ -43,21 +50,18 @@ struct CsrEpochDelta {
 ///   elem_arena_  [ e0 links | e1 links | ... ]         element -> set ids
 ///   elem_offsets_ num_elements+1 offsets into elem_arena_ (classic CSR)
 ///
-/// Freeze() builds both arenas in one pass over the nested sets plus a
-/// two-pass counting fill for the cross links; element link lists come out
-/// in ascending set-id order, exactly as SetCoverInstance::BuildLinks()
-/// produces them, so every solver sees the same iteration order and
-/// computes a byte-identical cover on either representation.
+/// Freeze() builds both arenas from the build record: one pass over its
+/// sets plus a two-pass counting fill for the cross links, so element link
+/// lists come out in ascending set-id order.
 ///
-/// Repair sessions keep the mutable SetCoverInstance as their patch log and
-/// re-freeze per batch with AppendEpoch(): element ids are allocated
-/// globally ascending and a batch's fixes only ever reference that batch's
-/// fresh violation ids, so the element->set arena extends purely by
-/// appending the new elements' lists. In the set->element arena, appended
-/// sets extend the tail and a grown pre-epoch set relocates its whole span
-/// to the tail (the old span becomes dead slack, compacted once it exceeds
-/// half the arena). Set ids never move, so relocation is invisible to the
-/// solvers.
+/// Repair sessions grow the view per batch with AppendEpoch(): element ids
+/// are allocated globally ascending and a batch's fixes only ever reference
+/// that batch's fresh violation ids, so the element->set arena extends
+/// purely by appending the new elements' lists. In the set->element arena,
+/// appended sets extend the tail and a grown pre-epoch set relocates its
+/// whole span to the tail (the old span becomes dead slack, compacted once
+/// it exceeds half the arena). Set ids never move, so relocation is
+/// invisible to the solvers.
 class CsrSetCoverInstance {
  public:
   CsrSetCoverInstance() = default;
@@ -94,24 +98,17 @@ class CsrSetCoverInstance {
   /// Arena slots orphaned by relocated (extended) set spans.
   size_t dead_slots() const { return dead_slots_; }
 
-  /// Appends one batch's delta. `patched` is the session's mutable
-  /// instance *after* this batch's AddElements/AddSet/ExtendSet/SetWeight
-  /// calls; `delta` names what changed. Requires `patched` to have live
-  /// element links and the delta to only link fresh elements (the session
-  /// invariant); anything else is an Internal error and the CSR must be
-  /// considered out of sync.
-  Status AppendEpoch(const SetCoverInstance& patched,
-                     const CsrEpochDelta& delta);
+  /// Appends one batch's delta. The whole delta is checked before any
+  /// arena changes: it may only link fresh elements (the session
+  /// invariant), extend each pre-epoch set at most once, and list every
+  /// span strictly ascending. A rejected delta returns Internal and leaves
+  /// the view untouched.
+  Status AppendEpoch(const CsrEpochDelta& delta);
 
   /// Structural self-checks: offsets monotone and in range, spans sorted
   /// and duplicate-free, cross links consistent in both directions,
   /// weights non-negative, every element covered (feasibility).
   Status Validate() const;
-
-  /// Checks this view is the exact logical image of `source`: same
-  /// universe, bit-equal weights, identical per-set spans and per-element
-  /// link lists. `source` must have element links built.
-  Status Mirrors(const SetCoverInstance& source) const;
 
   /// Extracts one conflict component as a standalone frozen instance:
   /// `sets`/`elements` are the component's global ids in ascending order
@@ -139,28 +136,6 @@ class CsrSetCoverInstance {
   std::vector<uint32_t> elem_arena_;
   size_t max_frequency_ = 0;
   size_t dead_slots_ = 0;
-};
-
-/// Adapter giving the nested-vector SetCoverInstance the same read surface
-/// as CsrSetCoverInstance, so each solver's hot loop is written once and
-/// instantiated for both layouts. A pure borrow; sets_of() requires the
-/// instance's element links to be built.
-class NestedSetCoverView {
- public:
-  explicit NestedSetCoverView(const SetCoverInstance* in) : in_(in) {}
-
-  size_t num_elements() const { return in_->num_elements; }
-  size_t num_sets() const { return in_->sets.size(); }
-  double weight(uint32_t s) const { return in_->weights[s]; }
-  std::span<const uint32_t> elements_of(uint32_t s) const {
-    return in_->sets[s];
-  }
-  std::span<const uint32_t> sets_of(uint32_t e) const {
-    return in_->element_sets[e];
-  }
-
- private:
-  const SetCoverInstance* in_;
 };
 
 }  // namespace dbrepair

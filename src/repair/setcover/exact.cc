@@ -10,9 +10,8 @@ namespace dbrepair {
 
 namespace {
 
-template <class View>
 struct SearchState {
-  const View* view = nullptr;
+  const CsrSetCoverInstance* view = nullptr;
   uint64_t max_nodes = 0;
   uint64_t nodes = 0;
   bool exhausted = false;
@@ -96,11 +95,14 @@ struct SearchState {
   }
 };
 
-template <class View>
-Result<SetCoverSolution> ExactImpl(const View& view,
-                                   const SetCoverSolution& greedy,
-                                   const ExactSetCoverOptions& options) {
-  SearchState<View> state;
+}  // namespace
+
+Result<SetCoverSolution> ExactSetCover(const CsrSetCoverInstance& view,
+                                       ExactSetCoverOptions options) {
+  // Seed the incumbent with the greedy solution so pruning bites early.
+  DBREPAIR_ASSIGN_OR_RETURN(const SetCoverSolution greedy,
+                            ModifiedGreedySetCover(view));
+  SearchState state;
   state.view = &view;
   state.max_nodes = options.max_nodes;
   state.cover_count.assign(view.num_elements(), 0);
@@ -138,48 +140,6 @@ Result<SetCoverSolution> ExactImpl(const View& view,
   for (const uint32_t s : solution.chosen) solution.weight += view.weight(s);
   solution.iterations = state.nodes;
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> ExactSetCover(const SetCoverInstance& instance,
-                                       ExactSetCoverOptions options) {
-  if (instance.element_sets.size() != instance.num_elements) {
-    return Status::Internal(
-        "exact set cover requires element links (call BuildLinks)");
-  }
-  // Seed the incumbent with the greedy solution so pruning bites early.
-  DBREPAIR_ASSIGN_OR_RETURN(const SetCoverSolution greedy,
-                            ModifiedGreedySetCover(instance));
-  return ExactImpl(NestedSetCoverView(&instance), greedy, options);
-}
-
-Result<SetCoverSolution> ExactSetCover(const CsrSetCoverInstance& instance,
-                                       ExactSetCoverOptions options) {
-  DBREPAIR_ASSIGN_OR_RETURN(const SetCoverSolution greedy,
-                            ModifiedGreedySetCover(instance));
-  return ExactImpl(instance, greedy, options);
-}
-
-Result<SetCoverSolution> SolveSetCover(SolverKind kind,
-                                       const SetCoverInstance& instance) {
-  const obs::ScopedWorkEvent solve_event(
-      std::string("solve.") + SolverKindName(kind));
-  switch (kind) {
-    case SolverKind::kGreedy:
-      return GreedySetCover(instance);
-    case SolverKind::kModifiedGreedy:
-      return ModifiedGreedySetCover(instance);
-    case SolverKind::kLazyGreedy:
-      return LazyGreedySetCover(instance);
-    case SolverKind::kLayer:
-      return LayerSetCover(instance);
-    case SolverKind::kModifiedLayer:
-      return ModifiedLayerSetCover(instance);
-    case SolverKind::kExact:
-      return ExactSetCover(instance);
-  }
-  return Status::InvalidArgument("unknown solver kind");
 }
 
 Result<SetCoverSolution> SolveSetCover(SolverKind kind,

@@ -7,15 +7,11 @@
 
 namespace dbrepair {
 
-namespace {
-
 // The residual sets ("S <- S \ M" materialised) as one flat arena: every
 // set's remaining elements occupy a contiguous span that is compacted in
-// place as elements get covered. Span sizes evolve exactly like the nested
-// per-set vectors did, so effective weights — and therefore the cover —
-// are unchanged.
-template <class View>
-Result<SetCoverSolution> GreedyImpl(const View& view) {
+// place as elements get covered; a span's size is the set's uncovered
+// count, the denominator of its effective weight.
+Result<SetCoverSolution> GreedySetCover(const CsrSetCoverInstance& view) {
   SetCoverSolution solution;
   const size_t num_sets = view.num_sets();
   uint64_t sets_scanned = 0;
@@ -87,16 +83,6 @@ Result<SetCoverSolution> GreedyImpl(const View& view) {
   metrics.GetCounter("solver.greedy.iterations")->Add(solution.iterations);
   metrics.GetCounter("solver.greedy.sets_scanned")->Add(sets_scanned);
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> GreedySetCover(const SetCoverInstance& instance) {
-  return GreedyImpl(NestedSetCoverView(&instance));
-}
-
-Result<SetCoverSolution> GreedySetCover(const CsrSetCoverInstance& instance) {
-  return GreedyImpl(instance);
 }
 
 }  // namespace dbrepair

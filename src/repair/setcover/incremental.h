@@ -13,16 +13,15 @@ namespace dbrepair {
 /// Modified greedy (Algorithm 5) with persistent solver state, for repair
 /// sessions that patch one instance across many batches instead of
 /// rebuilding it. The covered set, the per-set uncovered counts, and the
-/// effective-weight priority queue survive between solves; a batch grows the
-/// mutable SetCoverInstance (the patch log), replays the delta into the
-/// frozen CSR view with AppendEpoch, and mirrors each mutation here, then
-/// SolveDelta() runs the exact modified-greedy loop over whatever is
-/// currently uncovered.
+/// effective-weight priority queue survive between solves; a batch appends
+/// its delta to the frozen CSR view with AppendEpoch and announces each
+/// change here, then SolveDelta() runs the exact modified-greedy loop over
+/// whatever is currently uncovered.
 ///
 /// The solver reads only the frozen CsrSetCoverInstance — its hot loop is
-/// the same span walk as ModifiedGreedySetCover's CSR overload. Every On*
-/// call therefore requires the matching AppendEpoch to have already run
-/// (the session patches instance -> appends the epoch -> replays callbacks).
+/// the same span walk as ModifiedGreedySetCover's. Every On* call therefore
+/// requires the matching AppendEpoch to have already run (the session
+/// appends the epoch, then replays the callbacks).
 ///
 /// Equivalence anchor: on a freshly frozen instance, one SolveDelta() call
 /// picks exactly the sets ModifiedGreedySetCover picks, in the same order
@@ -43,20 +42,19 @@ class IncrementalGreedySolver {
   /// AppendEpoch with the matching On* calls replayed afterwards.
   explicit IncrementalGreedySolver(const CsrSetCoverInstance* instance);
 
-  /// Mirror of SetCoverInstance::AddElements: `count` fresh, uncovered
-  /// elements joined the universe.
+  /// `count` fresh, uncovered elements joined the universe.
   void OnElementsAdded(size_t count);
 
-  /// Mirror of SetCoverInstance::AddSet. The new set's elements must all be
-  /// uncovered (they are this batch's fresh violation ids).
+  /// Set `set_id` was appended. Its elements must all be uncovered (they
+  /// are this batch's fresh violation ids).
   Status OnSetAdded(uint32_t set_id);
 
-  /// Mirror of SetCoverInstance::ExtendSet: elements from
-  /// `first_new_index` onwards in the set's element list were appended.
+  /// Elements from `first_new_index` onwards in the set's element list were
+  /// appended.
   /// Rejects extension of a chosen set (see class invariants).
   Status OnSetExtended(uint32_t set_id, size_t first_new_index);
 
-  /// Mirror of SetCoverInstance::SetWeight: reprices the heap entry.
+  /// The set's weight changed: reprices the heap entry.
   Status OnWeightChanged(uint32_t set_id);
 
   /// Runs the modified-greedy loop until every element is covered, starting

@@ -1,143 +1,6 @@
 #include "repair/setcover/instance.h"
 
-#include <algorithm>
-#include <string>
-
-#include "repair/setcover/csr_instance.h"
-
 namespace dbrepair {
-
-void SetCoverInstance::BuildLinks() {
-  // Counting pre-pass: size every link list exactly once instead of growing
-  // it by push_back — the lists are written once and never shrink, so the
-  // reserve eliminates all mid-fill reallocation.
-  std::vector<uint32_t> counts(num_elements, 0);
-  for (const std::vector<uint32_t>& set : sets) {
-    for (const uint32_t e : set) ++counts[e];
-  }
-  element_sets.assign(num_elements, {});
-  for (uint32_t e = 0; e < num_elements; ++e) {
-    element_sets[e].reserve(counts[e]);
-  }
-  for (uint32_t s = 0; s < sets.size(); ++s) {
-    for (const uint32_t e : sets[s]) element_sets[e].push_back(s);
-  }
-}
-
-void SetCoverInstance::AddElements(size_t count) {
-  num_elements += count;
-  element_sets.resize(num_elements);
-}
-
-uint32_t SetCoverInstance::AddSet(double weight,
-                                  std::vector<uint32_t> elements) {
-  const auto id = static_cast<uint32_t>(sets.size());
-  for (const uint32_t e : elements) element_sets[e].push_back(id);
-  weights.push_back(weight);
-  sets.push_back(std::move(elements));
-  return id;
-}
-
-Status SetCoverInstance::ExtendSet(uint32_t set_id,
-                                   const std::vector<uint32_t>& new_elements) {
-  if (set_id >= sets.size()) {
-    return Status::Internal("ExtendSet: set id out of range");
-  }
-  std::vector<uint32_t>& set = sets[set_id];
-  for (const uint32_t e : new_elements) {
-    if (!set.empty() && e <= set.back()) {
-      return Status::Internal(
-          "ExtendSet: element ids must be appended in ascending order");
-    }
-    set.push_back(e);
-    element_sets[e].push_back(set_id);
-  }
-  return Status::OK();
-}
-
-void SetCoverInstance::SetWeight(uint32_t set_id, double weight) {
-  weights[set_id] = weight;
-}
-
-Status SetCoverInstance::Validate() const {
-  if (weights.size() != sets.size()) {
-    return Status::Internal("set cover instance: |weights| != |sets|");
-  }
-  if (element_sets.size() != num_elements) {
-    return Status::Internal(
-        "set cover instance: element links not built (call BuildLinks)");
-  }
-  // One pass over every set checks the weight sign, range, ordering, and
-  // duplicates while accumulating the per-element coverage counts the link
-  // check needs — the former separate `counted` pass folded in.
-  std::vector<uint32_t> counted(num_elements, 0);
-  for (uint32_t s = 0; s < sets.size(); ++s) {
-    if (weights[s] < 0.0) {
-      return Status::Internal("set cover instance: negative weight at set " +
-                              std::to_string(s));
-    }
-    uint32_t prev = 0;
-    bool first = true;
-    for (const uint32_t e : sets[s]) {
-      if (e >= num_elements) {
-        return Status::Internal(
-            "set cover instance: element id out of range in set " +
-            std::to_string(s));
-      }
-      if (!first && e < prev) {
-        return Status::Internal("set cover instance: set " +
-                                std::to_string(s) + " is not sorted");
-      }
-      if (!first && e == prev) {
-        return Status::Internal("set cover instance: set " +
-                                std::to_string(s) +
-                                " has duplicate elements");
-      }
-      prev = e;
-      first = false;
-      ++counted[e];
-    }
-  }
-  for (uint32_t e = 0; e < num_elements; ++e) {
-    if (counted[e] == 0) {
-      return Status::Internal("set cover instance: element " +
-                              std::to_string(e) +
-                              " is covered by no set (infeasible)");
-    }
-    if (counted[e] != element_sets[e].size()) {
-      return Status::Internal("set cover instance: stale links at element " +
-                              std::to_string(e));
-    }
-  }
-  // The frozen view must round-trip: freezing a valid instance yields a
-  // CSR that passes its own structural checks and mirrors this one.
-  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(*this);
-  DBREPAIR_RETURN_IF_ERROR(csr.Validate());
-  DBREPAIR_RETURN_IF_ERROR(csr.Mirrors(*this));
-  return Status::OK();
-}
-
-size_t SetCoverInstance::MaxFrequency() const {
-  size_t f = 0;
-  for (const auto& links : element_sets) f = std::max(f, links.size());
-  return f;
-}
-
-double SetCoverInstance::SelectionWeight(
-    const std::vector<uint32_t>& chosen) const {
-  double total = 0.0;
-  for (const uint32_t s : chosen) total += weights[s];
-  return total;
-}
-
-bool SetCoverInstance::IsCover(const std::vector<uint32_t>& chosen) const {
-  std::vector<bool> covered(num_elements, false);
-  for (const uint32_t s : chosen) {
-    for (const uint32_t e : sets[s]) covered[e] = true;
-  }
-  return std::all_of(covered.begin(), covered.end(),
-                     [](bool c) { return c; });
-}
 
 const char* SolverKindName(SolverKind kind) {
   switch (kind) {

@@ -1,68 +1,23 @@
 #ifndef DBREPAIR_REPAIR_SETCOVER_INSTANCE_H_
 #define DBREPAIR_REPAIR_SETCOVER_INSTANCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
-
 namespace dbrepair {
 
-/// A Minimum-Weight Set-Cover instance (U, S, w) (Definition 3.1 view):
-/// elements are violation-set ids, sets are candidate-fix ids. The instance
-/// also stores the element->sets cross links (the Algorithm-4 structure) so
-/// the modified algorithms can update incrementally.
+/// A Minimum-Weight Set-Cover instance (U, S, w) (Definition 3.1 view) as
+/// the build phase emits it: elements are violation-set ids, sets are
+/// candidate-fix ids. A plain build record — CsrSetCoverInstance::Freeze
+/// turns it into the flat layout (both incidence directions) that every
+/// solver, the pruner and a repair session read.
 struct SetCoverInstance {
   size_t num_elements = 0;
   /// Per-set weight w(S_i) >= 0.
   std::vector<double> weights;
-  /// Per-set sorted element ids.
+  /// Per-set sorted, duplicate-free element ids.
   std::vector<std::vector<uint32_t>> sets;
-  /// Per-element set ids containing it; filled by BuildLinks().
-  std::vector<std::vector<uint32_t>> element_sets;
-
-  size_t num_sets() const { return sets.size(); }
-
-  /// Populates element_sets from sets.
-  void BuildLinks();
-
-  // ---- In-place mutation (repair sessions). ----
-  // The mutators keep element_sets consistent incrementally, so a patched
-  // instance never needs a full BuildLinks pass. They require BuildLinks to
-  // have run once (element_sets sized to num_elements).
-
-  /// Grows the element universe by `count` fresh ids (initially uncovered
-  /// by every set).
-  void AddElements(size_t count);
-
-  /// Appends a new set with the given weight and sorted, deduplicated
-  /// element ids; returns its id.
-  uint32_t AddSet(double weight, std::vector<uint32_t> elements);
-
-  /// Appends `new_elements` to an existing set. Every new id must be
-  /// strictly greater than the set's current maximum (element ids are
-  /// allocated globally ascending, so later batches only ever append) and
-  /// sorted ascending — which keeps the set sorted without a merge.
-  Status ExtendSet(uint32_t set_id, const std::vector<uint32_t>& new_elements);
-
-  /// Replaces the weight of an existing set.
-  void SetWeight(uint32_t set_id, double weight);
-
-  /// Structural checks: ids in range, links consistent, weights
-  /// non-negative, every element covered by at least one set (feasibility).
-  /// Also round-trips the frozen view: Freeze() of a valid instance must
-  /// pass CsrSetCoverInstance::Validate() and mirror this one exactly.
-  Status Validate() const;
-
-  /// Maximum frequency f: the largest number of sets any element occurs in.
-  /// The layer algorithm approximates within factor f.
-  size_t MaxFrequency() const;
-
-  /// Total weight of the given set selection.
-  double SelectionWeight(const std::vector<uint32_t>& chosen) const;
-
-  /// True iff `chosen` covers every element.
-  bool IsCover(const std::vector<uint32_t>& chosen) const;
 };
 
 /// A solver's output: chosen set ids (in selection order) and their weight.

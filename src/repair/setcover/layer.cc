@@ -9,16 +9,11 @@
 
 namespace dbrepair {
 
-namespace {
-
 // Residual sets as one flat arena (same structure as greedy's): contiguous
 // per-set spans compacted in place, so the round scans stream the arena
-// instead of hopping between per-set heap allocations. Span sizes match the
-// nested version's vector sizes at every round, keeping c and the tight-set
-// batches identical.
-template <class View>
-Result<SetCoverSolution> LayerImpl(const View& view,
-                                   const LayerOptions& options) {
+// instead of hopping between per-set heap allocations.
+Result<SetCoverSolution> LayerSetCover(const CsrSetCoverInstance& view,
+                                       const LayerOptions& options) {
   SetCoverSolution solution;
   const size_t num_sets = view.num_sets();
   uint64_t sets_scanned = 0;
@@ -120,9 +115,8 @@ Result<SetCoverSolution> LayerImpl(const View& view,
   return solution;
 }
 
-template <class View>
-Result<SetCoverSolution> ModifiedLayerImpl(const View& view,
-                                           const LayerOptions& options) {
+Result<SetCoverSolution> ModifiedLayerSetCover(
+    const CsrSetCoverInstance& view, const LayerOptions& options) {
   SetCoverSolution solution;
   const size_t num_sets = view.num_sets();
   uint64_t heap_pops = 0;
@@ -204,32 +198,6 @@ Result<SetCoverSolution> ModifiedLayerImpl(const View& view,
   metrics.GetCounter("solver.modified-layer.cross_link_updates")
       ->Add(cross_link_updates);
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> LayerSetCover(const SetCoverInstance& instance,
-                                       const LayerOptions& options) {
-  return LayerImpl(NestedSetCoverView(&instance), options);
-}
-
-Result<SetCoverSolution> LayerSetCover(const CsrSetCoverInstance& instance,
-                                       const LayerOptions& options) {
-  return LayerImpl(instance, options);
-}
-
-Result<SetCoverSolution> ModifiedLayerSetCover(const SetCoverInstance& instance,
-                                               const LayerOptions& options) {
-  if (instance.element_sets.size() != instance.num_elements) {
-    return Status::Internal(
-        "modified layer requires element links (call BuildLinks)");
-  }
-  return ModifiedLayerImpl(NestedSetCoverView(&instance), options);
-}
-
-Result<SetCoverSolution> ModifiedLayerSetCover(
-    const CsrSetCoverInstance& instance, const LayerOptions& options) {
-  return ModifiedLayerImpl(instance, options);
 }
 
 }  // namespace dbrepair

@@ -21,8 +21,10 @@ struct LazyEntryGreater {
   }
 };
 
-template <class View>
-Result<SetCoverSolution> LazyGreedyImpl(const View& view) {
+}  // namespace
+
+Result<SetCoverSolution> LazyGreedySetCover(
+    const CsrSetCoverInstance& view) {
   SetCoverSolution solution;
   const size_t num_sets = view.num_sets();
   uint64_t heap_pops = 0;
@@ -95,17 +97,6 @@ Result<SetCoverSolution> LazyGreedyImpl(const View& view) {
   metrics.GetCounter("solver.lazy-greedy.heap_pops")->Add(heap_pops);
   metrics.GetCounter("solver.lazy-greedy.reinserts")->Add(reinserts);
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> LazyGreedySetCover(const SetCoverInstance& instance) {
-  return LazyGreedyImpl(NestedSetCoverView(&instance));
-}
-
-Result<SetCoverSolution> LazyGreedySetCover(
-    const CsrSetCoverInstance& instance) {
-  return LazyGreedyImpl(instance);
 }
 
 }  // namespace dbrepair

@@ -5,10 +5,8 @@
 
 namespace dbrepair {
 
-namespace {
-
-template <class View>
-Result<SetCoverSolution> ModifiedGreedyImpl(const View& view) {
+Result<SetCoverSolution> ModifiedGreedySetCover(
+    const CsrSetCoverInstance& view) {
   SetCoverSolution solution;
   const size_t num_sets = view.num_sets();
   uint64_t heap_pops = 0;
@@ -64,22 +62,6 @@ Result<SetCoverSolution> ModifiedGreedyImpl(const View& view) {
   metrics.GetCounter("solver.modified-greedy.cross_link_updates")
       ->Add(cross_link_updates);
   return solution;
-}
-
-}  // namespace
-
-Result<SetCoverSolution> ModifiedGreedySetCover(
-    const SetCoverInstance& instance) {
-  if (instance.element_sets.size() != instance.num_elements) {
-    return Status::Internal(
-        "modified greedy requires element links (call BuildLinks)");
-  }
-  return ModifiedGreedyImpl(NestedSetCoverView(&instance));
-}
-
-Result<SetCoverSolution> ModifiedGreedySetCover(
-    const CsrSetCoverInstance& instance) {
-  return ModifiedGreedyImpl(instance);
 }
 
 }  // namespace dbrepair

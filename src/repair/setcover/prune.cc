@@ -5,10 +5,8 @@
 
 namespace dbrepair {
 
-namespace {
-
-template <class View>
-SetCoverSolution PruneImpl(const View& view, const SetCoverSolution& solution) {
+SetCoverSolution PruneRedundantSets(const CsrSetCoverInstance& view,
+                                    const SetCoverSolution& solution) {
   std::vector<uint32_t> coverage(view.num_elements(), 0);
   for (const uint32_t s : solution.chosen) {
     for (const uint32_t e : view.elements_of(s)) ++coverage[e];
@@ -45,18 +43,6 @@ SetCoverSolution PruneImpl(const View& view, const SetCoverSolution& solution) {
     }
   }
   return pruned;
-}
-
-}  // namespace
-
-SetCoverSolution PruneRedundantSets(const SetCoverInstance& instance,
-                                    const SetCoverSolution& solution) {
-  return PruneImpl(NestedSetCoverView(&instance), solution);
-}
-
-SetCoverSolution PruneRedundantSets(const CsrSetCoverInstance& instance,
-                                    const SetCoverSolution& solution) {
-  return PruneImpl(instance, solution);
 }
 
 }  // namespace dbrepair

@@ -2,7 +2,6 @@
 #define DBREPAIR_REPAIR_SETCOVER_PRUNE_H_
 
 #include "repair/setcover/csr_instance.h"
-#include "repair/setcover/instance.h"
 
 namespace dbrepair {
 
@@ -16,10 +15,6 @@ namespace dbrepair {
 /// early pick is later fully re-covered; layer when several sets tighten in
 /// one batch); this pass is the standard cleanup and is exposed through
 /// RepairOptions::prune_cover as an ablation of the paper's pipeline.
-/// Like the solvers it accepts either representation and prunes the same
-/// sets on both.
-SetCoverSolution PruneRedundantSets(const SetCoverInstance& instance,
-                                    const SetCoverSolution& solution);
 SetCoverSolution PruneRedundantSets(const CsrSetCoverInstance& instance,
                                     const SetCoverSolution& solution);
 

@@ -3,24 +3,15 @@
 
 #include "common/status.h"
 #include "repair/setcover/csr_instance.h"
-#include "repair/setcover/instance.h"
 
 namespace dbrepair {
 
-// Every solver below is implemented once against the shared view concept
-// (num_elements / num_sets / weight / elements_of / sets_of) and exposed
-// for both representations:
-//  * `const SetCoverInstance&`  — the mutable nested-vector instance, the
-//    build phase's output and the repair session's patch log. One heap
-//    allocation per set and per element-link list; kept as the
-//    differential baseline and for callers that never freeze.
-//  * `const CsrSetCoverInstance&` — the frozen flat-arena view
-//    (csr_instance.h). The hot configuration: spans stream contiguously,
-//    so the solve phase stops pointer-chasing. Repairer and RepairSession
-//    freeze once after the build and solve over this view.
-// Both overloads of one solver produce byte-identical covers (identical
-// iteration order, identical floating-point operation order, same
-// smaller-id tie-breaking); neither copies the instance.
+// Every solver below reads the frozen flat-arena view (csr_instance.h):
+// set->element and element->set spans stream contiguously, so the hot
+// loops never pointer-chase. Callers freeze the build record once
+// (CsrSetCoverInstance::Freeze) and solve over the view; no solver copies
+// it. Ties always break on the smaller set id, so every solver is
+// deterministic.
 
 /// Algorithm 1: the textbook weighted-greedy (Chvatal). Each iteration
 /// rescans every remaining set for the minimum effective weight
@@ -28,18 +19,14 @@ namespace dbrepair {
 /// (materialised as one flat arena, compacted in place).
 /// O(n^3) in general, O(n^2) under bounded degree (Proposition 3.5).
 /// Approximation factor H_k (logarithmic).
-Result<SetCoverSolution> GreedySetCover(const SetCoverInstance& instance);
 Result<SetCoverSolution> GreedySetCover(const CsrSetCoverInstance& instance);
 
 /// Algorithm 5: the paper's modified greedy. Sets live in an indexed
 /// priority queue keyed by effective weight; the element->set links update
 /// only the affected entries. O(n^2 log n) in general, O(n log n) under
 /// bounded degree (Proposition 3.7). Produces exactly the same cover as
-/// GreedySetCover (same tie-breaking on set id). The CSR overload is the
-/// per-element hot loop this layer exists for: the cross-link walk reads
-/// one contiguous span per element instead of a scattered small vector.
-Result<SetCoverSolution> ModifiedGreedySetCover(
-    const SetCoverInstance& instance);
+/// GreedySetCover (same tie-breaking on set id). The cross-link walk reads
+/// one contiguous span per element.
 Result<SetCoverSolution> ModifiedGreedySetCover(
     const CsrSetCoverInstance& instance);
 
@@ -51,8 +38,7 @@ Result<SetCoverSolution> ModifiedGreedySetCover(
 /// GreedySetCover / ModifiedGreedySetCover; an ablation of the paper's
 /// eager linked-structure updates (same asymptotics, different constants:
 /// no element->set link walking on the hot path — only the set->element
-/// spans are read, so it benefits from the CSR layout without cross links).
-Result<SetCoverSolution> LazyGreedySetCover(const SetCoverInstance& instance);
+/// spans are read).
 Result<SetCoverSolution> LazyGreedySetCover(
     const CsrSetCoverInstance& instance);
 
@@ -72,8 +58,6 @@ struct LayerOptions {
 /// the sets whose residual weight reaches zero. Approximation factor f (the
 /// maximum element frequency). Rescans all alive sets every round over the
 /// flat residual arena.
-Result<SetCoverSolution> LayerSetCover(const SetCoverInstance& instance,
-                                       const LayerOptions& options = {});
 Result<SetCoverSolution> LayerSetCover(const CsrSetCoverInstance& instance,
                                        const LayerOptions& options = {});
 
@@ -82,8 +66,6 @@ Result<SetCoverSolution> LayerSetCover(const CsrSetCoverInstance& instance,
 /// elements have jointly paid its weight; a heap orders tightening events
 /// and the element->set links reprice only affected sets. Computes the same
 /// cover as LayerSetCover up to floating-point drift.
-Result<SetCoverSolution> ModifiedLayerSetCover(
-    const SetCoverInstance& instance, const LayerOptions& options = {});
 Result<SetCoverSolution> ModifiedLayerSetCover(
     const CsrSetCoverInstance& instance, const LayerOptions& options = {});
 
@@ -94,17 +76,11 @@ struct ExactSetCoverOptions {
 
 /// Exact branch-and-bound optimum. Exponential; used as the reference line
 /// in approximation-quality experiments and in tests on small instances.
-/// Branching walks the element->set links, so it too accepts either
-/// representation.
-Result<SetCoverSolution> ExactSetCover(const SetCoverInstance& instance,
-                                       ExactSetCoverOptions options = {});
+/// Branching walks the element->set links.
 Result<SetCoverSolution> ExactSetCover(const CsrSetCoverInstance& instance,
                                        ExactSetCoverOptions options = {});
 
-/// Dispatches on `kind`. Accepts either representation without copying;
-/// the overload taken decides which layout every solver touches.
-Result<SetCoverSolution> SolveSetCover(SolverKind kind,
-                                       const SetCoverInstance& instance);
+/// Dispatches on `kind`.
 Result<SetCoverSolution> SolveSetCover(SolverKind kind,
                                        const CsrSetCoverInstance& instance);
 

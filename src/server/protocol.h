@@ -19,8 +19,7 @@ namespace dbrepair::server {
 ///   OPEN t source  = OPEN t (CONFIG path | GEN scenario rows seed)
 ///                    [key=value]*               ; solver=, distance=,
 ///                                               ; threads=, columnar=,
-///                                               ; components=, ratio=,
-///                                               ; skew=, degree=
+///                                               ; ratio=, skew=, degree=
 ///   BATCH t n      ; followed by n payload lines `relation,v1,v2,...`
 ///   STATS [t]      ; tenant (or server-wide) metrics snapshot as JSON
 ///   SNAPSHOT t     ; tenant database as a binary io/snapshot dump

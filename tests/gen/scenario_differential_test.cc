@@ -25,6 +25,7 @@
 #include "repair/instance_builder.h"
 #include "repair/api.h"
 #include "repair/setcover/solvers.h"
+#include "setcover_testing.h"
 
 namespace dbrepair {
 namespace {
@@ -50,7 +51,6 @@ void ExpectSameProblem(const RepairProblem& serial,
   ASSERT_EQ(serial.instance.num_elements, parallel.instance.num_elements);
   ASSERT_EQ(serial.instance.weights, parallel.instance.weights);
   ASSERT_EQ(serial.instance.sets, parallel.instance.sets);
-  ASSERT_EQ(serial.instance.element_sets, parallel.instance.element_sets);
 }
 
 void ExpectSameRepair(const RepairOutcome& serial,
@@ -124,8 +124,9 @@ bool RunSolverValidityCase(const GeneratedWorkload& workload) {
   auto problem = BuildRepairProblem(workload.db, *bound,
                                     DistanceFunction(DistanceKind::kL1));
   EXPECT_TRUE(problem.ok()) << problem.status().ToString();
-  const SetCoverInstance& instance = problem->instance;
-  if (instance.num_sets() == 0) return false;  // consistent instance
+  if (problem->instance.sets.empty()) return false;  // consistent instance
+  const CsrSetCoverInstance instance =
+      CsrSetCoverInstance::Freeze(problem->instance);
   EXPECT_TRUE(instance.Validate().ok());
 
   auto greedy = SolveSetCover(SolverKind::kGreedy, instance);
@@ -136,9 +137,9 @@ bool RunSolverValidityCase(const GeneratedWorkload& workload) {
   for (const auto* solution :
        {&greedy, &lazy, &modified, &layer, &modified_layer}) {
     EXPECT_TRUE(solution->ok()) << solution->status().ToString();
-    EXPECT_TRUE(instance.IsCover((*solution)->chosen));
+    EXPECT_TRUE(IsCover(instance, (*solution)->chosen));
     EXPECT_NEAR((*solution)->weight,
-                instance.SelectionWeight((*solution)->chosen), 1e-9);
+                SelectionWeight(instance, (*solution)->chosen), 1e-9);
   }
   EXPECT_EQ(greedy->chosen, lazy->chosen);
   EXPECT_EQ(greedy->chosen, modified->chosen);
@@ -148,14 +149,14 @@ bool RunSolverValidityCase(const GeneratedWorkload& workload) {
   if (instance.num_sets() > 28) return false;  // exact optimum intractable
   auto exact = SolveSetCover(SolverKind::kExact, instance);
   EXPECT_TRUE(exact.ok()) << exact.status().ToString();
-  EXPECT_TRUE(instance.IsCover(exact->chosen));
+  EXPECT_TRUE(IsCover(instance, exact->chosen));
   const double opt = exact->weight;
   size_t max_set_size = 0;
-  for (const auto& s : instance.sets) {
-    max_set_size = std::max(max_set_size, s.size());
+  for (uint32_t s = 0; s < instance.num_sets(); ++s) {
+    max_set_size = std::max<size_t>(max_set_size, instance.set_size(s));
   }
   const double h_k = Harmonic(max_set_size);
-  const double f = static_cast<double>(instance.MaxFrequency());
+  const double f = static_cast<double>(instance.max_frequency());
   EXPECT_GE(greedy->weight, opt - 1e-9);
   EXPECT_LE(greedy->weight, h_k * opt + 1e-9) << "greedy beyond H_k * OPT";
   EXPECT_GE(layer->weight, opt - 1e-9);

@@ -6,8 +6,7 @@
 // kind across pools of 1/2/4/8 workers on multi-component instances with
 // interleaved global ids and tie-prone integer weights, exercises the
 // session epoch path (appends that merge components, checked against a
-// from-scratch rebuild of the index), and runs end-to-end repairs with
-// sharding on vs off.
+// from-scratch rebuild of the index).
 
 #include <gtest/gtest.h>
 
@@ -70,7 +69,6 @@ SetCoverInstance InterleavedBlocks(size_t elements, size_t blocks,
       instance.weights.push_back(4.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -81,7 +79,6 @@ TEST(ComponentIndexTest, BuildLabelsIndependentBlocks) {
   instance.num_elements = 6;
   instance.sets = {{0, 1}, {1, 2}, {3}, {4, 5}};
   instance.weights = {1.0, 1.0, 1.0, 1.0};
-  instance.BuildLinks();
 
   const ComponentIndex index = ComponentIndex::Build(instance);
   EXPECT_EQ(index.num_components(), 3u);
@@ -112,7 +109,6 @@ TEST(ComponentIndexTest, AddAndExtendReportMerges) {
   instance.num_elements = 4;
   instance.sets = {{0}, {1}, {2}, {3}};
   instance.weights = {1.0, 1.0, 1.0, 1.0};
-  instance.BuildLinks();
   ComponentIndex index = ComponentIndex::Build(instance);
   EXPECT_EQ(index.num_components(), 4u);
 
@@ -137,7 +133,6 @@ TEST(ComponentIndexTest, EmptySetsAndUncoveredElements) {
   instance.num_elements = 2;
   instance.sets = {{0}, {}};  // element 1 uncovered, set 1 empty
   instance.weights = {1.0, 1.0};
-  instance.BuildLinks();
   const ComponentIndex index = ComponentIndex::Build(instance);
   // Only the attached component counts; the uncovered element is transient
   // mid-patch state and not a component until a set covers it.
@@ -200,7 +195,6 @@ TEST(ComponentIndexTest, IncrementalMatchesFromScratchRebuild) {
       }
     }
   }
-  instance.BuildLinks();
 
   const ComponentIndex rebuilt = ComponentIndex::Build(instance);
   EXPECT_EQ(live.num_components(), rebuilt.num_components());
@@ -286,7 +280,6 @@ TEST(ComponentSolveTest, InfeasibleShardFailsLikeMonolithic) {
   instance.num_elements = 3;
   instance.sets = {{0}, {2}};  // element 1 uncovered
   instance.weights = {1.0, 1.0};
-  instance.BuildLinks();
   const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
   const ComponentPartition partition =
       ComponentIndex::Build(instance).Partition();
@@ -337,10 +330,15 @@ TEST(SessionComponentsTest, EpochAppendsTrackComponentsAndMerges) {
         std::vector<BatchRow>(rows.begin() + start, rows.begin() + end));
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
-    // The live index must agree with a from-scratch rebuild of the patched
-    // instance — same count, identical partition.
-    SetCoverInstance copy = (*session)->instance();
-    copy.BuildLinks();
+    // The live index must agree with a from-scratch rebuild over the frozen
+    // instance's sets — same count, identical partition.
+    const CsrSetCoverInstance& frozen = (*session)->frozen_instance();
+    SetCoverInstance copy;
+    copy.num_elements = frozen.num_elements();
+    for (uint32_t s = 0; s < frozen.num_sets(); ++s) {
+      copy.sets.emplace_back(frozen.elements_of(s).begin(),
+                             frozen.elements_of(s).end());
+    }
     const ComponentIndex rebuilt = ComponentIndex::Build(copy);
     ASSERT_EQ((*session)->components().num_components(),
               rebuilt.num_components());
@@ -363,58 +361,6 @@ TEST(SessionComponentsTest, EpochAppendsTrackComponentsAndMerges) {
     }
   }
   EXPECT_GT((*session)->num_components(), 0u);
-}
-
-// ---- End-to-end: sharding on vs off is byte-identical ----
-
-void ExpectSameDatabase(const Database& a, const Database& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.relation_count(), b.relation_count()) << label;
-  for (uint32_t r = 0; r < a.relation_count(); ++r) {
-    ASSERT_EQ(a.table(r).size(), b.table(r).size()) << label;
-    for (size_t row = 0; row < a.table(r).size(); ++row) {
-      ASSERT_TRUE(a.table(r).row(row) == b.table(r).row(row))
-          << label << " relation " << r << " row " << row;
-    }
-  }
-}
-
-TEST(ComponentPipelineTest, ShardOnOffByteIdenticalAtAnyThreadCount) {
-  ClientBuyOptions gen;
-  gen.num_clients = 150;
-  gen.inconsistency_ratio = 0.35;
-  gen.seed = 13;
-  auto workload = GenerateClientBuy(gen);
-  ASSERT_TRUE(workload.ok());
-
-  for (const SolverKind kind :
-       {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
-        SolverKind::kLazyGreedy, SolverKind::kLayer}) {
-    SCOPED_TRACE(SolverKindName(kind));
-    RepairOptions off;
-    off.solver = kind;
-    off.shard_components = false;
-    off.num_threads = 1;
-    auto baseline = RepairDatabase(workload->db, workload->ics, off);
-    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-    EXPECT_GT(baseline->stats.num_components, 1u);
-
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-      RepairOptions on;
-      on.solver = kind;
-      on.shard_components = true;
-      on.num_threads = threads;
-      auto sharded = RepairDatabase(workload->db, workload->ics, on);
-      ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
-      const std::string label = std::string(SolverKindName(kind)) +
-                                " threads=" + std::to_string(threads);
-      ExpectSameDatabase(baseline->repaired, sharded->repaired, label);
-      EXPECT_EQ(baseline->stats.cover_weight, sharded->stats.cover_weight)
-          << label;
-      EXPECT_EQ(baseline->stats.num_components, sharded->stats.num_components)
-          << label;
-    }
-  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "gen/paper_example.h"
 #include "repair/mono_local_fix.h"
+#include "repair/setcover/csr_instance.h"
 
 namespace dbrepair {
 namespace {
@@ -71,7 +72,7 @@ TEST_F(Example33Test, ElementsAreTheFourViolationSets) {
 TEST_F(Example33Test, SevenCandidateFixes) {
   // S1..S7 of the paper's table: 4 fixes of t1, 2 of t2, 1 of p1.
   EXPECT_EQ(problem_.fixes.size(), 7u);
-  EXPECT_EQ(problem_.instance.num_sets(), 7u);
+  EXPECT_EQ(problem_.instance.sets.size(), 7u);
 }
 
 TEST_F(Example33Test, FixValuesAndWeightsMatchPaperTable) {
@@ -125,8 +126,10 @@ TEST_F(Example33Test, CrossConstraintLinks) {
 }
 
 TEST_F(Example33Test, InstanceIsValidAndFeasible) {
-  EXPECT_TRUE(problem_.instance.Validate().ok());
-  EXPECT_EQ(problem_.instance.MaxFrequency(), 3u);
+  const CsrSetCoverInstance instance =
+      CsrSetCoverInstance::Freeze(problem_.instance);
+  EXPECT_TRUE(instance.Validate().ok());
+  EXPECT_EQ(instance.max_frequency(), 3u);
   EXPECT_EQ(problem_.degrees.max_degree, 3u);
 }
 

@@ -4,11 +4,12 @@
 
 #include "common/rng.h"
 #include "repair/setcover/solvers.h"
+#include "setcover_testing.h"
 
 namespace dbrepair {
 namespace {
 
-SetCoverInstance MakeInstance(
+CsrSetCoverInstance MakeInstance(
     size_t num_elements,
     std::vector<std::pair<double, std::vector<uint32_t>>> sets) {
   SetCoverInstance instance;
@@ -17,18 +18,17 @@ SetCoverInstance MakeInstance(
     instance.weights.push_back(w);
     instance.sets.push_back(std::move(elems));
   }
-  instance.BuildLinks();
-  return instance;
+  return CsrSetCoverInstance::Freeze(instance);
 }
 
 TEST(PruneTest, RemovesGreedyRedundantPick) {
   // Greedy picks S0 = {1, 2} first (best ratio), then needs S1 and S2 for
   // the endpoints — which re-cover everything S0 covered.
-  const SetCoverInstance instance = MakeInstance(4, {
-                                                        {1.0, {1, 2}},
-                                                        {1.9, {0, 1}},
-                                                        {1.9, {2, 3}},
-                                                    });
+  const CsrSetCoverInstance instance = MakeInstance(4, {
+                                                           {1.0, {1, 2}},
+                                                           {1.9, {0, 1}},
+                                                           {1.9, {2, 3}},
+                                                       });
   const auto greedy = GreedySetCover(instance);
   ASSERT_TRUE(greedy.ok());
   ASSERT_EQ(greedy->chosen.size(), 3u);
@@ -37,14 +37,14 @@ TEST(PruneTest, RemovesGreedyRedundantPick) {
   const SetCoverSolution pruned = PruneRedundantSets(instance, *greedy);
   EXPECT_EQ(pruned.chosen, (std::vector<uint32_t>{1, 2}));
   EXPECT_DOUBLE_EQ(pruned.weight, 3.8);
-  EXPECT_TRUE(instance.IsCover(pruned.chosen));
+  EXPECT_TRUE(IsCover(instance, pruned.chosen));
 }
 
 TEST(PruneTest, KeepsIrredundantCover) {
-  const SetCoverInstance instance = MakeInstance(2, {
-                                                        {1.0, {0}},
-                                                        {1.0, {1}},
-                                                    });
+  const CsrSetCoverInstance instance = MakeInstance(2, {
+                                                           {1.0, {0}},
+                                                           {1.0, {1}},
+                                                       });
   const SetCoverSolution solution{{0, 1}, 2.0, 2};
   const SetCoverSolution pruned = PruneRedundantSets(instance, solution);
   EXPECT_EQ(pruned.chosen, solution.chosen);
@@ -56,11 +56,11 @@ TEST(PruneTest, DropsHeaviestRedundantFirst) {
   // removing the heavy S2 first keeps S0 needed... elements: S0={0},
   // S1={0,1}, S2={1}. Cover {S0,S1,S2}: S0 redundant (0 in S1), S2
   // redundant (1 in S1). Both can go; prune keeps only S1.
-  const SetCoverInstance instance = MakeInstance(2, {
-                                                        {1.0, {0}},
-                                                        {1.0, {0, 1}},
-                                                        {3.0, {1}},
-                                                    });
+  const CsrSetCoverInstance instance = MakeInstance(2, {
+                                                           {1.0, {0}},
+                                                           {1.0, {0, 1}},
+                                                           {3.0, {1}},
+                                                       });
   const SetCoverSolution solution{{0, 1, 2}, 5.0, 3};
   const SetCoverSolution pruned = PruneRedundantSets(instance, solution);
   EXPECT_EQ(pruned.chosen, (std::vector<uint32_t>{1}));
@@ -69,10 +69,10 @@ TEST(PruneTest, DropsHeaviestRedundantFirst) {
 
 TEST(PruneTest, MutualRedundancyRemovesOnlyOne) {
   // S0 and S1 are identical: exactly one must survive.
-  const SetCoverInstance instance = MakeInstance(2, {
-                                                        {2.0, {0, 1}},
-                                                        {1.0, {0, 1}},
-                                                    });
+  const CsrSetCoverInstance instance = MakeInstance(2, {
+                                                           {2.0, {0, 1}},
+                                                           {1.0, {0, 1}},
+                                                       });
   const SetCoverSolution solution{{0, 1}, 3.0, 2};
   const SetCoverSolution pruned = PruneRedundantSets(instance, solution);
   ASSERT_EQ(pruned.chosen.size(), 1u);
@@ -84,29 +84,29 @@ class PrunePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PrunePropertyTest, NeverWorsensAndStaysACover) {
   Rng rng(GetParam());
-  SetCoverInstance instance;
-  instance.num_elements = 40;
-  std::vector<bool> covered(instance.num_elements, false);
+  SetCoverInstance record;
+  record.num_elements = 40;
+  std::vector<bool> covered(record.num_elements, false);
   for (size_t s = 0; s < 70; ++s) {
     std::vector<uint32_t> elems;
     const size_t size = 1 + rng.Uniform(5);
     for (size_t i = 0; i < size; ++i) {
       elems.push_back(
-          static_cast<uint32_t>(rng.Uniform(instance.num_elements)));
+          static_cast<uint32_t>(rng.Uniform(record.num_elements)));
     }
     std::sort(elems.begin(), elems.end());
     elems.erase(std::unique(elems.begin(), elems.end()), elems.end());
     for (const uint32_t e : elems) covered[e] = true;
-    instance.sets.push_back(std::move(elems));
-    instance.weights.push_back(1.0 + static_cast<double>(rng.Uniform(9)));
+    record.sets.push_back(std::move(elems));
+    record.weights.push_back(1.0 + static_cast<double>(rng.Uniform(9)));
   }
-  for (uint32_t e = 0; e < instance.num_elements; ++e) {
+  for (uint32_t e = 0; e < record.num_elements; ++e) {
     if (!covered[e]) {
-      instance.sets.push_back({e});
-      instance.weights.push_back(3.0);
+      record.sets.push_back({e});
+      record.weights.push_back(3.0);
     }
   }
-  instance.BuildLinks();
+  const CsrSetCoverInstance instance = CsrSetCoverInstance::Freeze(record);
 
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kLayer,
@@ -114,7 +114,7 @@ TEST_P(PrunePropertyTest, NeverWorsensAndStaysACover) {
     const auto solution = SolveSetCover(kind, instance);
     ASSERT_TRUE(solution.ok());
     const SetCoverSolution pruned = PruneRedundantSets(instance, *solution);
-    EXPECT_TRUE(instance.IsCover(pruned.chosen)) << SolverKindName(kind);
+    EXPECT_TRUE(IsCover(instance, pruned.chosen)) << SolverKindName(kind);
     EXPECT_LE(pruned.weight, solution->weight + 1e-9) << SolverKindName(kind);
     // Idempotent.
     const SetCoverSolution again = PruneRedundantSets(instance, pruned);

@@ -98,7 +98,7 @@ TEST_P(ReductionOracleTest, ExactCoverWeightEqualsOptimalRepairDistance) {
     EXPECT_DOUBLE_EQ(brute, 0.0);
     return;
   }
-  auto exact = ExactSetCover(problem->instance);
+  auto exact = ExactSetCover(CsrSetCoverInstance::Freeze(problem->instance));
   ASSERT_TRUE(exact.ok());
   EXPECT_NEAR(exact->weight, brute, 1e-9)
       << "the MWSCP optimum must equal the optimal repair distance";

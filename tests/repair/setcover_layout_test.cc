@@ -1,17 +1,18 @@
-// Differential tests for the flat CSR set-cover layout: every solver must
-// produce the same cover on the frozen CsrSetCoverInstance as on the nested
-// SetCoverInstance it was frozen from — byte-identical (bit-equal weights)
-// for the greedy family, which shares one floating-point operation order
-// across both representations, and chosen-identical with a tight tolerance
-// for the layer family. The suite also exercises the epoch-append path
-// (session re-freezes vs a from-scratch Freeze), span relocation and arena
-// compaction, the incremental solver over the frozen view, pruning on both
-// views, and end-to-end repairs (one-shot and per-session-batch) at 1 and 4
-// threads.
+// Differential tests for the flat CSR set-cover layout. Every solver must
+// produce a byte-identical cover (bit-equal weights) on two physical
+// layouts of one logical instance: a fresh Freeze of the build record and
+// the same instance grown epoch by epoch through AppendEpoch, whose spans
+// are relocated and whose arenas carry dead slack. The suite also checks
+// both views against reference links computed here from the build record,
+// the epoch-append path against a from-scratch Freeze (span relocation,
+// arena compaction, delta rejection), the incremental solver, pruning, and
+// end-to-end repairs (one-shot and per-session-batch) at 1 and 4 threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +22,7 @@
 #include "repair/setcover/incremental.h"
 #include "repair/setcover/prune.h"
 #include "repair/setcover/solvers.h"
+#include "setcover_testing.h"
 
 namespace dbrepair {
 namespace {
@@ -55,7 +57,6 @@ SetCoverInstance SparseInstance(size_t elements, uint64_t seed) {
       instance.weights.push_back(50.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -87,7 +88,6 @@ SetCoverInstance DenseInstance(uint64_t seed) {
       instance.weights.push_back(5.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -119,7 +119,6 @@ SetCoverInstance HotspotInstance(size_t elements, uint64_t seed) {
       instance.weights.push_back(20.0);
     }
   }
-  instance.BuildLinks();
   return instance;
 }
 
@@ -131,55 +130,142 @@ std::vector<SetCoverInstance> AllShapes(uint64_t seed) {
   return shapes;
 }
 
-void ExpectIdenticalSolutions(const SetCoverSolution& legacy,
-                              const SetCoverSolution& csr,
-                              const std::string& label, bool bit_equal) {
-  ASSERT_EQ(legacy.chosen, csr.chosen) << label;
-  if (bit_equal) {
-    EXPECT_EQ(legacy.weight, csr.weight) << label;  // bit-equal fp sums
-  } else {
-    EXPECT_NEAR(legacy.weight, csr.weight, 1e-9 * (legacy.weight + 1.0))
-        << label;
+// The reference element->set links of a build record: per element, the
+// ascending ids of the sets containing it.
+std::vector<std::vector<uint32_t>> ReferenceLinks(
+    const SetCoverInstance& record) {
+  std::vector<std::vector<uint32_t>> links(record.num_elements);
+  for (uint32_t s = 0; s < record.sets.size(); ++s) {
+    for (const uint32_t e : record.sets[s]) links[e].push_back(s);
   }
-  EXPECT_EQ(legacy.iterations, csr.iterations) << label;
+  return links;
+}
+
+// Checks `view` is the exact logical image of `record`: same universe,
+// bit-equal weights, identical per-set spans and per-element link lists.
+void ExpectMirrors(const CsrSetCoverInstance& view,
+                   const SetCoverInstance& record, const std::string& label) {
+  ASSERT_EQ(view.num_elements(), record.num_elements) << label;
+  ASSERT_EQ(view.num_sets(), record.sets.size()) << label;
+  size_t max_frequency = 0;
+  const std::vector<std::vector<uint32_t>> links = ReferenceLinks(record);
+  for (uint32_t s = 0; s < record.sets.size(); ++s) {
+    EXPECT_EQ(view.weight(s), record.weights[s]) << label << " set " << s;
+    const auto span = view.elements_of(s);
+    EXPECT_EQ(std::vector<uint32_t>(span.begin(), span.end()), record.sets[s])
+        << label << " set " << s;
+  }
+  for (uint32_t e = 0; e < record.num_elements; ++e) {
+    const auto span = view.sets_of(e);
+    EXPECT_EQ(std::vector<uint32_t>(span.begin(), span.end()), links[e])
+        << label << " element " << e;
+    max_frequency = std::max(max_frequency, links[e].size());
+  }
+  EXPECT_EQ(view.max_frequency(), max_frequency) << label;
+}
+
+// Builds `record`'s instance through a run of epochs instead of one Freeze:
+// the first epoch appends every set holding only its elements from the
+// first chunk of ids (possibly none), and each later epoch appends the next
+// chunk and extends the sets covering it. Every extension relocates a span,
+// so the arenas end up fragmented (and possibly compacted) while the
+// logical instance equals Freeze(record).
+CsrSetCoverInstance GrowByEpochs(const SetCoverInstance& record,
+                                 uint64_t seed) {
+  Rng rng(seed);
+  CsrSetCoverInstance view;
+  std::vector<size_t> next(record.sets.size(), 0);
+  size_t done = 0;
+  bool first = true;
+  while (first || done < record.num_elements) {
+    const size_t end =
+        std::min(record.num_elements, done + 1 + rng.Uniform(16));
+    CsrEpochDelta delta;
+    delta.new_elements = end - done;
+    for (uint32_t s = 0; s < record.sets.size(); ++s) {
+      std::vector<uint32_t> run;
+      while (next[s] < record.sets[s].size() && record.sets[s][next[s]] < end) {
+        run.push_back(record.sets[s][next[s]++]);
+      }
+      if (first) {
+        delta.added.push_back({record.weights[s], std::move(run)});
+      } else if (!run.empty()) {
+        CsrEpochDelta::Extension ext{s, std::move(run), {}};
+        if (rng.Uniform(2) == 0) ext.weight = record.weights[s];
+        delta.extended.push_back(std::move(ext));
+      }
+    }
+    // Announce the extensions out of set-id order: the link arena must come
+    // out ascending regardless.
+    std::reverse(delta.extended.begin(), delta.extended.end());
+    EXPECT_TRUE(view.AppendEpoch(delta).ok());
+    EXPECT_TRUE(view.Validate().ok());
+    done = end;
+    first = false;
+  }
+  return view;
+}
+
+void ExpectIdenticalSolutions(const SetCoverSolution& frozen,
+                              const SetCoverSolution& grown,
+                              const std::string& label) {
+  ASSERT_EQ(frozen.chosen, grown.chosen) << label;
+  EXPECT_EQ(frozen.weight, grown.weight) << label;  // bit-equal fp sums
+  EXPECT_EQ(frozen.iterations, grown.iterations) << label;
+}
+
+// The two layouts of one logical instance every differential below
+// compares: a fresh Freeze (contiguous arenas) and the same instance grown
+// epoch by epoch (relocated spans, dead slack). Solvers must not see the
+// difference.
+struct Layouts {
+  SetCoverInstance record;
+  CsrSetCoverInstance frozen;
+  CsrSetCoverInstance grown;
+};
+
+std::vector<Layouts> AllLayouts(uint64_t seed) {
+  std::vector<Layouts> out;
+  for (SetCoverInstance& record : AllShapes(seed)) {
+    Layouts layouts;
+    layouts.frozen = CsrSetCoverInstance::Freeze(record);
+    layouts.grown = GrowByEpochs(record, seed * 31 + out.size());
+    layouts.record = std::move(record);
+    out.push_back(std::move(layouts));
+  }
+  return out;
 }
 
 class LayoutDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LayoutDifferentialTest, FreezeRoundTripsAndValidates) {
-  for (const SetCoverInstance& instance : AllShapes(GetParam())) {
-    ASSERT_TRUE(instance.Validate().ok());  // includes the CSR round-trip
-    const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
-    ASSERT_TRUE(csr.Validate().ok());
-    ASSERT_TRUE(csr.Mirrors(instance).ok());
-    EXPECT_EQ(csr.num_elements(), instance.num_elements);
-    EXPECT_EQ(csr.num_sets(), instance.num_sets());
-    EXPECT_EQ(csr.max_frequency(), instance.MaxFrequency());
-    EXPECT_EQ(csr.dead_slots(), 0u);
-    EXPECT_GT(csr.arena_bytes(), 0u);
+  for (const Layouts& layouts : AllLayouts(GetParam())) {
+    ASSERT_TRUE(layouts.frozen.Validate().ok());
+    ExpectMirrors(layouts.frozen, layouts.record, "frozen");
+    EXPECT_EQ(layouts.frozen.dead_slots(), 0u);
+    EXPECT_GT(layouts.frozen.arena_bytes(), 0u);
+    ASSERT_TRUE(layouts.grown.Validate().ok());
+    ExpectMirrors(layouts.grown, layouts.record, "grown");
   }
 }
 
 TEST_P(LayoutDifferentialTest, GreedyFamilyIsByteIdenticalAcrossLayouts) {
-  for (const SetCoverInstance& instance : AllShapes(GetParam())) {
-    const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
+  for (const Layouts& layouts : AllLayouts(GetParam())) {
     for (const SolverKind kind :
          {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
           SolverKind::kLazyGreedy}) {
       SCOPED_TRACE(SolverKindName(kind));
-      auto legacy = SolveSetCover(kind, instance);
-      ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-      auto flat = SolveSetCover(kind, csr);
-      ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-      ExpectIdenticalSolutions(*legacy, *flat, SolverKindName(kind),
-                               /*bit_equal=*/true);
-      EXPECT_TRUE(instance.IsCover(flat->chosen));
+      auto frozen = SolveSetCover(kind, layouts.frozen);
+      ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+      auto grown = SolveSetCover(kind, layouts.grown);
+      ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+      ExpectIdenticalSolutions(*frozen, *grown, SolverKindName(kind));
+      EXPECT_TRUE(IsCover(layouts.frozen, frozen->chosen));
     }
-    // The three greedy variants agree with each other on the CSR view just
-    // as they do on the nested one.
-    auto eager = GreedySetCover(csr);
-    auto modified = ModifiedGreedySetCover(csr);
-    auto lazy = LazyGreedySetCover(csr);
+    // The three greedy variants agree with each other.
+    auto eager = GreedySetCover(layouts.frozen);
+    auto modified = ModifiedGreedySetCover(layouts.frozen);
+    auto lazy = LazyGreedySetCover(layouts.frozen);
     ASSERT_TRUE(eager.ok() && modified.ok() && lazy.ok());
     EXPECT_EQ(eager->chosen, modified->chosen);
     EXPECT_EQ(eager->chosen, lazy->chosen);
@@ -187,135 +273,126 @@ TEST_P(LayoutDifferentialTest, GreedyFamilyIsByteIdenticalAcrossLayouts) {
 }
 
 TEST_P(LayoutDifferentialTest, LayerFamilyMatchesAcrossLayouts) {
-  for (const SetCoverInstance& instance : AllShapes(GetParam())) {
-    const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
+  for (const Layouts& layouts : AllLayouts(GetParam())) {
     for (const SolverKind kind :
          {SolverKind::kLayer, SolverKind::kModifiedLayer}) {
       SCOPED_TRACE(SolverKindName(kind));
-      auto legacy = SolveSetCover(kind, instance);
-      ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-      auto flat = SolveSetCover(kind, csr);
-      ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-      ExpectIdenticalSolutions(*legacy, *flat, SolverKindName(kind),
-                               /*bit_equal=*/false);
-      EXPECT_TRUE(instance.IsCover(flat->chosen));
+      auto frozen = SolveSetCover(kind, layouts.frozen);
+      ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
+      auto grown = SolveSetCover(kind, layouts.grown);
+      ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+      ExpectIdenticalSolutions(*frozen, *grown, SolverKindName(kind));
+      EXPECT_TRUE(IsCover(layouts.frozen, frozen->chosen));
     }
     // The refined (no-redundant-tight-sets) variant too.
     LayerOptions refined;
     refined.add_redundant_tight_sets = false;
-    auto legacy = LayerSetCover(instance, refined);
-    auto flat = LayerSetCover(csr, refined);
-    ASSERT_TRUE(legacy.ok() && flat.ok());
-    ExpectIdenticalSolutions(*legacy, *flat, "layer-refined",
-                             /*bit_equal=*/false);
+    auto frozen = LayerSetCover(layouts.frozen, refined);
+    auto grown = LayerSetCover(layouts.grown, refined);
+    ASSERT_TRUE(frozen.ok() && grown.ok());
+    ExpectIdenticalSolutions(*frozen, *grown, "layer-refined");
   }
 }
 
 TEST_P(LayoutDifferentialTest, ExactMatchesOnSmallInstances) {
-  // Exact is exponential; a small dense instance keeps the tree tractable
-  // while still branching through the cross links.
-  SetCoverInstance instance = SparseInstance(24, GetParam());
-  const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
-  auto legacy = ExactSetCover(instance);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  auto flat = ExactSetCover(csr);
-  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
-  ExpectIdenticalSolutions(*legacy, *flat, "exact", /*bit_equal=*/true);
-  EXPECT_TRUE(instance.IsCover(flat->chosen));
+  // Exact is exponential; a small instance keeps the tree tractable while
+  // still branching through the cross links.
+  const SetCoverInstance record = SparseInstance(24, GetParam());
+  const CsrSetCoverInstance frozen = CsrSetCoverInstance::Freeze(record);
+  const CsrSetCoverInstance grown = GrowByEpochs(record, GetParam());
+  auto from_frozen = ExactSetCover(frozen);
+  ASSERT_TRUE(from_frozen.ok()) << from_frozen.status().ToString();
+  auto from_grown = ExactSetCover(grown);
+  ASSERT_TRUE(from_grown.ok()) << from_grown.status().ToString();
+  ExpectIdenticalSolutions(*from_frozen, *from_grown, "exact");
+  EXPECT_TRUE(IsCover(frozen, from_frozen->chosen));
 }
 
 TEST_P(LayoutDifferentialTest, PruneRemovesTheSameSetsOnBothViews) {
-  for (const SetCoverInstance& instance : AllShapes(GetParam())) {
-    const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
+  for (const Layouts& layouts : AllLayouts(GetParam())) {
     // Layer covers routinely contain redundant sets; prune both views.
-    auto cover = LayerSetCover(instance);
+    auto cover = LayerSetCover(layouts.frozen);
     ASSERT_TRUE(cover.ok()) << cover.status().ToString();
-    const SetCoverSolution legacy = PruneRedundantSets(instance, *cover);
-    const SetCoverSolution flat = PruneRedundantSets(csr, *cover);
-    EXPECT_EQ(legacy.chosen, flat.chosen);
-    EXPECT_EQ(legacy.weight, flat.weight);
-    EXPECT_TRUE(instance.IsCover(flat.chosen));
-    EXPECT_LE(flat.weight, cover->weight);
+    const SetCoverSolution frozen = PruneRedundantSets(layouts.frozen, *cover);
+    const SetCoverSolution grown = PruneRedundantSets(layouts.grown, *cover);
+    EXPECT_EQ(frozen.chosen, grown.chosen);
+    EXPECT_EQ(frozen.weight, grown.weight);
+    EXPECT_TRUE(IsCover(layouts.frozen, frozen.chosen));
+    EXPECT_LE(frozen.weight, cover->weight);
   }
 }
 
 TEST_P(LayoutDifferentialTest, IncrementalOneShotEqualsModifiedGreedy) {
-  for (const SetCoverInstance& instance : AllShapes(GetParam())) {
-    const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
-    IncrementalGreedySolver solver(&csr);
+  for (const Layouts& layouts : AllLayouts(GetParam())) {
+    IncrementalGreedySolver solver(&layouts.grown);
     auto incremental = solver.SolveDelta();
     ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
-    auto reference = ModifiedGreedySetCover(instance);
+    auto reference = ModifiedGreedySetCover(layouts.frozen);
     ASSERT_TRUE(reference.ok());
-    ExpectIdenticalSolutions(*reference, *incremental, "incremental",
-                             /*bit_equal=*/true);
+    ExpectIdenticalSolutions(*reference, *incremental, "incremental");
     EXPECT_EQ(solver.num_uncovered(), 0u);
   }
 }
 
-// ---- Epoch append: the session's re-freeze path, synthetically. ----
+// ---- Epoch append: the session's growth path, synthetically. ----
 
 TEST_P(LayoutDifferentialTest, AppendedEpochsMirrorAFreshFreeze) {
   Rng rng(GetParam() * 977 + 5);
-  SetCoverInstance instance = SparseInstance(120, GetParam());
-  CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
+  SetCoverInstance record = SparseInstance(120, GetParam());
+  CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(record);
 
   for (int epoch = 0; epoch < 8; ++epoch) {
     CsrEpochDelta delta;
     const size_t new_elements = 4 + rng.Uniform(8);
-    const auto first_new_element =
-        static_cast<uint32_t>(instance.num_elements);
+    const auto first_new_element = static_cast<uint32_t>(record.num_elements);
+    const auto first_new_set = static_cast<uint32_t>(record.sets.size());
     delta.new_elements = new_elements;
-    delta.first_new_set = static_cast<uint32_t>(instance.num_sets());
-    instance.AddElements(new_elements);
+    record.num_elements += new_elements;
 
     // Extend a few pre-epoch sets with fresh elements (each set at most
-    // once, mirroring the fix-key dedup), occasionally reweighting.
+    // once, like the fix-key dedup), occasionally reweighting.
     uint32_t next = first_new_element;
-    std::vector<bool> touched(delta.first_new_set, false);
+    std::vector<bool> touched(first_new_set, false);
     const size_t extensions = 1 + rng.Uniform(3);
-    for (size_t x = 0; x < extensions && next < instance.num_elements; ++x) {
-      const auto set_id = static_cast<uint32_t>(rng.Uniform(delta.first_new_set));
+    for (size_t x = 0; x < extensions && next < record.num_elements; ++x) {
+      const auto set_id = static_cast<uint32_t>(rng.Uniform(first_new_set));
       if (touched[set_id]) continue;
       touched[set_id] = true;
-      const size_t old_size = instance.sets[set_id].size();
-      bool reweighted = false;
+      CsrEpochDelta::Extension ext{set_id, {next}, {}};
       if (rng.Uniform(2) == 0) {
-        instance.SetWeight(set_id, instance.weights[set_id] + 1.25);
-        reweighted = true;
+        record.weights[set_id] += 1.25;
+        ext.weight = record.weights[set_id];
       }
-      ASSERT_TRUE(instance.ExtendSet(set_id, {next}).ok());
-      delta.extended.push_back({set_id, old_size, reweighted});
-      ++next;
+      record.sets[set_id].push_back(next++);
+      delta.extended.push_back(std::move(ext));
     }
-    // New sets over the remaining fresh elements, plus singleton backstops
-    // so the grown instance stays feasible.
-    while (next < instance.num_elements) {
+    // New sets over the remaining fresh elements keep the grown instance
+    // feasible.
+    while (next < record.num_elements) {
       std::vector<uint32_t> elems;
       const uint32_t take = 1 + static_cast<uint32_t>(rng.Uniform(3));
-      for (uint32_t i = 0; i < take && next < instance.num_elements; ++i) {
+      for (uint32_t i = 0; i < take && next < record.num_elements; ++i) {
         elems.push_back(next++);
       }
-      instance.AddSet(0.5 + static_cast<double>(rng.Uniform(100)) / 9.0,
-                      std::move(elems));
+      const double weight = 0.5 + static_cast<double>(rng.Uniform(100)) / 9.0;
+      record.sets.push_back(elems);
+      record.weights.push_back(weight);
+      delta.added.push_back({weight, std::move(elems)});
     }
 
-    ASSERT_TRUE(csr.AppendEpoch(instance, delta).ok());
+    ASSERT_TRUE(csr.AppendEpoch(delta).ok());
     ASSERT_TRUE(csr.Validate().ok());
-    ASSERT_TRUE(csr.Mirrors(instance).ok());
+    ExpectMirrors(csr, record, "epoch " + std::to_string(epoch));
 
-    // The appended view must solve exactly like both a fresh freeze and
-    // the nested instance.
-    const CsrSetCoverInstance fresh = CsrSetCoverInstance::Freeze(instance);
+    // The appended view must solve exactly like a fresh freeze.
+    const CsrSetCoverInstance fresh = CsrSetCoverInstance::Freeze(record);
     for (const SolverKind kind :
          {SolverKind::kModifiedGreedy, SolverKind::kModifiedLayer}) {
       SCOPED_TRACE(std::string(SolverKindName(kind)) + " epoch " +
                    std::to_string(epoch));
-      auto nested = SolveSetCover(kind, instance);
       auto appended = SolveSetCover(kind, csr);
       auto refrozen = SolveSetCover(kind, fresh);
-      ASSERT_TRUE(nested.ok() && appended.ok() && refrozen.ok());
-      EXPECT_EQ(nested->chosen, appended->chosen);
+      ASSERT_TRUE(appended.ok() && refrozen.ok());
       EXPECT_EQ(refrozen->chosen, appended->chosen);
       EXPECT_EQ(refrozen->weight, appended->weight);
     }
@@ -325,71 +402,130 @@ TEST_P(LayoutDifferentialTest, AppendedEpochsMirrorAFreshFreeze) {
 TEST(LayoutEpochTest, RelocationCompactsOnceDeadSlackDominates) {
   // Repeatedly extend one big set: every epoch relocates its whole span to
   // the arena tail, so dead slack accumulates until the compaction
-  // threshold (half the arena) trips. Mirrors() must hold throughout.
-  SetCoverInstance instance;
-  instance.num_elements = 64;
+  // threshold (half the arena) trips. The view must mirror the record
+  // throughout.
+  SetCoverInstance record;
+  record.num_elements = 64;
   for (uint32_t e = 0; e < 64; ++e) {
-    instance.sets.push_back({e});
-    instance.weights.push_back(1.0);
+    record.sets.push_back({e});
+    record.weights.push_back(1.0);
   }
   std::vector<uint32_t> big;
   for (uint32_t e = 0; e < 48; ++e) big.push_back(e);
-  instance.sets.push_back(big);
-  instance.weights.push_back(3.0);
-  instance.BuildLinks();
+  record.sets.push_back(big);
+  record.weights.push_back(3.0);
 
-  CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
+  CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(record);
   const uint32_t big_id = 64;
   size_t max_dead = 0;
   bool compacted = false;
   for (int epoch = 0; epoch < 40; ++epoch) {
+    const auto fresh = static_cast<uint32_t>(record.num_elements);
+    ++record.num_elements;
+    record.sets[big_id].push_back(fresh);
+    // Singleton backstop keeps the instance feasible.
+    record.sets.push_back({fresh});
+    record.weights.push_back(1.0);
     CsrEpochDelta delta;
     delta.new_elements = 1;
-    delta.first_new_set = static_cast<uint32_t>(instance.num_sets());
-    const auto fresh = static_cast<uint32_t>(instance.num_elements);
-    instance.AddElements(1);
-    const size_t old_size = instance.sets[big_id].size();
-    ASSERT_TRUE(instance.ExtendSet(big_id, {fresh}).ok());
-    delta.extended.push_back({big_id, old_size, false});
-    // Singleton backstop keeps the instance feasible.
-    instance.AddSet(1.0, {fresh});
+    delta.extended.push_back({big_id, {fresh}, {}});
+    delta.added.push_back({1.0, {fresh}});
 
     const size_t dead_before = csr.dead_slots();
-    ASSERT_TRUE(csr.AppendEpoch(instance, delta).ok());
+    ASSERT_TRUE(csr.AppendEpoch(delta).ok());
     if (csr.dead_slots() < dead_before) compacted = true;
     max_dead = std::max(max_dead, csr.dead_slots());
     ASSERT_TRUE(csr.Validate().ok());
-    ASSERT_TRUE(csr.Mirrors(instance).ok());
+    ExpectMirrors(csr, record, "epoch " + std::to_string(epoch));
   }
   EXPECT_TRUE(compacted) << "dead slack never triggered a compaction "
                          << "(max dead slots seen: " << max_dead << ")";
 
-  auto nested = ModifiedGreedySetCover(instance);
+  auto fresh = ModifiedGreedySetCover(CsrSetCoverInstance::Freeze(record));
   auto flat = ModifiedGreedySetCover(csr);
-  ASSERT_TRUE(nested.ok() && flat.ok());
-  EXPECT_EQ(nested->chosen, flat->chosen);
-  EXPECT_EQ(nested->weight, flat->weight);
+  ASSERT_TRUE(fresh.ok() && flat.ok());
+  EXPECT_EQ(fresh->chosen, flat->chosen);
+  EXPECT_EQ(fresh->weight, flat->weight);
+}
+
+TEST(LayoutEpochTest, AppendEpochKeepsLinksAscending) {
+  // Sets 1 and 0 (announced in that order) and a new set all cover the one
+  // fresh element: its link list must still come out ascending.
+  SetCoverInstance record;
+  record.num_elements = 2;
+  record.sets = {{0}, {1}};
+  record.weights = {1.0, 2.0};
+  CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(record);
+  CsrEpochDelta delta;
+  delta.new_elements = 1;
+  delta.extended.push_back({1, {2}, 0.5});
+  delta.extended.push_back({0, {2}, {}});
+  delta.added.push_back({3.0, {2}});
+  ASSERT_TRUE(csr.AppendEpoch(delta).ok());
+  ASSERT_TRUE(csr.Validate().ok());
+  record.num_elements = 3;
+  record.sets = {{0, 2}, {1, 2}, {2}};
+  record.weights = {1.0, 0.5, 3.0};
+  ExpectMirrors(csr, record, "one epoch");
+  EXPECT_EQ(csr.max_frequency(), 3u);
 }
 
 TEST(LayoutEpochTest, AppendEpochRejectsStaleOrNonAppendOnlyDeltas) {
-  SetCoverInstance instance = SparseInstance(40, 3);
-  CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(instance);
+  CsrSetCoverInstance csr =
+      CsrSetCoverInstance::Freeze(SparseInstance(40, 3));
+  const size_t elements = csr.num_elements();
+  const size_t sets = csr.num_sets();
+  const size_t bytes = csr.arena_bytes();
+  const auto fresh = static_cast<uint32_t>(elements);
 
-  // A delta claiming fewer new elements than the patched instance has.
-  instance.AddElements(2);
-  instance.AddSet(1.0, {static_cast<uint32_t>(instance.num_elements) - 2,
-                        static_cast<uint32_t>(instance.num_elements) - 1});
+  std::vector<std::pair<std::string, CsrEpochDelta>> bad;
+  // A delta claiming fewer new elements than its sets link.
   CsrEpochDelta wrong;
-  wrong.new_elements = 1;  // actually 2
-  wrong.first_new_set = static_cast<uint32_t>(instance.num_sets()) - 1;
-  EXPECT_FALSE(csr.AppendEpoch(instance, wrong).ok());
-
-  // An extension whose first_new_index does not match the frozen span.
+  wrong.new_elements = 1;
+  wrong.added.push_back({1.0, {fresh, fresh + 1}});
+  bad.emplace_back("wrong count", wrong);
+  // A stale extension: it links a pre-epoch element, after a valid new set
+  // whose links the append would otherwise already have laid down.
   CsrEpochDelta stale;
   stale.new_elements = 2;
-  stale.first_new_set = static_cast<uint32_t>(instance.num_sets()) - 1;
-  stale.extended.push_back({0, instance.sets[0].size() + 3, false});
-  EXPECT_FALSE(csr.AppendEpoch(instance, stale).ok());
+  stale.added.push_back({1.0, {fresh, fresh + 1}});
+  stale.extended.push_back({0, {0}, {}});
+  bad.emplace_back("stale", stale);
+  // An appended set covering a pre-epoch element.
+  CsrEpochDelta old_element;
+  old_element.new_elements = 1;
+  old_element.added.push_back({1.0, {0, fresh}});
+  bad.emplace_back("pre-epoch element", old_element);
+  // An extension of a set the view has never seen.
+  CsrEpochDelta unknown;
+  unknown.new_elements = 1;
+  unknown.extended.push_back({static_cast<uint32_t>(sets), {fresh}, {}});
+  bad.emplace_back("unknown set", unknown);
+  // One set extended twice in one epoch.
+  CsrEpochDelta twice;
+  twice.new_elements = 2;
+  twice.extended.push_back({0, {fresh}, {}});
+  twice.extended.push_back({0, {fresh + 1}, {}});
+  bad.emplace_back("extended twice", twice);
+  // An empty extension and an unsorted new set.
+  CsrEpochDelta empty;
+  empty.new_elements = 1;
+  empty.added.push_back({1.0, {fresh}});
+  empty.extended.push_back({0, {}, {}});
+  bad.emplace_back("empty extension", empty);
+  CsrEpochDelta unsorted;
+  unsorted.new_elements = 2;
+  unsorted.added.push_back({1.0, {fresh + 1, fresh}});
+  bad.emplace_back("unsorted", unsorted);
+
+  for (const auto& [label, delta] : bad) {
+    EXPECT_FALSE(csr.AppendEpoch(delta).ok()) << label;
+    // A rejected delta leaves the view untouched.
+    EXPECT_TRUE(csr.Validate().ok()) << label;
+    EXPECT_EQ(csr.num_elements(), elements) << label;
+    EXPECT_EQ(csr.num_sets(), sets) << label;
+    EXPECT_EQ(csr.arena_bytes(), bytes) << label;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LayoutDifferentialTest,
@@ -441,8 +577,7 @@ TEST(LayoutPipelineTest, OneShotRepairIsThreadCountInvariant) {
 }
 
 // Streams every row of `db` into a session over an empty base in `batches`
-// chunks; checks the frozen view stays a mirror of the patch log after
-// every batch.
+// chunks; checks the frozen view validates after every batch.
 Result<std::unique_ptr<RepairSession>> ReplayChecked(
     const Database& db, const std::vector<DenialConstraint>& ics,
     size_t batches, size_t num_threads) {
@@ -469,8 +604,6 @@ Result<std::unique_ptr<RepairSession>> ReplayChecked(
     std::vector<BatchRow> batch(rows.begin() + start, rows.begin() + end);
     DBREPAIR_RETURN_IF_ERROR(session->ApplyBatch(batch).status());
     DBREPAIR_RETURN_IF_ERROR(session->frozen_instance().Validate());
-    DBREPAIR_RETURN_IF_ERROR(
-        session->frozen_instance().Mirrors(session->instance()));
   }
   return session;
 }
@@ -492,9 +625,16 @@ TEST(LayoutPipelineTest, SessionEpochsStayMirroredAndThreadCountInvariant) {
     ExpectSameDatabase((*serial)->db(), (*threaded)->db(), "4 threads");
     EXPECT_EQ((*serial)->cumulative_distance(),
               (*threaded)->cumulative_distance());
-    // The patch log itself still validates (which re-freezes and checks the
-    // round-trip internally).
-    ASSERT_TRUE((*serial)->instance().Validate().ok());
+    // Both sessions grew the same logical instance, epoch by epoch.
+    const CsrSetCoverInstance& one = (*serial)->frozen_instance();
+    const CsrSetCoverInstance& four = (*threaded)->frozen_instance();
+    ASSERT_EQ(one.num_elements(), four.num_elements());
+    ASSERT_EQ(one.num_sets(), four.num_sets());
+    for (uint32_t s = 0; s < one.num_sets(); ++s) {
+      ASSERT_EQ(one.weight(s), four.weight(s)) << "set " << s;
+      ASSERT_TRUE(std::ranges::equal(one.elements_of(s), four.elements_of(s)))
+          << "set " << s;
+    }
   }
 }
 

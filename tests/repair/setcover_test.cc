@@ -5,26 +5,25 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "setcover_testing.h"
 
 namespace dbrepair {
 namespace {
 
-SetCoverInstance MakeInstance(size_t num_elements,
-                              std::vector<std::pair<double,
-                                                    std::vector<uint32_t>>>
-                                  sets) {
+CsrSetCoverInstance MakeInstance(
+    size_t num_elements,
+    std::vector<std::pair<double, std::vector<uint32_t>>> sets) {
   SetCoverInstance instance;
   instance.num_elements = num_elements;
   for (auto& [w, elems] : sets) {
     instance.weights.push_back(w);
     instance.sets.push_back(std::move(elems));
   }
-  instance.BuildLinks();
-  return instance;
+  return CsrSetCoverInstance::Freeze(instance);
 }
 
 // The MWSCP matrix of Example 3.3 (sets S1..S7 as ids 0..6).
-SetCoverInstance PaperExample33() {
+CsrSetCoverInstance PaperExample33() {
   return MakeInstance(4, {
                              {1.0, {0, 1}},    // S1 = t1^1 (EF := 0)
                              {0.5, {0}},       // S2 = t1^2 (PRC := 50)
@@ -37,40 +36,38 @@ SetCoverInstance PaperExample33() {
 }
 
 TEST(SetCoverInstanceTest, ValidateAccepts) {
-  const SetCoverInstance instance = PaperExample33();
+  const CsrSetCoverInstance instance = PaperExample33();
   EXPECT_TRUE(instance.Validate().ok());
   EXPECT_EQ(instance.num_sets(), 7u);
-  EXPECT_EQ(instance.MaxFrequency(), 3u);  // element 0 in S1, S2, S4
+  EXPECT_EQ(instance.max_frequency(), 3u);  // element 0 in S1, S2, S4
 }
 
 TEST(SetCoverInstanceTest, ValidateRejectsUncoveredElement) {
-  SetCoverInstance instance = MakeInstance(3, {{1.0, {0, 1}}});
+  const CsrSetCoverInstance instance = MakeInstance(3, {{1.0, {0, 1}}});
   EXPECT_FALSE(instance.Validate().ok());
 }
 
 TEST(SetCoverInstanceTest, ValidateRejectsUnsortedSet) {
-  SetCoverInstance instance = MakeInstance(2, {{1.0, {1, 0}}});
+  const CsrSetCoverInstance instance = MakeInstance(2, {{1.0, {1, 0}}});
   EXPECT_FALSE(instance.Validate().ok());
 }
 
-TEST(SetCoverInstanceTest, ValidateRejectsStaleLinks) {
-  SetCoverInstance instance = MakeInstance(2, {{1.0, {0, 1}}});
-  instance.sets.push_back({0});
-  instance.weights.push_back(1.0);
+TEST(SetCoverInstanceTest, ValidateRejectsDuplicateElement) {
+  const CsrSetCoverInstance instance = MakeInstance(2, {{1.0, {0, 0, 1}}});
   EXPECT_FALSE(instance.Validate().ok());
 }
 
 TEST(SetCoverInstanceTest, SelectionHelpers) {
-  const SetCoverInstance instance = PaperExample33();
-  EXPECT_TRUE(instance.IsCover({0, 4, 6}));
-  EXPECT_FALSE(instance.IsCover({0, 4}));
-  EXPECT_DOUBLE_EQ(instance.SelectionWeight({0, 4, 6}), 3.0);
+  const CsrSetCoverInstance instance = PaperExample33();
+  EXPECT_TRUE(IsCover(instance, {0, 4, 6}));
+  EXPECT_FALSE(IsCover(instance, {0, 4}));
+  EXPECT_DOUBLE_EQ(SelectionWeight(instance, {0, 4, 6}), 3.0);
 }
 
 TEST(GreedyTest, PaperExample34Trace) {
   // Example 3.4 walks the greedy: it picks S1, then S5, then S7 and reaches
   // the optimum weight 3.
-  const SetCoverInstance instance = PaperExample33();
+  const CsrSetCoverInstance instance = PaperExample33();
   const auto solution = GreedySetCover(instance);
   ASSERT_TRUE(solution.ok());
   EXPECT_EQ(solution->chosen, (std::vector<uint32_t>{0, 4, 6}));
@@ -78,7 +75,7 @@ TEST(GreedyTest, PaperExample34Trace) {
 }
 
 TEST(ModifiedGreedyTest, MatchesGreedyOnPaperExample) {
-  const SetCoverInstance instance = PaperExample33();
+  const CsrSetCoverInstance instance = PaperExample33();
   const auto greedy = GreedySetCover(instance);
   const auto modified = ModifiedGreedySetCover(instance);
   ASSERT_TRUE(greedy.ok());
@@ -88,7 +85,7 @@ TEST(ModifiedGreedyTest, MatchesGreedyOnPaperExample) {
 }
 
 TEST(LazyGreedyTest, MatchesGreedyOnPaperExample) {
-  const SetCoverInstance instance = PaperExample33();
+  const CsrSetCoverInstance instance = PaperExample33();
   const auto greedy = GreedySetCover(instance);
   const auto lazy = LazyGreedySetCover(instance);
   ASSERT_TRUE(greedy.ok());
@@ -98,34 +95,34 @@ TEST(LazyGreedyTest, MatchesGreedyOnPaperExample) {
 }
 
 TEST(ExactTest, PaperExampleOptimum) {
-  const SetCoverInstance instance = PaperExample33();
+  const CsrSetCoverInstance instance = PaperExample33();
   const auto exact = ExactSetCover(instance);
   ASSERT_TRUE(exact.ok());
   EXPECT_DOUBLE_EQ(exact->weight, 3.0);
-  EXPECT_TRUE(instance.IsCover(exact->chosen));
+  EXPECT_TRUE(IsCover(instance, exact->chosen));
 }
 
 TEST(LayerTest, ProducesValidCover) {
-  const SetCoverInstance instance = PaperExample33();
+  const CsrSetCoverInstance instance = PaperExample33();
   const auto layer = LayerSetCover(instance);
   ASSERT_TRUE(layer.ok());
-  EXPECT_TRUE(instance.IsCover(layer->chosen));
+  EXPECT_TRUE(IsCover(instance, layer->chosen));
   // Layer approximates within factor f = 3.
   EXPECT_LE(layer->weight, 3.0 * 3.0 + 1e-9);
 }
 
 TEST(ModifiedLayerTest, MatchesLayerOnPaperExample) {
-  const SetCoverInstance instance = PaperExample33();
+  const CsrSetCoverInstance instance = PaperExample33();
   const auto layer = LayerSetCover(instance);
   const auto modified = ModifiedLayerSetCover(instance);
   ASSERT_TRUE(layer.ok());
   ASSERT_TRUE(modified.ok());
-  EXPECT_TRUE(instance.IsCover(modified->chosen));
+  EXPECT_TRUE(IsCover(instance, modified->chosen));
   EXPECT_NEAR(modified->weight, layer->weight, 1e-6);
 }
 
 TEST(SolversTest, SingletonInstance) {
-  const SetCoverInstance instance = MakeInstance(1, {{2.0, {0}}});
+  const CsrSetCoverInstance instance = MakeInstance(1, {{2.0, {0}}});
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
         SolverKind::kLazyGreedy, SolverKind::kLayer,
@@ -138,9 +135,7 @@ TEST(SolversTest, SingletonInstance) {
 }
 
 TEST(SolversTest, EmptyInstanceNeedsNoSets) {
-  SetCoverInstance instance;
-  instance.num_elements = 0;
-  instance.BuildLinks();
+  const CsrSetCoverInstance instance = MakeInstance(0, {});
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
         SolverKind::kLazyGreedy, SolverKind::kLayer,
@@ -153,7 +148,7 @@ TEST(SolversTest, EmptyInstanceNeedsNoSets) {
 }
 
 TEST(SolversTest, InfeasibleInstanceReportsError) {
-  const SetCoverInstance instance = MakeInstance(2, {{1.0, {0}}});
+  const CsrSetCoverInstance instance = MakeInstance(2, {{1.0, {0}}});
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
         SolverKind::kLazyGreedy, SolverKind::kLayer,
@@ -165,7 +160,7 @@ TEST(SolversTest, InfeasibleInstanceReportsError) {
 TEST(GreedyTest, ClassicLogFactorWorstCase) {
   // Elements 0..5; singleton sets of increasing value plus one big cheap
   // set: greedy picks the singletons, optimal picks the big set.
-  SetCoverInstance instance = MakeInstance(
+  const CsrSetCoverInstance instance = MakeInstance(
       6, {
              {1.0 + 1e-3, {0, 1, 2, 3, 4, 5}},  // optimal
              {1.0 / 6.0 - 1e-6, {0}},
@@ -187,8 +182,8 @@ TEST(GreedyTest, ClassicLogFactorWorstCase) {
 
 // ---- Randomised cross-checks. ----
 
-SetCoverInstance RandomInstance(Rng* rng, size_t num_elements,
-                                size_t num_sets) {
+CsrSetCoverInstance RandomInstance(Rng* rng, size_t num_elements,
+                                   size_t num_sets) {
   SetCoverInstance instance;
   instance.num_elements = num_elements;
   std::vector<bool> covered(num_elements, false);
@@ -211,20 +206,19 @@ SetCoverInstance RandomInstance(Rng* rng, size_t num_elements,
       instance.weights.push_back(5.0);
     }
   }
-  instance.BuildLinks();
-  return instance;
+  return CsrSetCoverInstance::Freeze(instance);
 }
 
 class RandomInstanceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomInstanceTest, AllSolversProduceValidCovers) {
   Rng rng(GetParam());
-  const SetCoverInstance instance = RandomInstance(&rng, 30, 40);
+  const CsrSetCoverInstance instance = RandomInstance(&rng, 30, 40);
   ASSERT_TRUE(instance.Validate().ok());
 
   const auto exact = ExactSetCover(instance);
   ASSERT_TRUE(exact.ok());
-  EXPECT_TRUE(instance.IsCover(exact->chosen));
+  EXPECT_TRUE(IsCover(instance, exact->chosen));
 
   for (const SolverKind kind :
        {SolverKind::kGreedy, SolverKind::kModifiedGreedy,
@@ -232,11 +226,11 @@ TEST_P(RandomInstanceTest, AllSolversProduceValidCovers) {
         SolverKind::kModifiedLayer}) {
     const auto solution = SolveSetCover(kind, instance);
     ASSERT_TRUE(solution.ok()) << SolverKindName(kind);
-    EXPECT_TRUE(instance.IsCover(solution->chosen)) << SolverKindName(kind);
+    EXPECT_TRUE(IsCover(instance, solution->chosen)) << SolverKindName(kind);
     // No approximation may beat the optimum.
     EXPECT_GE(solution->weight, exact->weight - 1e-9) << SolverKindName(kind);
     EXPECT_DOUBLE_EQ(solution->weight,
-                     instance.SelectionWeight(solution->chosen));
+                     SelectionWeight(instance, solution->chosen));
   }
 
   // The modified and lazy greedies compute the same cover as the textbook
@@ -251,7 +245,7 @@ TEST_P(RandomInstanceTest, AllSolversProduceValidCovers) {
   EXPECT_EQ(greedy->chosen, lazy->chosen);
 
   // The layer algorithms honour the frequency bound f * OPT.
-  const double f = static_cast<double>(instance.MaxFrequency());
+  const double f = static_cast<double>(instance.max_frequency());
   const auto layer = LayerSetCover(instance);
   const auto modified_layer = ModifiedLayerSetCover(instance);
   ASSERT_TRUE(layer.ok());
@@ -268,7 +262,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomInstanceTest,
 
 TEST(ExactTest, NodeBudgetExhaustion) {
   Rng rng(77);
-  const SetCoverInstance instance = RandomInstance(&rng, 40, 60);
+  const CsrSetCoverInstance instance = RandomInstance(&rng, 40, 60);
   ExactSetCoverOptions options;
   options.max_nodes = 1;
   EXPECT_EQ(ExactSetCover(instance, options).status().code(),

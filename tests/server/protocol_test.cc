@@ -133,6 +133,17 @@ TEST(ParseOpenSpecTest, RejectsBadSpecs) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(ParseOpenSpecTest, RejectsRemovedComponentsOption) {
+  // The solve path follows the solver kind; there is no sharding switch.
+  const auto spec =
+      ParseOpenSpec({"GEN", "client-buy", "10", "1", "components=1"});
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(spec.status().message().find("unknown OPEN option 'components'"),
+            std::string::npos)
+      << spec.status().ToString();
+}
+
 TEST(FormatTest, RepliesAreSingleFrames) {
   EXPECT_EQ(FormatOk(""), "OK\n");
   EXPECT_EQ(FormatOk("pong"), "OK pong\n");

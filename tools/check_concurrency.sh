@@ -3,7 +3,7 @@
 # tests: the thread-pool unit tests, the serial-vs-parallel differential
 # harness, the RepairSession suite (whose concurrent-ApplyBatch misuse
 # case must fail cleanly, not racily), the flat set-cover layout suite
-# (which replays the per-batch CSR re-freeze at 1 and 4 threads), the
+# (which replays the per-batch CSR epoch append at 1 and 4 threads), the
 # component-solve suite (sharded-vs-monolithic byte-identity with the
 # per-component solve fan-out on 2/4/8-worker pools), the
 # randomized trace-merge suite (pool workers appending to per-thread event

@@ -6,14 +6,11 @@
 # headline pass additionally runs the columnar-vs-row violation-scan pair
 # at the Figure-3 100k scale with 3 repetitions (the acceptance number for
 # the columnar scan layer) and records the speedup under "headline", plus
-# the session-vs-full-repair pair ("session_headline") and the
-# CSR-vs-nested modified-greedy solve pair at 100k elements
-# ("setcover_headline", the acceptance number for the flat set-cover
-# layout), the multi-tenant server throughput pair at 1 vs 4 tenants
-# ("server_headline", the scaling number for the repair server), and the
-# component-sharded solve sweep at 1/2/4 threads plus the monolithic
-# baseline ("component_headline", the scaling number for the per-component
-# solve fan-out).
+# the session-vs-full-repair pair ("session_headline"), the multi-tenant
+# server throughput pair at 1 vs 4 tenants ("server_headline", the scaling
+# number for the repair server), and the component-sharded solve sweep at
+# 1/2/4 threads plus the monolithic baseline ("component_headline", the
+# scaling number for the per-component solve fan-out).
 #
 # Usage:
 #   tools/run_benchmarks.sh            # small sizes + headline pair
@@ -49,7 +46,7 @@ fi
 BENCH_TARGETS=(bench_figure2_approximation bench_figure3_runtime
                bench_complexity_scaling bench_degree_sweep
                bench_inconsistency_ratio bench_cardinality
-               bench_setcover_micro bench_setcover_layout
+               bench_setcover_micro
                bench_component_solve
                bench_build_pipeline bench_session_batches
                bench_scenarios bench_server)
@@ -89,14 +86,6 @@ if [[ "$HEADLINE" == "1" ]]; then
     --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
   mv "$TMP/bench_session_batches.json" "$TMP/zz_headline_session.json"
 
-  # Set-cover layout acceptance metric: the modified-greedy solve over the
-  # frozen CSR arena vs the nested-vector instance, identical 100k-element
-  # session-grown workload, single thread, median of 3. CSR must win
-  # >= 1.3x.
-  run_gbench bench_setcover_layout 'BM_ModifiedGreedy(Legacy|Csr)/100000$' \
-    --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
-  mv "$TMP/bench_setcover_layout.json" "$TMP/zz_headline_setcover.json"
-
   # Scenario headline: end-to-end repair throughput of the three scenario
   # generators at 20k rows, single thread, median of 3. Tracks regressions
   # in the join-heavy (zipf), numeric-fix (drift), and high-degree
@@ -127,7 +116,6 @@ fi
 run_gbench bench_figure3_runtime '/1000$'
 run_gbench bench_build_pipeline '/10000$|/100$'
 run_gbench bench_setcover_micro '/1000$'
-run_gbench bench_setcover_layout '/10000$'
 run_gbench bench_component_solve '/10000/1$|MonolithicSolve/10000$'
 run_gbench bench_cardinality '/10/20$|TransformOnly/100$'
 run_gbench bench_complexity_scaling '/2000$'
@@ -147,7 +135,7 @@ import json, sys, os
 
 tmp, out, build_type = sys.argv[1], sys.argv[2], sys.argv[3]
 summary = {"benchmarks": [], "headline": None, "session_headline": None,
-           "setcover_headline": None, "scenario_headline": None,
+           "scenario_headline": None,
            "server_headline": None, "component_headline": None,
            "figure2_table": []}
 
@@ -166,7 +154,6 @@ for fname in sorted(os.listdir(tmp)):
     for b in data.get("benchmarks", []):
         display = {"zz_headline": "headline",
                    "zz_headline_session": "session_headline",
-                   "zz_headline_setcover": "setcover_headline",
                    "zz_headline_scenario": "scenario_headline",
                    "zz_headline_server": "server_headline",
                    "zz_headline_component": "component_headline"}
@@ -222,27 +209,6 @@ if len(session_medians) == 2:
         "full_repair_ms": full["real_time"],
         "session_batch_ms": sess["real_time"],
         "session_speedup": full["real_time"] / sess["real_time"],
-    }
-
-# Set-cover layout headline: modified greedy over the frozen CSR arena vs
-# the nested-vector instance, same session-grown 100k-element workload.
-layout_medians = {}
-for b in summary["benchmarks"]:
-    if (b["binary"] == "setcover_headline"
-            and b.get("aggregate_name") == "median"):
-        if "BM_ModifiedGreedyLegacy/100000" in b["name"]:
-            layout_medians["legacy"] = b
-        elif "BM_ModifiedGreedyCsr/100000" in b["name"]:
-            layout_medians["csr"] = b
-if len(layout_medians) == 2:
-    legacy, csr = layout_medians["legacy"], layout_medians["csr"]
-    summary["setcover_headline"] = {
-        "workload": "session-grown MWSCP instance, 100k elements, "
-                    "bounded-degree sets, single thread",
-        "metric": "modified-greedy solve latency, median of 3",
-        "legacy_ms": legacy["real_time"],
-        "csr_ms": csr["real_time"],
-        "csr_speedup": legacy["real_time"] / csr["real_time"],
     }
 
 # Scenario headline: median end-to-end repair throughput per generator at
@@ -362,10 +328,6 @@ if summary["session_headline"]:
     print(f"session headline: incremental batch {s['session_speedup']:.2f}x "
           f"over full re-repair ({s['full_repair_ms']:.1f} ms -> "
           f"{s['session_batch_ms']:.1f} ms)")
-if summary["setcover_headline"]:
-    c = summary["setcover_headline"]
-    print(f"setcover headline: CSR solve {c['csr_speedup']:.2f}x over "
-          f"nested ({c['legacy_ms']:.1f} ms -> {c['csr_ms']:.1f} ms)")
 if summary["server_headline"]:
     v = summary["server_headline"]
     if "tenant_scaling" in v:
