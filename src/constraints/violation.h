@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/database.h"
@@ -41,13 +41,12 @@ struct ViolationSetHash {
 /// Degrees of inconsistency (Definition 2.4): how many violation sets each
 /// tuple belongs to, and the database-level maximum.
 struct DegreeInfo {
-  std::unordered_map<TupleRef, uint32_t, TupleRefHash> per_tuple;
+  /// (tuple, degree) for every tuple in some violation set, sorted by tuple.
+  std::vector<std::pair<TupleRef, uint32_t>> per_tuple;
   uint32_t max_degree = 0;
 
-  uint32_t Degree(TupleRef t) const {
-    const auto it = per_tuple.find(t);
-    return it == per_tuple.end() ? 0 : it->second;
-  }
+  /// Deg(t, IC); 0 for a tuple in no violation set.
+  uint32_t Degree(TupleRef t) const;
 };
 
 /// Computes Deg(t, IC) for every tuple occurring in `violations` and

@@ -32,15 +32,23 @@ Result<double> DistanceFunction::DatabaseDistance(
           ta.schema().name() + "' differs in cardinality");
     }
     const RelationSchema& schema = ta.schema();
+    const auto& kp = schema.key_positions();
     for (size_t row = 0; row < ta.size(); ++row) {
-      // Match by key: extract the key of ta's row and look it up in tb.
-      std::vector<Value> key;
-      key.reserve(schema.key_positions().size());
-      for (const size_t pos : schema.key_positions()) {
-        key.push_back(ta.row(row).value(pos));
+      // Match by key. A repair is a clone updated in place, so row `row` of
+      // tb almost always carries the same key; look it up only otherwise.
+      // Keys are unique, so either way the pair (and the sum) is the same.
+      const Tuple& a = ta.row(row);
+      size_t other_row = row;
+      for (const size_t pos : kp) {
+        if (a.value(pos) != tb.row(row).value(pos)) {
+          std::vector<Value> key;
+          key.reserve(kp.size());
+          for (const size_t p : kp) key.push_back(a.value(p));
+          DBREPAIR_ASSIGN_OR_RETURN(other_row, tb.LookupByKey(key));
+          break;
+        }
       }
-      DBREPAIR_ASSIGN_OR_RETURN(const size_t other_row, tb.LookupByKey(key));
-      total += TupleDistance(schema, ta.row(row), tb.row(other_row));
+      total += TupleDistance(schema, a, tb.row(other_row));
     }
   }
   return total;

@@ -1,10 +1,11 @@
 #include "repair/instance_builder.h"
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <tuple>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -38,13 +39,38 @@ struct FixKeyHash {
   }
 };
 
-// A candidate discovered by one violation shard, before global id
-// assignment. Shards dedupe locally; the shard-order merge dedupes across
-// shards and hands out ids in exactly the serial first-encounter order.
-struct PendingFix {
-  FixKey key;
-  CandidateFix fix;
-};
+FixKey KeyOf(const CandidateFix& fix) {
+  return FixKey{fix.tuple.Packed(), fix.attribute, fix.new_value};
+}
+
+// Assigns fix ids to the shards' candidates in shard order, dropping repeats
+// across shards, so ids follow exactly the serial first-encounter order.
+// The dedupe table is open-addressed over ids into `fixes` (linear probing,
+// at most half full, home slot from the top bits of the scrambled hash).
+std::vector<CandidateFix> MergeShardFixes(
+    std::vector<std::vector<CandidateFix>>& shard_fixes) {
+  size_t pending = 0;
+  for (const auto& shard : shard_fixes) pending += shard.size();
+  constexpr uint32_t kNoFix = UINT32_MAX;
+  const size_t capacity = std::bit_ceil(std::max<size_t>(16, 2 * pending));
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<uint32_t> slots(capacity, kNoFix);
+  std::vector<CandidateFix> fixes;
+  fixes.reserve(pending);
+  for (std::vector<CandidateFix>& shard : shard_fixes) {
+    for (CandidateFix& fix : shard) {
+      const FixKey key = KeyOf(fix);
+      size_t slot = (FixKeyHash{}(key) * 0x9e3779b97f4a7c15ULL) >> shift;
+      while (slots[slot] != kNoFix && !(KeyOf(fixes[slots[slot]]) == key)) {
+        slot = (slot + 1) & (capacity - 1);
+      }
+      if (slots[slot] != kNoFix) continue;
+      slots[slot] = static_cast<uint32_t>(fixes.size());
+      fixes.push_back(std::move(fix));
+    }
+  }
+  return fixes;
+}
 
 // A few shards per worker so one dense shard does not leave the other
 // workers idle; shard boundaries never influence the output.
@@ -77,7 +103,6 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     const std::vector<ViolationSet>& violations, uint32_t vid_offset,
     size_t num_threads, ThreadPool* pool) {
   obs::ObsContext& obs = obs::CurrentObs();
-  std::vector<CandidateFix> fixes;
   const size_t max_shards =
       num_threads > 1 ? num_threads * kShardsPerThread : 1;
 
@@ -107,7 +132,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
   // buffers; the shard-order merge assigns ids in the exact serial
   // first-encounter order.
   const auto fix_ranges = ShardRanges(violations.size(), max_shards);
-  std::vector<std::vector<PendingFix>> shard_fixes(fix_ranges.size());
+  std::vector<std::vector<CandidateFix>> shard_fixes(fix_ranges.size());
   std::vector<uint64_t> fix_shard_ns(fix_ranges.size(), 0);
   ParallelFor(pool, fix_ranges.size(), [&](size_t s) {
     const obs::ScopedWorkEvent shard_event("fixes.shard");
@@ -144,7 +169,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
           fix.weight = alpha * distance.ScalarDistance(
                                    static_cast<double>(old_value),
                                    static_cast<double>(*new_value));
-          shard_fixes[s].push_back(PendingFix{key, std::move(fix)});
+          shard_fixes[s].push_back(std::move(fix));
         }
       }
     }
@@ -152,22 +177,16 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
   });
 
   const auto fix_merge_start = std::chrono::steady_clock::now();
-  std::unordered_map<FixKey, uint32_t, FixKeyHash> fix_ids;
-  std::unordered_map<TupleRef, std::vector<uint32_t>, TupleRefHash>
-      tuple_fixes;
-  for (std::vector<PendingFix>& shard : shard_fixes) {
-    for (PendingFix& pending : shard) {
-      if (fix_ids.count(pending.key) > 0) continue;
-      const uint32_t id = static_cast<uint32_t>(fixes.size());
-      fix_ids.emplace(pending.key, id);
-      tuple_fixes[pending.fix.tuple].push_back(id);
-      fixes.push_back(std::move(pending.fix));
-    }
+  std::vector<CandidateFix> fixes = MergeShardFixes(shard_fixes);
+  // (packed tuple, fix id), sorted: each tuple's fixes in ascending id order.
+  std::vector<std::pair<uint64_t, uint32_t>> tuple_fixes;
+  tuple_fixes.reserve(fixes.size());
+  for (uint32_t id = 0; id < fixes.size(); ++id) {
+    tuple_fixes.emplace_back(fixes[id].tuple.Packed(), id);
   }
-  if (num_threads > 1) {
-    RecordShardMetrics(&obs.metrics, "fixes", fix_shard_ns,
-                       ElapsedNs(fix_merge_start));
-  }
+  std::sort(tuple_fixes.begin(), tuple_fixes.end());
+  RecordShardMetrics(&obs.metrics, "fixes", fix_shard_ns,
+                     ElapsedNs(fix_merge_start));
   obs.metrics.GetCounter("build.candidate_fixes")->Add(fixes.size());
   fixes_span.Finish();
 
@@ -202,10 +221,12 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
         members.emplace_back(t.relation, &db.tuple(t));
       }
       for (size_t j = 0; j < v.tuples.size(); ++j) {
-        const auto fixes_it = tuple_fixes.find(v.tuples[j]);
-        if (fixes_it == tuple_fixes.end()) continue;
+        const uint64_t packed = v.tuples[j].Packed();
         const Tuple* original = members[j].second;
-        for (const uint32_t f : fixes_it->second) {
+        for (auto it = std::lower_bound(tuple_fixes.begin(), tuple_fixes.end(),
+                                        std::make_pair(packed, uint32_t{0}));
+             it != tuple_fixes.end() && it->first == packed; ++it) {
+          const uint32_t f = it->second;
           members[j].second = &fixed_tuples[f];
           ++shard_checks[s];
           if (ViolationEngine::SetSatisfies(ic, members)) {
@@ -226,10 +247,8 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
       fixes[f].solved.push_back(vid_offset + vid);
     }
   }
-  if (num_threads > 1) {
-    RecordShardMetrics(&obs.metrics, "links", link_shard_ns,
-                       ElapsedNs(link_merge_start));
-  }
+  RecordShardMetrics(&obs.metrics, "links", link_shard_ns,
+                     ElapsedNs(link_merge_start));
   obs.metrics.GetCounter("build.satisfies_checks")->Add(satisfies_checks);
 
   // Drop candidates with empty S(t, t') (Definition 2.6(b)), remapping ids.

@@ -50,11 +50,7 @@ size_t Database::TotalTuples() const {
 Database Database::Clone() const {
   Database copy(schema_);
   for (size_t i = 0; i < tables_.size(); ++i) {
-    for (const Tuple& row : tables_[i].rows()) {
-      // Rows were valid when first inserted; re-inserting cannot fail.
-      auto res = copy.tables_[i].Insert(row);
-      (void)res;
-    }
+    copy.tables_[i] = tables_[i].Clone();
   }
   return copy;
 }

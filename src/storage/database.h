@@ -50,10 +50,10 @@ class Database {
   /// Total number of tuples across all relations (the size n of D).
   size_t TotalTuples() const;
 
-  /// Deep copy sharing the schema. Used to materialise repairs without
-  /// touching the original instance. Copies the data and primary-key
-  /// indexes only; secondary (ordered) indexes are not carried over —
-  /// recreate them on the clone if needed.
+  /// Deep copy sharing the schema, used to materialise repairs without
+  /// touching the original instance. Each table's rows and primary-key
+  /// index are copied as a whole (no row is re-inserted or re-checked).
+  /// Ordered indexes are not copied; recreate them on the clone if needed.
   Database Clone() const;
 
  private:

@@ -1,14 +1,61 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace dbrepair {
 
-std::vector<Value> Table::ExtractKey(const Tuple& tuple) const {
-  std::vector<Value> key;
-  key.reserve(schema_->key_positions().size());
-  for (size_t pos : schema_->key_positions()) key.push_back(tuple.value(pos));
-  return key;
+namespace {
+
+// Folds one key value into a key hash; equal keys (Value ==) fold alike
+// because Value::Hash is compatible with ==.
+constexpr uint64_t kKeyHashSeed = 0x51ed270b;
+uint64_t FoldKeyHash(uint64_t h, const Value& v) {
+  return h * 1099511628211ULL + v.Hash();
+}
+
+// The top 32 bits of the Fibonacci-scrambled key hash.
+uint32_t KeyTag(uint64_t hash) {
+  return static_cast<uint32_t>((hash * 0x9e3779b97f4a7c15ULL) >> 32);
+}
+
+bool NoRowMatches(const Tuple&) { return false; }
+
+}  // namespace
+
+uint32_t Table::KeyTagOf(const Tuple& tuple) const {
+  uint64_t h = kKeyHashSeed;
+  for (const size_t pos : schema_->key_positions()) {
+    h = FoldKeyHash(h, tuple.value(pos));
+  }
+  return KeyTag(h);
+}
+
+template <typename Matches>
+size_t Table::FindSlot(uint32_t tag, Matches matches) const {
+  const size_t mask = key_slots_.size() - 1;
+  for (size_t slot = (uint64_t{tag} << 32) >> key_shift_;;
+       slot = (slot + 1) & mask) {
+    const uint64_t entry = key_slots_[slot];
+    if (entry == kEmptySlot) return slot;
+    if ((entry >> 32) == tag &&
+        matches(rows_[static_cast<uint32_t>(entry)])) {
+      return slot;
+    }
+  }
+}
+
+void Table::GrowKeyIndex() {
+  const size_t capacity = std::max<size_t>(16, 2 * key_slots_.size());
+  const std::vector<uint64_t> old = std::exchange(
+      key_slots_, std::vector<uint64_t>(capacity, kEmptySlot));
+  key_shift_ = 64 - std::countr_zero(capacity);
+  for (const uint64_t entry : old) {
+    if (entry == kEmptySlot) continue;
+    key_slots_[FindSlot(static_cast<uint32_t>(entry >> 32), NoRowMatches)] =
+        entry;
+  }
 }
 
 Status Table::CheckTypes(const Tuple& tuple) const {
@@ -37,15 +84,33 @@ Result<size_t> Table::Insert(Tuple tuple) {
         std::to_string(tuple.arity()));
   }
   DBREPAIR_RETURN_IF_ERROR(CheckTypes(tuple));
-  std::vector<Value> key = ExtractKey(tuple);
-  const auto [it, inserted] = key_index_.try_emplace(std::move(key),
-                                                     rows_.size());
-  if (!inserted) {
-    return Status::KeyViolation("duplicate primary key in '" +
-                                schema_->name() + "': " + tuple.ToString());
+  if (rows_.size() >= UINT32_MAX) {
+    return Status::OutOfRange("too many rows in '" + schema_->name() + "'");
   }
+  const uint32_t tag = KeyTagOf(tuple);
+  size_t slot = 0;
+  if (!key_slots_.empty()) {
+    const auto same_key = [&](const Tuple& row) {
+      for (const size_t pos : schema_->key_positions()) {
+        if (row.value(pos) != tuple.value(pos)) return false;
+      }
+      return true;
+    };
+    slot = FindSlot(tag, same_key);
+    if (key_slots_[slot] != kEmptySlot) {
+      return Status::KeyViolation("duplicate primary key in '" +
+                                  schema_->name() + "': " + tuple.ToString());
+    }
+  }
+  // Grow only once the key is known to be new: a rejected insert changes
+  // nothing.
+  if (2 * (rows_.size() + 1) > key_slots_.size()) {
+    GrowKeyIndex();
+    slot = FindSlot(tag, NoRowMatches);
+  }
+  const size_t row = rows_.size();
+  key_slots_[slot] = (uint64_t{tag} << 32) | row;
   rows_.push_back(std::move(tuple));
-  const size_t row = rows_.size() - 1;
   for (auto& [attribute, index] : ordered_indexes_) {
     index.Insert(rows_[row].value(attribute), static_cast<uint32_t>(row));
   }
@@ -53,12 +118,29 @@ Result<size_t> Table::Insert(Tuple tuple) {
 }
 
 Result<size_t> Table::LookupByKey(const std::vector<Value>& key) const {
-  const auto it = key_index_.find(key);
-  if (it == key_index_.end()) {
-    return Status::NotFound("no tuple with the given key in '" +
-                            schema_->name() + "'");
+  const auto& kp = schema_->key_positions();
+  if (key.size() == kp.size() && !key_slots_.empty()) {
+    uint64_t hash = kKeyHashSeed;
+    for (const Value& v : key) hash = FoldKeyHash(hash, v);
+    const auto same_key = [&](const Tuple& row) {
+      for (size_t i = 0; i < kp.size(); ++i) {
+        if (row.value(kp[i]) != key[i]) return false;
+      }
+      return true;
+    };
+    const uint64_t entry = key_slots_[FindSlot(KeyTag(hash), same_key)];
+    if (entry != kEmptySlot) return static_cast<uint32_t>(entry);
   }
-  return it->second;
+  return Status::NotFound("no tuple with the given key in '" +
+                          schema_->name() + "'");
+}
+
+Table Table::Clone() const {
+  Table copy(schema_);
+  copy.rows_ = rows_;
+  copy.key_slots_ = key_slots_;
+  copy.key_shift_ = key_shift_;
+  return copy;
 }
 
 Status Table::UpdateValue(size_t row, size_t attribute, Value v) {

@@ -2,6 +2,7 @@
 #define DBREPAIR_STORAGE_TABLE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -12,7 +13,8 @@
 namespace dbrepair {
 
 /// An in-memory row store for one relation, with a hash index on the
-/// primary key. Rows are append-only and keep stable indices so TupleRefs
+/// primary key (open addressing over row ids, so it holds no per-row
+/// allocation and copies as two flat arrays). Rows are append-only and keep stable indices so TupleRefs
 /// never dangle; repairs mutate attribute values in place on a copied
 /// Database rather than deleting rows.
 class Table {
@@ -23,15 +25,19 @@ class Table {
 
   size_t size() const { return rows_.size(); }
   const Tuple& row(size_t index) const { return rows_[index]; }
-  Tuple& mutable_row(size_t index) { return rows_[index]; }
   const std::vector<Tuple>& rows() const { return rows_; }
 
   /// Appends `tuple`, checking arity, per-column types, and primary-key
   /// uniqueness. Returns the new row index.
   Result<size_t> Insert(Tuple tuple);
 
-  /// Row index of the tuple with the given key values, or error.
+  /// Row index of the tuple with the given key values, or NotFound
+  /// (also for a key of the wrong arity). Keys compare with Value ==.
   Result<size_t> LookupByKey(const std::vector<Value>& key) const;
+
+  /// A copy of the rows and the primary-key index, sharing the schema.
+  /// Ordered indexes are not carried over.
+  Table Clone() const;
 
   /// Updates one attribute of one row. Key attributes cannot be updated
   /// (repairs never change keys; Definition 2.2 keeps val(K_R) fixed).
@@ -47,20 +53,28 @@ class Table {
   const BTreeIndex* FindOrderedIndex(size_t attribute) const;
 
  private:
-  struct KeyHash {
-    size_t operator()(const std::vector<Value>& key) const {
-      size_t h = 0x51ed270b;
-      for (const Value& v : key) h = h * 1099511628211ULL + v.Hash();
-      return h;
-    }
-  };
+  static constexpr uint64_t kEmptySlot = UINT64_MAX;
 
-  std::vector<Value> ExtractKey(const Tuple& tuple) const;
+  uint32_t KeyTagOf(const Tuple& tuple) const;
+  // The first slot on `tag`'s probe path that is empty or holds a row with
+  // this tag for which `matches(row)` is true. Requires a non-empty slot
+  // array.
+  template <typename Matches>
+  size_t FindSlot(uint32_t tag, Matches matches) const;
+  // Doubles the slot array (16 slots at first) and re-slots every row.
+  void GrowKeyIndex();
   Status CheckTypes(const Tuple& tuple) const;
 
   const RelationSchema* schema_;
   std::vector<Tuple> rows_;
-  std::unordered_map<std::vector<Value>, size_t, KeyHash> key_index_;
+  // Primary-key index under linear probing, kEmptySlot where free. A slot
+  // packs the row id (low 32 bits) with the key's tag: the top 32 bits of
+  // its scrambled hash. The capacity is a power of two, at most half the
+  // slots are used, and a key's home slot is the top bits of its tag. The
+  // tag settles most mismatches without touching rows_ and lets growth
+  // re-slot without rehashing; key equality is checked against rows_.
+  std::vector<uint64_t> key_slots_;
+  unsigned key_shift_ = 64;  // 64 - log2(key_slots_.size())
   // Secondary B+-tree indexes by attribute position. Maintained per index
   // on insert, so the container's iteration order never affects anything.
   std::unordered_map<size_t, BTreeIndex> ordered_indexes_;

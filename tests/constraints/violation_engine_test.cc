@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "constraints/parser.h"
 #include "gen/client_buy.h"
@@ -50,6 +51,45 @@ TEST(ViolationEngineTest, DegreesOfInconsistency) {
   EXPECT_EQ(degrees.Degree(TupleRef{0, 2}), 0u);  // t3 consistent
   EXPECT_EQ(degrees.Degree(TupleRef{1, 0}), 1u);  // p1
   EXPECT_EQ(degrees.max_degree, 3u);
+}
+
+TEST(ViolationEngineTest, DegreeTableMatchesPerTupleCounts) {
+  ClientBuyOptions gen;
+  gen.num_clients = 3'000;
+  gen.seed = 5;
+  const GeneratedWorkload w = GenerateClientBuy(gen).value();
+  const std::vector<ViolationSet> violations = Find(w.db, w.ics);
+  ASSERT_FALSE(violations.empty());
+  // Reference: count occurrences per tuple in a hash map.
+  std::unordered_map<TupleRef, uint32_t, TupleRefHash> counts;
+  uint32_t max_degree = 0;
+  for (const ViolationSet& v : violations) {
+    for (const TupleRef t : v.tuples) {
+      max_degree = std::max(max_degree, ++counts[t]);
+    }
+  }
+  const DegreeInfo degrees = ComputeDegrees(violations);
+  EXPECT_EQ(degrees.max_degree, max_degree);
+  EXPECT_EQ(degrees.per_tuple.size(), counts.size());
+  EXPECT_TRUE(std::is_sorted(
+      degrees.per_tuple.begin(), degrees.per_tuple.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; }));
+  for (size_t i = 1; i < degrees.per_tuple.size(); ++i) {
+    EXPECT_NE(degrees.per_tuple[i - 1].first, degrees.per_tuple[i].first);
+  }
+  for (const auto& [t, count] : counts) EXPECT_EQ(degrees.Degree(t), count);
+  // Tuples in no violation set, including ones past either end, read 0.
+  for (uint32_t rel = 0; rel < w.db.relation_count(); ++rel) {
+    for (uint32_t row = 0; row < w.db.table(rel).size(); ++row) {
+      if (counts.count(TupleRef{rel, row}) == 0) {
+        EXPECT_EQ(degrees.Degree(TupleRef{rel, row}), 0u);
+      }
+    }
+  }
+  EXPECT_EQ(degrees.Degree(TupleRef{0, 0xffffffffu}), 0u);
+  EXPECT_EQ(degrees.Degree(TupleRef{7, 0}), 0u);
+  EXPECT_EQ(ComputeDegrees({}).per_tuple.size(), 0u);
+  EXPECT_EQ(ComputeDegrees({}).Degree(TupleRef{0, 0}), 0u);
 }
 
 TEST(ViolationEngineTest, ConsistentDatabaseHasNoViolations) {

@@ -2,10 +2,93 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
+#include "gen/client_buy.h"
 #include "gen/paper_example.h"
+#include "repair/api.h"
 
 namespace dbrepair {
 namespace {
+
+// Delta(d, d') with every row of d matched through a key lookup in d'; the
+// reference the row-aligned fast path must reproduce bit for bit.
+double LookupOnlyDistance(const DistanceFunction& f, const Database& d,
+                          const Database& d_prime) {
+  double total = 0.0;
+  for (size_t r = 0; r < d.relation_count(); ++r) {
+    const RelationSchema& schema = d.table(r).schema();
+    for (const Tuple& row : d.table(r).rows()) {
+      std::vector<Value> key;
+      for (const size_t pos : schema.key_positions()) {
+        key.push_back(row.value(pos));
+      }
+      const size_t other = d_prime.table(r).LookupByKey(key).value();
+      total += f.TupleDistance(schema, row, d_prime.table(r).row(other));
+    }
+  }
+  return total;
+}
+
+// R(ID key, A, B) and S(ID key, TAG key, C, D); every flexible attribute
+// has a non-integer weight, so sums depend on their order in the last bit.
+std::shared_ptr<const Schema> TwoRelationSchema() {
+  auto schema = std::make_shared<Schema>();
+  EXPECT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "R",
+                      {AttributeDef{"ID", Type::kInt64, false, 1.0},
+                       AttributeDef{"A", Type::kInt64, true, 0.1},
+                       AttributeDef{"B", Type::kInt64, true, 0.3}},
+                      {"ID"}))
+                  .ok());
+  EXPECT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "S",
+                      {AttributeDef{"ID", Type::kInt64, false, 1.0},
+                       AttributeDef{"TAG", Type::kString, false, 1.0},
+                       AttributeDef{"C", Type::kInt64, true, 0.1},
+                       AttributeDef{"D", Type::kInt64, true, 0.3}},
+                      {"ID", "TAG"}))
+                  .ok());
+  return schema;
+}
+
+std::vector<Value> RowValues(size_t relation, int64_t k) {
+  if (relation == 0) {
+    return {Value::Int(k), Value::Int(k * 37 % 101), Value::Int(k * 11 % 53)};
+  }
+  return {Value::Int(k / 2), Value::String(k % 2 == 0 ? "x" : "y"),
+          Value::Int(k * 13 % 71), Value::Int(k * 29 % 89)};
+}
+
+// Inserts rows 0..n-1 of `relation`; with `permute`, the second half goes
+// in reverse, so key matching by row position fails from row n/2 on.
+void InsertRows(Database* db, size_t relation, int64_t n, bool permute) {
+  const std::string name = db->schema().relations()[relation].name();
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t k = permute && i >= n / 2 ? n - 1 - (i - n / 2) : i;
+    ASSERT_TRUE(db->Insert(name, RowValues(relation, k)).ok());
+  }
+}
+
+// Applies the same flexible-attribute updates, located by key.
+void ApplyUpdates(Database* db, int64_t n) {
+  for (size_t r = 0; r < db->relation_count(); ++r) {
+    Table& table = db->mutable_table(r);
+    const auto& flexible = table.schema().flexible_positions();
+    for (int64_t k = 0; k < n; k += 3) {
+      std::vector<Value> key = RowValues(r, k);
+      key.resize(table.schema().key_positions().size());
+      const size_t row = table.LookupByKey(key).value();
+      const size_t attr = flexible[k % flexible.size()];
+      ASSERT_TRUE(
+          table.UpdateValue(row, attr, Value::Int(k % 7 - 3 + 17 * (k % 5)))
+              .ok());
+    }
+  }
+}
 
 TEST(DistanceTest, ScalarL1AndL2) {
   const DistanceFunction l1(DistanceKind::kL1);
@@ -107,6 +190,52 @@ TEST(DistanceTest, L2SquaresDifferences) {
       repaired.mutable_table(0).UpdateValue(0, 2, Value::Int(50)).ok());
   const DistanceFunction l2(DistanceKind::kL2);
   EXPECT_DOUBLE_EQ(l2.DatabaseDistance(w.db, repaired).value(), 5.0);
+}
+
+TEST(DistanceTest, RowAlignedAndPermutedCopiesAreBitIdentical) {
+  constexpr int64_t kRows = 301;
+  Database d(TwoRelationSchema());
+  Database aligned(d.schema_ptr());
+  Database permuted(d.schema_ptr());
+  for (size_t r = 0; r < 2; ++r) {
+    InsertRows(&d, r, kRows, false);
+    InsertRows(&aligned, r, kRows, false);
+    // R stays aligned; S is permuted from its middle row on.
+    InsertRows(&permuted, r, kRows, r == 1);
+  }
+  ApplyUpdates(&aligned, kRows);
+  ApplyUpdates(&permuted, kRows);
+  for (const DistanceKind kind : {DistanceKind::kL1, DistanceKind::kL2}) {
+    const DistanceFunction f(kind);
+    const double via_rows = f.DatabaseDistance(d, aligned).value();
+    EXPECT_GT(via_rows, 0.0);
+    EXPECT_EQ(via_rows, f.DatabaseDistance(d, permuted).value());
+    EXPECT_EQ(via_rows, LookupOnlyDistance(f, d, aligned));
+    EXPECT_EQ(via_rows, LookupOnlyDistance(f, d, permuted));
+  }
+}
+
+TEST(DistanceTest, ExecuteRepairReportsTheRecomputedDistance) {
+  ClientBuyOptions gen;
+  gen.num_clients = 2'000;
+  gen.seed = 11;
+  const GeneratedWorkload client_buy = GenerateClientBuy(gen).value();
+  const GeneratedWorkload paper = MakePaperTableExample();
+  for (const GeneratedWorkload* w : {&client_buy, &paper}) {
+    for (const DistanceKind kind : {DistanceKind::kL1, DistanceKind::kL2}) {
+      RepairRequest request{&w->db, w->ics, {}};
+      request.options.distance = kind;
+      request.options.num_threads = 2;
+      const auto response = ExecuteRepair(request);
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      const RepairOutcome& outcome = response.value().outcome;
+      EXPECT_GT(outcome.stats.distance, 0.0);
+      EXPECT_EQ(outcome.stats.distance,
+                DistanceFunction(kind)
+                    .DatabaseDistance(w->db, outcome.repaired)
+                    .value());
+    }
+  }
 }
 
 }  // namespace

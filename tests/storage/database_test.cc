@@ -58,6 +58,38 @@ TEST(DatabaseTest, ClonePreservesKeyIndex) {
           .ok());
 }
 
+TEST(DatabaseTest, InsertsAfterCloneStayOnTheirSide) {
+  Database db(MakeClientBuySchema());
+  for (int64_t id = 0; id < 100; ++id) {
+    ASSERT_TRUE(
+        db.Insert("Client", {Value::Int(id), Value::Int(20), Value::Int(30)})
+            .ok());
+  }
+  Database copy = db.Clone();
+  // Into the clone: visible there only.
+  ASSERT_TRUE(
+      copy.Insert("Client", {Value::Int(500), Value::Int(1), Value::Int(1)})
+          .ok());
+  EXPECT_EQ(copy.table(0).LookupByKey({Value::Int(500)}).value(), 100u);
+  EXPECT_FALSE(db.table(0).LookupByKey({Value::Int(500)}).ok());
+  EXPECT_EQ(db.table(0).size(), 100u);
+  // Into the source: visible there only, and the same key is still free
+  // in the clone's own index.
+  ASSERT_TRUE(
+      db.Insert("Client", {Value::Int(600), Value::Int(2), Value::Int(2)})
+          .ok());
+  EXPECT_EQ(db.table(0).LookupByKey({Value::Int(600)}).value(), 100u);
+  EXPECT_FALSE(copy.table(0).LookupByKey({Value::Int(600)}).ok());
+  ASSERT_TRUE(
+      copy.Insert("Client", {Value::Int(600), Value::Int(3), Value::Int(3)})
+          .ok());
+  EXPECT_EQ(copy.table(0).size(), 102u);
+  for (int64_t id = 0; id < 100; ++id) {
+    EXPECT_EQ(copy.table(0).LookupByKey({Value::Int(id)}).value(),
+              static_cast<size_t>(id));
+  }
+}
+
 TEST(DatabaseTest, CloneDropsSecondaryIndexes) {
   Database db(MakeClientBuySchema());
   ASSERT_TRUE(

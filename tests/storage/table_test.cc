@@ -112,6 +112,80 @@ TEST(CompositeKeyTableTest, CompositeKeyUniqueness) {
   EXPECT_EQ(table.LookupByKey({Value::Int(1), Value::Int(2)}).value(), 1u);
 }
 
+TEST_F(TableTest, KeyIndexSurvivesManyDoublings) {
+  constexpr int64_t kRows = 100'000;  // 16 slots doubled 14 times
+  for (int64_t id = 0; id < kRows; ++id) {
+    const auto row = table_.Insert(
+        Tuple({Value::Int(id * 7919), Value::Int(id), Value::Int(0)}));
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    ASSERT_EQ(row.value(), static_cast<size_t>(id));
+  }
+  for (int64_t id = 0; id < kRows; ++id) {
+    const auto row = table_.LookupByKey({Value::Int(id * 7919)});
+    ASSERT_TRUE(row.ok()) << id;
+    EXPECT_EQ(row.value(), static_cast<size_t>(id));
+  }
+  EXPECT_EQ(table_.LookupByKey({Value::Int(1)}).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST_F(TableTest, DuplicateAfterGrowthChangesNothing) {
+  constexpr int64_t kRows = 1'000;
+  for (int64_t id = 0; id < kRows; ++id) {
+    ASSERT_TRUE(
+        table_.Insert(Tuple({Value::Int(id), Value::Int(1), Value::Int(2)}))
+            .ok());
+  }
+  for (const int64_t dup : {int64_t{0}, kRows / 2, kRows - 1}) {
+    const auto res = table_.Insert(
+        Tuple({Value::Int(dup), Value::Int(9), Value::Int(9)}));
+    ASSERT_FALSE(res.ok());
+    EXPECT_EQ(res.status().code(), StatusCode::kKeyViolation);
+  }
+  EXPECT_EQ(table_.size(), static_cast<size_t>(kRows));
+  for (int64_t id = 0; id < kRows; ++id) {
+    EXPECT_EQ(table_.LookupByKey({Value::Int(id)}).value(),
+              static_cast<size_t>(id));
+    EXPECT_EQ(table_.row(id).value(1), Value::Int(1));
+  }
+}
+
+TEST_F(TableTest, NullKeysCollide) {
+  ASSERT_TRUE(
+      table_.Insert(Tuple({Value(), Value::Int(1), Value::Int(2)})).ok());
+  const auto res =
+      table_.Insert(Tuple({Value(), Value::Int(3), Value::Int(4)}));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kKeyViolation);
+  EXPECT_EQ(table_.LookupByKey({Value()}).value(), 0u);
+}
+
+TEST_F(TableTest, LookupWithWrongKeyArityIsNotFound) {
+  ASSERT_TRUE(
+      table_.Insert(Tuple({Value::Int(1), Value::Int(2), Value::Int(3)}))
+          .ok());
+  EXPECT_EQ(table_.LookupByKey({}).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(table_.LookupByKey({Value::Int(1), Value::Int(2)}).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(DoubleKeyTableTest, IntAndEqualDoubleCollide) {
+  RelationSchema schema("Reading",
+                        {AttributeDef{"T", Type::kDouble, false, 1.0},
+                         AttributeDef{"V", Type::kInt64, true, 1.0}},
+                        {"T"});
+  Table table(&schema);
+  ASSERT_TRUE(table.Insert(Tuple({Value::Int(1), Value::Int(5)})).ok());
+  const auto res = table.Insert(Tuple({Value::Double(1.0), Value::Int(6)}));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kKeyViolation);
+  EXPECT_EQ(table.LookupByKey({Value::Double(1.0)}).value(), 0u);
+  EXPECT_EQ(table.LookupByKey({Value::Int(1)}).value(), 0u);
+  ASSERT_TRUE(table.Insert(Tuple({Value::Double(1.5), Value::Int(7)})).ok());
+  EXPECT_EQ(table.LookupByKey({Value::Double(1.5)}).value(), 1u);
+  EXPECT_EQ(table.size(), 2u);
+}
+
 TEST(TupleTest, ToString) {
   const Tuple t({Value::Int(1), Value::String("x"), Value()});
   EXPECT_EQ(t.ToString(), "(1, 'x', NULL)");
