@@ -61,17 +61,14 @@ const PreparedProblem& OverlapProblem(size_t num_clients, uint64_t seed) {
 
 // An optional positional argument caps the client count, so the smoke tests
 // and the benchmark-summary script can run the full sweep structure in
-// seconds. The shared --threads / --no-columnar flags (common/flags.h, same
-// spellings as the CLI) feed the instance builds.
+// seconds. The shared --threads flag (common/flags.h, same spelling as the
+// CLI) feeds the instance builds.
 int main(int argc, char** argv) {
   size_t num_threads = 1;
-  bool no_columnar = false;
   std::vector<std::string> positional;
   FlagSet flags;
   flags.AddSize(kFlagThreads, &num_threads,
                 "worker threads for the instance builds (0 = auto)");
-  flags.AddBool(kFlagNoColumnar, &no_columnar,
-                "force the row-store scan path in the instance builds");
   const Status parsed = flags.Parse(argc, argv, 1, &positional);
   if (!parsed.ok() || positional.size() > 1) {
     std::fprintf(stderr,
@@ -81,7 +78,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   SharedBuildOptions().num_threads = num_threads;
-  SharedBuildOptions().use_columnar_scan = !no_columnar;
 
   size_t max_clients = 100000;
   if (!positional.empty()) {

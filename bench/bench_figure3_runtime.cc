@@ -72,16 +72,13 @@ void BM_BuildPipelineThreads(benchmark::State& state) {
   state.counters["sets"] = static_cast<double>(num_sets);
 }
 
-// Row-store scan vs columnar scan on the single-threaded build phase: the
-// same BuildRepairProblem call with the typed-array path toggled off/on.
-// items_per_second (tuples scanned per second of build time) is the
-// headline throughput number BENCH_summary.json tracks.
-void RunBuildScan(benchmark::State& state, bool use_columnar) {
+// The single-threaded build phase on the Figure-3 100k scale.
+// items_per_second is tuples scanned per second of build time.
+void BM_BuildPipelineColumnarScan(benchmark::State& state) {
   const auto clients = static_cast<size_t>(state.range(0));
   const PreparedProblem& prepared = ClientBuyProblem(clients, /*seed=*/1);
   BuildOptions options;
   options.num_threads = 1;
-  options.use_columnar_scan = use_columnar;
   const DistanceFunction distance(DistanceKind::kL1);
   size_t num_sets = 0;
   for (auto _ : state) {
@@ -100,33 +97,21 @@ void RunBuildScan(benchmark::State& state, bool use_columnar) {
   state.counters["sets"] = static_cast<double>(num_sets);
 }
 
-void BM_BuildPipelineRowScan(benchmark::State& state) {
-  RunBuildScan(state, /*use_columnar=*/false);
-}
-void BM_BuildPipelineColumnarScan(benchmark::State& state) {
-  RunBuildScan(state, /*use_columnar=*/true);
-}
-
 // The build phase's violation scan in isolation — scanning the driving
-// tables and probing the join indexes to enumerate the violation sets,
-// which is what the columnar layer accelerates. Each iteration runs the
-// scan exactly as BuildRepairProblem does: a fresh engine (planner stats
-// and join indexes rebuilt, nothing amortised across iterations), and the
-// columnar variant additionally pays the full snapshot build.
-// items_per_second = tuples scanned per second of scan time; the
-// columnar-vs-row ratio of this pair is BENCH_summary.json's headline
-// build-phase speedup.
-void RunViolationScan(benchmark::State& state, bool use_columnar) {
+// tables and probing the join indexes to enumerate the violation sets.
+// Each iteration runs the scan exactly as BuildRepairProblem does: a fresh
+// snapshot and a fresh engine (planner stats and join indexes rebuilt,
+// nothing amortised across iterations).
+// items_per_second = tuples scanned per second of scan time.
+void BM_ViolationScanColumnar(benchmark::State& state) {
   const auto clients = static_cast<size_t>(state.range(0));
   const PreparedProblem& prepared = ClientBuyProblem(clients, /*seed=*/1);
   size_t num_violations = 0;
   for (auto _ : state) {
-    ColumnSnapshot snapshot;
+    const ColumnSnapshot snapshot =
+        ColumnSnapshot::Build(prepared.workload->db);
     ViolationEngineOptions options;
-    if (use_columnar) {
-      snapshot = ColumnSnapshot::Build(prepared.workload->db);
-      options.columnar = &snapshot;
-    }
+    options.columnar = &snapshot;
     ViolationEngine engine(prepared.workload->db, prepared.bound, options);
     auto violations = engine.FindViolations();
     if (!violations.ok()) {
@@ -140,13 +125,6 @@ void RunViolationScan(benchmark::State& state, bool use_columnar) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * tuples));
   state.counters["tuples"] = static_cast<double>(tuples);
   state.counters["violations"] = static_cast<double>(num_violations);
-}
-
-void BM_ViolationScanRow(benchmark::State& state) {
-  RunViolationScan(state, /*use_columnar=*/false);
-}
-void BM_ViolationScanColumnar(benchmark::State& state) {
-  RunViolationScan(state, /*use_columnar=*/true);
 }
 
 void BM_Greedy(benchmark::State& state) {
@@ -179,12 +157,8 @@ BENCHMARK(BM_ModifiedLayer)->Unit(benchmark::kMillisecond)->Arg(1000)
 BENCHMARK(BM_BuildPipelineThreads)
     ->Unit(benchmark::kMillisecond)
     ->ArgsProduct({{30000, 100000}, {1, 2, 4, 8}});
-// Scan-path comparison at the Figure-3 100k scale, single thread.
-BENCHMARK(BM_BuildPipelineRowScan)
-    ->Unit(benchmark::kMillisecond)->Arg(1000)->Arg(100000);
+// The scan at the Figure-3 100k scale, single thread.
 BENCHMARK(BM_BuildPipelineColumnarScan)
-    ->Unit(benchmark::kMillisecond)->Arg(1000)->Arg(100000);
-BENCHMARK(BM_ViolationScanRow)
     ->Unit(benchmark::kMillisecond)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_ViolationScanColumnar)
     ->Unit(benchmark::kMillisecond)->Arg(1000)->Arg(100000);

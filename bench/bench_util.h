@@ -65,7 +65,7 @@ struct PreparedProblem {
 };
 
 /// Build options the memoised problem builders below use. Benchmark mains
-/// that take the shared --threads / --no-columnar flags (common/flags.h)
+/// that take the shared --threads flag (common/flags.h)
 /// write them here before the first problem is built.
 inline BuildOptions& SharedBuildOptions() {
   static BuildOptions options;

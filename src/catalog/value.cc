@@ -90,10 +90,15 @@ std::string Value::ToString() const {
 size_t Value::Hash() const {
   if (is_null()) return 0x9e3779b97f4a7c15ULL;
   if (is_string()) return std::hash<std::string>{}(AsString());
-  if (is_int()) return std::hash<int64_t>{}(AsInt());
-  // Integral doubles must hash like the equal int (operator== treats them
-  // as equal).
-  const double d = AsDouble();
+  // A number hashes by its double image, because operator== compares an
+  // int with a double through that image: Int(2^53 + 1) equals
+  // Double(2^53). Ints within ±2^53 are their own image.
+  constexpr int64_t kExactIntBound = int64_t{1} << 53;
+  if (is_int() && AsInt() >= -kExactIntBound && AsInt() <= kExactIntBound) {
+    return std::hash<int64_t>{}(AsInt());
+  }
+  // Integral doubles must hash like the equal int.
+  const double d = AsNumeric();
   if (std::nearbyint(d) == d &&
       std::abs(d) < 9.2e18) {
     return std::hash<int64_t>{}(static_cast<int64_t>(d));

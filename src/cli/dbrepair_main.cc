@@ -61,7 +61,7 @@ void PrintUsage() {
          "                [--distance L1|L2] [--mode update|insert|dump]\n"
          "                [--output PATH] [--metrics-out PATH]"
          " [--trace-out PATH]\n"
-         "                [--threads N] [--no-columnar]\n"
+         "                [--threads N]\n"
          "                [--batch-file PATH] [--batch-size N]\n"
          "                [--trace] [--quiet] [--report] [--measure]\n"
          "       dbrepair check <config> [--quiet]\n"
@@ -101,8 +101,6 @@ void PrintUsage() {
          "  --threads N         worker threads for the build/verify phases\n"
          "                      (0 = one per hardware thread, 1 = serial;\n"
          "                      the repair is identical either way)\n"
-         "  --no-columnar       force the row-store scan path instead of the\n"
-         "                      columnar snapshot (same repair, slower scan)\n"
          "  --batch-file PATH   after the initial repair, replay PATH's\n"
          "                      'relation,v1,v2,...' lines through a repair\n"
          "                      session: rows are inserted in batches and\n"
@@ -322,7 +320,6 @@ int RunRepair(RepairConfig config, int argc, char** argv, int arg_start) {
   bool report = false;
   bool measure = false;
   bool trace = false;
-  bool no_columnar = false;
   size_t num_threads = 0;
   size_t batch_size = 0;
   std::string metrics_out;
@@ -346,8 +343,6 @@ int RunRepair(RepairConfig config, int argc, char** argv, int arg_start) {
                   "write the JSON run snapshot to PATH");
   flags.AddString(kFlagTraceOut, &trace_out,
                   "record worker events; write Chrome trace JSON to PATH");
-  flags.AddBool(kFlagNoColumnar, &no_columnar,
-                "force the row-store scan path");
   flags.AddString("--batch-file", &batch_file,
                   "replay 'relation,v1,...' rows through a repair session");
   flags.AddSize("--batch-size", &batch_size,
@@ -396,7 +391,6 @@ int RunRepair(RepairConfig config, int argc, char** argv, int arg_start) {
   options.solver = config.solver;
   options.distance = config.distance;
   options.num_threads = num_threads;
-  options.use_columnar_scan = !no_columnar;
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid);
 
@@ -484,7 +478,6 @@ int RunGenerate(int argc, char** argv, int arg_start) {
   bool report = false;
   bool measure = false;
   bool trace = false;
-  bool no_columnar = false;
   size_t rows = 1000;
   size_t seed = 1;
   size_t degree = 8;
@@ -516,8 +509,6 @@ int RunGenerate(int argc, char** argv, int arg_start) {
                   "write the JSON run snapshot to PATH");
   flags.AddString(kFlagTraceOut, &trace_out,
                   "record worker events; write Chrome trace JSON to PATH");
-  flags.AddBool(kFlagNoColumnar, &no_columnar,
-                "force the row-store scan path");
   flags.AddBool("--trace", &trace, "print the span tree to stderr");
   flags.AddBool("--quiet", &quiet, "suppress incidental output");
   flags.AddBool("--report", &report, "print the repair report to stderr");
@@ -569,7 +560,6 @@ int RunGenerate(int argc, char** argv, int arg_start) {
     options.distance = distance.value();
   }
   options.num_threads = num_threads;
-  options.use_columnar_scan = !no_columnar;
   const Status valid = options.Validate();
   if (!valid.ok()) return Fail(valid);
 

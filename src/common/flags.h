@@ -13,7 +13,6 @@ namespace dbrepair {
 /// benchmark binaries. Binaries must reference these constants instead of
 /// repeating the string, so the spellings cannot drift apart.
 inline constexpr const char kFlagThreads[] = "--threads";
-inline constexpr const char kFlagNoColumnar[] = "--no-columnar";
 inline constexpr const char kFlagSolver[] = "--solver";
 inline constexpr const char kFlagTraceOut[] = "--trace-out";
 

@@ -26,6 +26,8 @@ const char* StatusCodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }
@@ -34,7 +36,7 @@ const char* StatusCodeName(StatusCode code) {
 // listing the new code here fails the build, and the switch in
 // StatusCodeToWireCode below (no default case) warns under -Wswitch.
 static_assert(sizeof(kAllStatusCodes) / sizeof(kAllStatusCodes[0]) ==
-                  static_cast<size_t>(StatusCode::kResourceExhausted) + 1,
+                  static_cast<size_t>(StatusCode::kFailedPrecondition) + 1,
               "kAllStatusCodes must list every StatusCode");
 
 const char* StatusCodeToWireCode(StatusCode code) {
@@ -61,6 +63,8 @@ const char* StatusCodeToWireCode(StatusCode code) {
       return "Internal";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Internal";
 }

@@ -24,6 +24,7 @@ enum class StatusCode {
   kIoError,
   kInternal,
   kResourceExhausted,
+  kFailedPrecondition,
 };
 
 /// Returns a human-readable name for `code` (e.g. "InvalidArgument").
@@ -44,6 +45,7 @@ inline constexpr StatusCode kAllStatusCodes[] = {
     StatusCode::kIoError,
     StatusCode::kInternal,
     StatusCode::kResourceExhausted,
+    StatusCode::kFailedPrecondition,
 };
 
 /// The stable wire error code for `code`, as sent in the repair server's
@@ -101,6 +103,11 @@ class Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
+  /// The call's inputs disagree with state it depends on (e.g. a stale
+  /// columnar snapshot); retrying without fixing that state cannot succeed.
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

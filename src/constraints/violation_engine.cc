@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <numeric>
@@ -44,8 +43,8 @@ struct PlannedBuiltin {
 };
 
 // The planned built-ins of `ic` in the order BuildPlan indexed them (merged
-// `x = y` equalities excluded). Deterministic, so executors and the columnar
-// preparer can rebuild the same list independently.
+// `x = y` equalities excluded). Deterministic, so PrepareColumnar rebuilds
+// the list BuildPlan's step slots index into.
 std::vector<PlannedBuiltin> RebuildPlannedBuiltins(const BoundConstraint& ic) {
   UnionFind uf(ic.var_names.size());
   for (const BoundBuiltin& b : ic.builtins) {
@@ -96,35 +95,52 @@ bool CmpHolds(CompareOp op, int cmp) {
   return false;
 }
 
+// The binding slot of a Value-backed class holds the bound cell's address.
+const Value& SlotValue(uint64_t slot) {
+  return *reinterpret_cast<const Value*>(static_cast<uintptr_t>(slot));
+}
+
 }  // namespace
 
-// Typed execution state mirroring one Plan over a ColumnSnapshot. Built by
-// PrepareColumnar only when every comparison the plan performs is provably
-// identical under the typed encodings; otherwise the constraint stays on the
-// row path (plan.columnar == nullptr).
+// One Plan lowered onto a ColumnSnapshot by PrepareColumnar. Every class the
+// plan compares gets one column kind: typed codes when all its columns are
+// clean and of one declared type and every built-in on it maps onto codes,
+// else the row store's Values. Either way each comparison reproduces
+// Value's semantics exactly.
 struct ColumnarPlan {
   // A column devirtualised to its raw array pointer, so the hot loop pays
   // one predictable switch and one indexed load per code instead of chasing
-  // ColumnData's type and vector headers every row.
+  // ColumnData's type and vector headers every row. kValue reads the row
+  // store instead: `data` is the relation's Tuple array, `pos` the
+  // attribute.
   struct ColRef {
-    enum class Kind : uint8_t { kI64, kF64, kU32 };
+    enum class Kind : uint8_t { kI64, kF64, kU32, kValue };
     Kind kind = Kind::kI64;
+    uint32_t pos = 0;
     const void* data = nullptr;
 
     static ColRef Of(const ColumnData& col) {
       switch (col.type) {
         case Type::kInt64:
-          return {Kind::kI64, col.ints.data()};
+          return {Kind::kI64, 0, col.ints.data()};
         case Type::kDouble:
-          return {Kind::kF64, col.doubles.data()};
+          return {Kind::kF64, 0, col.doubles.data()};
         case Type::kString:
-          return {Kind::kU32, col.codes.data()};
+          return {Kind::kU32, 0, col.codes.data()};
       }
       return {};
     }
+    static ColRef OfValues(const Table& table, uint32_t pos) {
+      return {Kind::kValue, pos, table.rows().data()};
+    }
 
-    // Same value as ColumnData::KeyCode on the column this was taken from.
-    uint64_t Code(uint32_t row) const {
+    const Value& ValueAt(uint32_t row) const {
+      return static_cast<const Tuple*>(data)[row].value(pos);
+    }
+
+    // What a class binding from this column stores: the code
+    // ColumnData::KeyCode gives, or the cell's address for kValue.
+    uint64_t Bind(uint32_t row) const {
       switch (kind) {
         case Kind::kI64:
           return std::bit_cast<uint64_t>(
@@ -134,13 +150,32 @@ struct ColumnarPlan {
               static_cast<const double*>(data)[row]);
         case Kind::kU32:
           return static_cast<const uint32_t*>(data)[row];
+        case Kind::kValue:
+          return reinterpret_cast<uintptr_t>(&ValueAt(row));
       }
       return 0;
     }
+
+    // Whether `row` holds the value bound in `slot`: code equality, or
+    // Value == for kValue.
+    bool Matches(uint32_t row, uint64_t slot) const {
+      if (kind == Kind::kValue) return ValueAt(row) == SlotValue(slot);
+      return Bind(row) == slot;
+    }
+
+    // The code a join index keys `row` on: the typed code, or Value::Hash
+    // (compatible with Value ==) for kValue.
+    uint64_t IndexCode(uint32_t row) const {
+      return kind == Kind::kValue ? ValueAt(row).Hash() : Bind(row);
+    }
+    // The same code for a value bound in `slot` by a column of this kind.
+    uint64_t SlotIndexCode(uint64_t slot) const {
+      return kind == Kind::kValue ? SlotValue(slot).Hash() : slot;
+    }
   };
 
-  // A constant check against one column (row path: Value::operator==).
-  // `data` points at the raw array the mode indexes.
+  // A constant check against one column (Value::operator==). `col.data`
+  // points at the raw array the mode indexes.
   struct ConstCheck {
     enum class Mode {
       kNever,        // can never match a clean row (NULL / mixed-type const)
@@ -149,28 +184,32 @@ struct ColumnarPlan {
                      //  the same promotion Value::AsNumeric performs)
       kDouble,       // doubles[row] == d
       kCode,         // codes[row] == code (0 = const not in the dictionary)
+      kValue,        // col.ValueAt(row) == *value (unclean column, or an
+                     //  int const beyond ±2^53 against a DOUBLE column)
     };
-    const void* data = nullptr;
+    ColRef col;
     Mode mode = Mode::kNever;
     int64_t i = 0;
     double d = 0.0;
     uint32_t code = 0;
+    const Value* value = nullptr;
   };
 
-  // A column whose key code is bound into / compared against a class slot.
+  // A column whose binding is written into / compared against a class slot.
   struct ClsCol {
     ColRef col;
     int32_t cls = -1;
   };
 
-  // A built-in over binding codes. The row path's per-Value type dispatch is
-  // resolved at prepare time into one of four evaluators.
+  // A built-in over class bindings, its Value-level type dispatch resolved
+  // at prepare time into one evaluator.
   struct TypedBuiltin {
     enum class Eval {
       kConst,   // statically known result (NULL const, string/number mix)
       kIntInt,  // exact int64 comparison
       kNum,     // double comparison; int codes promoted like Value::AsNumeric
       kCode,    // dictionary-code equality (kEq / kNe only)
+      kValue,   // EvalCompare on Value-backed bindings
     };
     Eval eval = Eval::kConst;
     CompareOp op = CompareOp::kEq;
@@ -182,22 +221,25 @@ struct ColumnarPlan {
     int64_t rhs_i = 0;
     double rhs_d = 0.0;
     uint64_t rhs_code = 0;
+    const Value* rhs_value = nullptr;  // kValue with a constant rhs
     bool const_result = false;
   };
 
   // Parallel to Plan::steps / AtomStep's position vectors.
   struct Step {
-    const RelationColumns* rel = nullptr;
+    size_t row_count = 0;
     std::vector<ConstCheck> consts;
     std::vector<ClsCol> joins;
-    // Binds of compared classes only; a binding code nothing will ever read
-    // again is not written (the row path's pointer is equally never read).
+    // Binds of compared classes only; a binding nothing will ever read
+    // again is not written.
     std::vector<ClsCol> binds;
     std::vector<ColRef> index_cols;
+    // Built by PrepareColumnar when index_cols is non-empty.
+    const ViolationEngine::CodeIndex* index = nullptr;
   };
 
   std::vector<Step> steps;
-  // Same indexing as the row path's rebuilt PlannedBuiltin vector.
+  // Same indexing as the rebuilt PlannedBuiltin vector.
   std::vector<TypedBuiltin> builtins;
 };
 
@@ -372,24 +414,6 @@ ViolationEngine::Plan ViolationEngine::BuildPlan(const BoundConstraint& ic,
   return plan;
 }
 
-const ViolationEngine::HashIndex& ViolationEngine::GetIndex(
-    uint32_t relation, const std::vector<uint32_t>& positions) {
-  const auto key = std::make_pair(relation, positions);
-  const auto it = index_cache_.find(key);
-  if (it != index_cache_.end()) return it->second;
-  HashIndex index;
-  const Table& table = db_.table(relation);
-  index.reserve(table.size());
-  std::vector<Value> probe;
-  probe.reserve(positions.size());
-  for (uint32_t row = 0; row < table.size(); ++row) {
-    probe.clear();
-    for (uint32_t pos : positions) probe.push_back(table.row(row).value(pos));
-    index[probe].push_back(row);
-  }
-  return index_cache_.emplace(key, std::move(index)).first->second;
-}
-
 void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes) {
   const auto n = static_cast<uint32_t>(codes.size());
   size_t capacity = 16;
@@ -433,249 +457,100 @@ void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes) {
 }
 
 const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
-    uint32_t relation, const std::vector<uint32_t>& positions) {
-  const auto key = std::make_pair(relation, positions);
-  const auto it = code_index_cache_.find(key);
+    uint32_t relation, const std::vector<uint32_t>& key) {
+  using ColRef = ColumnarPlan::ColRef;
+  auto cache_key = std::make_pair(relation, key);
+  const auto it = code_index_cache_.find(cache_key);
   if (it != code_index_cache_.end()) return it->second;
+  const RelationColumns& rel = snapshot_->relation(relation);
+  std::vector<ColRef> cols;
+  for (const uint32_t k : key) {
+    const uint32_t pos = k & ~kValueKeyBit;
+    cols.push_back((k & kValueKeyBit) != 0
+                       ? ColRef::OfValues(db_.table(relation), pos)
+                       : ColRef::Of(rel.columns[pos]));
+  }
   CodeIndex index;
-  index.exact = positions.size() == 1;
-  const RelationColumns& rel = options_.columnar->relation(relation);
+  index.exact = cols.size() == 1 && cols[0].kind != ColRef::Kind::kValue;
   const auto n = static_cast<uint32_t>(rel.row_count);
   // Pack each row's key code once; both counting passes reuse the array.
   std::vector<uint64_t> codes(n);
-  if (index.exact) {
-    const ColumnData& col = rel.columns[positions[0]];
-    for (uint32_t row = 0; row < n; ++row) codes[row] = col.KeyCode(row);
+  if (cols.size() == 1) {
+    for (uint32_t row = 0; row < n; ++row) codes[row] = cols[0].IndexCode(row);
   } else {
     for (uint32_t row = 0; row < n; ++row) {
       uint64_t code = kKeySeed;
-      for (const uint32_t pos : positions) {
-        code = CombineKeyCodes(code, rel.columns[pos].KeyCode(row));
+      for (const ColRef& col : cols) {
+        code = CombineKeyCodes(code, col.IndexCode(row));
       }
       codes[row] = code;
     }
   }
   index.Build(codes);
-  return code_index_cache_.emplace(key, std::move(index)).first->second;
-}
-
-const ViolationEngine::CodeIndex* ViolationEngine::FindCodeIndex(
-    uint32_t relation, const std::vector<uint32_t>& positions) const {
-  const auto it = code_index_cache_.find(std::make_pair(relation, positions));
-  return it == code_index_cache_.end() ? nullptr : &it->second;
-}
-
-void ViolationEngine::PrewarmIndexes(const Plan& plan) {
-  for (const AtomStep& step : plan.steps) {
-    if (step.index_positions.empty()) continue;
-    const uint32_t relation = plan.ic->atoms[step.atom_index].relation_index;
-    if (plan.columnar != nullptr) {
-      GetCodeIndex(relation, step.index_positions);
-    } else {
-      GetIndex(relation, step.index_positions);
-    }
-  }
-}
-
-const ViolationEngine::HashIndex* ViolationEngine::FindIndex(
-    uint32_t relation, const std::vector<uint32_t>& positions) const {
-  const auto it = index_cache_.find(std::make_pair(relation, positions));
-  return it == index_cache_.end() ? nullptr : &it->second;
+  return code_index_cache_.emplace(std::move(cache_key), std::move(index))
+      .first->second;
 }
 
 const TableStats& ViolationEngine::GetStats(uint32_t relation) {
   const auto it = stats_cache_.find(relation);
   if (it != stats_cache_.end()) return it->second;
-  // With a fresh columnar snapshot of an all-clean relation, derive the
-  // planner statistics from the typed arrays (sampled distinct/histograms,
-  // see ComputeColumnStats) instead of the full Value scan. Estimates may
-  // differ, so the join order may too — the enumerated violation sets never
-  // do, and relations the snapshot cannot serve keep the exact row stats.
-  if (options_.columnar != nullptr && options_.columnar->valid() &&
-      relation < options_.columnar->relation_count()) {
-    const RelationColumns& rel = options_.columnar->relation(relation);
-    const Table& table = db_.table(relation);
-    const bool fresh = rel.row_count == table.size() &&
-                       rel.columns.size() == table.schema().arity();
-    const bool all_clean =
-        fresh && std::all_of(rel.columns.begin(), rel.columns.end(),
-                             [](const ColumnData& c) { return c.clean(); });
-    if (all_clean) {
-      return stats_cache_.emplace(relation, ComputeColumnStats(rel))
-          .first->second;
-    }
-  }
-  return stats_cache_.emplace(relation, ComputeTableStats(db_.table(relation)))
+  // For an all-clean relation, derive the planner statistics from the typed
+  // arrays (sampled distinct/histograms, see ComputeColumnStats) instead of
+  // the full Value scan. Estimates may differ, so the join order may too —
+  // the enumerated violation sets never do. Relations with an unclean
+  // column keep the exact row statistics.
+  const RelationColumns& rel = snapshot_->relation(relation);
+  const bool all_clean =
+      std::all_of(rel.columns.begin(), rel.columns.end(),
+                  [](const ColumnData& c) { return c.clean(); });
+  return stats_cache_
+      .emplace(relation, all_clean ? ComputeColumnStats(rel)
+                                   : ComputeTableStats(db_.table(relation)))
       .first->second;
 }
 
-Status ViolationEngine::ExecuteInto(
-    const Plan& plan, const AtomFilters* filters,
-    std::unordered_set<ViolationSet, ViolationSetHash>* dedupe_out,
-    ExecCounters* counters) const {
-  if (plan.columnar != nullptr) {
-    return ExecuteColumnarInto(plan, filters, dedupe_out, counters);
+Status ViolationEngine::PrepareSnapshot() {
+  if (options_.columnar != nullptr) {
+    snapshot_ = options_.columnar;
+  } else if (snapshot_ == nullptr) {
+    owned_snapshot_ = ColumnSnapshot::Build(db_);
+    snapshot_ = &owned_snapshot_;
   }
-  return ExecuteRowInto(plan, filters, dedupe_out, counters);
-}
-
-Status ViolationEngine::ExecuteRowInto(
-    const Plan& plan, const AtomFilters* filters,
-    std::unordered_set<ViolationSet, ViolationSetHash>* dedupe_out,
-    ExecCounters* counters) const {
-  const BoundConstraint& ic = *plan.ic;
-  const AtomFilter no_filter;
-
-  // Rebuild the planned built-ins in the same order BuildPlan indexed them.
-  const std::vector<PlannedBuiltin> builtins = RebuildPlannedBuiltins(ic);
-
-  std::vector<const Value*> binding(plan.num_classes, nullptr);
-  std::vector<TupleRef> current(plan.steps.size());
-  std::unordered_set<ViolationSet, ViolationSetHash>& dedupe = *dedupe_out;
-
-  uint64_t rows_scanned = 0;
-  uint64_t assignments_found = 0;
-
-  // Iterative-recursive evaluation via an explicit lambda.
-  Status status = Status::OK();
-  auto recurse = [&](auto&& self, size_t depth) -> bool {  // false = abort
-    if (depth == plan.steps.size()) {
-      ++assignments_found;
-      ViolationSet vs;
-      vs.ic_index = ic.ic_index;
-      vs.tuples = current;
-      std::sort(vs.tuples.begin(), vs.tuples.end());
-      vs.tuples.erase(std::unique(vs.tuples.begin(), vs.tuples.end()),
-                      vs.tuples.end());
-      if (dedupe.insert(std::move(vs)).second &&
-          dedupe.size() > options_.max_violation_sets) {
-        status = Status::ResourceExhausted(
-            "violation-set enumeration exceeded max_violation_sets = " +
-            std::to_string(options_.max_violation_sets));
-        return false;
-      }
-      return true;
-    }
-    const AtomStep& step = plan.steps[depth];
-    const BoundAtom& atom = ic.atoms[step.atom_index];
-    const Table& table = db_.table(atom.relation_index);
-
-    const AtomFilter& filter =
-        filters != nullptr ? (*filters)[step.atom_index] : no_filter;
-
-    // Candidate rows: hash index on join columns, then B+-tree range scan,
-    // then full scan (over the filter's exact row list when it has one).
-    const std::vector<uint32_t>* rows = nullptr;
-    std::vector<uint32_t> scan_rows;
-    if (!step.index_positions.empty()) {
-      std::vector<Value> key;
-      key.reserve(step.index_classes.size());
-      for (int32_t cls : step.index_classes) key.push_back(*binding[cls]);
-      // Read-only lookup (PrewarmIndexes built it), so concurrent shards of
-      // one plan never mutate the cache.
-      const HashIndex* index =
-          FindIndex(atom.relation_index, step.index_positions);
-      assert(index != nullptr && "ExecuteInto requires PrewarmIndexes");
-      const auto it = index->find(key);
-      if (it == index->end()) return true;  // no matching rows
-      rows = &it->second;
-    } else if (step.range_position >= 0) {
-      const BTreeIndex* btree = table.FindOrderedIndex(
-          static_cast<size_t>(step.range_position));
-      const bool upper = step.range_op == CompareOp::kLt ||
-                         step.range_op == CompareOp::kLe;
-      const bool strict = step.range_op == CompareOp::kLt ||
-                          step.range_op == CompareOp::kGt;
-      scan_rows = upper ? btree->RangeScan(std::nullopt, false,
-                                           step.range_bound, strict)
-                        : btree->RangeScan(step.range_bound, strict,
-                                           std::nullopt, false);
-      rows = &scan_rows;
-    } else if (filter.exact_rows != nullptr) {
-      // The filter precomputed exactly the admissible rows (ascending).
-      rows = filter.exact_rows;
-    } else {
-      // Full scan: walk only the filter's [min, max) window.
-      const uint32_t lo = filter.min_row;
-      const uint32_t hi = std::min<uint32_t>(
-          filter.max_row, static_cast<uint32_t>(table.size()));
-      scan_rows.reserve(hi > lo ? hi - lo : 0);
-      for (uint32_t r = lo; r < hi; ++r) scan_rows.push_back(r);
-      rows = &scan_rows;
-    }
-
-    for (const uint32_t row : *rows) {
-      if (!filter.Admits(row)) continue;
-      ++rows_scanned;
-      const Tuple& tuple = table.row(row);
-      bool ok = true;
-      for (uint32_t pos : step.const_positions) {
-        if (!(tuple.value(pos) == atom.constants[pos])) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      for (const auto& [pos, cls] : step.join_positions) {
-        if (!(tuple.value(pos) == *binding[cls])) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      for (const auto& [pos, cls] : step.bind_positions) {
-        binding[cls] = &tuple.value(pos);
-      }
-      for (const uint32_t b : step.builtins) {
-        const PlannedBuiltin& pb = builtins[b];
-        const Value& rhs =
-            pb.rhs_is_var ? *binding[pb.rhs_class] : *pb.rhs_const;
-        if (!EvalCompare(*binding[pb.lhs_class], pb.op, rhs)) {
-          ok = false;
-          break;
-        }
-      }
-      if (!ok) continue;
-      current[depth] = TupleRef{atom.relation_index, row};
-      if (!self(self, depth + 1)) return false;
-    }
-    return true;
-  };
-  recurse(recurse, 0);
-  counters->rows_scanned += rows_scanned;
-  counters->assignments_found += assignments_found;
-  return status;
-}
-
-std::shared_ptr<const ColumnarPlan> ViolationEngine::PrepareColumnar(
-    const Plan& plan) const {
-  const ColumnSnapshot* snap = options_.columnar;
-  if (snap == nullptr || !snap->valid() || plan.steps.empty()) return nullptr;
-  if (snap->relation_count() != db_.relation_count()) return nullptr;
-  const BoundConstraint& ic = *plan.ic;
-
-  for (const AtomStep& step : plan.steps) {
-    const BoundAtom& atom = ic.atoms[step.atom_index];
-    const RelationColumns& rel = snap->relation(atom.relation_index);
-    // A stale snapshot (the row store grew or shrank since Build) or arity
-    // drift disqualifies the whole constraint.
-    if (rel.row_count != db_.table(atom.relation_index).size() ||
-        rel.columns.size() != atom.var_ids.size()) {
-      return nullptr;
+  if (snapshot_->relation_count() != db_.relation_count()) {
+    return Status::FailedPrecondition(
+        "columnar snapshot has " +
+        std::to_string(snapshot_->relation_count()) + " relations, the "
+        "database " + std::to_string(db_.relation_count()));
+  }
+  for (uint32_t r = 0; r < db_.relation_count(); ++r) {
+    const RelationColumns& rel = snapshot_->relation(r);
+    const Table& table = db_.table(r);
+    if (rel.row_count != table.size() ||
+        rel.columns.size() != table.schema().arity()) {
+      return Status::FailedPrecondition(
+          "columnar snapshot of '" + table.schema().name() + "' is stale: " +
+          std::to_string(rel.row_count) + " rows x " +
+          std::to_string(rel.columns.size()) + " columns, the table " +
+          std::to_string(table.size()) + " x " +
+          std::to_string(table.schema().arity()));
     }
   }
+  return Status::OK();
+}
 
+ColumnarPlan ViolationEngine::PrepareColumnar(const Plan& plan) {
+  using ColRef = ColumnarPlan::ColRef;
+  const ColumnSnapshot& snap = *snapshot_;
+  const BoundConstraint& ic = *plan.ic;
   const std::vector<PlannedBuiltin> planned = RebuildPlannedBuiltins(ic);
 
-  // A class is "compared" when its binding code is ever read again: joined,
-  // index-probed, or fed to a built-in. Compared classes must draw from
-  // clean columns of one declared type for code equality to coincide with
-  // Value equality; bind-only classes are unconstrained (their code is never
-  // read, exactly like the row path's never-read binding pointer).
+  // A class is "compared" when its binding is ever read again: joined,
+  // index-probed, or fed to a built-in. Bind-only classes need no binding
+  // at all.
   std::vector<std::vector<const ColumnData*>> sources(plan.num_classes);
   for (const AtomStep& step : plan.steps) {
     const RelationColumns& rel =
-        snap->relation(ic.atoms[step.atom_index].relation_index);
+        snap.relation(ic.atoms[step.atom_index].relation_index);
     for (const auto& [pos, cls] : step.bind_positions) {
       sources[cls].push_back(&rel.columns[pos]);
     }
@@ -695,110 +570,141 @@ std::shared_ptr<const ColumnarPlan> ViolationEngine::PrepareColumnar(
     compared[pb.lhs_class] = true;
     if (pb.rhs_is_var) compared[pb.rhs_class] = true;
   }
-  std::vector<Type> class_kinds(plan.num_classes, Type::kInt64);
+
+  // ---- Column kind per compared class. ----
+  // Code equality coincides with Value == only over clean columns of one
+  // declared type (an INT column joined to a DOUBLE one compares by
+  // numeric promotion; NULL and NaN cells have no faithful code).
+  std::vector<Type> class_types(plan.num_classes, Type::kInt64);
+  std::vector<bool> by_value(plan.num_classes, false);
   for (size_t cls = 0; cls < plan.num_classes; ++cls) {
     if (!compared[cls]) continue;
-    if (sources[cls].empty()) return nullptr;
-    const Type kind = sources[cls].front()->type;
+    class_types[cls] = sources[cls].front()->type;
     for (const ColumnData* col : sources[cls]) {
-      // Cross-kind classes (an int column joined against a double column)
-      // compare by numeric promotion in the row path; their key codes are
-      // incompatible bit patterns.
-      if (col->type != kind || !col->clean()) return nullptr;
+      if (col->type != class_types[cls] || !col->clean()) by_value[cls] = true;
     }
-    class_kinds[cls] = kind;
+  }
+  const auto beyond_exact = [](const Value& c) {
+    return c.is_int() && (c.AsInt() > kColumnarExactIntBound ||
+                          c.AsInt() < -kColumnarExactIntBound);
+  };
+  const auto is_order = [](CompareOp op) {
+    return op != CompareOp::kEq && op != CompareOp::kNe;
+  };
+  // Built-ins whose Value semantics the codes cannot express: dictionary
+  // codes are unordered; Value::Compare treats a NaN bound as equal to
+  // every number; an int bound beyond ±2^53 compares exactly against the
+  // ints a DOUBLE column stores, which its double view rounds.
+  for (const PlannedBuiltin& pb : planned) {
+    if (pb.rhs_is_var) continue;
+    const Type type = class_types[pb.lhs_class];
+    const Value& c = *pb.rhs_const;
+    if ((type == Type::kString && c.is_string() && is_order(pb.op)) ||
+        (c.is_double() && std::isnan(c.AsDouble())) ||
+        (type == Type::kDouble && beyond_exact(c))) {
+      by_value[pb.lhs_class] = true;
+    }
+  }
+  // A var-var built-in reads both classes the same way, so a Value-backed
+  // side (or a string order, or an INT/DOUBLE mix whose ints a DOUBLE view
+  // cannot hold exactly) makes both sides Value-backed, to a fixpoint.
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const PlannedBuiltin& pb : planned) {
+      if (!pb.rhs_is_var) continue;
+      const Type lt = class_types[pb.lhs_class];
+      const Type rt = class_types[pb.rhs_class];
+      const bool numeric_mix =
+          lt != rt && lt != Type::kString && rt != Type::kString;
+      const bool string_order =
+          lt == Type::kString && rt == Type::kString && is_order(pb.op);
+      const bool need = by_value[pb.lhs_class] || by_value[pb.rhs_class] ||
+                        numeric_mix || string_order;
+      if (need && !(by_value[pb.lhs_class] && by_value[pb.rhs_class])) {
+        by_value[pb.lhs_class] = by_value[pb.rhs_class] = true;
+        changed = true;
+      }
+    }
   }
 
-  auto cplan = std::make_shared<ColumnarPlan>();
+  ColumnarPlan cplan;
 
+  // ---- Built-in evaluators. ----
   using Eval = ColumnarPlan::TypedBuiltin::Eval;
-  cplan->builtins.reserve(planned.size());
+  cplan.builtins.reserve(planned.size());
   for (const PlannedBuiltin& pb : planned) {
     ColumnarPlan::TypedBuiltin tb;
     tb.op = pb.op;
     tb.lhs_class = pb.lhs_class;
-    const Type lk = class_kinds[pb.lhs_class];
-    if (pb.rhs_is_var) {
-      tb.rhs_is_var = true;
-      tb.rhs_class = pb.rhs_class;
-      const Type rk = class_kinds[pb.rhs_class];
+    tb.rhs_is_var = pb.rhs_is_var;
+    tb.rhs_class = pb.rhs_class;
+    const Type lk = class_types[pb.lhs_class];
+    if (by_value[pb.lhs_class]) {
+      tb.eval = Eval::kValue;
+      tb.rhs_value = pb.rhs_const;
+    } else if (pb.rhs_is_var) {
+      const Type rk = class_types[pb.rhs_class];
       if (lk == Type::kString && rk == Type::kString) {
-        // Dictionary codes are unordered; only (in)equality maps onto them.
-        if (pb.op != CompareOp::kEq && pb.op != CompareOp::kNe) return nullptr;
-        tb.eval = Eval::kCode;
+        tb.eval = Eval::kCode;  // (in)equality only; orders went by Value
       } else if (lk == Type::kString || rk == Type::kString) {
         tb.eval = Eval::kConst;
         tb.const_result = pb.op == CompareOp::kNe;  // EvalCompare's mix rule
-      } else if (lk == Type::kInt64 && rk == Type::kInt64) {
-        tb.eval = Eval::kIntInt;
-      } else if (lk == Type::kDouble && rk == Type::kDouble) {
-        tb.eval = Eval::kNum;
+      } else if (lk == Type::kInt64) {
+        tb.eval = Eval::kIntInt;  // both INT: a mix went by Value
       } else {
-        // Int/double kind mix: ints stored inside the kDouble column would
-        // compare exactly (int vs int) in the row path; the typed view
-        // cannot reproduce that beyond ±2^53, and the int column is not
-        // bounded. Row path.
-        return nullptr;
+        tb.eval = Eval::kNum;
       }
     } else {
       const Value& c = *pb.rhs_const;
       if (c.is_null()) {
         tb.eval = Eval::kConst;
         tb.const_result = false;  // NULL compares false under every operator
-      } else if (lk == Type::kString) {
-        if (!c.is_string()) {
-          tb.eval = Eval::kConst;
-          tb.const_result = pb.op == CompareOp::kNe;
-        } else if (pb.op == CompareOp::kEq || pb.op == CompareOp::kNe) {
-          tb.eval = Eval::kCode;
-          tb.rhs_code = snap->interner().Find(c.AsString());
-        } else {
-          return nullptr;  // lexicographic order is not code order
-        }
-      } else if (c.is_string()) {
+      } else if ((lk == Type::kString) != c.is_string()) {
         tb.eval = Eval::kConst;
         tb.const_result = pb.op == CompareOp::kNe;
+      } else if (lk == Type::kString) {
+        tb.eval = Eval::kCode;  // (in)equality only; orders went by Value
+        tb.rhs_code = snap.interner().Find(c.AsString());
       } else if (lk == Type::kInt64 && c.is_int()) {
         tb.eval = Eval::kIntInt;
         tb.rhs_i = c.AsInt();
       } else {
-        // Value::Compare treats NaN as equal to every number (cmp == 0); an
-        // IEEE comparison would not, so NaN bounds stay on the row path.
-        if (c.is_double() && std::isnan(c.AsDouble())) return nullptr;
-        // An int bound beyond ±2^53 against a kDouble column: stored ints
-        // would compare exactly in the row path, the double view rounds.
-        if (lk == Type::kDouble && c.is_int() &&
-            (c.AsInt() > kColumnarExactIntBound ||
-             c.AsInt() < -kColumnarExactIntBound)) {
-          return nullptr;
-        }
         tb.eval = Eval::kNum;
         tb.rhs_d = c.AsNumeric();
       }
     }
     tb.lhs_is_int = lk == Type::kInt64;
     if (tb.rhs_is_var) {
-      tb.rhs_is_int = class_kinds[tb.rhs_class] == Type::kInt64;
+      tb.rhs_is_int = class_types[tb.rhs_class] == Type::kInt64;
     }
-    cplan->builtins.push_back(tb);
+    cplan.builtins.push_back(tb);
   }
 
-  cplan->steps.resize(plan.steps.size());
+  // ---- Steps. ----
+  cplan.steps.resize(plan.steps.size());
   for (size_t d = 0; d < plan.steps.size(); ++d) {
     const AtomStep& step = plan.steps[d];
     const BoundAtom& atom = ic.atoms[step.atom_index];
-    const RelationColumns& rel = snap->relation(atom.relation_index);
-    ColumnarPlan::Step& cstep = cplan->steps[d];
-    cstep.rel = &rel;
+    const RelationColumns& rel = snap.relation(atom.relation_index);
+    const Table& table = db_.table(atom.relation_index);
+    ColumnarPlan::Step& cstep = cplan.steps[d];
+    cstep.row_count = rel.row_count;
+    const auto class_col = [&](uint32_t pos, int32_t cls) {
+      return by_value[cls] ? ColRef::OfValues(table, pos)
+                           : ColRef::Of(rel.columns[pos]);
+    };
     using Mode = ColumnarPlan::ConstCheck::Mode;
     for (const uint32_t pos : step.const_positions) {
       const ColumnData& col = rel.columns[pos];
-      // NULLs encode as 0 / code 0 and would collide with real values.
-      if (!col.clean()) return nullptr;
       const Value& c = atom.constants[pos];
       ColumnarPlan::ConstCheck cc;
-      cc.data = ColumnarPlan::ColRef::Of(col).data;
-      if (c.is_null()) {
+      cc.col = ColRef::Of(col);
+      if (!col.clean() || (col.type == Type::kDouble && beyond_exact(c))) {
+        // NULLs encode as 0 / code 0 and would collide with real values.
+        cc.col = ColRef::OfValues(table, pos);
+        cc.mode = Mode::kValue;
+        cc.value = &c;
+      } else if (c.is_null()) {
         cc.mode = Mode::kNever;  // a clean column never equals NULL
       } else {
         switch (col.type) {
@@ -809,28 +715,18 @@ std::shared_ptr<const ColumnarPlan> ViolationEngine::PrepareColumnar(
             } else if (c.is_double()) {
               cc.mode = Mode::kIntToDouble;
               cc.d = c.AsDouble();
-            } else {
-              cc.mode = Mode::kNever;
             }
             break;
           case Type::kDouble:
-            if (c.is_int() && (c.AsInt() > kColumnarExactIntBound ||
-                               c.AsInt() < -kColumnarExactIntBound)) {
-              return nullptr;  // stored ints compare exactly in the row path
-            }
             if (c.is_int() || c.is_double()) {
               cc.mode = Mode::kDouble;
               cc.d = c.AsNumeric();
-            } else {
-              cc.mode = Mode::kNever;
             }
             break;
           case Type::kString:
             if (c.is_string()) {
               cc.mode = Mode::kCode;
-              cc.code = snap->interner().Find(c.AsString());
-            } else {
-              cc.mode = Mode::kNever;
+              cc.code = snap.interner().Find(c.AsString());
             }
             break;
         }
@@ -838,27 +734,30 @@ std::shared_ptr<const ColumnarPlan> ViolationEngine::PrepareColumnar(
       cstep.consts.push_back(cc);
     }
     for (const auto& [pos, cls] : step.join_positions) {
-      cstep.joins.push_back({ColumnarPlan::ColRef::Of(rel.columns[pos]), cls});
+      cstep.joins.push_back({class_col(pos, cls), cls});
     }
     for (const auto& [pos, cls] : step.bind_positions) {
-      if (compared[cls]) {
-        cstep.binds.push_back(
-            {ColumnarPlan::ColRef::Of(rel.columns[pos]), cls});
-      }
+      if (compared[cls]) cstep.binds.push_back({class_col(pos, cls), cls});
     }
-    for (const uint32_t pos : step.index_positions) {
-      cstep.index_cols.push_back(ColumnarPlan::ColRef::Of(rel.columns[pos]));
+    std::vector<uint32_t> index_key;
+    for (size_t i = 0; i < step.index_positions.size(); ++i) {
+      const uint32_t pos = step.index_positions[i];
+      const int32_t cls = step.index_classes[i];
+      cstep.index_cols.push_back(class_col(pos, cls));
+      index_key.push_back(by_value[cls] ? pos | kValueKeyBit : pos);
+    }
+    if (!index_key.empty()) {
+      cstep.index = &GetCodeIndex(atom.relation_index, index_key);
     }
   }
   return cplan;
 }
 
-Status ViolationEngine::ExecuteColumnarInto(
-    const Plan& plan, const AtomFilters* filters,
+Status ViolationEngine::ExecuteInto(
+    const Plan& plan, const ColumnarPlan& cp, const AtomFilters* filters,
     std::unordered_set<ViolationSet, ViolationSetHash>* dedupe_out,
     ExecCounters* counters) const {
   const BoundConstraint& ic = *plan.ic;
-  const ColumnarPlan& cp = *plan.columnar;
   const AtomFilter no_filter;
 
   std::vector<uint64_t> binding(plan.num_classes, 0);
@@ -899,6 +798,10 @@ Status ViolationEngine::ExecuteColumnarInto(
         const uint64_t b = tb.rhs_is_var ? binding[tb.rhs_class] : tb.rhs_code;
         return (tb.op == CompareOp::kEq) == (binding[tb.lhs_class] == b);
       }
+      case Eval::kValue:
+        return EvalCompare(SlotValue(binding[tb.lhs_class]), tb.op,
+                           tb.rhs_is_var ? SlotValue(binding[tb.rhs_class])
+                                         : *tb.rhs_value);
     }
     return false;
   };
@@ -933,27 +836,25 @@ Status ViolationEngine::ExecuteColumnarInto(
     bool have_candidates = false;
     std::vector<uint32_t> scan_rows;
     bool verify_key = false;
-    if (!step.index_positions.empty()) {
+    if (cstep.index != nullptr) {
       uint64_t key;
       if (step.index_classes.size() == 1) {
-        key = binding[step.index_classes[0]];
+        key = cstep.index_cols[0].SlotIndexCode(
+            binding[step.index_classes[0]]);
       } else {
         key = kKeySeed;
-        for (const int32_t cls : step.index_classes) {
-          key = CombineKeyCodes(key, binding[cls]);
+        for (size_t i = 0; i < step.index_classes.size(); ++i) {
+          key = CombineKeyCodes(key, cstep.index_cols[i].SlotIndexCode(
+                                         binding[step.index_classes[i]]));
         }
       }
-      const CodeIndex* index =
-          FindCodeIndex(atom.relation_index, step.index_positions);
-      assert(index != nullptr &&
-             "ExecuteColumnarInto requires PrewarmIndexes");
-      std::tie(cand, cand_count) = index->Find(key);
+      std::tie(cand, cand_count) = cstep.index->Find(key);
       if (cand == nullptr) return true;  // no matching rows
       have_candidates = true;
-      verify_key = !index->exact;
+      verify_key = !cstep.index->exact;
     } else if (step.range_position >= 0) {
-      // The B+-tree walk is shared with the row path: it yields a candidate
-      // superset and the range built-in still filters below.
+      // The B+-tree walk yields a candidate superset; the range built-in
+      // still filters below.
       const BTreeIndex* btree = db_.table(atom.relation_index)
                                     .FindOrderedIndex(
                                         static_cast<size_t>(
@@ -974,16 +875,16 @@ Status ViolationEngine::ExecuteColumnarInto(
     const AtomFilter& filter =
         filters != nullptr ? (*filters)[step.atom_index] : no_filter;
 
-    // One candidate row through the step's checks, in the row path's exact
-    // order: key verify (composite probes only), consts, joins, binds,
-    // built-ins. Returns false only on abort.
+    // One candidate row through the step's checks: key verify (inexact
+    // indexes only), consts, joins, binds, built-ins. Returns false only on
+    // abort.
     auto scan_row = [&](const uint32_t row) -> bool {
       ++rows_scanned;
       if (verify_key) {
         for (size_t i = 0; i < cstep.index_cols.size(); ++i) {
-          if (cstep.index_cols[i].Code(row) !=
-              binding[step.index_classes[i]]) {
-            return true;  // composite-hash collision, not a key match
+          if (!cstep.index_cols[i].Matches(row,
+                                           binding[step.index_classes[i]])) {
+            return true;  // hash collision, not a key match
           }
         }
       }
@@ -994,26 +895,29 @@ Status ViolationEngine::ExecuteColumnarInto(
           case Mode::kNever:
             break;
           case Mode::kInt:
-            match = static_cast<const int64_t*>(cc.data)[row] == cc.i;
+            match = static_cast<const int64_t*>(cc.col.data)[row] == cc.i;
             break;
           case Mode::kIntToDouble:
             match = static_cast<double>(
-                        static_cast<const int64_t*>(cc.data)[row]) == cc.d;
+                        static_cast<const int64_t*>(cc.col.data)[row]) == cc.d;
             break;
           case Mode::kDouble:
-            match = static_cast<const double*>(cc.data)[row] == cc.d;
+            match = static_cast<const double*>(cc.col.data)[row] == cc.d;
             break;
           case Mode::kCode:
-            match = static_cast<const uint32_t*>(cc.data)[row] == cc.code;
+            match = static_cast<const uint32_t*>(cc.col.data)[row] == cc.code;
+            break;
+          case Mode::kValue:
+            match = cc.col.ValueAt(row) == *cc.value;
             break;
         }
         if (!match) return true;
       }
       for (const ColumnarPlan::ClsCol& jc : cstep.joins) {
-        if (jc.col.Code(row) != binding[jc.cls]) return true;
+        if (!jc.col.Matches(row, binding[jc.cls])) return true;
       }
       for (const ColumnarPlan::ClsCol& bc : cstep.binds) {
-        binding[bc.cls] = bc.col.Code(row);
+        binding[bc.cls] = bc.col.Bind(row);
       }
       for (const uint32_t b : step.builtins) {
         if (!eval_builtin(cp.builtins[b])) return true;
@@ -1035,7 +939,7 @@ Status ViolationEngine::ExecuteColumnarInto(
       }
     } else {
       const uint32_t hi = std::min<uint32_t>(
-          filter.max_row, static_cast<uint32_t>(cstep.rel->row_count));
+          filter.max_row, static_cast<uint32_t>(cstep.row_count));
       if (filter.member == nullptr) {
         // Hot path (unrestricted / windowed direct walk): no per-row check
         // beyond the loop bound.
@@ -1058,7 +962,7 @@ Status ViolationEngine::ExecuteColumnarInto(
 }
 
 Status ViolationEngine::ExecuteShardedInto(
-    const Plan& plan, size_t num_threads,
+    const Plan& plan, const ColumnarPlan& cplan, size_t num_threads,
     std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
     ExecCounters* counters) {
   using Clock = std::chrono::steady_clock;
@@ -1074,7 +978,7 @@ Status ViolationEngine::ExecuteShardedInto(
                                   num_threads * kShardsPerThread);
   if (ranges.size() <= 1) {
     const AtomFilters* no_filters = nullptr;
-    return ExecuteInto(plan, no_filters, dedupe, counters);
+    return ExecuteInto(plan, cplan, no_filters, dedupe, counters);
   }
   if (pool_ == nullptr || pool_->num_threads() < num_threads) {
     pool_ = std::make_unique<ThreadPool>(num_threads);
@@ -1093,8 +997,8 @@ Status ViolationEngine::ExecuteShardedInto(
         static_cast<uint32_t>(ranges[s].first);
     shard_filters[driving_atom].max_row =
         static_cast<uint32_t>(ranges[s].second);
-    shard_status[s] =
-        ExecuteInto(plan, &shard_filters, &shard_sets[s], &shard_counters[s]);
+    shard_status[s] = ExecuteInto(plan, cplan, &shard_filters, &shard_sets[s],
+                                  &shard_counters[s]);
     shard_ns[s] = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              start)
@@ -1166,28 +1070,20 @@ void ViolationEngine::SortViolations(std::vector<ViolationSet>* out) {
 }
 
 Result<std::vector<ViolationSet>> ViolationEngine::FindViolations() {
+  DBREPAIR_RETURN_IF_ERROR(PrepareSnapshot());
   const size_t num_threads = ResolveNumThreads(options_.num_threads);
   std::vector<ViolationSet> out;
   ExecCounters counters;
-  uint64_t columnar_plans = 0;
-  uint64_t columnar_fallbacks = 0;
   for (const BoundConstraint& ic : ics_) {
-    Plan plan = BuildPlan(ic);
-    plan.columnar = PrepareColumnar(plan);
-    if (options_.columnar != nullptr) {
-      if (plan.columnar != nullptr) {
-        ++columnar_plans;
-      } else {
-        ++columnar_fallbacks;
-      }
-    }
-    PrewarmIndexes(plan);
+    const Plan plan = BuildPlan(ic);
+    const ColumnarPlan cplan = PrepareColumnar(plan);
     std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
     if (num_threads <= 1 || plan.steps.empty()) {
-      DBREPAIR_RETURN_IF_ERROR(ExecuteInto(plan, nullptr, &dedupe, &counters));
+      DBREPAIR_RETURN_IF_ERROR(
+          ExecuteInto(plan, cplan, nullptr, &dedupe, &counters));
     } else {
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteShardedInto(plan, num_threads, &dedupe, &counters));
+          ExecuteShardedInto(plan, cplan, num_threads, &dedupe, &counters));
     }
     EmitMinimal(dedupe, &out);
   }
@@ -1198,10 +1094,6 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolations() {
       ->Add(counters.assignments_found);
   metrics.GetCounter("engine.enumerations")->Add(1);
   metrics.GetCounter("engine.violation_sets")->Add(out.size());
-  if (options_.columnar != nullptr) {
-    metrics.GetCounter("scan.columnar.plans")->Add(columnar_plans);
-    metrics.GetCounter("scan.columnar.fallbacks")->Add(columnar_fallbacks);
-  }
   return out;
 }
 
@@ -1211,10 +1103,9 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
     return Status::InvalidArgument(
         "first_new_row must have one entry per relation");
   }
+  DBREPAIR_RETURN_IF_ERROR(PrepareSnapshot());
   std::vector<ViolationSet> out;
   ExecCounters counters;
-  uint64_t columnar_plans = 0;
-  uint64_t columnar_fallbacks = 0;
   for (const BoundConstraint& ic : ics_) {
     std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
     // Delta-join partition by the first atom bound to a new tuple: atoms
@@ -1238,18 +1129,10 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
         }
       }
       if (!feasible) continue;
-      Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
-      pivot_plan.columnar = PrepareColumnar(pivot_plan);
-      if (options_.columnar != nullptr) {
-        if (pivot_plan.columnar != nullptr) {
-          ++columnar_plans;
-        } else {
-          ++columnar_fallbacks;
-        }
-      }
-      PrewarmIndexes(pivot_plan);
+      const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
+      const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, &filters, &dedupe, &counters));
+          ExecuteInto(pivot_plan, cplan, &filters, &dedupe, &counters));
     }
     EmitMinimal(dedupe, &out);
   }
@@ -1258,10 +1141,6 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
   metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
   metrics.GetCounter("engine.assignments_found")
       ->Add(counters.assignments_found);
-  if (options_.columnar != nullptr) {
-    metrics.GetCounter("scan.columnar.plans")->Add(columnar_plans);
-    metrics.GetCounter("scan.columnar.fallbacks")->Add(columnar_fallbacks);
-  }
   return out;
 }
 
@@ -1278,6 +1157,7 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
           " must have one byte per row");
     }
   }
+  DBREPAIR_RETURN_IF_ERROR(PrepareSnapshot());
   // Materialise each relation's ascending dirty-row list once; the pivot's
   // driving scan walks it instead of the whole table.
   std::vector<std::vector<uint32_t>> dirty_lists(dirty_rows.size());
@@ -1289,8 +1169,6 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
 
   std::vector<ViolationSet> out;
   ExecCounters counters;
-  uint64_t columnar_plans = 0;
-  uint64_t columnar_fallbacks = 0;
   for (const BoundConstraint& ic : ics_) {
     std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
     // FindViolationsSince's partition with "new" generalised to "dirty":
@@ -1311,18 +1189,10 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
           filters[a].exact_rows = &dirty_lists[rel];  // dirty rows only
         }
       }
-      Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
-      pivot_plan.columnar = PrepareColumnar(pivot_plan);
-      if (options_.columnar != nullptr) {
-        if (pivot_plan.columnar != nullptr) {
-          ++columnar_plans;
-        } else {
-          ++columnar_fallbacks;
-        }
-      }
-      PrewarmIndexes(pivot_plan);
+      const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
+      const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, &filters, &dedupe, &counters));
+          ExecuteInto(pivot_plan, cplan, &filters, &dedupe, &counters));
     }
     EmitMinimal(dedupe, &out);
   }
@@ -1331,10 +1201,6 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
   metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
   metrics.GetCounter("engine.assignments_found")
       ->Add(counters.assignments_found);
-  if (options_.columnar != nullptr) {
-    metrics.GetCounter("scan.columnar.plans")->Add(columnar_plans);
-    metrics.GetCounter("scan.columnar.fallbacks")->Add(columnar_fallbacks);
-  }
   return out;
 }
 
@@ -1342,14 +1208,16 @@ void ViolationEngine::InvalidateRelations(
     const std::vector<uint32_t>& relations) {
   for (const uint32_t rel : relations) {
     stats_cache_.erase(rel);
-    for (auto it = index_cache_.begin(); it != index_cache_.end();) {
-      it = it->first.first == rel ? index_cache_.erase(it) : std::next(it);
-    }
     for (auto it = code_index_cache_.begin();
          it != code_index_cache_.end();) {
       it = it->first.first == rel ? code_index_cache_.erase(it)
                                   : std::next(it);
     }
+  }
+  // Rebase, never rebuild: the shared dictionary stays append-only, so the
+  // cached code indexes of the other relations keep their meaning.
+  if (snapshot_ == &owned_snapshot_) {
+    owned_snapshot_ = owned_snapshot_.Rebase(db_, relations);
   }
 }
 

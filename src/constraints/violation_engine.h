@@ -18,7 +18,7 @@
 
 namespace dbrepair {
 
-// Per-plan columnar execution state; defined in violation_engine.cc.
+// A plan lowered onto a ColumnSnapshot; defined in violation_engine.cc.
 struct ColumnarPlan;
 
 struct ViolationEngineOptions {
@@ -31,14 +31,13 @@ struct ViolationEngineOptions {
   /// buffers that are merged in shard order, so the output — and every
   /// downstream violation id — is byte-identical to the serial run.
   size_t num_threads = 1;
-  /// Optional columnar view of the same database (non-owning; must match
-  /// the Database row for row). When set, FindViolations evaluates each
-  /// constraint against raw typed arrays and dictionary codes instead of
-  /// Tuple/Value objects, with join hash indexes keyed on packed uint64
-  /// composites. Constraints the columnar encoding cannot serve exactly
-  /// (NULLs or mixed-type columns in compared positions, cross-type join
-  /// classes, NaN doubles, a stale snapshot) fall back to the row path per
-  /// constraint, so the enumerated violation sets are always identical.
+  /// Optional columnar view of the same database (non-owning). The scan
+  /// evaluates every constraint against its typed arrays and dictionary
+  /// codes, with join indexes keyed on packed uint64 codes. When null, the
+  /// engine builds its own snapshot on first use and keeps it current
+  /// through InvalidateRelations. A supplied snapshot must match the
+  /// Database row for row: a relation count, row count or arity that
+  /// disagrees fails every Find* call with FailedPrecondition.
   const ColumnSnapshot* columnar = nullptr;
 };
 
@@ -50,6 +49,13 @@ struct ViolationEngineOptions {
 /// indexes on the join columns, and earliest-possible placement of the
 /// built-in filters. Explicit `x = y` built-ins are merged into variable
 /// equivalence classes so they join with indexes rather than as post-filters.
+///
+/// One executor serves every constraint, over a ColumnSnapshot. Each
+/// variable class it compares reads either typed codes (all its columns are
+/// clean and of one declared type) or the row store's Values (otherwise);
+/// either way the semantics are Value's: joins, constant positions and
+/// merged `x = y` compare with Value ==, every other built-in with
+/// EvalCompare.
 class ViolationEngine {
  public:
   /// Both `db` and `ics` must outlive the engine.
@@ -85,11 +91,12 @@ class ViolationEngine {
   Result<std::vector<ViolationSet>> FindViolationsTouching(
       const std::vector<std::vector<uint8_t>>& dirty_rows);
 
-  /// Drops every cached per-relation structure (join hash indexes, columnar
-  /// code indexes, planner statistics) of the listed relations. Long-lived
-  /// engines (repair sessions) must call this after the underlying rows of
-  /// a relation change — the caches are built lazily and are otherwise
-  /// assumed immortal.
+  /// Drops every cached per-relation structure (join code indexes, planner
+  /// statistics) of the listed relations, and rebases the engine's own
+  /// snapshot (if it built one) over them. Long-lived engines (repair
+  /// sessions) must call this after the underlying rows of a relation
+  /// change — the caches are built lazily and are otherwise assumed
+  /// immortal. A caller-supplied snapshot is the caller's to keep current.
   void InvalidateRelations(const std::vector<uint32_t>& relations);
 
   /// True iff `db` satisfies every constraint (no violation set exists).
@@ -107,6 +114,8 @@ class ViolationEngine {
       const std::vector<std::pair<uint32_t, const Tuple*>>& tuples);
 
  private:
+  friend struct ColumnarPlan;  // its steps hold CodeIndex pointers
+
   // Execution plan step for one atom in the chosen join order.
   struct AtomStep {
     uint32_t atom_index = 0;
@@ -132,38 +141,24 @@ class ViolationEngine {
     Value range_bound;
   };
 
+  // The logical plan: join order and per-step positions. PrepareColumnar
+  // lowers it onto the snapshot's columns for ExecuteInto.
   struct Plan {
     const BoundConstraint* ic = nullptr;
     std::vector<AtomStep> steps;
     size_t num_classes = 0;
-    // Set when the columnar snapshot can serve this constraint exactly;
-    // ExecuteInto then runs the typed-array path instead of the row path.
-    std::shared_ptr<const ColumnarPlan> columnar;
   };
 
-  // Hash index: join-column values -> row ids, cached per (relation, cols).
-  struct VecValueHash {
-    size_t operator()(const std::vector<Value>& vs) const {
-      size_t h = 0x811c9dc5;
-      for (const Value& v : vs) h = h * 1099511628211ULL + v.Hash();
-      return h;
-    }
-  };
-  using HashIndex =
-      std::unordered_map<std::vector<Value>, std::vector<uint32_t>,
-                         VecValueHash>;
-
-  // Columnar join index: packed 64-bit key codes -> row ids. With a single
-  // key column the packing is the column's injective KeyCode (`exact`);
-  // multi-column keys are hash-combined, and probes then verify the
-  // candidate rows' codes column by column.
+  // Join index: packed 64-bit key codes -> row ids. A single typed key
+  // column packs its injective KeyCode (`exact`); a Value-backed column
+  // packs Value::Hash, and multi-column keys are hash-combined. Probes of
+  // an inexact index verify the candidate rows column by column.
   //
   // Layout: one open-addressing table (power-of-2 capacity, linear probing,
   // `count == 0` marks an empty slot — every present key owns >= 1 row) whose
   // groups are (offset, count) spans into a single packed row-id array. Rows
-  // stay ascending within each group, so probe iteration order matches the
-  // per-key order the row path's HashIndex produces. Built in two counting
-  // passes with zero per-key heap allocations.
+  // stay ascending within each group. Built in two counting passes with
+  // zero per-key heap allocations.
   struct CodeIndex {
     struct Group {
       uint64_t key = 0;
@@ -198,18 +193,21 @@ class ViolationEngine {
   // `forced_first_atom` >= 0 pins that atom to the front of the join
   // order (used by the delta-join pivots so the batch scan leads).
   Plan BuildPlan(const BoundConstraint& ic, int forced_first_atom = -1);
-  const HashIndex& GetIndex(uint32_t relation,
-                            const std::vector<uint32_t>& positions);
   const TableStats& GetStats(uint32_t relation);
 
-  // Columnar eligibility + preparation: nullptr when options_.columnar is
-  // unset or cannot reproduce the row path's semantics for this constraint
-  // exactly (see ViolationEngineOptions::columnar).
-  std::shared_ptr<const ColumnarPlan> PrepareColumnar(const Plan& plan) const;
+  // Points snapshot_ at the caller's snapshot, or at the engine's own
+  // (built on first use), and checks it against db_ relation by relation.
+  Status PrepareSnapshot();
+
+  // Lowers `plan` onto snapshot_: chooses each class's column kind (typed
+  // codes or Values), resolves every comparison to its evaluator, and
+  // builds every join index the steps probe, so ExecuteInto only reads.
+  ColumnarPlan PrepareColumnar(const Plan& plan);
+  // `key` holds the index's attribute positions, each with kValueKeyBit
+  // set when that column is keyed on Value::Hash.
+  static constexpr uint32_t kValueKeyBit = 1u << 31;
   const CodeIndex& GetCodeIndex(uint32_t relation,
-                                const std::vector<uint32_t>& positions);
-  const CodeIndex* FindCodeIndex(uint32_t relation,
-                                 const std::vector<uint32_t>& positions) const;
+                                const std::vector<uint32_t>& key);
 
   // Per-atom row admission filter, used by the delta-join pivots, the
   // dirty-row pivots, and the parallel scan shards. The [min_row, max_row)
@@ -254,34 +252,12 @@ class ViolationEngine {
     }
   };
 
-  // Builds every hash index the plan's steps will probe. Must be called
-  // before ExecuteInto, whose index lookups are read-only — which is what
-  // makes concurrent shard execution of one plan data-race free.
-  void PrewarmIndexes(const Plan& plan);
-
-  // Read-only cache lookup; nullptr when the index was never built.
-  const HashIndex* FindIndex(uint32_t relation,
-                             const std::vector<uint32_t>& positions) const;
-
-  // Recursive join evaluation; inserts canonical tuple sets into `dedupe`.
-  // const (and PrewarmIndexes-dependent) so shards may run concurrently.
-  // Dispatches to ExecuteColumnarInto when the plan carries columnar state.
+  // Recursive join evaluation over the lowered plan; inserts canonical
+  // tuple sets into `dedupe`. Reads only `cplan`, the snapshot and the row
+  // store, so shards of one plan may run concurrently.
   Status ExecuteInto(
-      const Plan& plan, const AtomFilters* filters,
-      std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-      ExecCounters* counters) const;
-
-  // The same join, evaluated over typed column arrays and packed key codes
-  // (no Value touched in the loop). Enumerates exactly the row path's
-  // assignments — PrepareColumnar only accepts constraints where the typed
-  // encodings are provably equivalent to Value comparison.
-  Status ExecuteColumnarInto(
-      const Plan& plan, const AtomFilters* filters,
-      std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-      ExecCounters* counters) const;
-
-  Status ExecuteRowInto(
-      const Plan& plan, const AtomFilters* filters,
+      const Plan& plan, const ColumnarPlan& cplan,
+      const AtomFilters* filters,
       std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
       ExecCounters* counters) const;
 
@@ -289,7 +265,7 @@ class ViolationEngine {
   // (first-in-join-order) atom's table scan across `num_threads` workers
   // and merges the per-shard dedupe buffers in shard order.
   Status ExecuteShardedInto(
-      const Plan& plan, size_t num_threads,
+      const Plan& plan, const ColumnarPlan& cplan, size_t num_threads,
       std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
       ExecCounters* counters);
 
@@ -315,13 +291,16 @@ class ViolationEngine {
       return h;
     }
   };
-  std::unordered_map<std::pair<uint32_t, std::vector<uint32_t>>, HashIndex,
-                     IndexKeyHash>
-      index_cache_;
+  // Node-based, so the CodeIndex pointers a lowered plan holds stay valid
+  // while later plans add entries.
   std::unordered_map<std::pair<uint32_t, std::vector<uint32_t>>, CodeIndex,
                      IndexKeyHash>
       code_index_cache_;
   std::unordered_map<uint32_t, TableStats> stats_cache_;
+  // The scan's input: options_.columnar, or owned_snapshot_ when the caller
+  // supplied none. Null until the first Find* call.
+  const ColumnSnapshot* snapshot_ = nullptr;
+  ColumnSnapshot owned_snapshot_;
   // Lazily created when FindViolations runs with > 1 effective threads;
   // reused across constraints and calls.
   std::unique_ptr<ThreadPool> pool_;

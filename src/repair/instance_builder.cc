@@ -279,18 +279,20 @@ Result<RepairProblem> BuildRepairProblem(
     pool = owned_pool.get();
   }
 
-  // ---- Columnar snapshot of the row store (typed scan input). ----
+  // ---- Columnar snapshot of the row store (the scan's input). ----
   ViolationEngineOptions engine_options = options.engine;
   engine_options.num_threads = num_threads;
-  if (options.use_columnar_scan && engine_options.columnar == nullptr) {
+  if (engine_options.columnar != nullptr) {
+    problem.snapshot = *engine_options.columnar;
+  } else {
     obs::Span snapshot_span(&obs.tracer, "snapshot");
     const auto snapshot_start = std::chrono::steady_clock::now();
     problem.snapshot = ColumnSnapshot::Build(db, pool);
-    engine_options.columnar = &problem.snapshot;
     obs.metrics.GetCounter("scan.columnar.snapshot_ns")
         ->Add(ElapsedNs(snapshot_start));
     obs.metrics.GetCounter("scan.columnar.snapshots")->Add(1);
   }
+  engine_options.columnar = &problem.snapshot;
 
   // ---- Algorithm 2: the violation-set array A. ----
   obs::Span violations_span(&obs.tracer, "violations");

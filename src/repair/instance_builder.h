@@ -31,23 +31,19 @@ struct RepairProblem {
   /// freshly built sets; the repairer shards the solve phase by component
   /// and a session keeps the index live across batches.
   ComponentIndex components;
-  /// The columnar snapshot the violation scan ran against (invalid when the
-  /// columnar path was disabled or externally supplied). The repairer's
-  /// verify phase Rebase()s it over the repaired clone instead of
-  /// re-snapshotting the untouched relations.
+  /// The columnar snapshot the violation scan ran against: built here, or a
+  /// copy of the caller's `engine.columnar` (the copy shares its column
+  /// vectors and dictionary). The repairer's verify phase Rebase()s it over
+  /// the repaired clone instead of re-snapshotting the untouched relations.
   ColumnSnapshot snapshot;
 };
 
 struct BuildOptions {
   /// `engine.num_threads` is overridden by `num_threads` below, so one knob
-  /// governs the whole build.
+  /// governs the whole build. The violation scan runs against
+  /// `engine.columnar` when set, else against a ColumnSnapshot of `db`
+  /// built here.
   ViolationEngineOptions engine;
-  /// Build a ColumnSnapshot of `db` and run the violation scan against it
-  /// (typed arrays + packed join keys) instead of the Tuple/Value row path.
-  /// Ignored when `engine.columnar` is already set by the caller. The output
-  /// is byte-identical either way: constraints the snapshot cannot serve
-  /// exactly fall back to the row path per constraint.
-  bool use_columnar_scan = true;
   /// Worker threads for the three parallelisable build phases: the
   /// violation scan, mono-local fix generation, and fix-to-violation
   /// linking. 1 (the default) is the exact serial path; 0 means one per

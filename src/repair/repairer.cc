@@ -39,7 +39,6 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   obs::Span build_span(&obs.tracer, "build");
   BuildOptions build_options = options.build;
   build_options.num_threads = options.num_threads;
-  build_options.use_columnar_scan = options.use_columnar_scan;
   DBREPAIR_ASSIGN_OR_RETURN(
       const RepairProblem problem,
       BuildRepairProblem(db, ics, distance, build_options, pool.get()));
@@ -79,21 +78,19 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
     verify_options.num_threads = options.num_threads;
     // Re-snapshot only the relations the repair touched; clean relations
     // keep sharing the build snapshot's column vectors.
-    ColumnSnapshot verify_snapshot;
-    if (options.use_columnar_scan && problem.snapshot.valid()) {
-      std::vector<uint32_t> dirty;
-      for (const AppliedUpdate& update : updates) {
-        if (std::find(dirty.begin(), dirty.end(), update.tuple.relation) ==
-            dirty.end()) {
-          dirty.push_back(update.tuple.relation);
-        }
+    std::vector<uint32_t> dirty;
+    for (const AppliedUpdate& update : updates) {
+      if (std::find(dirty.begin(), dirty.end(), update.tuple.relation) ==
+          dirty.end()) {
+        dirty.push_back(update.tuple.relation);
       }
-      verify_snapshot = problem.snapshot.Rebase(repaired, dirty);
-      verify_options.columnar = &verify_snapshot;
-      obs.metrics.GetCounter("scan.columnar.resnapshots")->Add(1);
-      obs.metrics.GetCounter("scan.columnar.resnapshot_relations")
-          ->Add(dirty.size());
     }
+    const ColumnSnapshot verify_snapshot =
+        problem.snapshot.Rebase(repaired, dirty);
+    verify_options.columnar = &verify_snapshot;
+    obs.metrics.GetCounter("scan.columnar.resnapshots")->Add(1);
+    obs.metrics.GetCounter("scan.columnar.resnapshot_relations")
+        ->Add(dirty.size());
     DBREPAIR_ASSIGN_OR_RETURN(
         const bool consistent,
         ViolationEngine::Satisfies(repaired, ics, verify_options));

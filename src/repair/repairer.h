@@ -28,13 +28,6 @@ struct RepairOptions {
   /// Post-process the cover with PruneRedundantSets before materialising
   /// the repair (never worsens the distance; an ablation of the pipeline).
   bool prune_cover = false;
-  /// Run the violation scans (build and verify) against a columnar snapshot
-  /// of the row store — typed column arrays and packed uint64 join keys —
-  /// instead of Tuple/Value objects. The verify phase re-snapshots only the
-  /// relations the repair actually touched. Escape hatch: disabling it (or
-  /// `--no-columnar` on the CLI) forces the row path everywhere; the repair
-  /// is byte-identical either way.
-  bool use_columnar_scan = true;
   /// Worker threads for the build, solve, and verify phases (the apply
   /// phase stays serial — it is an ordered scan over the chosen cover).
   /// The greedy family solves each conflict component of the MWSCP

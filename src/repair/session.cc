@@ -98,7 +98,6 @@ Status RepairSession::Init() {
   // the one-shot pipeline would discard.
   BuildOptions build = options_.build;
   build.num_threads = options_.num_threads;
-  build.use_columnar_scan = options_.use_columnar_scan;
   DBREPAIR_ASSIGN_OR_RETURN(
       RepairProblem problem,
       BuildRepairProblem(db_, bound_, distance_, build, pool_.get()));
@@ -119,8 +118,7 @@ Status RepairSession::Init() {
 
   ViolationEngineOptions engine_options = options_.build.engine;
   engine_options.num_threads = num_threads_;
-  engine_options.columnar =
-      options_.use_columnar_scan && snapshot_.valid() ? &snapshot_ : nullptr;
+  engine_options.columnar = &snapshot_;
   engine_ = std::make_unique<ViolationEngine>(db_, bound_, engine_options);
 
   // Freeze the built instance once; the incremental solver reads only the
@@ -289,10 +287,8 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   };
 
   // ---- 2. Grow the cached snapshot by exactly the appended suffix. ----
-  if (snapshot_.valid()) {
-    snapshot_.ExtendAppended(db_, appended_relations);
-    obs.metrics.GetCounter("session.batch.snapshot_extends")->Add(1);
-  }
+  snapshot_.ExtendAppended(db_, appended_relations);
+  obs.metrics.GetCounter("session.batch.snapshot_extends")->Add(1);
   engine_->InvalidateRelations(appended_relations);
 
   // ---- 3. Delta-join: violation sets involving at least one new row. ----
@@ -655,13 +651,11 @@ Status RepairSession::ApplyChosen(
 void RepairSession::RefreshAfterUpdates(
     const std::vector<uint32_t>& updated_relations) {
   if (updated_relations.empty()) return;
-  if (snapshot_.valid()) {
-    snapshot_ = snapshot_.Rebase(db_, updated_relations);
-    obs::ObsContext& obs = obs::CurrentObs();
-    obs.metrics.GetCounter("scan.columnar.resnapshots")->Add(1);
-    obs.metrics.GetCounter("scan.columnar.resnapshot_relations")
-        ->Add(updated_relations.size());
-  }
+  snapshot_ = snapshot_.Rebase(db_, updated_relations);
+  obs::ObsContext& obs = obs::CurrentObs();
+  obs.metrics.GetCounter("scan.columnar.resnapshots")->Add(1);
+  obs.metrics.GetCounter("scan.columnar.resnapshot_relations")
+      ->Add(updated_relations.size());
   engine_->InvalidateRelations(updated_relations);
 }
 

@@ -276,7 +276,7 @@ class RepairSession {
                      std::vector<AppliedUpdate>* applied);
 
   // Rebases the columnar snapshot over the updated relations and drops the
-  // engine's cached indexes for them. No-op when columnar is off.
+  // engine's cached indexes for them.
   void RefreshAfterUpdates(const std::vector<uint32_t>& updated_relations);
 
   const RepairOptions options_;
@@ -287,7 +287,7 @@ class RepairSession {
   const std::vector<BoundConstraint> bound_;
 
   std::unique_ptr<ThreadPool> pool_;     // nullptr when num_threads_ <= 1
-  ColumnSnapshot snapshot_;              // invalid when columnar is off
+  ColumnSnapshot snapshot_;              // the scan's input; tracks db_
   std::unique_ptr<ViolationEngine> engine_;  // holds &db_, &bound_, &snapshot_
 
   std::vector<ViolationSet> violations_;  // element ids are indices here

@@ -170,11 +170,6 @@ Result<OpenSpec> ParseOpenSpec(const std::vector<std::string>& args) {
         return Status::InvalidArgument("threads must be >= 0");
       }
       spec.options.num_threads = static_cast<size_t>(threads);
-    } else if (key == "columnar") {
-      if (value != "0" && value != "1") {
-        return Status::InvalidArgument("columnar must be 0 or 1");
-      }
-      spec.options.use_columnar_scan = value == "1";
     } else if (key == "ratio") {
       DBREPAIR_ASSIGN_OR_RETURN(spec.scenario.ratio, ParseDouble(value));
     } else if (key == "skew") {
@@ -188,8 +183,7 @@ Result<OpenSpec> ParseOpenSpec(const std::vector<std::string>& args) {
     } else {
       return Status::InvalidArgument(
           "unknown OPEN option '" + key +
-          "' (want solver, distance, threads, columnar, ratio, skew, or "
-          "degree)");
+          "' (want solver, distance, threads, ratio, skew, or degree)");
     }
   }
   return spec;

@@ -18,8 +18,8 @@ namespace dbrepair::server {
 ///   command        = verb [SP token]* LF        ; LF or CRLF
 ///   OPEN t source  = OPEN t (CONFIG path | GEN scenario rows seed)
 ///                    [key=value]*               ; solver=, distance=,
-///                                               ; threads=, columnar=,
-///                                               ; ratio=, skew=, degree=
+///                                               ; threads=, ratio=,
+///                                               ; skew=, degree=
 ///   BATCH t n      ; followed by n payload lines `relation,v1,v2,...`
 ///   STATS [t]      ; tenant (or server-wide) metrics snapshot as JSON
 ///   SNAPSHOT t     ; tenant database as a binary io/snapshot dump

@@ -43,39 +43,28 @@ inline void FillCell(const Value& v, uint32_t row,
     }
     return;
   }
+  // Table::Insert and Table::UpdateValue enforce the declared type, so a
+  // non-NULL cell is an int in an INT column, an int or a double in a
+  // DOUBLE column and a string in a STRING column.
   switch (col->type) {
     case Type::kInt64:
-      if (v.is_int()) {
-        col->ints[row] = v.AsInt();
-      } else {
-        col->lossy = true;  // runtime type contradicts the declared type
-        col->ints[row] = 0;
-      }
+      col->ints[row] = v.AsInt();
       break;
-    case Type::kDouble:
-      if (v.is_int() || v.is_double()) {
-        // Ints are legal in kDouble columns; beyond ±2^53 the double view
-        // can no longer reproduce Value's exact int-vs-int comparisons.
-        if (v.is_int() && (v.AsInt() > kColumnarExactIntBound ||
-                           v.AsInt() < -kColumnarExactIntBound)) {
-          col->lossy = true;
-        }
-        double d = v.AsNumeric();
-        if (std::isnan(d)) col->lossy = true;  // NaN != NaN under Value
-        if (d == 0.0) d = 0.0;                 // normalise -0.0
-        col->doubles[row] = d;
-      } else {
+    case Type::kDouble: {
+      // Beyond ±2^53 the double view can no longer reproduce Value's exact
+      // int-vs-int comparisons.
+      if (v.is_int() && (v.AsInt() > kColumnarExactIntBound ||
+                         v.AsInt() < -kColumnarExactIntBound)) {
         col->lossy = true;
-        col->doubles[row] = 0.0;
       }
+      double d = v.AsNumeric();
+      if (std::isnan(d)) col->lossy = true;  // NaN != NaN under Value
+      if (d == 0.0) d = 0.0;                 // normalise -0.0
+      col->doubles[row] = d;
       break;
+    }
     case Type::kString:
-      if (v.is_string()) {
-        col->codes[row] = interner.Find(v.AsString());
-      } else {
-        col->lossy = true;
-        col->codes[row] = StringInterner::kNullCode;
-      }
+      col->codes[row] = interner.Find(v.AsString());
       break;
   }
 }

@@ -61,9 +61,8 @@ struct ColumnData {
   /// Some row holds NULL (the typed slot then stores 0 / 0.0 / kNullCode).
   bool has_nulls = false;
   /// The typed encoding cannot represent every stored value exactly: a NaN
-  /// double, an int stored in a kDouble column beyond ±2^53 (where the
-  /// int-vs-int exact comparison of Value diverges from the double view),
-  /// or a value whose runtime type contradicts the declared column type.
+  /// double, or an int stored in a kDouble column beyond ±2^53 (where the
+  /// int-vs-int exact comparison of Value diverges from the double view).
   bool lossy = false;
 
   std::vector<int64_t> ints;      ///< kInt64 columns.
@@ -82,8 +81,9 @@ struct ColumnData {
     return 0;
   }
 
-  /// Whether the columnar engine may compare this column by code / typed
-  /// array. Columns that fail this are served by the row-store fallback.
+  /// Whether the violation engine may compare this column by code / typed
+  /// array. A join class or constant position that reads a column failing
+  /// this compares the row store's Values instead.
   bool clean() const { return !has_nulls && !lossy; }
 
   /// Canonical 64-bit join code of `row`: for clean() columns of the same

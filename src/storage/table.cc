@@ -58,20 +58,22 @@ void Table::GrowKeyIndex() {
   }
 }
 
+Status Table::CheckType(size_t attribute, const Value& v) const {
+  if (v.is_null()) return Status::OK();  // NULL is allowed in any column.
+  const Type want = schema_->attribute(attribute).type;
+  const bool ok = (want == Type::kInt64 && v.is_int()) ||
+                  (want == Type::kDouble && (v.is_double() || v.is_int())) ||
+                  (want == Type::kString && v.is_string());
+  if (ok) return Status::OK();
+  return Status::InvalidArgument(
+      "type mismatch in '" + schema_->name() + "." +
+      schema_->attribute(attribute).name + "': expected " + TypeName(want) +
+      ", got " + v.ToString());
+}
+
 Status Table::CheckTypes(const Tuple& tuple) const {
   for (size_t i = 0; i < tuple.arity(); ++i) {
-    const Value& v = tuple.value(i);
-    if (v.is_null()) continue;  // NULL is allowed in any column.
-    const Type want = schema_->attribute(i).type;
-    const bool ok = (want == Type::kInt64 && v.is_int()) ||
-                    (want == Type::kDouble && (v.is_double() || v.is_int())) ||
-                    (want == Type::kString && v.is_string());
-    if (!ok) {
-      return Status::InvalidArgument(
-          "type mismatch in '" + schema_->name() + "." +
-          schema_->attribute(i).name + "': expected " + TypeName(want) +
-          ", got " + v.ToString());
-    }
+    DBREPAIR_RETURN_IF_ERROR(CheckType(i, tuple.value(i)));
   }
   return Status::OK();
 }
@@ -158,6 +160,7 @@ Status Table::UpdateValue(size_t row, size_t attribute, Value v) {
         "cannot update key attribute '" + schema_->name() + "." +
         schema_->attribute(attribute).name + "'");
   }
+  DBREPAIR_RETURN_IF_ERROR(CheckType(attribute, v));
   rows_[row].set_value(attribute, std::move(v));
   ordered_indexes_.erase(attribute);  // now stale; owner rebuilds if needed
   return Status::OK();

@@ -40,7 +40,8 @@ class Table {
   Table Clone() const;
 
   /// Updates one attribute of one row. Key attributes cannot be updated
-  /// (repairs never change keys; Definition 2.2 keeps val(K_R) fixed).
+  /// (repairs never change keys; Definition 2.2 keeps val(K_R) fixed), and
+  /// the value must fit the column's declared type, as for Insert.
   /// An ordered index on the updated attribute, if any, is dropped (it
   /// would be stale); recreate it after a batch of updates.
   Status UpdateValue(size_t row, size_t attribute, Value v);
@@ -63,6 +64,9 @@ class Table {
   size_t FindSlot(uint32_t tag, Matches matches) const;
   // Doubles the slot array (16 slots at first) and re-slots every row.
   void GrowKeyIndex();
+  // NULL fits any column; INT needs an int, DOUBLE an int or a double,
+  // STRING a string. Insert checks every cell, UpdateValue the one it sets.
+  Status CheckType(size_t attribute, const Value& v) const;
   Status CheckTypes(const Tuple& tuple) const;
 
   const RelationSchema* schema_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace dbrepair {
 namespace {
 
@@ -101,6 +103,23 @@ TEST(ValueTest, IntAndIntegralDoubleHashEqual) {
   // Sanity: a non-integral double equals no int, so no constraint applies —
   // but it must still hash like itself.
   EXPECT_EQ(Value::Double(2.5).Hash(), Value::Double(2.5).Hash());
+}
+
+// Beyond ±2^53 an int equals the double its image rounds to, and so may
+// two different ints' images: every such pair must share a bucket.
+TEST(ValueTest, IntsBeyondTwoToTheFiftyThreeHashLikeTheirDoubleImage) {
+  const int64_t big = int64_t{1} << 53;
+  for (const int64_t i : {big + 1, big + 2, -(big + 1), big * 3 + 1,
+                          INT64_MAX, INT64_MIN}) {
+    const Value as_int = Value::Int(i);
+    const Value image = Value::Double(static_cast<double>(i));
+    ASSERT_TRUE(as_int == image) << i;
+    EXPECT_EQ(as_int.Hash(), image.Hash()) << i;
+  }
+  ASSERT_FALSE(Value::Int(big + 1) == Value::Int(big));
+  ASSERT_TRUE(Value::Int(big + 1) == Value::Double(static_cast<double>(big)));
+  EXPECT_EQ(Value::Int(big + 1).Hash(),
+            Value::Double(static_cast<double>(big)).Hash());
 }
 
 TEST(TypeTest, Names) {

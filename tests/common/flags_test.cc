@@ -112,7 +112,6 @@ TEST(FlagsTest, CanonicalSpellingsAreStable) {
   // The CLI, bench_figure2_approximation, and bench_session_batches all
   // reference these constants; a spelling change is an interface break.
   EXPECT_STREQ(kFlagThreads, "--threads");
-  EXPECT_STREQ(kFlagNoColumnar, "--no-columnar");
   EXPECT_STREQ(kFlagSolver, "--solver");
 }
 

@@ -190,9 +190,9 @@ TEST(IncrementalTest, DuplicateContentRowsInOneBatch) {
 }
 
 TEST(IncrementalTest, MatchesFilteredFullEnumerationColumnarAndThreaded) {
-  // The randomized delta-vs-full property again, but with the columnar scan
-  // and sharded (4-thread) enumeration — the delta path must stay
-  // byte-identical to the serial row path under both.
+  // The randomized delta-vs-full property again, on a caller-supplied column
+  // snapshot and with sharded (4-thread) enumeration: the delta path must
+  // stay byte-identical to the serial scan over the engine's own snapshot.
   for (const uint64_t seed : {71ull, 72ull, 73ull, 74ull}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     ClientBuyOptions options;

@@ -16,10 +16,12 @@
 // Case count: 64 seeds x 3 random single-relation shapes (192) + 8 seeds of
 // Client/Buy + 8 seeds of Census = 208 randomized cases.
 //
-// A second oracle checks the columnar scan: the same workloads — plus 32
-// seeds x 3 mixed-type shapes with string join keys, DOUBLE columns and
-// injected NULLs — are replayed with `use_columnar_scan` off and on at 1
-// and 4 threads, and the problems and repairs must be byte-identical.
+// A second oracle checks the violation scan: on the same workloads — plus
+// 32 seeds x 3 mixed-type shapes with string join keys, DOUBLE columns and
+// injected NULLs — the built problem's violation list must equal the
+// brute-force oracle's (violation_oracle.h) at 1 and 4 threads, and the
+// repaired database must hold no violation the oracle can find. (These
+// cases keep their historical `ColumnarEqualsRow` names.)
 
 #include <gtest/gtest.h>
 
@@ -35,6 +37,7 @@
 #include "repair/api.h"
 #include "repair/setcover/solvers.h"
 #include "setcover_testing.h"
+#include "violation_oracle.h"
 
 namespace dbrepair {
 namespace {
@@ -128,41 +131,34 @@ void RunDifferentialCase(const Database& db,
   }
 }
 
-// Columnar-vs-row oracle: with `use_columnar_scan` toggled off and on, the
-// built problem and the end-to-end repair must be byte-identical at every
-// tested thread count — the row path is the ground truth the typed-array
-// scan is checked against.
+// Scan-vs-oracle check: the violation list of the built problem equals the
+// brute-force enumeration at every tested thread count, and the repair it
+// leads to is consistent by the oracle's count as well as the engine's.
 void RunColumnarDifferentialCase(const Database& db,
                                  const std::vector<DenialConstraint>& ics) {
   auto bound = BindAll(db.schema(), ics);
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  const std::vector<ViolationSet> expected = OracleViolations(db, *bound);
   const DistanceFunction distance(DistanceKind::kL1);
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    BuildOptions row_build;
-    row_build.num_threads = threads;
-    row_build.use_columnar_scan = false;
-    auto row = BuildRepairProblem(db, *bound, distance, row_build);
-    ASSERT_TRUE(row.ok()) << row.status().ToString();
-    BuildOptions columnar_build;
-    columnar_build.num_threads = threads;
-    columnar_build.use_columnar_scan = true;
-    auto columnar = BuildRepairProblem(db, *bound, distance, columnar_build);
-    ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
-    ExpectSameProblem(*row, *columnar, threads);
+    BuildOptions build;
+    build.num_threads = threads;
+    auto problem = BuildRepairProblem(db, *bound, distance, build);
+    ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+    ASSERT_EQ(problem->violations.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_TRUE(problem->violations[i] == expected[i])
+          << "violation " << i << ": engine "
+          << problem->violations[i].ToString() << ", oracle "
+          << expected[i].ToString();
+    }
 
-    RepairOptions row_repair;
-    row_repair.num_threads = threads;
-    row_repair.use_columnar_scan = false;
-    auto row_outcome = RepairDatabase(db, ics, row_repair);
-    ASSERT_TRUE(row_outcome.ok()) << row_outcome.status().ToString();
-    RepairOptions columnar_repair;
-    columnar_repair.num_threads = threads;
-    columnar_repair.use_columnar_scan = true;
-    auto columnar_outcome = RepairDatabase(db, ics, columnar_repair);
-    ASSERT_TRUE(columnar_outcome.ok())
-        << columnar_outcome.status().ToString();
-    ExpectSameRepair(*row_outcome, *columnar_outcome, threads);
+    RepairOptions repair;
+    repair.num_threads = threads;
+    auto outcome = RepairDatabase(db, ics, repair);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_TRUE(OracleViolations(outcome->repaired, *bound).empty());
   }
 }
 
@@ -293,8 +289,8 @@ void MakeRandomWorkload(uint64_t seed, int shape, Database* out_db,
 // join on a dictionary-coded string attribute SG, D and C are DOUBLE
 // columns holding a mix of int and double Values (both legal per
 // Table::CheckTypes), and a small fraction of SG cells are NULL — which
-// marks the column unclean and forces the engine's per-constraint row
-// fallback, so the fallback path is differentially tested too. Only A is
+// marks the column unclean and moves the classes that read it onto the
+// engine's Value-backed column kind, so that kind is tested too. Only A is
 // flexible (flexible attributes must be INT — repairs take values in Z),
 // so every violation is repaired through A; per the MakeRandomWorkload
 // locality convention A is only ever lower-bounded.
@@ -322,7 +318,7 @@ void MakeMixedTypeWorkload(uint64_t seed, int shape, Database* out_db,
   Database db(schema);
   const char* pool[] = {"s0", "s1", "s2", "hot", "s3", "s4"};
   // NULLs only in shape 2's variant with seed parity, so both the clean
-  // (all-columnar) and unclean (fallback) paths get coverage.
+  // (typed codes) and unclean (Value-backed) kinds get coverage.
   const bool inject_nulls = shape == 2 && seed % 2 == 0;
   auto make_sg = [&]() {
     if (inject_nulls && rng.Uniform(10) == 0) return Value();

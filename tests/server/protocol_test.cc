@@ -76,8 +76,7 @@ TEST(TenantNameTest, LocksDownTheCharset) {
 TEST(ParseOpenSpecTest, GenSourceWithOptions) {
   const auto spec = ParseOpenSpec({"GEN", "zipf-hotspot", "500", "9",
                                    "solver=greedy", "distance=L2", "threads=2",
-                                   "columnar=0", "ratio=0.5", "skew=1.5",
-                                   "degree=4"});
+                                   "ratio=0.5", "skew=1.5", "degree=4"});
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   EXPECT_EQ(spec->source, OpenSpec::Source::kGen);
   EXPECT_EQ(spec->scenario.name, "zipf-hotspot");
@@ -89,7 +88,6 @@ TEST(ParseOpenSpecTest, GenSourceWithOptions) {
   EXPECT_EQ(spec->options.solver, SolverKind::kGreedy);
   EXPECT_EQ(spec->options.distance, DistanceKind::kL2);
   EXPECT_EQ(spec->options.num_threads, 2u);
-  EXPECT_FALSE(spec->options.use_columnar_scan);
   EXPECT_TRUE(spec->solver_set);
   EXPECT_TRUE(spec->distance_set);
 }
@@ -123,10 +121,6 @@ TEST(ParseOpenSpecTest, RejectsBadSpecs) {
                 .status()
                 .code(),
             StatusCode::kParseError);
-  EXPECT_EQ(ParseOpenSpec({"GEN", "client-buy", "10", "1", "columnar=maybe"})
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(ParseOpenSpec({"GEN", "client-buy", "10", "1", "degree=0"})
                 .status()
                 .code(),
@@ -142,6 +136,21 @@ TEST(ParseOpenSpecTest, RejectsRemovedComponentsOption) {
   EXPECT_NE(spec.status().message().find("unknown OPEN option 'components'"),
             std::string::npos)
       << spec.status().ToString();
+}
+
+TEST(ParseOpenSpecTest, RejectsRemovedColumnarOption) {
+  // Every constraint runs on the one columnar scan; there is no switch.
+  for (const char* option : {"columnar=0", "columnar=1"}) {
+    const auto spec = ParseOpenSpec({"GEN", "client-buy", "10", "1", option});
+    ASSERT_FALSE(spec.ok()) << option;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(spec.status().message().find("unknown OPEN option 'columnar'"),
+              std::string::npos)
+        << spec.status().ToString();
+    EXPECT_EQ(spec.status().message().find("columnar,"), std::string::npos)
+        << "the option list still offers columnar: "
+        << spec.status().ToString();
+  }
 }
 
 TEST(FormatTest, RepliesAreSingleFrames) {

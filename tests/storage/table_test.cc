@@ -186,6 +186,40 @@ TEST(DoubleKeyTableTest, IntAndEqualDoubleCollide) {
   EXPECT_EQ(table.size(), 2u);
 }
 
+TEST_F(TableTest, UpdateRejectsTypeMismatch) {
+  ASSERT_TRUE(table_
+                  .Insert(Tuple({Value::Int(1), Value::Int(2),
+                                 Value::Int(3)}))
+                  .ok());
+  EXPECT_EQ(table_.UpdateValue(0, 1, Value::String("x")).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table_.UpdateValue(0, 2, Value::Double(2.5)).code(),
+            StatusCode::kInvalidArgument);
+  // A rejected update leaves the row as it was.
+  EXPECT_TRUE(table_.row(0) ==
+              Tuple({Value::Int(1), Value::Int(2), Value::Int(3)}));
+  // NULL fits any column, as for Insert.
+  ASSERT_TRUE(table_.UpdateValue(0, 1, Value()).ok());
+  EXPECT_TRUE(table_.row(0).value(1).is_null());
+}
+
+TEST(DoubleColumnTableTest, UpdateAcceptsIntsAndDoubles) {
+  RelationSchema schema("Reading",
+                        {AttributeDef{"K", Type::kInt64, false, 1.0},
+                         AttributeDef{"D", Type::kDouble, false, 1.0}},
+                        {"K"});
+  Table table(&schema);
+  ASSERT_TRUE(table.Insert(Tuple({Value::Int(1), Value::Double(0.5)})).ok());
+  // An INT value is legal in a DOUBLE column, as for Insert.
+  ASSERT_TRUE(table.UpdateValue(0, 1, Value::Int(7)).ok());
+  EXPECT_TRUE(table.row(0).value(1).is_int());
+  ASSERT_TRUE(table.UpdateValue(0, 1, Value::Double(2.5)).ok());
+  EXPECT_EQ(table.row(0).value(1), Value::Double(2.5));
+  EXPECT_EQ(table.UpdateValue(0, 1, Value::String("x")).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(table.row(0).value(1), Value::Double(2.5));
+}
+
 TEST(TupleTest, ToString) {
   const Tuple t({Value::Int(1), Value::String("x"), Value()});
   EXPECT_EQ(t.ToString(), "(1, 'x', NULL)");

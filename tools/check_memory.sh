@@ -1,0 +1,35 @@
+#!/usr/bin/env bash
+# Builds the tree under AddressSanitizer + UndefinedBehaviorSanitizer and
+# runs the suites that drive the violation scan's raw column arrays: the
+# storage tests (column snapshots, the flat key index), the constraints
+# tests (the engine against the brute-force oracle, on every column kind),
+# the serial-vs-parallel and scan-vs-oracle differential harness, the
+# RepairSession suite (snapshots extended and rebased batch by batch) and
+# the scenario suites. The scan's hot loop reads typed arrays through
+# `const void*` casts and binds cell addresses into its binding slots, so
+# an out-of-bounds read, a dangling binding or an invalid cast fails this
+# job.
+#
+# Usage: tools/check_memory.sh [build-dir]   (default: build-asan)
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+BUILD_DIR="${1:-build-asan}"
+SUITES=(storage_test constraints_test differential_test session_test
+        fd_test inconsistency_test scenario_metamorphic_test
+        scenario_differential_test)
+
+# UBSan is fatal at compile time (no recovery) and at run time; the
+# libstdc++ assertions bounds-check every container index.
+cmake -B "$BUILD_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DDBREPAIR_SANITIZE=address \
+  -DCMAKE_CXX_FLAGS="-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${SUITES[@]}"
+
+export ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}"
+export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
+for suite in "${SUITES[@]}"; do
+  echo "== $suite" >&2
+  "$BUILD_DIR/tests/$suite" --gtest_brief=1
+done

@@ -3,17 +3,15 @@
 # BENCH_summary.json at the repo root.
 #
 # The small-size pass keeps the whole sweep to roughly a minute; the
-# headline pass additionally runs the columnar-vs-row violation-scan pair
-# at the Figure-3 100k scale with 3 repetitions (the acceptance number for
-# the columnar scan layer) and records the speedup under "headline", plus
-# the session-vs-full-repair pair ("session_headline"), the multi-tenant
+# headline pass additionally runs, with 3 repetitions each, the
+# session-vs-full-repair pair ("session_headline"), the multi-tenant
 # server throughput pair at 1 vs 4 tenants ("server_headline", the scaling
 # number for the repair server), and the component-sharded solve sweep at
 # 1/2/4 threads plus the monolithic baseline ("component_headline", the
 # scaling number for the per-component solve fan-out).
 #
 # Usage:
-#   tools/run_benchmarks.sh            # small sizes + headline pair
+#   tools/run_benchmarks.sh            # small sizes + headline passes
 #   HEADLINE=0 tools/run_benchmarks.sh # small sizes only
 #   BUILD_DIR=out tools/run_benchmarks.sh
 #
@@ -70,14 +68,9 @@ run_gbench() {
 }
 
 if [[ "$HEADLINE" == "1" ]]; then
-  # The acceptance metric: build-phase scan throughput, row vs columnar, on
-  # the 100k-row int-keyed Figure-3 workload, single thread, 3 repetitions.
-  # Runs first so the small pass below can reuse its warm page cache, and
-  # is renamed before the small pass reuses the binary's output file.
-  run_gbench bench_figure3_runtime 'BM_ViolationScan(Row|Columnar)/100000$' \
-    --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
-  mv "$TMP/bench_figure3_runtime.json" "$TMP/zz_headline.json"
-
+  # Each headline runs first and is renamed before the small pass below
+  # reuses the binary's output file.
+  #
   # Session acceptance metric: one incremental ApplyBatch vs a from-scratch
   # RepairDatabase on the same arriving batch — 100k base rows, 1% dirty
   # batches, single thread, median of 3. The session must win >= 3x.
@@ -134,7 +127,7 @@ python3 - "$TMP" "$OUT" "$BUILD_TYPE" <<'PY'
 import json, sys, os
 
 tmp, out, build_type = sys.argv[1], sys.argv[2], sys.argv[3]
-summary = {"benchmarks": [], "headline": None, "session_headline": None,
+summary = {"benchmarks": [], "session_headline": None,
            "scenario_headline": None,
            "server_headline": None, "component_headline": None,
            "figure2_table": []}
@@ -152,8 +145,7 @@ for fname in sorted(os.listdir(tmp)):
     summary.setdefault("context", data.get("context", {}))
     binary = fname[:-len(".json")]
     for b in data.get("benchmarks", []):
-        display = {"zz_headline": "headline",
-                   "zz_headline_session": "session_headline",
+        display = {"zz_headline_session": "session_headline",
                    "zz_headline_scenario": "scenario_headline",
                    "zz_headline_server": "server_headline",
                    "zz_headline_component": "component_headline"}
@@ -168,27 +160,6 @@ for fname in sorted(os.listdir(tmp)):
             if extra in b:
                 entry[extra] = b[extra]
         summary["benchmarks"].append(entry)
-
-# Headline: median row vs columnar violation-scan throughput at 100k rows.
-medians = {}
-for b in summary["benchmarks"]:
-    if b["binary"] == "headline" and b.get("aggregate_name") == "median":
-        if "BM_ViolationScanRow/100000" in b["name"]:
-            medians["row"] = b
-        elif "BM_ViolationScanColumnar/100000" in b["name"]:
-            medians["columnar"] = b
-if len(medians) == 2:
-    row, col = medians["row"], medians["columnar"]
-    summary["headline"] = {
-        "workload": "Figure-3 Client/Buy, 100k rows, int join keys, "
-                    "single thread",
-        "metric": "violation-scan (build-phase) throughput, median of 3",
-        "row_ms": row["real_time"],
-        "columnar_ms": col["real_time"],
-        "row_items_per_second": row.get("items_per_second"),
-        "columnar_items_per_second": col.get("items_per_second"),
-        "columnar_speedup": row["real_time"] / col["real_time"],
-    }
 
 # Session headline: one incremental ApplyBatch vs one from-scratch repair
 # of the grown instance, 100k base rows / 1% dirty batches, median of 3.
@@ -319,10 +290,6 @@ with open(out, "w") as f:
     json.dump(summary, f, indent=2)
     f.write("\n")
 print(f"wrote {out} ({len(summary['benchmarks'])} benchmark entries)")
-if summary["headline"]:
-    h = summary["headline"]
-    print(f"headline: columnar speedup {h['columnar_speedup']:.2f}x "
-          f"({h['row_ms']:.1f} ms -> {h['columnar_ms']:.1f} ms)")
 if summary["session_headline"]:
     s = summary["session_headline"]
     print(f"session headline: incremental batch {s['session_speedup']:.2f}x "
