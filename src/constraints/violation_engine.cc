@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "obs/context.h"
 
@@ -241,6 +240,134 @@ struct ColumnarPlan {
   std::vector<Step> steps;
   // Same indexing as the rebuilt PlannedBuiltin vector.
   std::vector<TypedBuiltin> builtins;
+};
+
+namespace {
+
+Status CapExceeded(size_t cap) {
+  return Status::ResourceExhausted(
+      "violation-set enumeration exceeded max_violation_sets = " +
+      std::to_string(cap));
+}
+
+// Sorts `words` as records of `stride` words each, compared word by word,
+// and drops repeated records. A scan emits records in driving-row order, so
+// they often arrive sorted already; then only the repeats are dropped.
+void SortUniqueRecords(std::vector<uint64_t>* words, size_t stride) {
+  const size_t n = words->size() / stride;
+  const auto less = [stride](const uint64_t* a, const uint64_t* b) {
+    return std::lexicographical_compare(a, a + stride, b, b + stride);
+  };
+  const uint64_t* base = words->data();
+  size_t r = 1;
+  while (r < n && !less(base + r * stride, base + (r - 1) * stride)) ++r;
+  if (r < n) {
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return less(base + a * stride, base + b * stride);
+    });
+    std::vector<uint64_t> sorted;
+    sorted.reserve(words->size());
+    for (const size_t i : order) {
+      sorted.insert(sorted.end(), base + i * stride, base + (i + 1) * stride);
+    }
+    words->swap(sorted);
+  }
+  uint64_t* data = words->data();
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* rec = data + i * stride;
+    if (kept > 0 && std::equal(rec, rec + stride, data + (kept - 1) * stride)) {
+      continue;
+    }
+    if (kept != i) std::copy(rec, rec + stride, data + kept * stride);
+    ++kept;
+  }
+  words->resize(kept * stride);
+}
+
+}  // namespace
+
+// One constraint's enumerated tuple sets, deduplicated by sorting. Each
+// record is `stride = atoms + 1` words: the assignment's packed TupleRefs,
+// sorted and duplicate-free, then zero padding, then the set's length.
+// Comparing records word by word orders them exactly as (tuples) vectors
+// compare: after the first tuple every tuple of a set is strictly larger
+// than its predecessor, so never 0, and outranks the padding of a shorter
+// set with the same prefix; the length word tells {} from {R0[0]}, whose
+// packed tuple equals the padding.
+struct SetBuffer {
+  SetBuffer(size_t num_atoms, size_t cap)
+      : stride(num_atoms + 1), cap(cap), compact_at(cap) {}
+
+  size_t stride;
+  // max_violation_sets.
+  size_t cap;
+  // Add compacts once the buffer holds more records than this:
+  // max(cap, 2 x the distinct count the last compaction left). Holding at
+  // most `cap` records proves at most `cap` distinct sets, so the check
+  // sorts only when the cap may be in danger, and the doubling keeps
+  // repeated compactions linear overall.
+  size_t compact_at;
+  // Records [0, sorted) are sorted and distinct; later ones are raw.
+  size_t sorted = 0;
+  std::vector<uint64_t> words;
+
+  size_t size() const { return words.size() / stride; }
+  const uint64_t* record(size_t i) const { return words.data() + i * stride; }
+
+  // Appends the set of the `stride - 1` tuples `refs` binds, one per atom.
+  // False iff a compaction this triggered left more than `cap` sets.
+  bool Add(const TupleRef* refs) {
+    const size_t n = stride - 1;
+    const size_t at = words.size();
+    words.resize(at + stride);  // zero-filled: the padding
+    uint64_t* rec = words.data() + at;
+    for (size_t i = 0; i < n; ++i) {  // insertion sort: n is the atom count
+      const uint64_t packed = refs[i].Packed();
+      size_t j = i;
+      for (; j > 0 && rec[j - 1] > packed; --j) rec[j] = rec[j - 1];
+      rec[j] = packed;
+    }
+    const size_t len = static_cast<size_t>(std::unique(rec, rec + n) - rec);
+    std::fill(rec + len, rec + n, 0);
+    rec[n] = len;
+    return size() <= compact_at || Compact();
+  }
+
+  // Appends `other`'s records and releases its memory.
+  void Absorb(SetBuffer* other) {
+    words.insert(words.end(), other->words.begin(), other->words.end());
+    std::vector<uint64_t>().swap(other->words);
+  }
+
+  // Sorts and deduplicates every record; false iff more than `cap` remain.
+  bool Compact() {
+    if (sorted != size()) {
+      SortUniqueRecords(&words, stride);
+      sorted = size();
+      compact_at = std::max(cap, 2 * sorted);
+    }
+    return sorted <= cap;
+  }
+
+  // Whether the compacted records hold `probe`, by binary search.
+  bool Contains(const uint64_t* probe) const {
+    size_t lo = 0;
+    size_t hi = sorted;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      const uint64_t* rec = record(mid);
+      if (std::lexicographical_compare(rec, rec + stride, probe,
+                                       probe + stride)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo < sorted && std::equal(probe, probe + stride, record(lo));
+  }
 };
 
 ViolationEngine::ViolationEngine(const Database& db,
@@ -753,16 +880,15 @@ ColumnarPlan ViolationEngine::PrepareColumnar(const Plan& plan) {
   return cplan;
 }
 
-Status ViolationEngine::ExecuteInto(
-    const Plan& plan, const ColumnarPlan& cp, const AtomFilters* filters,
-    std::unordered_set<ViolationSet, ViolationSetHash>* dedupe_out,
-    ExecCounters* counters) const {
+Status ViolationEngine::ExecuteInto(const Plan& plan, const ColumnarPlan& cp,
+                                    const AtomFilters* filters,
+                                    SetBuffer* sets,
+                                    ExecCounters* counters) const {
   const BoundConstraint& ic = *plan.ic;
   const AtomFilter no_filter;
 
   std::vector<uint64_t> binding(plan.num_classes, 0);
   std::vector<TupleRef> current(plan.steps.size());
-  std::unordered_set<ViolationSet, ViolationSetHash>& dedupe = *dedupe_out;
 
   uint64_t rows_scanned = 0;
   uint64_t assignments_found = 0;
@@ -810,17 +936,8 @@ Status ViolationEngine::ExecuteInto(
   auto recurse = [&](auto&& self, size_t depth) -> bool {  // false = abort
     if (depth == plan.steps.size()) {
       ++assignments_found;
-      ViolationSet vs;
-      vs.ic_index = ic.ic_index;
-      vs.tuples = current;
-      std::sort(vs.tuples.begin(), vs.tuples.end());
-      vs.tuples.erase(std::unique(vs.tuples.begin(), vs.tuples.end()),
-                      vs.tuples.end());
-      if (dedupe.insert(std::move(vs)).second &&
-          dedupe.size() > options_.max_violation_sets) {
-        status = Status::ResourceExhausted(
-            "violation-set enumeration exceeded max_violation_sets = " +
-            std::to_string(options_.max_violation_sets));
+      if (!sets->Add(current.data())) {
+        status = CapExceeded(options_.max_violation_sets);
         return false;
       }
       return true;
@@ -961,31 +1078,31 @@ Status ViolationEngine::ExecuteInto(
   return status;
 }
 
-Status ViolationEngine::ExecuteShardedInto(
-    const Plan& plan, const ColumnarPlan& cplan, size_t num_threads,
-    std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-    ExecCounters* counters) {
+Status ViolationEngine::ExecuteShardedInto(const Plan& plan,
+                                           const ColumnarPlan& cplan,
+                                           size_t num_threads, SetBuffer* sets,
+                                           ExecCounters* counters) {
   using Clock = std::chrono::steady_clock;
   const BoundConstraint& ic = *plan.ic;
   const uint32_t driving_atom = plan.steps.front().atom_index;
   const uint32_t driving_rel = ic.atoms[driving_atom].relation_index;
   // A few shards per worker so an unlucky shard (one hot join key) does not
   // leave the other workers idle. Shard boundaries never influence the
-  // output: the shards partition the driving atom's rows, so the merged
-  // dedupe buffer holds exactly the serial scan's violation sets.
+  // output: the shards partition the driving atom's rows, so the
+  // concatenated buffers hold exactly the serial scan's assignments.
   static constexpr size_t kShardsPerThread = 4;
   const auto ranges = ShardRanges(db_.table(driving_rel).size(),
                                   num_threads * kShardsPerThread);
   if (ranges.size() <= 1) {
     const AtomFilters* no_filters = nullptr;
-    return ExecuteInto(plan, cplan, no_filters, dedupe, counters);
+    return ExecuteInto(plan, cplan, no_filters, sets, counters);
   }
   if (pool_ == nullptr || pool_->num_threads() < num_threads) {
     pool_ = std::make_unique<ThreadPool>(num_threads);
   }
 
-  std::vector<std::unordered_set<ViolationSet, ViolationSetHash>> shard_sets(
-      ranges.size());
+  std::vector<SetBuffer> shard_sets(
+      ranges.size(), SetBuffer(ic.atoms.size(), options_.max_violation_sets));
   std::vector<ExecCounters> shard_counters(ranges.size());
   std::vector<Status> shard_status(ranges.size(), Status::OK());
   std::vector<uint64_t> shard_ns(ranges.size(), 0);
@@ -1005,20 +1122,16 @@ Status ViolationEngine::ExecuteShardedInto(
             .count());
   });
 
-  // Deterministic merge: shard order, with cross-shard dedupe (symmetric
+  // Concatenate, then one sort deduplicates across shards (symmetric
   // constraints can canonicalise assignments from different shards to the
-  // same tuple set).
+  // same tuple set); the result never depends on the shard order.
   const auto merge_start = Clock::now();
   for (size_t s = 0; s < ranges.size(); ++s) {
     DBREPAIR_RETURN_IF_ERROR(shard_status[s]);
     counters->MergeFrom(shard_counters[s]);
-    dedupe->merge(shard_sets[s]);
+    sets->Absorb(&shard_sets[s]);
   }
-  if (dedupe->size() > options_.max_violation_sets) {
-    return Status::ResourceExhausted(
-        "violation-set enumeration exceeded max_violation_sets = " +
-        std::to_string(options_.max_violation_sets));
-  }
+  if (!sets->Compact()) return CapExceeded(options_.max_violation_sets);
   const auto merge_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
       Clock::now() - merge_start);
 
@@ -1031,42 +1144,63 @@ Status ViolationEngine::ExecuteShardedInto(
   return Status::OK();
 }
 
-void ViolationEngine::EmitMinimal(
-    const std::unordered_set<ViolationSet, ViolationSetHash>& dedupe,
-    std::vector<ViolationSet>* out) {
+Status ViolationEngine::EmitMinimal(uint32_t ic_index, SetBuffer* sets,
+                                    std::vector<ViolationSet>* out) const {
+  if (!sets->Compact()) return CapExceeded(options_.max_violation_sets);
   // ---- Minimality filter (Definition 2.4). ----
-  // A candidate set is dropped when a proper subset is also a violation set.
-  const size_t first_emitted = out->size();
-  for (const ViolationSet& vs : dedupe) {
-    const size_t k = vs.tuples.size();
+  // A set is dropped when a proper subset is also a violation set. Only
+  // subset lengths some record has can match, so a constraint whose sets
+  // all have one length (every non-self-join) probes nothing.
+  const size_t stride = sets->stride;
+  const size_t len_slot = stride - 1;
+  std::vector<bool> has_length(stride, false);
+  for (size_t i = 0; i < sets->size(); ++i) {
+    has_length[sets->record(i)[len_slot]] = true;
+  }
+  std::vector<uint64_t> probe(stride, 0);
+  for (size_t i = 0; i < sets->size(); ++i) {
+    const uint64_t* rec = sets->record(i);
+    const size_t k = rec[len_slot];
     bool minimal = true;
-    if (k > 1 && k <= 16) {
+    if (k > 1 && k <= 16 &&
+        std::find(has_length.begin() + 1, has_length.begin() + k, true) !=
+            has_length.begin() + k) {
       for (uint32_t mask = 1; mask + 1 < (1u << k) && minimal; ++mask) {
-        ViolationSet sub;
-        sub.ic_index = vs.ic_index;
-        for (size_t i = 0; i < k; ++i) {
-          if (mask & (1u << i)) sub.tuples.push_back(vs.tuples[i]);
+        const auto len = static_cast<size_t>(std::popcount(mask));
+        if (!has_length[len]) continue;
+        size_t w = 0;
+        for (size_t t = 0; t < k; ++t) {
+          if (mask & (1u << t)) probe[w++] = rec[t];
         }
-        if (dedupe.count(sub) > 0) minimal = false;
+        std::fill(probe.begin() + static_cast<ptrdiff_t>(w),
+                  probe.begin() + static_cast<ptrdiff_t>(len_slot), 0);
+        probe[len_slot] = len;
+        if (sets->Contains(probe.data())) minimal = false;
       }
     }
-    if (minimal) out->push_back(vs);
+    if (!minimal) continue;
+    ViolationSet& vs = out->emplace_back();
+    vs.ic_index = ic_index;
+    vs.tuples.reserve(k);
+    for (size_t t = 0; t < k; ++t) {
+      vs.tuples.push_back(TupleRef{static_cast<uint32_t>(rec[t] >> 32),
+                                   static_cast<uint32_t>(rec[t])});
+    }
   }
-  // Sorted emission: never let unordered_set iteration order leak into the
-  // output, even before the entry points' final SortViolations pass.
-  std::sort(out->begin() + static_cast<ptrdiff_t>(first_emitted), out->end(),
-            [](const ViolationSet& a, const ViolationSet& b) {
-              if (a.ic_index != b.ic_index) return a.ic_index < b.ic_index;
-              return a.tuples < b.tuples;
-            });
+  return Status::OK();
 }
 
 void ViolationEngine::SortViolations(std::vector<ViolationSet>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const ViolationSet& a, const ViolationSet& b) {
-              if (a.ic_index != b.ic_index) return a.ic_index < b.ic_index;
-              return a.tuples < b.tuples;
-            });
+  const auto by_ic_then_tuples = [](const ViolationSet& a,
+                                    const ViolationSet& b) {
+    if (a.ic_index != b.ic_index) return a.ic_index < b.ic_index;
+    return a.tuples < b.tuples;
+  };
+  // Each constraint's sets are emitted sorted, so `out` is already sorted
+  // unless ics_ is not in ic_index order.
+  if (!std::is_sorted(out->begin(), out->end(), by_ic_then_tuples)) {
+    std::sort(out->begin(), out->end(), by_ic_then_tuples);
+  }
 }
 
 Result<std::vector<ViolationSet>> ViolationEngine::FindViolations() {
@@ -1077,15 +1211,15 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolations() {
   for (const BoundConstraint& ic : ics_) {
     const Plan plan = BuildPlan(ic);
     const ColumnarPlan cplan = PrepareColumnar(plan);
-    std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
+    SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
     if (num_threads <= 1 || plan.steps.empty()) {
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(plan, cplan, nullptr, &dedupe, &counters));
+          ExecuteInto(plan, cplan, nullptr, &sets, &counters));
     } else {
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteShardedInto(plan, cplan, num_threads, &dedupe, &counters));
+          ExecuteShardedInto(plan, cplan, num_threads, &sets, &counters));
     }
-    EmitMinimal(dedupe, &out);
+    DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
   }
   SortViolations(&out);
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
@@ -1107,7 +1241,7 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
   std::vector<ViolationSet> out;
   ExecCounters counters;
   for (const BoundConstraint& ic : ics_) {
-    std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
+    SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
     // Delta-join partition by the first atom bound to a new tuple: atoms
     // before the pivot see only old rows, the pivot only new rows, the rest
     // everything. Every assignment with >= 1 new tuple lands in exactly one
@@ -1132,9 +1266,9 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
       const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
       const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, cplan, &filters, &dedupe, &counters));
+          ExecuteInto(pivot_plan, cplan, &filters, &sets, &counters));
     }
-    EmitMinimal(dedupe, &out);
+    DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
   }
   SortViolations(&out);
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
@@ -1170,7 +1304,7 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
   std::vector<ViolationSet> out;
   ExecCounters counters;
   for (const BoundConstraint& ic : ics_) {
-    std::unordered_set<ViolationSet, ViolationSetHash> dedupe;
+    SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
     // FindViolationsSince's partition with "new" generalised to "dirty":
     // atoms before the pivot bind clean rows only, the pivot binds dirty
     // rows only, later atoms bind anything — every assignment touching >= 1
@@ -1192,9 +1326,9 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
       const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
       const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
       DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, cplan, &filters, &dedupe, &counters));
+          ExecuteInto(pivot_plan, cplan, &filters, &sets, &counters));
     }
-    EmitMinimal(dedupe, &out);
+    DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
   }
   SortViolations(&out);
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
@@ -1233,54 +1367,77 @@ Result<bool> ViolationEngine::Satisfies(
 bool ViolationEngine::SetSatisfies(
     const BoundConstraint& ic,
     const std::vector<std::pair<uint32_t, const Tuple*>>& tuples) {
-  const size_t num_vars = ic.var_names.size();
-  std::vector<const Value*> binding(num_vars, nullptr);
+  SatisfiesScratch scratch;
+  return SetSatisfies(ic, tuples, CellOverride{tuples.size(), 0, nullptr},
+                      &scratch);
+}
 
-  // Built-ins evaluable once all their variables are bound; with every atom
-  // bound at the leaf all are evaluable, but we check eagerly per depth.
-  auto builtin_holds = [&](const BoundBuiltin& b) {
-    const Value* lhs = binding[b.lhs_var];
-    const Value* rhs = b.rhs_is_var ? binding[b.rhs_var] : &b.rhs_const;
-    if (lhs == nullptr || rhs == nullptr) return true;  // not yet bound
-    return EvalCompare(*lhs, b.op, rhs == &b.rhs_const ? b.rhs_const : *rhs);
+bool ViolationEngine::SetSatisfies(
+    const BoundConstraint& ic,
+    const std::vector<std::pair<uint32_t, const Tuple*>>& tuples,
+    const CellOverride& override, SatisfiesScratch* scratch) {
+  const size_t num_vars = ic.var_names.size();
+  const size_t mask_words = (num_vars + 63) / 64;
+  std::vector<const Value*>& binding = scratch->binding;
+  binding.assign(num_vars, nullptr);
+  scratch->bound.resize(ic.atoms.size() * mask_words);
+
+  // After each atom, the built-ins it completed — all variables bound, one
+  // of them bound by this atom (`bound`) — must hold, so every built-in is
+  // checked exactly once per assignment and a failing prefix is pruned
+  // early.
+  auto builtins_hold = [&](const uint64_t* bound) {
+    const auto bound_here = [&](int32_t var) {
+      return ((bound[var / 64] >> (var % 64)) & 1) != 0;
+    };
+    for (const BoundBuiltin& b : ic.builtins) {
+      const Value* lhs = binding[b.lhs_var];
+      const Value* rhs = b.rhs_is_var ? binding[b.rhs_var] : &b.rhs_const;
+      if (lhs == nullptr || rhs == nullptr) continue;
+      if (!bound_here(b.lhs_var) && !(b.rhs_is_var && bound_here(b.rhs_var))) {
+        continue;  // checked at an earlier atom
+      }
+      if (!EvalCompare(*lhs, b.op, *rhs)) return false;
+    }
+    return true;
   };
 
   auto recurse = [&](auto&& self, size_t atom_index) -> bool {
     if (atom_index == ic.atoms.size()) {
-      for (const BoundBuiltin& b : ic.builtins) {
-        if (!builtin_holds(b)) return false;
-      }
-      return true;  // found a satisfying assignment -> the set violates ic
+      return true;  // a satisfying assignment: the set violates ic
     }
     const BoundAtom& atom = ic.atoms[atom_index];
-    for (const auto& [relation, tuple] : tuples) {
+    // Bit v: this depth bound variable v.
+    uint64_t* bound = scratch->bound.data() + atom_index * mask_words;
+    for (size_t m = 0; m < tuples.size(); ++m) {
+      const auto& [relation, tuple] = tuples[m];
       if (relation != atom.relation_index) continue;
       if (tuple->arity() != atom.var_ids.size()) continue;
+      std::fill(bound, bound + mask_words, 0);
       bool ok = true;
-      std::vector<int32_t> bound_here;
       for (uint32_t pos = 0; pos < atom.var_ids.size() && ok; ++pos) {
         const int32_t vid = atom.var_ids[pos];
-        const Value& v = tuple->value(pos);
+        const Value& v = m == override.member && pos == override.attribute
+                             ? *override.value
+                             : tuple->value(pos);
         if (vid < 0) {
           ok = v == atom.constants[pos];
         } else if (binding[vid] != nullptr) {
           ok = v == *binding[vid];
         } else {
           binding[vid] = &v;
-          bound_here.push_back(vid);
+          bound[vid / 64] |= uint64_t{1} << (vid % 64);
         }
       }
-      if (ok) {
-        // Early built-in pruning with the partial binding.
-        for (const BoundBuiltin& b : ic.builtins) {
-          if (!builtin_holds(b)) {
-            ok = false;
-            break;
-          }
+      if (ok && builtins_hold(bound) && self(self, atom_index + 1)) {
+        return true;
+      }
+      for (size_t w = 0; w < mask_words; ++w) {
+        for (uint64_t bits = bound[w]; bits != 0; bits &= bits - 1) {
+          binding[w * 64 + static_cast<size_t>(std::countr_zero(bits))] =
+              nullptr;
         }
       }
-      if (ok && self(self, atom_index + 1)) return true;
-      for (const int32_t vid : bound_here) binding[vid] = nullptr;
     }
     return false;
   };

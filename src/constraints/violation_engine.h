@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -20,6 +19,9 @@ namespace dbrepair {
 
 // A plan lowered onto a ColumnSnapshot; defined in violation_engine.cc.
 struct ColumnarPlan;
+// One constraint's enumerated tuple sets as flat sortable records; defined
+// in violation_engine.cc.
+struct SetBuffer;
 
 struct ViolationEngineOptions {
   /// Safety cap on the number of deduplicated violation sets; exceeded
@@ -27,9 +29,10 @@ struct ViolationEngineOptions {
   size_t max_violation_sets = 100'000'000;
   /// Worker threads for FindViolations. 1 (the default) is the exact serial
   /// path; 0 means one per hardware thread. With N > 1 each constraint's
-  /// driving-table scan is sharded across workers into per-shard dedupe
-  /// buffers that are merged in shard order, so the output — and every
-  /// downstream violation id — is byte-identical to the serial run.
+  /// driving-table scan is sharded across workers into per-shard record
+  /// buffers that are concatenated and deduplicated by one sort, so the
+  /// output — and every downstream violation id — is byte-identical to the
+  /// serial run.
   size_t num_threads = 1;
   /// Optional columnar view of the same database (non-owning). The scan
   /// evaluates every constraint against its typed arrays and dictionary
@@ -106,12 +109,34 @@ class ViolationEngine {
 
   /// Whether the tuple collection satisfies `ic`, i.e. *no* assignment of
   /// the given tuples (relation index, tuple) to ic's atoms makes the body
-  /// true. Tuples may be used for several atoms (set semantics). This is the
-  /// Algorithm-4 check "(I \ {t}) union {t'} |= ic" where t' is a candidate
-  /// fix that is not stored in the database.
+  /// true. Tuples may be used for several atoms (set semantics). Repeated
+  /// variables and constant positions compare with Value ==, built-ins with
+  /// EvalCompare.
   static bool SetSatisfies(
       const BoundConstraint& ic,
       const std::vector<std::pair<uint32_t, const Tuple*>>& tuples);
+
+  /// One cell read in place of the stored one: attribute `attribute` of
+  /// `tuples[member]` reads as `*value`.
+  struct CellOverride {
+    size_t member = 0;
+    uint32_t attribute = 0;
+    const Value* value = nullptr;
+  };
+  /// Binding state SetSatisfies reuses across calls: one Value pointer per
+  /// variable, and per atom depth a bitmask of the variables it bound.
+  struct SatisfiesScratch {
+    std::vector<const Value*> binding;
+    std::vector<uint64_t> bound;
+  };
+  /// SetSatisfies with one overridden cell: the Algorithm-4 check
+  /// "(I \ {t}) union {t'} |= ic" where the candidate fix t' differs from
+  /// the stored t = tuples[override.member] in one attribute, without
+  /// materialising t'. Allocation-free once `scratch` has grown to `ic`.
+  static bool SetSatisfies(
+      const BoundConstraint& ic,
+      const std::vector<std::pair<uint32_t, const Tuple*>>& tuples,
+      const CellOverride& override, SatisfiesScratch* scratch);
 
  private:
   friend struct ColumnarPlan;  // its steps hold CodeIndex pointers
@@ -252,31 +277,28 @@ class ViolationEngine {
     }
   };
 
-  // Recursive join evaluation over the lowered plan; inserts canonical
-  // tuple sets into `dedupe`. Reads only `cplan`, the snapshot and the row
-  // store, so shards of one plan may run concurrently.
-  Status ExecuteInto(
-      const Plan& plan, const ColumnarPlan& cplan,
-      const AtomFilters* filters,
-      std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-      ExecCounters* counters) const;
+  // Recursive join evaluation over the lowered plan; appends each
+  // assignment's canonical tuple set to `sets`. Reads only `cplan`, the
+  // snapshot and the row store, so shards of one plan may run concurrently.
+  Status ExecuteInto(const Plan& plan, const ColumnarPlan& cplan,
+                     const AtomFilters* filters, SetBuffer* sets,
+                     ExecCounters* counters) const;
 
   // Parallel FindViolations body for one constraint: shards the driving
   // (first-in-join-order) atom's table scan across `num_threads` workers
-  // and merges the per-shard dedupe buffers in shard order.
-  Status ExecuteShardedInto(
-      const Plan& plan, const ColumnarPlan& cplan, size_t num_threads,
-      std::unordered_set<ViolationSet, ViolationSetHash>* dedupe,
-      ExecCounters* counters);
+  // into per-shard buffers, then concatenates and deduplicates them.
+  Status ExecuteShardedInto(const Plan& plan, const ColumnarPlan& cplan,
+                            size_t num_threads, SetBuffer* sets,
+                            ExecCounters* counters);
 
-  // Minimality filter (Definition 2.4): appends the inclusion-minimal sets
-  // of `dedupe` to `out` in sorted (ic, tuples) order, so emission never
-  // depends on hash-iteration order.
-  static void EmitMinimal(
-      const std::unordered_set<ViolationSet, ViolationSetHash>& dedupe,
-      std::vector<ViolationSet>* out);
+  // Deduplicates `sets` (ResourceExhausted past max_violation_sets), then
+  // appends its inclusion-minimal sets (Definition 2.4) to `out` in sorted
+  // tuple order.
+  Status EmitMinimal(uint32_t ic_index, SetBuffer* sets,
+                     std::vector<ViolationSet>* out) const;
 
-  // Shared tail of the Find* entry points: sorts `out` deterministically.
+  // Shared tail of the Find* entry points: makes `out` sorted by
+  // (ic_index, tuples) when the constraint order left it unsorted.
   static void SortViolations(std::vector<ViolationSet>* out);
 
   const Database& db_;

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <tuple>
-#include <unordered_set>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -30,43 +29,75 @@ struct FixKey {
   }
 };
 
-struct FixKeyHash {
-  size_t operator()(const FixKey& k) const {
-    size_t h = k.tuple_packed * 0x9e3779b97f4a7c15ULL;
-    h ^= (k.attribute + 0x9e3779b9U) + (h << 6) + (h >> 2);
-    h ^= std::hash<int64_t>{}(k.value) + (h << 6) + (h >> 2);
-    return h;
-  }
-};
+size_t HashOf(const FixKey& k) {
+  size_t h = k.tuple_packed * 0x9e3779b97f4a7c15ULL;
+  h ^= (k.attribute + 0x9e3779b9U) + (h << 6) + (h >> 2);
+  h ^= std::hash<int64_t>{}(k.value) + (h << 6) + (h >> 2);
+  return h;
+}
 
 FixKey KeyOf(const CandidateFix& fix) {
   return FixKey{fix.tuple.Packed(), fix.attribute, fix.new_value};
 }
 
+// Dedupe index over a fix vector: an open-addressed table of ids into it,
+// keyed by each fix's (tuple, attribute, new value). Linear probing, at most
+// half full (it doubles past that), home slot from the top bits of the
+// scrambled hash. No per-key allocation.
+class FixIndex {
+ public:
+  explicit FixIndex(size_t expected) {
+    Rehash(std::bit_ceil(std::max<size_t>(16, 2 * expected)), {});
+  }
+
+  // True iff no fix in `fixes` has `key`; the caller then appends its fix,
+  // whose id (fixes.size()) the index has already recorded.
+  bool Insert(const std::vector<CandidateFix>& fixes, const FixKey& key) {
+    if (2 * (fixes.size() + 1) > slots_.size()) {
+      Rehash(2 * slots_.size(), fixes);
+    }
+    size_t slot = Home(key);
+    while (slots_[slot] != kEmpty) {
+      if (KeyOf(fixes[slots_[slot]]) == key) return false;
+      slot = (slot + 1) & (slots_.size() - 1);
+    }
+    slots_[slot] = static_cast<uint32_t>(fixes.size());
+    return true;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  size_t Home(const FixKey& key) const {
+    return (HashOf(key) * 0x9e3779b97f4a7c15ULL) >> shift_;
+  }
+
+  void Rehash(size_t capacity, const std::vector<CandidateFix>& fixes) {
+    slots_.assign(capacity, kEmpty);
+    shift_ = 64 - std::countr_zero(capacity);
+    for (uint32_t id = 0; id < fixes.size(); ++id) {
+      size_t slot = Home(KeyOf(fixes[id]));
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & (capacity - 1);
+      slots_[slot] = id;
+    }
+  }
+
+  std::vector<uint32_t> slots_;
+  int shift_ = 0;
+};
+
 // Assigns fix ids to the shards' candidates in shard order, dropping repeats
 // across shards, so ids follow exactly the serial first-encounter order.
-// The dedupe table is open-addressed over ids into `fixes` (linear probing,
-// at most half full, home slot from the top bits of the scrambled hash).
 std::vector<CandidateFix> MergeShardFixes(
     std::vector<std::vector<CandidateFix>>& shard_fixes) {
   size_t pending = 0;
   for (const auto& shard : shard_fixes) pending += shard.size();
-  constexpr uint32_t kNoFix = UINT32_MAX;
-  const size_t capacity = std::bit_ceil(std::max<size_t>(16, 2 * pending));
-  const int shift = 64 - std::countr_zero(capacity);
-  std::vector<uint32_t> slots(capacity, kNoFix);
+  FixIndex index(pending);
   std::vector<CandidateFix> fixes;
   fixes.reserve(pending);
   for (std::vector<CandidateFix>& shard : shard_fixes) {
     for (CandidateFix& fix : shard) {
-      const FixKey key = KeyOf(fix);
-      size_t slot = (FixKeyHash{}(key) * 0x9e3779b97f4a7c15ULL) >> shift;
-      while (slots[slot] != kNoFix && !(KeyOf(fixes[slots[slot]]) == key)) {
-        slot = (slot + 1) & (capacity - 1);
-      }
-      if (slots[slot] != kNoFix) continue;
-      slots[slot] = static_cast<uint32_t>(fixes.size());
-      fixes.push_back(std::move(fix));
+      if (index.Insert(fixes, KeyOf(fix))) fixes.push_back(std::move(fix));
     }
   }
   return fixes;
@@ -112,20 +143,28 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
   const LocalityReport locality = CheckLocality(db.schema(), ics);
   using GroupKey = std::tuple<uint32_t, uint32_t, uint32_t>;  // ic, rel, attr
   std::map<GroupKey, std::vector<FlexibleComparison>> groups;
-  // Flexible attributes each (ic, relation) constrains.
-  std::map<std::pair<uint32_t, uint32_t>, std::vector<uint32_t>> ic_rel_attrs;
+  // The groups in first-comparison order, which orders each (ic,
+  // relation)'s attributes and so the fix ids.
+  std::vector<GroupKey> group_order;
   for (const FlexibleComparison& cmp : locality.flexible_comparisons) {
-    auto& group = groups[{cmp.ic_index, cmp.relation, cmp.attribute}];
-    if (group.empty()) {
-      ic_rel_attrs[{cmp.ic_index, cmp.relation}].push_back(cmp.attribute);
-    }
+    const GroupKey key{cmp.ic_index, cmp.relation, cmp.attribute};
+    auto& group = groups[key];
+    if (group.empty()) group_order.push_back(key);
     group.push_back(cmp);
   }
-  // MLF(t, ic, A) depends only on the group, so memoise it once; workers
-  // then share read-only maps.
-  std::map<GroupKey, std::optional<int64_t>> group_values;
-  for (const auto& [key, group] : groups) {
-    group_values.emplace(key, MonoLocalFixValue(group));
+  // MLF(t, ic, A) depends only on the group, so compute it once into a flat
+  // (ic, relation) -> [(attribute, MLF value)] table the workers share; a
+  // non-local group (no MLF value) has no entry.
+  const size_t num_relations = db.relation_count();
+  std::vector<std::vector<std::pair<uint32_t, int64_t>>> mlf_table(
+      ics.size() * num_relations);
+  for (const GroupKey& key : group_order) {
+    const auto [ic_index, relation, attribute] = key;
+    const std::optional<int64_t> value = MonoLocalFixValue(groups.at(key));
+    if (value.has_value()) {
+      mlf_table[ic_index * num_relations + relation].emplace_back(attribute,
+                                                                  *value);
+    }
   }
 
   // Violation shards emit their candidates in scan order into per-shard
@@ -137,39 +176,34 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
   ParallelFor(pool, fix_ranges.size(), [&](size_t s) {
     const obs::ScopedWorkEvent shard_event("fixes.shard");
     const auto start = std::chrono::steady_clock::now();
-    std::unordered_set<FixKey, FixKeyHash> seen;
-    // Each violation set emits at most ~2 fixes per (tuple, attribute)
-    // pair it touches; reserving for twice the shard's violation count
-    // keeps the dedup set from rehashing on realistic densities.
-    seen.reserve(2 * (fix_ranges[s].second - fix_ranges[s].first));
+    std::vector<CandidateFix>& out = shard_fixes[s];
+    // Dropping the shard's own repeats here keeps the shard buffers (and
+    // the merge) small on hotspots, where many sets share one tuple. Each
+    // violation set emits about 2 fixes per tuple-attribute pair it
+    // touches, so twice the shard's set count rarely grows the index.
+    FixIndex seen(2 * (fix_ranges[s].second - fix_ranges[s].first));
     for (size_t vid = fix_ranges[s].first; vid < fix_ranges[s].second;
          ++vid) {
       const ViolationSet& v = violations[vid];
       for (const TupleRef t : v.tuples) {
-        const auto attrs_it = ic_rel_attrs.find({v.ic_index, t.relation});
-        if (attrs_it == ic_rel_attrs.end()) continue;
-        for (const uint32_t attr : attrs_it->second) {
-          const std::optional<int64_t>& new_value =
-              group_values.find({v.ic_index, t.relation, attr})->second;
-          if (!new_value.has_value()) continue;  // non-local ic; skip.
+        for (const auto& [attr, new_value] :
+             mlf_table[v.ic_index * num_relations + t.relation]) {
           const Value& current = db.tuple(t).value(attr);
-          if (current.is_int() && current.AsInt() == *new_value) {
+          if (current.is_int() && current.AsInt() == new_value) {
             continue;  // MLF(t, ic, A) == t changes nothing, solves nothing.
           }
+          if (!seen.Insert(out, FixKey{t.Packed(), attr, new_value})) continue;
           const int64_t old_value = current.is_int() ? current.AsInt() : 0;
-          const FixKey key{t.Packed(), attr, *new_value};
-          if (!seen.insert(key).second) continue;
-          CandidateFix fix;
+          CandidateFix& fix = out.emplace_back();
           fix.tuple = t;
           fix.attribute = attr;
           fix.old_value = old_value;
-          fix.new_value = *new_value;
+          fix.new_value = new_value;
           const double alpha =
               db.schema().relations()[t.relation].attribute(attr).alpha;
           fix.weight = alpha * distance.ScalarDistance(
                                    static_cast<double>(old_value),
-                                   static_cast<double>(*new_value));
-          shard_fixes[s].push_back(std::move(fix));
+                                   static_cast<double>(new_value));
         }
       }
     }
@@ -192,17 +226,10 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
 
   // ---- Algorithm 4: link candidates to the violation sets they solve. ----
   obs::Span setcover_span(&obs.tracer, "setcover");
-  // Materialise each fixed tuple once.
-  std::vector<Tuple> fixed_tuples;
-  fixed_tuples.reserve(fixes.size());
-  for (const CandidateFix& fix : fixes) {
-    Tuple fixed = db.tuple(fix.tuple);
-    fixed.set_value(fix.attribute, Value::Int(fix.new_value));
-    fixed_tuples.push_back(std::move(fixed));
-  }
-
   // Each shard records its (fix, violation) links in scan order; appending
-  // shard by shard reproduces the serial ascending-vid `solved` lists.
+  // shard by shard reproduces the serial ascending-vid `solved` lists. A
+  // candidate t' is checked in place: member j reads the fix's value in the
+  // fix's attribute instead of its stored cell.
   const auto link_ranges = ShardRanges(violations.size(), max_shards);
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> shard_links(
       link_ranges.size());
@@ -212,6 +239,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     const obs::ScopedWorkEvent shard_event("links.shard");
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::pair<uint32_t, const Tuple*>> members;
+    ViolationEngine::SatisfiesScratch scratch;
     for (size_t vid = link_ranges[s].first; vid < link_ranges[s].second;
          ++vid) {
       const ViolationSet& v = violations[vid];
@@ -222,18 +250,18 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
       }
       for (size_t j = 0; j < v.tuples.size(); ++j) {
         const uint64_t packed = v.tuples[j].Packed();
-        const Tuple* original = members[j].second;
         for (auto it = std::lower_bound(tuple_fixes.begin(), tuple_fixes.end(),
                                         std::make_pair(packed, uint32_t{0}));
              it != tuple_fixes.end() && it->first == packed; ++it) {
           const uint32_t f = it->second;
-          members[j].second = &fixed_tuples[f];
+          const Value new_value = Value::Int(fixes[f].new_value);
           ++shard_checks[s];
-          if (ViolationEngine::SetSatisfies(ic, members)) {
+          if (ViolationEngine::SetSatisfies(
+                  ic, members, {j, fixes[f].attribute, &new_value},
+                  &scratch)) {
             shard_links[s].emplace_back(f, static_cast<uint32_t>(vid));
           }
         }
-        members[j].second = original;
       }
     }
     link_shard_ns[s] = ElapsedNs(start);
@@ -251,16 +279,13 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
                      ElapsedNs(link_merge_start));
   obs.metrics.GetCounter("build.satisfies_checks")->Add(satisfies_checks);
 
-  // Drop candidates with empty S(t, t') (Definition 2.6(b)), remapping ids.
-  std::vector<CandidateFix> kept;
-  kept.reserve(fixes.size());
-  for (CandidateFix& fix : fixes) {
-    if (!fix.solved.empty()) kept.push_back(std::move(fix));
-  }
-  obs.metrics.GetCounter("build.fixes_dropped_unsolving")
-      ->Add(fixes.size() - kept.size());
+  // Drop candidates with empty S(t, t') (Definition 2.6(b)), in place; the
+  // survivors keep their relative order, so ids are renumbered densely.
+  const size_t dropped = std::erase_if(
+      fixes, [](const CandidateFix& fix) { return fix.solved.empty(); });
+  obs.metrics.GetCounter("build.fixes_dropped_unsolving")->Add(dropped);
   setcover_span.Finish();
-  return kept;
+  return fixes;
 }
 
 Result<RepairProblem> BuildRepairProblem(

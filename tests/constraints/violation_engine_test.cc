@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "common/rng.h"
 #include "constraints/parser.h"
 #include "gen/client_buy.h"
 #include "gen/paper_example.h"
+#include "violation_oracle.h"
 
 namespace dbrepair {
 namespace {
@@ -239,6 +241,153 @@ TEST(ViolationEngineTest, ResourceCap) {
             StatusCode::kResourceExhausted);
 }
 
+// ---- Edge cases of the flat, sorted violation-set dedupe. ----
+
+// R(K, X): K hard, X flexible; S(K, Z) likewise.
+std::shared_ptr<const Schema> DedupeSchema() {
+  auto schema = std::make_shared<Schema>();
+  EXPECT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "R",
+                      {AttributeDef{"K", Type::kInt64, false, 1.0},
+                       AttributeDef{"X", Type::kInt64, true, 1.0}},
+                      {"K"}))
+                  .ok());
+  EXPECT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "S",
+                      {AttributeDef{"K", Type::kInt64, false, 1.0},
+                       AttributeDef{"Z", Type::kInt64, true, 1.0}},
+                      {"K"}))
+                  .ok());
+  return schema;
+}
+
+Database DedupeDb(const std::vector<int64_t>& r_values,
+                  const std::vector<int64_t>& s_values = {}) {
+  Database db(DedupeSchema());
+  for (size_t i = 0; i < r_values.size(); ++i) {
+    EXPECT_TRUE(db.Insert("R", {Value::Int(static_cast<int64_t>(i)),
+                                Value::Int(r_values[i])})
+                    .ok());
+  }
+  for (size_t i = 0; i < s_values.size(); ++i) {
+    EXPECT_TRUE(db.Insert("S", {Value::Int(static_cast<int64_t>(i)),
+                                Value::Int(s_values[i])})
+                    .ok());
+  }
+  return db;
+}
+
+std::vector<BoundConstraint> BindText(const Database& db,
+                                      const std::string& text) {
+  auto parsed = ParseConstraintSet(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto bound = BindAll(db.schema(), *parsed);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  return std::move(bound).value();
+}
+
+// The engine's output at 1 and 4 threads, each checked against the oracle.
+void ExpectMatchesOracle(const Database& db,
+                         const std::vector<BoundConstraint>& ics) {
+  const std::vector<ViolationSet> expected = OracleViolations(db, ics);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    ViolationEngineOptions options;
+    options.num_threads = threads;
+    ViolationEngine engine(db, ics, options);
+    auto found = engine.FindViolations();
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(*found, expected) << threads << " threads";
+  }
+}
+
+TEST(ViolationDedupeTest, SymmetricSelfJoinCapCountsUniqueSets) {
+  // Ten rows share X = 1: 90 ordered assignments, 45 unordered pairs. The
+  // raw buffer passes a cap of 45 mid-scan, so the cap is decided by a
+  // compaction, and must count the 45 distinct sets, not the assignments.
+  const Database db = DedupeDb({1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3});
+  const auto ics = BindText(db, ":- R(k1, x), R(k2, y), x = y, k1 != k2\n");
+  const std::vector<ViolationSet> expected = OracleViolations(db, ics);
+  ASSERT_EQ(expected.size(), 45u);
+  ExpectMatchesOracle(db, ics);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    ViolationEngineOptions options;
+    options.num_threads = threads;
+    options.max_violation_sets = expected.size();
+    ViolationEngine at_cap(db, ics, options);
+    auto found = at_cap.FindViolations();
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(*found, expected);
+
+    options.max_violation_sets = expected.size() - 1;
+    ViolationEngine over_cap(db, ics, options);
+    EXPECT_EQ(over_cap.FindViolations().status().code(),
+              StatusCode::kResourceExhausted)
+        << threads << " threads";
+  }
+}
+
+TEST(ViolationDedupeTest, MixedLengthSetsOfOneConstraint) {
+  // A row with X = 5 fills both atoms alone ({t}); a pair (X >= 5, X <= 5)
+  // of other rows is a minimal 2-set unless it contains a 5-row.
+  const Database db = DedupeDb({7, 5, 3, 9, 5, 1, 6});
+  const auto ics = BindText(db, ":- R(k1, x), R(k2, y), x >= 5, y <= 5\n");
+  const std::vector<ViolationSet> expected = OracleViolations(db, ics);
+  size_t singles = 0;
+  for (const ViolationSet& v : expected) singles += v.tuples.size() == 1;
+  ASSERT_EQ(singles, 2u);
+  ASSERT_GT(expected.size(), singles);
+  ExpectMatchesOracle(db, ics);
+}
+
+TEST(ViolationDedupeTest, SetsContainingTheZeroTupleRef) {
+  // R0[0] packs to 0, the value of the record padding. As a singleton
+  // ({R0[0]}), inside minimal pairs, and as the prefix of filtered
+  // supersets it must still sort, dedupe and filter like any other tuple.
+  for (const int64_t first : {int64_t{5}, int64_t{7}, int64_t{1}}) {
+    const Database db = DedupeDb({first, 3, 8, 5});
+    const auto ics = BindText(db,
+                              ":- R(k1, x), R(k2, y), x >= 5, y <= 5\n"
+                              ":- R(k, x), x > 4\n");
+    bool has_zero = false;
+    for (const ViolationSet& v : OracleViolations(db, ics)) {
+      has_zero = has_zero || v.Contains(TupleRef{0, 0});
+    }
+    ASSERT_TRUE(has_zero) << first;
+    ExpectMatchesOracle(db, ics);
+  }
+}
+
+TEST(ViolationDedupeTest, ThreeAtomsOneTupleFillingTwo) {
+  // A 5-row fills both R atoms, so {r, s} is a violation set and every
+  // {r, r', s} superset of it is not; pairs of other rows stay 3-sets.
+  const Database db = DedupeDb({5, 8, 2, 6, 4}, {1, 0, 3});
+  const auto ics = BindText(
+      db, ":- R(k1, x), R(k2, y), S(k3, z), x >= 5, y <= 5, z > 0\n");
+  const std::vector<ViolationSet> expected = OracleViolations(db, ics);
+  size_t twos = 0;
+  size_t threes = 0;
+  for (const ViolationSet& v : expected) {
+    twos += v.tuples.size() == 2;
+    threes += v.tuples.size() == 3;
+  }
+  ASSERT_GT(twos, 0u);
+  ASSERT_GT(threes, 0u);
+  ExpectMatchesOracle(db, ics);
+}
+
+TEST(ViolationDedupeTest, ConstraintsOutOfIcIndexOrderStillSortOutput) {
+  const Database db = DedupeDb({7, 5, 3, 9}, {2, 8});
+  std::vector<BoundConstraint> ics = BindText(db,
+                                              ":- R(k, x), x > 4\n"
+                                              ":- S(k, z), z > 1\n"
+                                              ":- R(k, x), S(k, z), x > 2\n");
+  std::reverse(ics.begin(), ics.end());
+  ASSERT_EQ(ics.front().ic_index, 2u);
+  ExpectMatchesOracle(db, ics);
+}
+
 TEST(SetSatisfiesTest, DetectsViolationAndSatisfaction) {
   const GeneratedWorkload w = MakePaperPubExample();
   auto bound = BindAll(w.db.schema(), w.ics);
@@ -282,6 +431,103 @@ TEST(SetSatisfiesTest, CrossRelationCheck) {
   Tuple t1_ef = t1;
   t1_ef.set_value(1, Value::Int(0));
   EXPECT_FALSE(ViolationEngine::SetSatisfies(ic3, {{0, &t1_ef}, {1, &p1}}));
+}
+
+// The Algorithm-4 overlay: SetSatisfies with one overridden cell must equal
+// SetSatisfies on the materialised tuple, for any cell value — NULL, INT,
+// DOUBLE, STRING — on join columns, constant positions and built-in
+// operands alike, with one scratch reused across every call.
+TEST(SetSatisfiesTest, OverrideEqualsMaterialisedTuple) {
+  auto schema = std::make_shared<Schema>();
+  for (const char* name : {"R", "T"}) {
+    ASSERT_TRUE(schema
+                    ->AddRelation(RelationSchema(
+                        name,
+                        {AttributeDef{"K", Type::kInt64, false, 1.0},
+                         AttributeDef{"A", Type::kInt64, true, 1.0},
+                         AttributeDef{"D", Type::kDouble, false, 1.0},
+                         AttributeDef{"S", Type::kString, false, 1.0}},
+                        {"K"}))
+                    .ok());
+  }
+  const auto parsed = ParseConstraintSet(
+      ":- R(k, a, d, s), T(k, b, e, 'x'), a > 1, e < 2.5\n"
+      ":- R(k, a, d, s), R(k2, a2, d2, s), a != a2, d >= 1.0\n"
+      ":- R(k, 2, d, s), T(k2, b, e, s2), s = s2, b != k\n"
+      ":- T(k, b, e, s), b < 2, e > 0.5\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const auto bound = BindAll(*schema, *parsed);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+
+  Rng rng(2024);
+  const auto random_value = [&](int column) {
+    // Mostly the column's own type (keys from a small domain, so joins
+    // match), sometimes NULL or a foreign type.
+    int kind = static_cast<int>(rng.UniformInRange(0, 15));
+    if (kind >= 3) kind = column + 1;
+    switch (kind) {
+      case 0:
+        return Value();
+      case 1:
+        return Value::Int(rng.UniformInRange(0, 2));
+      case 2:
+        return Value::Int(rng.UniformInRange(0, 3));
+      case 3:
+        return Value::Double(static_cast<double>(rng.UniformInRange(0, 6)) /
+                             2.0);
+      default:
+        return Value::String(rng.Bernoulli(0.8) ? "x" : "q");
+    }
+  };
+  std::vector<Tuple> pool;
+  for (int i = 0; i < 24; ++i) {
+    std::vector<Value> cells;
+    for (int c = 0; c < 4; ++c) cells.push_back(random_value(c));
+    pool.emplace_back(std::move(cells));
+  }
+
+  ViolationEngine::SatisfiesScratch scratch;
+  size_t checks = 0;
+  size_t satisfied = 0;
+  for (int round = 0; round < 4000; ++round) {
+    const BoundConstraint& ic =
+        (*bound)[static_cast<size_t>(rng.UniformInRange(0, 3))];
+    // One member per atom, of that atom's relation; a self-join sometimes
+    // gets one tuple for both atoms.
+    std::vector<std::pair<uint32_t, const Tuple*>> members;
+    for (const BoundAtom& atom : ic.atoms) {
+      if (!members.empty() && members.back().first == atom.relation_index &&
+          rng.Bernoulli(0.3)) {
+        continue;
+      }
+      members.emplace_back(
+          atom.relation_index,
+          &pool[static_cast<size_t>(rng.UniformInRange(0, 23))]);
+    }
+    const auto n = static_cast<int64_t>(members.size());
+    const auto j = static_cast<size_t>(rng.UniformInRange(0, n - 1));
+    const auto attr = static_cast<uint32_t>(rng.UniformInRange(0, 3));
+    // Half the time a value the cell's type allows, else anything.
+    const Value value = random_value(
+        rng.Bernoulli(0.5) ? static_cast<int>(attr)
+                           : static_cast<int>(rng.UniformInRange(0, 3)));
+
+    Tuple materialised = *members[j].second;
+    materialised.set_value(attr, value);
+    std::vector<std::pair<uint32_t, const Tuple*>> replaced = members;
+    replaced[j].second = &materialised;
+
+    const bool expected = ViolationEngine::SetSatisfies(ic, replaced);
+    EXPECT_EQ(ViolationEngine::SetSatisfies(ic, members, {j, attr, &value},
+                                            &scratch),
+              expected)
+        << ic.name << " round " << round;
+    ++checks;
+    satisfied += expected;
+  }
+  // Both outcomes occur often enough for the comparison to mean something.
+  EXPECT_GT(satisfied, checks / 10);
+  EXPECT_LT(satisfied, checks - checks / 10);
 }
 
 TEST(ViolationEngineTest, OrderedIndexPushdownMatchesScan) {

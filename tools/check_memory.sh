@@ -4,19 +4,20 @@
 # storage tests (column snapshots, the flat key index), the constraints
 # tests (the engine against the brute-force oracle, on every column kind),
 # the serial-vs-parallel and scan-vs-oracle differential harness, the
-# RepairSession suite (snapshots extended and rebased batch by batch) and
-# the scenario suites. The scan's hot loop reads typed arrays through
-# `const void*` casts and binds cell addresses into its binding slots, so
-# an out-of-bounds read, a dangling binding or an invalid cast fails this
-# job.
+# repair suite (the instance builder, whose Algorithm-4 linking binds
+# `const Value*` cells through a one-cell override), the RepairSession
+# suite (snapshots extended and rebased batch by batch) and the scenario
+# suites. The scan's hot loop reads typed arrays through `const void*`
+# casts and binds cell addresses into its binding slots, so an
+# out-of-bounds read, a dangling binding or an invalid cast fails this job.
 #
 # Usage: tools/check_memory.sh [build-dir]   (default: build-asan)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
-SUITES=(storage_test constraints_test differential_test session_test
-        fd_test inconsistency_test scenario_metamorphic_test
+SUITES=(storage_test constraints_test differential_test repair_test
+        session_test fd_test inconsistency_test scenario_metamorphic_test
         scenario_differential_test)
 
 # UBSan is fatal at compile time (no recovery) and at run time; the
