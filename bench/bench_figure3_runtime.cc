@@ -11,8 +11,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
+#include <vector>
+
 #include "bench_util.h"
 #include "constraints/violation_engine.h"
+#include "obs/context.h"
+#include "obs/events.h"
 #include "repair/setcover/solvers.h"
 #include "storage/column_view.h"
 
@@ -70,6 +76,69 @@ void BM_BuildPipelineThreads(benchmark::State& state) {
       static_cast<double>(prepared.workload->db.TotalTuples());
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["sets"] = static_cast<double>(num_sets);
+}
+
+// The tracing tax, measured inside one process: each of range(2) pairs
+// times BuildRepairProblem once with event recording off and once on
+// (EventCollector::set_enabled; the order alternates per pair), so both
+// sides share one heap, one scheduler history and one host phase. Reports
+// the median off time and the median per-pair on-minus-off difference;
+// tools/check_obs_overhead.sh turns them into the overhead percentage.
+void BM_ObsOverheadPaired(benchmark::State& state) {
+  const auto clients = static_cast<size_t>(state.range(0));
+  const auto threads = static_cast<size_t>(state.range(1));
+  const auto pairs = static_cast<size_t>(state.range(2));
+  const PreparedProblem& prepared = ClientBuyProblem(clients, /*seed=*/1);
+  BuildOptions options;
+  options.num_threads = threads;
+  const DistanceFunction distance(DistanceKind::kL1);
+  obs::EventCollector& events = obs::DefaultObs().events;
+  const bool was_enabled = events.enabled();
+
+  // Milliseconds of one build with recording `on`; negative on failure.
+  const auto timed_build = [&](bool on) {
+    events.set_enabled(on);
+    const auto start = std::chrono::steady_clock::now();
+    auto problem = BuildRepairProblem(prepared.workload->db, prepared.bound,
+                                      distance, options);
+    const std::chrono::duration<double, std::milli> elapsed =
+        std::chrono::steady_clock::now() - start;
+    if (!problem.ok()) {
+      state.SkipWithError(problem.status().ToString().c_str());
+      return -1.0;
+    }
+    benchmark::DoNotOptimize(problem->fixes.data());
+    return elapsed.count();
+  };
+
+  std::vector<double> off_ms;
+  std::vector<double> delta_ms;
+  for (auto _ : state) {
+    if (timed_build(false) < 0 || timed_build(true) < 0) break;  // warm-up
+    for (size_t pair = 0; pair < pairs; ++pair) {
+      double off = 0.0;
+      double on = 0.0;
+      if (pair % 2 == 0) {
+        off = timed_build(false);
+        on = timed_build(true);
+      } else {
+        on = timed_build(true);
+        off = timed_build(false);
+      }
+      if (off < 0 || on < 0) break;
+      off_ms.push_back(off);
+      delta_ms.push_back(on - off);
+    }
+  }
+  events.set_enabled(was_enabled);
+  const auto median = [](std::vector<double> v) {
+    if (v.empty()) return 0.0;
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  state.counters["off_ms"] = median(off_ms);
+  state.counters["delta_ms"] = median(delta_ms);
+  state.counters["pairs"] = static_cast<double>(off_ms.size());
 }
 
 // The single-threaded build phase on the Figure-3 100k scale.
@@ -157,6 +226,11 @@ BENCHMARK(BM_ModifiedLayer)->Unit(benchmark::kMillisecond)->Arg(1000)
 BENCHMARK(BM_BuildPipelineThreads)
     ->Unit(benchmark::kMillisecond)
     ->ArgsProduct({{30000, 100000}, {1, 2, 4, 8}});
+// Tracing overhead guard input: {clients, worker threads, off/on pairs}.
+BENCHMARK(BM_ObsOverheadPaired)
+    ->Unit(benchmark::kMillisecond)
+    ->Args({30000, 4, 61})
+    ->Iterations(1);
 // The scan at the Figure-3 100k scale, single thread.
 BENCHMARK(BM_BuildPipelineColumnarScan)
     ->Unit(benchmark::kMillisecond)->Arg(1000)->Arg(100000);

@@ -23,8 +23,8 @@ namespace dbrepair::bench {
 /// by the problem builders below.
 ///
 /// Two more environment switches drive the per-worker event buffers:
-/// DBREPAIR_TRACE_EVENTS=1 enables recording (tools/check_obs_overhead.sh
-/// uses it to measure the tracing tax), and DBREPAIR_TRACE_OUT=PATH
+/// DBREPAIR_TRACE_EVENTS=1 enables recording for the whole process, and
+/// DBREPAIR_TRACE_OUT=PATH
 /// additionally writes the Chrome trace-event JSON at exit.
 inline void InstallObsSnapshotAtExit() {
   static const bool installed = [] {

@@ -16,6 +16,24 @@ double DistanceFunction::TupleDistance(const RelationSchema& schema,
   return total;
 }
 
+double DistanceFunction::UpdatesDistance(
+    const Schema& schema, const std::vector<AppliedUpdate>& updates) const {
+  double total = 0.0;
+  for (size_t i = 0; i < updates.size();) {
+    const TupleRef tuple = updates[i].tuple;
+    const RelationSchema& relation = schema.relations()[tuple.relation];
+    double tuple_total = 0.0;
+    for (; i < updates.size() && updates[i].tuple == tuple; ++i) {
+      const AppliedUpdate& update = updates[i];
+      tuple_total += relation.attribute(update.attribute).alpha *
+                     ScalarDistance(static_cast<double>(update.old_value),
+                                    static_cast<double>(update.new_value));
+    }
+    total += tuple_total;
+  }
+  return total;
+}
+
 Result<double> DistanceFunction::DatabaseDistance(
     const Database& d, const Database& d_prime) const {
   if (&d.schema() != &d_prime.schema()) {

@@ -1,6 +1,9 @@
 #ifndef DBREPAIR_REPAIR_DISTANCE_H_
 #define DBREPAIR_REPAIR_DISTANCE_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "catalog/schema.h"
 #include "common/status.h"
 #include "storage/database.h"
@@ -14,6 +17,16 @@ namespace dbrepair {
 enum class DistanceKind {
   kL1,  ///< "city distance": |a - b|
   kL2,  ///< "euclidean distance": (a - b)^2
+};
+
+/// One cell a repair changed: tuple t's flexible attribute went from
+/// `old_value` (0 for a NULL cell, as fix generation reads it) to
+/// `new_value`. ApplyCover and repair sessions emit these.
+struct AppliedUpdate {
+  TupleRef tuple;
+  uint32_t attribute = 0;
+  int64_t old_value = 0;
+  int64_t new_value = 0;
 };
 
 /// Weighted distance between values, tuples, and database instances.
@@ -41,6 +54,15 @@ class DistanceFunction {
   /// sets.
   Result<double> DatabaseDistance(const Database& d,
                                   const Database& d_prime) const;
+
+  /// Delta(D, D') summed from the updates that turned D into D' instead of
+  /// a scan over every row. `updates` must be in ascending (relation, row,
+  /// attribute) order with one entry per changed cell, as ApplyCover emits
+  /// them. Each tuple's terms are summed first, then the tuple sums in
+  /// order — DatabaseDistance's grouping, with only its exact-zero terms
+  /// skipped — so the result equals DatabaseDistance(D, D') bit for bit.
+  double UpdatesDistance(const Schema& schema,
+                         const std::vector<AppliedUpdate>& updates) const;
 
  private:
   DistanceKind kind_;

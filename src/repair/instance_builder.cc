@@ -86,6 +86,65 @@ class FixIndex {
   int shift_ = 0;
 };
 
+// Where each tuple's run starts in the (packed tuple, fix id)-sorted
+// tuple_fixes list: an open-addressed table keyed by the packed tuple.
+// Linear probing, at most half full; a slot holds run start + 1 (0 is
+// empty), and a probe confirms its key on that list entry, which the
+// caller reads next anyway — so a slot is 4 bytes. The home slot keeps row
+// order local: a tuple's block of 64 consecutive rows is scrambled
+// (Fibonacci hashing) onto a block of 64 slots and the low row bits pick
+// the slot in it. Algorithm 4 visits violation members in near-ascending
+// row order, so successive probes mostly hit the same cache lines instead
+// of missing once each. Sized by the number of tuples with fixes, so a
+// session batch pays O(batch), never O(|D|).
+class TupleFixRuns {
+ public:
+  explicit TupleFixRuns(
+      const std::vector<std::pair<uint64_t, uint32_t>>& tuple_fixes)
+      : tuple_fixes_(tuple_fixes) {
+    size_t runs = 0;
+    for (size_t i = 0; i < tuple_fixes.size(); ++i) {
+      if (i == 0 || tuple_fixes[i].first != tuple_fixes[i - 1].first) ++runs;
+    }
+    // At least two blocks, so the block shift below stays under 64.
+    const size_t capacity =
+        std::bit_ceil(std::max<size_t>(2 << kBlockBits, 2 * runs));
+    slots_.assign(capacity, 0);
+    shift_ = 64 - std::countr_zero(capacity) + kBlockBits;
+    for (size_t i = 0; i < tuple_fixes.size(); ++i) {
+      if (i > 0 && tuple_fixes[i].first == tuple_fixes[i - 1].first) continue;
+      size_t slot = Home(tuple_fixes[i].first);
+      while (slots_[slot] != 0) slot = (slot + 1) & (capacity - 1);
+      slots_[slot] = static_cast<uint32_t>(i + 1);
+    }
+  }
+
+  // The position of `tuple`'s first entry; tuple_fixes.size() if it has
+  // none.
+  size_t Find(uint64_t tuple) const {
+    for (size_t slot = Home(tuple); slots_[slot] != 0;
+         slot = (slot + 1) & (slots_.size() - 1)) {
+      const size_t begin = slots_[slot] - 1;
+      if (tuple_fixes_[begin].first == tuple) return begin;
+    }
+    return tuple_fixes_.size();
+  }
+
+ private:
+  static constexpr int kBlockBits = 6;
+  static constexpr uint64_t kBlockMask = (uint64_t{1} << kBlockBits) - 1;
+
+  size_t Home(uint64_t tuple) const {
+    const uint64_t block =
+        ((tuple >> kBlockBits) * 0x9e3779b97f4a7c15ULL) >> shift_;
+    return (block << kBlockBits) | (tuple & kBlockMask);
+  }
+
+  const std::vector<std::pair<uint64_t, uint32_t>>& tuple_fixes_;
+  std::vector<uint32_t> slots_;
+  int shift_ = 0;
+};
+
 // Assigns fix ids to the shards' candidates in shard order, dropping repeats
 // across shards, so ids follow exactly the serial first-encounter order.
 std::vector<CandidateFix> MergeShardFixes(
@@ -219,6 +278,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     tuple_fixes.emplace_back(fixes[id].tuple.Packed(), id);
   }
   std::sort(tuple_fixes.begin(), tuple_fixes.end());
+  const TupleFixRuns tuple_runs(tuple_fixes);
   RecordShardMetrics(&obs.metrics, "fixes", fix_shard_ns,
                      ElapsedNs(fix_merge_start));
   obs.metrics.GetCounter("build.candidate_fixes")->Add(fixes.size());
@@ -250,10 +310,9 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
       }
       for (size_t j = 0; j < v.tuples.size(); ++j) {
         const uint64_t packed = v.tuples[j].Packed();
-        for (auto it = std::lower_bound(tuple_fixes.begin(), tuple_fixes.end(),
-                                        std::make_pair(packed, uint32_t{0}));
-             it != tuple_fixes.end() && it->first == packed; ++it) {
-          const uint32_t f = it->second;
+        for (size_t k = tuple_runs.Find(packed);
+             k < tuple_fixes.size() && tuple_fixes[k].first == packed; ++k) {
+          const uint32_t f = tuple_fixes[k].second;
           const Value new_value = Value::Int(fixes[f].new_value);
           ++shard_checks[s];
           if (ViolationEngine::SetSatisfies(
@@ -363,8 +422,8 @@ Result<RepairProblem> BuildRepairProblem(
   }
 
   // ---- Conflict components: one union-find pass over the sets just
-  // assembled, while they are still cache-hot. Labels feed the sharded
-  // solve phase and the repair.components decomposition gauge. ----
+  // assembled, while they are still cache-hot. The count feeds the
+  // repair.components decomposition gauge. ----
   {
     obs::Span components_span(&obs.tracer, "components");
     problem.components = ComponentIndex::Build(problem.instance);

@@ -28,8 +28,8 @@ struct RepairProblem {
   DegreeInfo degrees;
   /// Conflict components of `instance` (the paper's locality decomposition:
   /// violation sets linked by shared candidate fixes). Computed from the
-  /// freshly built sets; the repairer shards the solve phase by component
-  /// and a session keeps the index live across batches.
+  /// freshly built sets; the repairer reports their count and a session
+  /// keeps the index live across batches.
   ComponentIndex components;
   /// The columnar snapshot the violation scan ran against: built here, or a
   /// copy of the caller's `engine.columnar` (the copy shares its column
@@ -84,10 +84,10 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
 /// Fails with Internal if some violation set ends up coverable by no fix —
 /// impossible for a local IC set, so callers should EnsureLocal first.
 ///
-/// `pool` lets a caller that already owns a thread pool (the repairer's
-/// solve fan-out, a session) share it with the build phases instead of the
-/// builder spinning up a second one; nullptr keeps the old behaviour
-/// (an internal pool when `options.num_threads` > 1).
+/// `pool` lets a caller that already owns a thread pool (a session, which
+/// keeps one for its batches) share it with the build phases instead of
+/// the builder spinning up a second one; nullptr gives an internal pool
+/// when `options.num_threads` > 1.
 Result<RepairProblem> BuildRepairProblem(
     const Database& db, const std::vector<BoundConstraint>& ics,
     const DistanceFunction& distance, const BuildOptions& options = {},

@@ -4,27 +4,31 @@
 #include <vector>
 
 #include "common/status.h"
+#include "repair/distance.h"
 #include "repair/instance_builder.h"
 #include "repair/setcover/instance.h"
 #include "storage/database.h"
 
 namespace dbrepair {
 
-/// One attribute update applied while materialising a repair.
-struct AppliedUpdate {
-  TupleRef tuple;
-  uint32_t attribute = 0;
-  int64_t old_value = 0;
-  int64_t new_value = 0;
-};
+/// The cells a cover changes: one fix id per (tuple, attribute) the chosen
+/// fixes touch, in ascending (relation, row, attribute) order. Of several
+/// chosen fixes on one cell — possible in non-optimal covers — the higher
+/// weight subsumes the others (Section 3, remark after Algorithm 1); on
+/// equal weight the first in `chosen` order wins. Fails on a set id outside
+/// `fixes`.
+Result<std::vector<uint32_t>> CoverCellFixes(
+    const std::vector<CandidateFix>& fixes,
+    const std::vector<uint32_t>& chosen);
 
 /// Materialises the repair D(C) of Definition 3.2 from a set cover:
 ///  * fixes of one tuple touching different attributes are combined into a
 ///    single local fix (Definition 3.2(a));
-///  * if a cover holds two fixes for the same (tuple, attribute) — possible
-///    in non-optimal covers — the higher-weight fix subsumes the other
-///    (Section 3, remark after Algorithm 1);
-///  * the resulting updates are applied to a clone of `db`.
+///  * of several fixes on one (tuple, attribute), CoverCellFixes keeps one;
+///  * the resulting updates are applied to a clone of `db`, and listed in
+///    `applied` in ascending (relation, row, attribute) order — the order
+///    DistanceFunction::UpdatesDistance needs to reproduce
+///    DatabaseDistance(db, repaired) bit for bit.
 Result<Database> ApplyCover(const Database& db, const RepairProblem& problem,
                             const SetCoverSolution& cover,
                             std::vector<AppliedUpdate>* applied = nullptr);

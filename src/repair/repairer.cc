@@ -1,17 +1,15 @@
 #include "repair/repairer.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "common/thread_pool.h"
 #include "constraints/locality.h"
 #include "constraints/violation_engine.h"
 #include "obs/context.h"
 #include "repair/inconsistency.h"
 #include "obs/trace.h"
-#include "repair/setcover/component_solve.h"
 #include "repair/setcover/csr_instance.h"
 #include "repair/setcover/prune.h"
+#include "repair/setcover/solvers.h"
 
 namespace dbrepair {
 
@@ -30,36 +28,22 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   }
   const DistanceFunction distance(options.distance);
 
-  // One pool serves every parallel phase: the build shards (violation scan,
-  // fix generation, linking) and the per-component solve fan-out.
-  const size_t num_threads = ResolveNumThreads(options.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
-
   obs::Span build_span(&obs.tracer, "build");
   BuildOptions build_options = options.build;
   build_options.num_threads = options.num_threads;
   DBREPAIR_ASSIGN_OR_RETURN(
       const RepairProblem problem,
-      BuildRepairProblem(db, ics, distance, build_options, pool.get()));
+      BuildRepairProblem(db, ics, distance, build_options));
   const double build_seconds = build_span.Finish();
 
   obs::Span solve_span(&obs.tracer, "solve");
-  // Freeze the built instance into the flat CSR view once; every solver hot
-  // loop then streams contiguous arenas.
+  // Freeze the built instance into the flat CSR view once; the solver's hot
+  // loop then streams contiguous arenas. One pass over the whole instance:
+  // the modified greedy's bound is O(n log n) under bounded degree
+  // (Proposition 3.7), and the conflict components need no separate tasks.
   const CsrSetCoverInstance csr = CsrSetCoverInstance::Freeze(problem.instance);
-  SetCoverSolution cover;
-  if (SolverShardsByComponent(options.solver)) {
-    // Solve each conflict component independently and merge the covers on
-    // (pick key, set id) — byte-identical to the monolithic solve (see
-    // component_solve.h) but each task touches one component's arenas.
-    const ComponentPartition partition = problem.components.Partition();
-    DBREPAIR_ASSIGN_OR_RETURN(
-        cover,
-        SolveSetCoverSharded(options.solver, csr, partition, pool.get()));
-  } else {
-    DBREPAIR_ASSIGN_OR_RETURN(cover, SolveSetCover(options.solver, csr));
-  }
+  DBREPAIR_ASSIGN_OR_RETURN(SetCoverSolution cover,
+                            SolveSetCover(options.solver, csr));
   if (options.prune_cover) {
     cover = PruneRedundantSets(csr, cover);
   }
@@ -119,8 +103,10 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   outcome.stats.max_degree = problem.degrees.max_degree;
   outcome.stats.num_components = problem.components.num_components();
   outcome.stats.cover_weight = cover.weight;
-  DBREPAIR_ASSIGN_OR_RETURN(outcome.stats.distance,
-                            distance.DatabaseDistance(db, outcome.repaired));
+  // ApplyCover lists the updates in (relation, row, attribute) order, so the
+  // sum equals DatabaseDistance(db, repaired) bit for bit without a scan.
+  outcome.stats.distance =
+      distance.UpdatesDistance(db.schema(), outcome.updates);
   const InconsistencyMeasure measure = ComputeInconsistencyMeasure(
       outcome.stats.distance, db.TotalTuples(),
       problem.degrees.per_tuple.size(), problem.violations.size());

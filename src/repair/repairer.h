@@ -28,16 +28,13 @@ struct RepairOptions {
   /// Post-process the cover with PruneRedundantSets before materialising
   /// the repair (never worsens the distance; an ablation of the pipeline).
   bool prune_cover = false;
-  /// Worker threads for the build, solve, and verify phases (the apply
-  /// phase stays serial — it is an ordered scan over the chosen cover).
-  /// The greedy family solves each conflict component of the MWSCP
-  /// instance as its own task and merges the covers on (pick key, set id),
-  /// byte-identical to the monolithic solve; layer/modified-layer/exact
-  /// always solve monolithically (see component_solve.h). 0 (the default)
-  /// means one per hardware thread; 1 is the exact serial path. Any value
-  /// produces a byte-identical repair: parallel phases shard their input
-  /// and merge per-shard buffers in a deterministic order, so no output
-  /// ever depends on thread scheduling. Overrides `build.num_threads`.
+  /// Worker threads for the build and verify phases. The solve is one
+  /// serial pass over the whole MWSCP instance, and the apply phase is an
+  /// ordered pass over the chosen cover. 0 (the default) means one per
+  /// hardware thread; 1 is the exact serial path. Any value produces a
+  /// byte-identical repair: parallel phases shard their input and merge
+  /// per-shard buffers in a deterministic order, so no output ever depends
+  /// on thread scheduling. Overrides `build.num_threads`.
   size_t num_threads = 0;
   BuildOptions build;
 
@@ -64,7 +61,7 @@ struct RepairStats {
   size_t num_updates = 0;
   uint32_t max_degree = 0;  ///< Deg(D, IC)
   /// Conflict components of the MWSCP instance (the decomposition quality:
-  /// how many independent solve shards the locality property yields).
+  /// how many independent sub-instances the locality property yields).
   size_t num_components = 0;
   double cover_weight = 0.0;
   double distance = 0.0;  ///< Delta(D, D') of the produced repair
@@ -81,7 +78,7 @@ struct RepairStats {
   double apply_seconds = 0.0;
   double verify_seconds = 0.0;
   /// Duration of the whole `repair` span (>= the phase sum; the remainder
-  /// is stats bookkeeping and distance computation).
+  /// is stats bookkeeping and the update-list distance sum).
   double total_seconds = 0.0;
 };
 

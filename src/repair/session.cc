@@ -599,21 +599,14 @@ Status RepairSession::ApplyChosen(
     std::vector<AppliedUpdate>* applied) {
   updated_rows->assign(db_.relation_count(), {});
 
-  // Same subsumption rule as ApplyCover: of several picks on one
-  // (tuple, attribute), the higher-weight fix wins. std::map gives a
-  // deterministic (tuple, attribute) application order.
-  std::map<std::pair<uint64_t, uint32_t>, uint32_t> picks;
-  for (const uint32_t set_id : solution.chosen) {
+  // Same subsumption rule and (tuple, attribute) application order as
+  // ApplyCover.
+  DBREPAIR_ASSIGN_OR_RETURN(const std::vector<uint32_t> cells,
+                            CoverCellFixes(fixes_, solution.chosen));
+  for (const uint32_t set_id : cells) {
     const CandidateFix& fix = fixes_[set_id];
-    const auto key = std::make_pair(fix.tuple.Packed(), fix.attribute);
-    const auto [it, inserted] = picks.emplace(key, set_id);
-    if (!inserted && fixes_[it->second].weight < fix.weight) {
-      it->second = set_id;
-    }
-  }
-
-  for (const auto& [cell, set_id] : picks) {
-    const CandidateFix& fix = fixes_[set_id];
+    const std::pair<uint64_t, uint32_t> cell{fix.tuple.Packed(),
+                                             fix.attribute};
     const Value& current = db_.tuple(fix.tuple).value(fix.attribute);
     const int64_t current_int = current.is_int() ? current.AsInt() : 0;
     if (current.is_int() && current_int == fix.new_value) continue;

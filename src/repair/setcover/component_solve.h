@@ -1,61 +1,40 @@
 #ifndef DBREPAIR_REPAIR_SETCOVER_COMPONENT_SOLVE_H_
 #define DBREPAIR_REPAIR_SETCOVER_COMPONENT_SOLVE_H_
 
+// Compatibility shims for the former per-component solve, kept only because
+// the ledger's staged replay (benchmark/workload_oneshot.cc) still includes
+// this header. Every solver now runs once over the whole instance: the
+// modified greedy's O(n log n) bound under bounded degree (Proposition 3.7)
+// is a monolithic bound, and one pass beat a pool task per conflict
+// component (see DESIGN.md "Conflict components"). New code calls
+// SolveSetCover.
+
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "repair/setcover/components.h"
 #include "repair/setcover/csr_instance.h"
-#include "repair/setcover/instance.h"
+#include "repair/setcover/solvers.h"
 
 namespace dbrepair {
 
-/// Whether `kind` is solved per component by SolveSetCoverSharded. Only the
-/// greedy family shards:
-///
-///  * greedy / modified-greedy / lazy-greedy pick the argmin effective
-///    weight w(s)/|s \ covered| with a smaller-id tie-break. Picking a set
-///    only changes residuals *inside its own component*, so every
-///    component's pick subsequence — keys included, bit for bit — is
-///    independent of the others, and the monolithic pick order is exactly
-///    the (key, set id)-minimal interleaving of the per-component pick
-///    streams. Solving components independently and k-way merging the
-///    streams therefore reproduces the monolithic cover byte for byte
-///    (see DESIGN.md "Component-sharded solve" for the argument).
-///  * layer subtracts one *global* minimum from every alive set per round
-///    and modified-layer advances one global event clock: per-component
-///    runs would group the floating-point updates differently and shift
-///    the 1e-9 tightness tolerances. exact's branch-and-bound prunes
-///    against one global incumbent. None of the three decomposes
-///    byte-identically, so they dispatch to the monolithic solver even
-///    when sharding is enabled.
-bool SolverShardsByComponent(SolverKind kind);
+/// Always false: no solver kind is solved per component any more.
+inline bool SolverShardsByComponent(SolverKind /*kind*/) { return false; }
 
-/// Diagnostics of one sharded solve.
+/// Kept for its field names; SolveSetCoverSharded always reports zeros.
 struct ShardedSolveStats {
-  /// Components dispatched to the pool (0 when the call fell back to the
-  /// monolithic path: non-sharding solver or single component).
   size_t components = 0;
-  /// Wall time of the slowest per-component solve task, microseconds.
   uint64_t max_component_us = 0;
 };
 
-/// Component-sharded solve: extracts one frozen CSR shard per component of
-/// `partition` (local ids are order-preserving, so tie-breaks are
-/// unchanged), dispatches one solve task per component onto `pool` (serial
-/// when nullptr), and k-way merges the per-component covers on
-/// (pick key, global set id) — reproducing the monolithic solver's pick
-/// order, weight summation order, and therefore its exact output at any
-/// thread count. Falls back to SolveSetCover(kind, csr) for non-sharding
-/// solvers and single-component instances.
-///
-/// Each component task runs under a "solve.component" work event, so pool
-/// worker lanes show the solve phase in Chrome traces; the per-component
-/// durations feed the solve.component_us / solve.component.max_us
-/// histograms.
-Result<SetCoverSolution> SolveSetCoverSharded(
+/// Zeroes `stats` and returns SolveSetCover(kind, csr); `partition` and
+/// `pool` are ignored.
+inline Result<SetCoverSolution> SolveSetCoverSharded(
     SolverKind kind, const CsrSetCoverInstance& csr,
-    const ComponentPartition& partition, ThreadPool* pool,
-    ShardedSolveStats* stats = nullptr);
+    const ComponentPartition& /*partition*/, ThreadPool* /*pool*/,
+    ShardedSolveStats* stats = nullptr) {
+  if (stats != nullptr) *stats = ShardedSolveStats{};
+  return SolveSetCover(kind, csr);
+}
 
 }  // namespace dbrepair
 

@@ -113,8 +113,7 @@ ComponentIndex::Partitioned ComponentIndex::Partition() const {
   for (uint32_t e = 0; e < owner_.size(); ++e) {
     uint32_t comp;
     if (owner_[e] == kNone) {
-      // Uncovered element: a singleton component with no sets, so the
-      // sharded solve hits the same infeasibility the monolithic one does.
+      // Uncovered element: a singleton component with no sets.
       comp = static_cast<uint32_t>(part.elements.size());
       part.elements.emplace_back();
       part.sets.emplace_back();

@@ -12,8 +12,12 @@ namespace dbrepair {
 /// Connected components of the element-set incidence graph (the conflict
 /// hypergraph of the paper's locality argument): two sets are connected iff
 /// they share an element, an element belongs to the component of the sets
-/// covering it. Repairs of distinct components are fully independent, so
-/// the solve phase can shard by component (component_solve.h).
+/// covering it. Repairs of distinct components are fully independent; the
+/// count measures how finely the locality property decomposes an instance.
+/// The solve itself stays one pass over the whole instance (DESIGN.md
+/// "Conflict components"): the index serves telemetry — the
+/// repair.components gauge, a session's per-batch components touched and
+/// merged, dbrepaird's tenant_components.
 ///
 /// Implementation: union-find over *set* ids. Each element remembers one
 /// covering set (`owner`); absorbing a set unions it with the owners of its
@@ -84,18 +88,15 @@ class ComponentIndex {
   size_t num_components_ = 0;
 };
 
-/// The dense per-component view the sharded solve consumes. Component ids
-/// are assigned in ascending order of the component's smallest element id;
-/// within a component, sets and elements keep their global ascending order.
-/// The local ids are therefore order-preserving renumberings, so every
-/// solver's smaller-id tie-break picks the same set locally as globally.
+/// The dense per-component view of an instance. Component ids are assigned
+/// in ascending order of the component's smallest element id; within a
+/// component, sets and elements keep their global ascending order, so the
+/// local ids are order-preserving renumberings.
 ///
 /// Sets covering no element (impossible after a build, possible only for a
 /// degenerate hand-made instance) belong to no component: their
-/// `set_local` entry is kNone and no shard contains them — matching the
-/// monolithic greedy family, which never selects an empty set. An element
-/// covered by no set becomes a singleton component with no sets, so the
-/// sharded solve fails on infeasibility exactly like the monolithic path.
+/// `set_local` entry is kNone and no component lists them. An element
+/// covered by no set becomes a singleton component with no sets.
 struct ComponentIndex::Partitioned {
   static constexpr uint32_t kNone = UINT32_MAX;
 

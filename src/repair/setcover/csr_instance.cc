@@ -93,49 +93,6 @@ CsrSetCoverInstance CsrSetCoverInstance::Freeze(
   return csr;
 }
 
-CsrSetCoverInstance CsrSetCoverInstance::ExtractComponent(
-    const std::vector<uint32_t>& sets, const std::vector<uint32_t>& elements,
-    const std::vector<uint32_t>& set_local,
-    const std::vector<uint32_t>& elem_local) const {
-  CsrSetCoverInstance shard;
-  shard.num_elements_ = elements.size();
-  size_t nnz = 0;
-  for (const uint32_t s : sets) nnz += set_size_[s];
-
-  shard.weights_.reserve(sets.size());
-  shard.set_begin_.reserve(sets.size());
-  shard.set_size_.reserve(sets.size());
-  shard.set_arena_.reserve(nnz);
-  for (const uint32_t s : sets) {
-    shard.weights_.push_back(weights_[s]);
-    shard.set_begin_.push_back(static_cast<uint32_t>(shard.set_arena_.size()));
-    shard.set_size_.push_back(set_size_[s]);
-    // elem_local is monotone within the component, so the mapped span stays
-    // strictly ascending like the global one.
-    for (const uint32_t e : elements_of(s)) {
-      shard.set_arena_.push_back(elem_local[e]);
-    }
-  }
-
-  shard.elem_offsets_.clear();
-  shard.elem_offsets_.reserve(elements.size() + 1);
-  shard.elem_offsets_.push_back(0);
-  shard.elem_arena_.reserve(nnz);
-  for (const uint32_t e : elements) {
-    // Every set covering e lives in this component, so set_local is defined
-    // for the whole link span (and monotone: local link lists stay
-    // ascending).
-    const std::span<const uint32_t> links = sets_of(e);
-    for (const uint32_t s : links) {
-      shard.elem_arena_.push_back(set_local[s]);
-    }
-    shard.elem_offsets_.push_back(
-        static_cast<uint32_t>(shard.elem_arena_.size()));
-    shard.max_frequency_ = std::max(shard.max_frequency_, links.size());
-  }
-  return shard;
-}
-
 size_t CsrSetCoverInstance::arena_bytes() const {
   return (set_arena_.size() + elem_arena_.size() + set_begin_.size() +
           set_size_.size() + elem_offsets_.size()) *

@@ -110,19 +110,6 @@ class CsrSetCoverInstance {
   /// weights non-negative, every element covered (feasibility).
   Status Validate() const;
 
-  /// Extracts one conflict component as a standalone frozen instance:
-  /// `sets`/`elements` are the component's global ids in ascending order
-  /// and `set_local`/`elem_local` the global->local renumberings (both
-  /// order-preserving, see ComponentIndex::Partition). Weights are copied
-  /// bit for bit and both arenas keep their global iteration order, so a
-  /// solver run on the shard performs exactly the monolithic run's
-  /// operations restricted to this component. A straight arena copy — no
-  /// metrics, it runs once per component inside the solve fan-out.
-  CsrSetCoverInstance ExtractComponent(
-      const std::vector<uint32_t>& sets, const std::vector<uint32_t>& elements,
-      const std::vector<uint32_t>& set_local,
-      const std::vector<uint32_t>& elem_local) const;
-
  private:
   // Rebuilds set_arena_ in set-id order, dropping dead slack.
   void CompactSetArena();

@@ -55,7 +55,6 @@ Result<SetCoverSolution> GreedySetCover(const CsrSetCoverInstance& view) {
     }
     const auto chosen = static_cast<uint32_t>(best);
     solution.chosen.push_back(chosen);
-    solution.pick_keys.push_back(best_eff);
     solution.weight += view.weight(chosen);
     alive[chosen] = false;
     for (uint32_t i = res_begin[chosen]; i < res_begin[chosen] + res_size[chosen];

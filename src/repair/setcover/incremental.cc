@@ -115,12 +115,11 @@ Result<SetCoverSolution> IncrementalGreedySolver::SolveDelta() {
           "incremental greedy: uncovered elements remain but the queue is "
           "empty (infeasible instance patch)");
     }
-    const auto [picked, eff] = heap_.Top();
+    const uint32_t picked = heap_.Top().first;
     heap_.Pop();
     ++heap_pops;
     chosen_[picked] = 1;
     solution.chosen.push_back(picked);
-    solution.pick_keys.push_back(eff);
     solution.weight += instance_->weight(picked);
 
     for (const uint32_t e : instance_->elements_of(picked)) {

@@ -26,14 +26,6 @@ struct SetCoverSolution {
   double weight = 0.0;
   /// Number of main-loop iterations the solver performed (for diagnostics).
   uint64_t iterations = 0;
-  /// Per pick, the selection key the solver chose it under — the effective
-  /// weight w(s)/|s \ covered| at pick time. Recorded by the greedy family
-  /// (greedy, modified greedy, lazy greedy, incremental greedy), where the
-  /// key sequence is non-decreasing; the component-sharded solve merges
-  /// per-component pick streams on (key, set id) to reproduce the
-  /// monolithic pick order exactly (component_solve.h). Empty for the
-  /// layer/exact solvers, whose picks carry no such key.
-  std::vector<double> pick_keys;
 };
 
 /// Which approximation algorithm to run.

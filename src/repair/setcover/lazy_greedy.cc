@@ -80,7 +80,6 @@ Result<SetCoverSolution> LazyGreedySetCover(
     // (ties resolve to the smaller id through the comparator).
     ++solution.iterations;
     solution.chosen.push_back(entry.id);
-    solution.pick_keys.push_back(entry.key);
     solution.weight += view.weight(entry.id);
     alive[entry.id] = false;
     for (const uint32_t e : view.elements_of(entry.id)) {

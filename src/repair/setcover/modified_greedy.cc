@@ -31,11 +31,10 @@ Result<SetCoverSolution> ModifiedGreedySetCover(
           "modified greedy: uncovered elements remain but the queue is "
           "empty (infeasible instance)");
     }
-    const auto [chosen, eff] = heap.Top();
+    const uint32_t chosen = heap.Top().first;
     heap.Pop();
     ++heap_pops;
     solution.chosen.push_back(chosen);
-    solution.pick_keys.push_back(eff);
     solution.weight += view.weight(chosen);
 
     for (const uint32_t e : view.elements_of(chosen)) {

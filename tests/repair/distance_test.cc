@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gen/client_buy.h"
 #include "gen/paper_example.h"
 #include "repair/api.h"
+#include "repair/repair_builder.h"
 
 namespace dbrepair {
 namespace {
@@ -88,6 +91,41 @@ void ApplyUpdates(Database* db, int64_t n) {
               .ok());
     }
   }
+}
+
+// A clone of `d` with `updates` applied (sorted, one per cell).
+Database Applied(const Database& d, const std::vector<AppliedUpdate>& updates) {
+  Database repaired = d.Clone();
+  for (const AppliedUpdate& u : updates) {
+    EXPECT_TRUE(repaired.mutable_table(u.tuple.relation)
+                    .UpdateValue(u.tuple.row, u.attribute,
+                                 Value::Int(u.new_value))
+                    .ok());
+  }
+  return repaired;
+}
+
+// Updates every third row's first flexible attribute and every fifth row's
+// second one, so every fifteenth tuple carries two updates. Old values are
+// read from `d` the way fix generation reads them: a NULL cell reads as 0.
+// The list comes out in ascending (relation, row, attribute) order.
+std::vector<AppliedUpdate> SomeUpdates(const Database& d) {
+  std::vector<AppliedUpdate> updates;
+  for (uint32_t r = 0; r < d.relation_count(); ++r) {
+    const Table& table = d.table(r);
+    const auto& flexible = table.schema().flexible_positions();
+    for (uint32_t row = 0; row < table.size(); ++row) {
+      for (size_t i = 0; i < 2; ++i) {
+        if (row % (i == 0 ? 3 : 5) != 0) continue;
+        const auto attr = static_cast<uint32_t>(flexible[i]);
+        const Value& old = table.row(row).value(attr);
+        const int64_t old_value = old.is_int() ? old.AsInt() : 0;
+        updates.push_back(AppliedUpdate{TupleRef{r, row}, attr, old_value,
+                                        old_value + 7 - 3 * (row % 5)});
+      }
+    }
+  }
+  return updates;
 }
 
 TEST(DistanceTest, ScalarL1AndL2) {
@@ -212,6 +250,74 @@ TEST(DistanceTest, RowAlignedAndPermutedCopiesAreBitIdentical) {
     EXPECT_EQ(via_rows, f.DatabaseDistance(d, permuted).value());
     EXPECT_EQ(via_rows, LookupOnlyDistance(f, d, aligned));
     EXPECT_EQ(via_rows, LookupOnlyDistance(f, d, permuted));
+  }
+}
+
+// The update-list sum must equal the row scan bit for bit (EXPECT_EQ, not a
+// tolerance): per tuple in attribute order, then across tuples in
+// (relation, row) order, with non-unit weights, two updates on one tuple
+// and cells that were NULL before the repair.
+TEST(DistanceTest, UpdateListSumIsBitIdenticalToDatabaseDistance) {
+  constexpr int64_t kRows = 301;
+  Database d(TwoRelationSchema());
+  for (size_t r = 0; r < 2; ++r) InsertRows(&d, r, kRows, false);
+  // Every seventh row's first flexible attribute starts out NULL.
+  for (size_t r = 0; r < 2; ++r) {
+    Table& table = d.mutable_table(r);
+    const size_t attr = table.schema().flexible_positions()[0];
+    for (size_t row = 0; row < table.size(); row += 7) {
+      ASSERT_TRUE(table.UpdateValue(row, attr, Value()).ok());
+    }
+  }
+  const std::vector<AppliedUpdate> updates = SomeUpdates(d);
+  const Database repaired = Applied(d, updates);
+
+  size_t from_null = 0;
+  size_t two_on_one_tuple = 0;
+  for (size_t i = 0; i < updates.size(); ++i) {
+    const AppliedUpdate& u = updates[i];
+    if (d.tuple(u.tuple).value(u.attribute).is_null()) ++from_null;
+    if (i > 0 && updates[i - 1].tuple == u.tuple) ++two_on_one_tuple;
+  }
+  ASSERT_GT(from_null, 0u);
+  ASSERT_GT(two_on_one_tuple, 0u);
+
+  for (const DistanceKind kind : {DistanceKind::kL1, DistanceKind::kL2}) {
+    const DistanceFunction f(kind);
+    const double via_updates = f.UpdatesDistance(d.schema(), updates);
+    EXPECT_GT(via_updates, 0.0);
+    EXPECT_EQ(via_updates, f.DatabaseDistance(d, repaired).value());
+  }
+}
+
+TEST(DistanceTest, UpdateListSumOnThePaperExample) {
+  // Example 2.3's D2: t1 -> (B1, 1, 50, 1) and t2 -> (C2, 0, 20, 1), two
+  // updates on t1 with weights 1/20 and 1/2.
+  const GeneratedWorkload w = MakePaperTableExample();
+  const std::vector<AppliedUpdate> updates = {
+      {TupleRef{0, 0}, 2, 40, 50},
+      {TupleRef{0, 0}, 3, 0, 1},
+      {TupleRef{0, 1}, 1, 1, 0},
+  };
+  const Database repaired = Applied(w.db, updates);
+  for (const DistanceKind kind : {DistanceKind::kL1, DistanceKind::kL2}) {
+    const DistanceFunction f(kind);
+    EXPECT_EQ(f.UpdatesDistance(w.db.schema(), updates),
+              f.DatabaseDistance(w.db, repaired).value());
+  }
+  EXPECT_DOUBLE_EQ(DistanceFunction(DistanceKind::kL1)
+                       .UpdatesDistance(w.db.schema(), updates),
+                   2.0);
+}
+
+TEST(DistanceTest, EmptyUpdateListSumsToExactZero) {
+  const GeneratedWorkload w = MakePaperTableExample();
+  for (const DistanceKind kind : {DistanceKind::kL1, DistanceKind::kL2}) {
+    const DistanceFunction f(kind);
+    const double sum = f.UpdatesDistance(w.db.schema(), {});
+    EXPECT_EQ(sum, 0.0);
+    EXPECT_FALSE(std::signbit(sum));
+    EXPECT_EQ(sum, f.DatabaseDistance(w.db, w.db.Clone()).value());
   }
 }
 

@@ -123,6 +123,84 @@ TEST(RepairerTest, SubsumptionKeepsHigherWeightFixPerAttribute) {
   }
 }
 
+// ApplyCover's subsumption rule, pinned on a hand-made cover: of several
+// picks on one (tuple, attribute), the higher weight wins and equal weights
+// keep the first pick in cover order; the updates come out in ascending
+// (relation, row, attribute) order whatever the cover order.
+TEST(RepairerTest, ApplyCoverSubsumptionAndUpdateOrder) {
+  auto schema = std::make_shared<Schema>();
+  ASSERT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "R",
+                      {AttributeDef{"K", Type::kInt64, false, 1.0},
+                       AttributeDef{"X", Type::kInt64, true, 1.0},
+                       AttributeDef{"Y", Type::kInt64, true, 1.0}},
+                      {"K"}))
+                  .ok());
+  ASSERT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "S",
+                      {AttributeDef{"K", Type::kInt64, false, 1.0},
+                       AttributeDef{"Z", Type::kInt64, true, 1.0}},
+                      {"K"}))
+                  .ok());
+  Database db(schema);
+  for (int64_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(db.Insert("R", {Value::Int(k), Value::Int(0), Value::Int(0)})
+                    .ok());
+  }
+  ASSERT_TRUE(db.Insert("S", {Value::Int(0), Value::Int(0)}).ok());
+
+  RepairProblem problem;
+  const auto add_fix = [&](uint32_t relation, uint32_t row, uint32_t attribute,
+                           int64_t new_value, double weight) {
+    CandidateFix fix;
+    fix.tuple = TupleRef{relation, row};
+    fix.attribute = attribute;
+    fix.new_value = new_value;
+    fix.weight = weight;
+    problem.fixes.push_back(fix);
+  };
+  add_fix(0, 1, 1, 7, 2.0);  // f0: R[1].X, lighter
+  add_fix(0, 1, 1, 9, 3.0);  // f1: R[1].X, heavier, picked after f0
+  add_fix(0, 0, 2, 4, 1.0);  // f2: R[0].Y, tie, picked after f3
+  add_fix(0, 0, 2, 6, 1.0);  // f3: R[0].Y, tie, picked first
+  add_fix(1, 0, 1, 5, 1.0);  // f4: S[0].Z, alone
+  add_fix(0, 0, 1, 3, 1.0);  // f5: R[0].X, alone
+  add_fix(0, 2, 1, 8, 5.0);  // f6: R[2].X, heavier, picked first
+  add_fix(0, 2, 1, 2, 1.0);  // f7: R[2].X, lighter, picked after f6
+
+  SetCoverSolution cover;
+  cover.chosen = {4, 0, 6, 3, 5, 2, 1, 7};
+  std::vector<AppliedUpdate> updates;
+  const auto repaired = ApplyCover(db, problem, cover, &updates);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+
+  struct Expected {
+    uint32_t relation, row, attribute;
+    int64_t new_value;
+  };
+  const std::vector<Expected> expected = {
+      {0, 0, 1, 3},  // f5
+      {0, 0, 2, 6},  // f3: equal weight, first in cover order
+      {0, 1, 1, 9},  // f1: higher weight, even though picked later
+      {0, 2, 1, 8},  // f6: higher weight, picked first
+      {1, 0, 1, 5},  // f4
+  };
+  ASSERT_EQ(updates.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(updates[i].tuple.relation, expected[i].relation) << i;
+    EXPECT_EQ(updates[i].tuple.row, expected[i].row) << i;
+    EXPECT_EQ(updates[i].attribute, expected[i].attribute) << i;
+    EXPECT_EQ(updates[i].new_value, expected[i].new_value) << i;
+    EXPECT_EQ(repaired->table(expected[i].relation)
+                  .row(expected[i].row)
+                  .value(expected[i].attribute),
+              Value::Int(expected[i].new_value))
+        << i;
+  }
+}
+
 TEST(RepairerTest, CombinesMonoLocalFixesOfOneTuple) {
   // A tuple violating two constraints on different attributes gets a single
   // combined local fix (Definition 3.2).

@@ -4,8 +4,8 @@
 # harness, the RepairSession suite (whose concurrent-ApplyBatch misuse
 # case must fail cleanly, not racily), the flat set-cover layout suite
 # (which replays the per-batch CSR epoch append at 1 and 4 threads), the
-# component-solve suite (sharded-vs-monolithic byte-identity with the
-# per-component solve fan-out on 2/4/8-worker pools), the
+# conflict-component suite (its session case streams batches through a
+# 4-thread session), the
 # randomized trace-merge suite (pool workers appending to per-thread event
 # lanes while snapshots read them), the scenario suite (the generator
 # differential oracle replays every scenario at 1 and 4 threads, plus the
@@ -26,7 +26,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DDBREPAIR_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target thread_pool_test differential_test obs_test session_test \
-           setcover_layout_test component_solve_test trace_merge_test \
+           setcover_layout_test components_test trace_merge_test \
            fd_test inconsistency_test scenario_metamorphic_test \
            scenario_differential_test protocol_test server_test
 ctest --test-dir "$BUILD_DIR" \

@@ -6,9 +6,7 @@
 # headline pass additionally runs, with 3 repetitions each, the
 # session-vs-full-repair pair ("session_headline"), the multi-tenant
 # server throughput pair at 1 vs 4 tenants ("server_headline", the scaling
-# number for the repair server), and the component-sharded solve sweep at
-# 1/2/4 threads plus the monolithic baseline ("component_headline", the
-# scaling number for the per-component solve fan-out).
+# number for the repair server).
 #
 # Usage:
 #   tools/run_benchmarks.sh            # small sizes + headline passes
@@ -45,7 +43,6 @@ BENCH_TARGETS=(bench_figure2_approximation bench_figure3_runtime
                bench_complexity_scaling bench_degree_sweep
                bench_inconsistency_ratio bench_cardinality
                bench_setcover_micro
-               bench_component_solve
                bench_build_pipeline bench_session_batches
                bench_scenarios bench_server)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${BENCH_TARGETS[@]}" >&2
@@ -88,15 +85,6 @@ if [[ "$HEADLINE" == "1" ]]; then
     --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
   mv "$TMP/bench_scenarios.json" "$TMP/zz_headline_scenario.json"
 
-  # Component-sharded solve headline: the per-component solve fan-out at
-  # 1/2/4 pool threads plus the monolithic baseline, 100k-element
-  # zipf-hotspot multi-component workload, median of 3. The covers are
-  # byte-identical at every thread count; only the wall/CPU split moves.
-  run_gbench bench_component_solve \
-    'BM_ComponentSolve/100000/(1|2|4)$|BM_MonolithicSolve/100000$' \
-    --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
-  mv "$TMP/bench_component_solve.json" "$TMP/zz_headline_component.json"
-
   # Server headline: batch throughput over the wire at 1 vs 4 concurrent
   # tenants (shared worker pool sized to the tenant count), median of 3.
   # Tracks whether cross-tenant parallelism actually scales.
@@ -109,7 +97,6 @@ fi
 run_gbench bench_figure3_runtime '/1000$'
 run_gbench bench_build_pipeline '/10000$|/100$'
 run_gbench bench_setcover_micro '/1000$'
-run_gbench bench_component_solve '/10000/1$|MonolithicSolve/10000$'
 run_gbench bench_cardinality '/10/20$|TransformOnly/100$'
 run_gbench bench_complexity_scaling '/2000$'
 run_gbench bench_degree_sweep 'Sweep/2$|EndToEnd/5000$'
@@ -129,7 +116,7 @@ import json, sys, os
 tmp, out, build_type = sys.argv[1], sys.argv[2], sys.argv[3]
 summary = {"benchmarks": [], "session_headline": None,
            "scenario_headline": None,
-           "server_headline": None, "component_headline": None,
+           "server_headline": None,
            "figure2_table": []}
 
 for fname in sorted(os.listdir(tmp)):
@@ -147,8 +134,7 @@ for fname in sorted(os.listdir(tmp)):
     for b in data.get("benchmarks", []):
         display = {"zz_headline_session": "session_headline",
                    "zz_headline_scenario": "scenario_headline",
-                   "zz_headline_server": "server_headline",
-                   "zz_headline_component": "component_headline"}
+                   "zz_headline_server": "server_headline"}
         entry = {
             "binary": display.get(binary, binary),
             "name": b["name"],
@@ -229,47 +215,6 @@ if len(server_medians) == 2:
                                    / one["items_per_second"])
     summary["server_headline"] = entry
 
-# Component-sharded solve headline: the per-component fan-out at 1/2/4
-# pool threads plus the monolithic baseline, same frozen 100k-element
-# zipf-hotspot instance, byte-identical covers. The speedup figure is the
-# ratio of the calling thread's CPU per solve (gbench cpu_time): the
-# caller runs its share of the component tasks, so its CPU share shrinks
-# with the fan-out and matches the wall-clock speedup an idle multi-core
-# host would see. Wall times are recorded too, but on a single-CPU runner
-# (see context.num_cpus) wall time cannot drop and would mask the scaling.
-component_medians = {}
-for b in summary["benchmarks"]:
-    if (b["binary"] == "component_headline"
-            and b.get("aggregate_name") == "median"):
-        for key, bm in (("t1", "BM_ComponentSolve/100000/1"),
-                        ("t2", "BM_ComponentSolve/100000/2"),
-                        ("t4", "BM_ComponentSolve/100000/4"),
-                        ("monolithic", "BM_MonolithicSolve/100000")):
-            if bm in b["name"]:
-                component_medians[key] = b
-if len(component_medians) == 4:
-    t1, t4 = component_medians["t1"], component_medians["t4"]
-    summary["component_headline"] = {
-        "workload": "zipf-hotspot multi-component MWSCP instance, 100k "
-                    "elements, ~1k components, bounded-degree sets, "
-                    "byte-identical covers at every thread count",
-        "metric": "sharded solve (partition + extract + solve + merge), "
-                  "median of 3; speedup_4t = main-thread CPU per solve at "
-                  "1 thread / 4 threads (equals wall speedup on idle "
-                  "multi-core; wall is flat on a 1-CPU runner)",
-        "sharded_1t_wall_ms": component_medians["t1"]["real_time"],
-        "sharded_2t_wall_ms": component_medians["t2"]["real_time"],
-        "sharded_4t_wall_ms": component_medians["t4"]["real_time"],
-        "monolithic_wall_ms": component_medians["monolithic"]["real_time"],
-        "sharded_1t_cpu_ms": t1["cpu_time"],
-        "sharded_2t_cpu_ms": component_medians["t2"]["cpu_time"],
-        "sharded_4t_cpu_ms": t4["cpu_time"],
-        "monolithic_cpu_ms": component_medians["monolithic"]["cpu_time"],
-        "speedup_4t": t1["cpu_time"] / t4["cpu_time"],
-        "sharded_serial_vs_monolithic":
-            component_medians["monolithic"]["real_time"] / t1["real_time"],
-    }
-
 # The CMake build type the binaries were actually compiled with; the
 # script only ever runs Release trees, so anything else here means the
 # summary predates the enforcement and should not be used as a baseline.
@@ -302,12 +247,6 @@ if summary["server_headline"]:
               f"4 tenants vs 1 "
               f"({v['one_tenant_rows_per_second']:.0f} -> "
               f"{v['four_tenant_rows_per_second']:.0f} rows/s)")
-if summary["component_headline"]:
-    k = summary["component_headline"]
-    print(f"component headline: sharded solve {k['speedup_4t']:.2f}x at 4 "
-          f"threads vs 1 (main-thread CPU {k['sharded_1t_cpu_ms']:.1f} ms "
-          f"-> {k['sharded_4t_cpu_ms']:.1f} ms; serial sharded "
-          f"{k['sharded_serial_vs_monolithic']:.2f}x over monolithic)")
 if summary["scenario_headline"]:
     parts = []
     for key in ("zipf_hotspot", "sensor_drift", "adversary"):
