@@ -43,13 +43,21 @@ int Rank(const Value& v) {
 
 }  // namespace
 
+void Value::Release(StringRep* rep) {
+  if (rep->refs.fetch_sub(1) == 1) delete rep;
+}
+
 bool Value::operator==(const Value& other) const {
   if (is_null() || other.is_null()) return is_null() && other.is_null();
   if ((is_int() || is_double()) && (other.is_int() || other.is_double())) {
     if (is_int() && other.is_int()) return AsInt() == other.AsInt();
     return AsNumeric() == other.AsNumeric();
   }
-  if (is_string() && other.is_string()) return AsString() == other.AsString();
+  if (is_string() && other.is_string()) {
+    // Copies of one string share its payload.
+    return payload_.string_rep == other.payload_.string_rep ||
+           AsString() == other.AsString();
+  }
   return false;
 }
 

@@ -270,7 +270,10 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
   });
 
   const auto fix_merge_start = std::chrono::steady_clock::now();
-  std::vector<CandidateFix> fixes = MergeShardFixes(shard_fixes);
+  // One shard has already dropped its own repeats: its buffer is the merge.
+  std::vector<CandidateFix> fixes = fix_ranges.size() == 1
+                                        ? std::move(shard_fixes[0])
+                                        : MergeShardFixes(shard_fixes);
   // (packed tuple, fix id), sorted: each tuple's fixes in ascending id order.
   std::vector<std::pair<uint64_t, uint32_t>> tuple_fixes;
   tuple_fixes.reserve(fixes.size());

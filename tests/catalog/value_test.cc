@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 namespace dbrepair {
 namespace {
@@ -120,6 +124,140 @@ TEST(ValueTest, IntsBeyondTwoToTheFiftyThreeHashLikeTheirDoubleImage) {
   ASSERT_TRUE(Value::Int(big + 1) == Value::Double(static_cast<double>(big)));
   EXPECT_EQ(Value::Int(big + 1).Hash(),
             Value::Double(static_cast<double>(big)).Hash());
+}
+
+// One Value of each kind, for the copy/move cases below. The two strings
+// sit on either side of libstdc++'s 15-char small-string limit.
+std::vector<Value> OneOfEachKind() {
+  return {Value(),
+          Value::Int(-7),
+          Value::Double(2.5),
+          Value::String("short"),
+          Value::String("a string well past the small-string limit")};
+}
+
+TEST(ValueTest, CopyConstructAndCopyAssignKeepTheSource) {
+  for (const Value& original : OneOfEachKind()) {
+    const Value source = original;
+    const Value copied(source);
+    EXPECT_EQ(copied, original) << original.ToString();
+    EXPECT_EQ(source, original) << original.ToString();
+    Value assigned = Value::String("overwritten");
+    assigned = source;
+    EXPECT_EQ(assigned, original) << original.ToString();
+    EXPECT_EQ(source, original) << original.ToString();
+  }
+}
+
+TEST(ValueTest, MoveLeavesTheSourceNull) {
+  for (const Value& original : OneOfEachKind()) {
+    Value source = original;
+    const Value moved(std::move(source));
+    EXPECT_EQ(moved, original) << original.ToString();
+    EXPECT_TRUE(source.is_null()) << original.ToString();
+
+    Value assign_source = original;
+    Value assigned = Value::String("overwritten");
+    assigned = std::move(assign_source);
+    EXPECT_EQ(assigned, original) << original.ToString();
+    EXPECT_TRUE(assign_source.is_null()) << original.ToString();
+  }
+}
+
+TEST(ValueTest, SelfAssignKeepsTheValue) {
+  for (const Value& original : OneOfEachKind()) {
+    Value v = original;
+    const Value& alias = v;
+    v = alias;
+    EXPECT_EQ(v, original) << original.ToString();
+    Value& same = v;
+    v = std::move(same);
+    EXPECT_EQ(v, original) << original.ToString();
+  }
+}
+
+TEST(ValueTest, StringCopiesOutliveTheirSource) {
+  for (const std::string text :
+       {"", "abc", "fifteen chars!!", "sixteen chars!!!",
+        "a string well past the small-string limit"}) {
+    Value copy;
+    Value assigned = Value::Int(1);
+    {
+      const Value source = Value::String(text);
+      copy = Value(source);
+      assigned = source;
+    }
+    ASSERT_TRUE(copy.is_string());
+    EXPECT_EQ(copy.AsString(), text);
+    EXPECT_EQ(assigned.AsString(), text);
+    // Overwriting one copy leaves the other alone.
+    copy = Value::Int(3);
+    EXPECT_EQ(assigned.AsString(), text);
+  }
+}
+
+TEST(ValueTest, CopiesInAVectorSurviveReallocation) {
+  std::vector<Value> values;
+  for (int i = 0; i < 100; ++i) {
+    values.push_back(i % 2 == 0 ? Value::Int(i)
+                                : Value::String(std::string(i, 'x')));
+  }
+  const std::vector<Value> copy = values;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(copy[i], values[i]) << i;
+    if (i % 2 == 1) {
+      EXPECT_EQ(copy[i].AsString().size(), size_t(i)) << i;
+    }
+  }
+}
+
+// Hash, == and Compare agree on every pair of kinds: equal values compare
+// 0 and hash alike, unequal ones compare nonzero with opposite signs.
+TEST(ValueTest, HashEqualityAndCompareAgreeAcrossKinds) {
+  const std::vector<Value> values = {
+      Value(),           Value::Int(0),          Value::Double(0.0),
+      Value::Int(3),     Value::Double(3.0),     Value::Double(3.5),
+      Value::String(""), Value::String("3"),
+      Value::String("a string well past the small-string limit")};
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      const Value b_copy = b;
+      const bool equal = a == b;
+      EXPECT_EQ(equal, a == b_copy) << a.ToString() << " " << b.ToString();
+      EXPECT_EQ(equal, b == a) << a.ToString() << " " << b.ToString();
+      EXPECT_EQ(equal, a.Compare(b) == 0)
+          << a.ToString() << " " << b.ToString();
+      EXPECT_EQ(a.Compare(b), -b.Compare(a))
+          << a.ToString() << " " << b.ToString();
+      if (equal) {
+        EXPECT_EQ(a.Hash(), b.Hash()) << a.ToString() << " " << b.ToString();
+      }
+    }
+  }
+}
+
+// Four threads copy and destroy copies of one shared string Value, and the
+// original is dropped while they run, so whichever thread lets go last
+// frees the payload. Its reference count is the only state they share: a
+// data race on it fails this case under ThreadSanitizer, and a lost
+// decrement leaks the payload under LeakSanitizer.
+TEST(ValueTest, ConcurrentCopiesOfOneStringShareItsPayloadSafely) {
+  const std::string text = "a string well past the small-string limit";
+  Value original = Value::String(text);
+  std::vector<size_t> matches(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&matches, &text, t, own = original] {
+      for (int i = 0; i < 10000; ++i) {
+        std::vector<Value> copies(3, own);
+        const Value moved = std::move(copies[1]);
+        if (moved.AsString() == text && copies[2] == own) ++matches[t];
+      }
+    });
+  }
+  original = Value();
+  for (std::thread& thread : threads) thread.join();
+  for (const size_t count : matches) EXPECT_EQ(count, 10000u);
 }
 
 TEST(TypeTest, Names) {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Builds the tree under ThreadSanitizer and runs the concurrency-labelled
-# tests: the thread-pool unit tests, the serial-vs-parallel differential
+# tests: the thread-pool unit tests, the catalog suite (four threads copy
+# and drop one shared string Value, racing on nothing but its payload's
+# reference count), the serial-vs-parallel differential
 # harness, the RepairSession suite (whose concurrent-ApplyBatch misuse
 # case must fail cleanly, not racily), the flat set-cover layout suite
 # (which replays the per-batch CSR epoch append at 1 and 4 threads), the
@@ -25,10 +27,11 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DDBREPAIR_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
-  --target thread_pool_test differential_test obs_test session_test \
-           setcover_layout_test components_test trace_merge_test \
-           fd_test inconsistency_test scenario_metamorphic_test \
-           scenario_differential_test protocol_test server_test
+  --target thread_pool_test catalog_test differential_test obs_test \
+           session_test setcover_layout_test components_test \
+           trace_merge_test fd_test inconsistency_test \
+           scenario_metamorphic_test scenario_differential_test \
+           protocol_test server_test
 ctest --test-dir "$BUILD_DIR" \
   -L 'concurrency|obs|session|setcover|scenario|server' \
   --output-on-failure
