@@ -1,14 +1,13 @@
-// Pipeline decomposition: where the end-to-end repair time goes — violation
-// enumeration (Algorithm 2), MWSCP construction (Algorithms 3-4), solving
-// (Algorithm 5), and repair materialisation (Definition 3.2) — plus the
-// SQL-view path for violation enumeration as the paper's original
-// architecture would have run it.
+// Violation enumeration (Algorithm 2) three ways: the engine's columnar
+// join, the SQL-view path the paper's original architecture would have run,
+// and the engine's delta join over a freshly inserted batch. The per-phase
+// decomposition of a whole repair (scan, fixes, assemble, solve, apply,
+// verify) is measured by the ledger in benchmark/, not here.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
-#include "repair/repair_builder.h"
-#include "repair/setcover/solvers.h"
+#include "constraints/violation_engine.h"
 #include "sql/views.h"
 
 using namespace dbrepair;        // NOLINT(build/namespaces)
@@ -38,43 +37,6 @@ void BM_FindViolationsSqlViews(benchmark::State& state) {
   for (auto _ : state) {
     auto violations =
         FindViolationsViaSql(prepared.workload->db, prepared.bound);
-    if (!violations.ok()) {
-      state.SkipWithError(violations.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(violations->size());
-  }
-}
-
-void BM_FindViolationsEngineIndexed(benchmark::State& state) {
-  // Same enumeration with B+-tree indexes on the filtered columns
-  // (Client.A, Buy.P). The planner consults selectivity estimates: at 30%
-  // inconsistency it declines the index (scan wins); at 2% (second arg) it
-  // pushes the range down.
-  const auto clients = static_cast<size_t>(state.range(0));
-  ClientBuyOptions options;
-  options.num_clients = clients;
-  options.inconsistency_ratio = static_cast<double>(state.range(1)) / 100.0;
-  options.seed = 1;
-  auto workload = GenerateClientBuy(options);
-  if (!workload.ok()) {
-    state.SkipWithError(workload.status().ToString().c_str());
-    return;
-  }
-  Status st = workload->db.FindMutableTable("Client")->CreateOrderedIndex(1);
-  if (st.ok()) st = workload->db.FindMutableTable("Buy")->CreateOrderedIndex(2);
-  if (!st.ok()) {
-    state.SkipWithError(st.ToString().c_str());
-    return;
-  }
-  auto bound = BindAll(workload->db.schema(), workload->ics);
-  if (!bound.ok()) {
-    state.SkipWithError(bound.status().ToString().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    ViolationEngine engine(workload->db, *bound);
-    auto violations = engine.FindViolations();
     if (!violations.ok()) {
       state.SkipWithError(violations.status().ToString().c_str());
       return;
@@ -139,42 +101,6 @@ void BM_FindViolationsIncremental(benchmark::State& state) {
   state.counters["violations"] = static_cast<double>(found);
 }
 
-void BM_BuildRepairProblem(benchmark::State& state) {
-  const PreparedProblem& prepared =
-      ClientBuyProblem(static_cast<size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    auto problem = BuildRepairProblem(prepared.workload->db, prepared.bound,
-                                      DistanceFunction());
-    if (!problem.ok()) {
-      state.SkipWithError(problem.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(problem->fixes.size());
-  }
-  state.counters["sets"] =
-      static_cast<double>(prepared.csr.num_sets());
-}
-
-void BM_ApplyCover(benchmark::State& state) {
-  const PreparedProblem& prepared =
-      ClientBuyProblem(static_cast<size_t>(state.range(0)), 1);
-  auto cover = ModifiedGreedySetCover(prepared.csr);
-  if (!cover.ok()) {
-    state.SkipWithError(cover.status().ToString().c_str());
-    return;
-  }
-  for (auto _ : state) {
-    auto repaired =
-        ApplyCover(prepared.workload->db, prepared.problem, *cover);
-    if (!repaired.ok()) {
-      state.SkipWithError(repaired.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(repaired->TotalTuples());
-  }
-  state.counters["chosen"] = static_cast<double>(cover->chosen.size());
-}
-
 }  // namespace
 
 BENCHMARK(BM_FindViolationsEngine)
@@ -185,21 +111,9 @@ BENCHMARK(BM_FindViolationsSqlViews)
     ->Unit(benchmark::kMillisecond)
     ->Arg(10000)
     ->Arg(100000);
-BENCHMARK(BM_FindViolationsEngineIndexed)
-    ->Unit(benchmark::kMillisecond)
-    ->Args({100000, 30})
-    ->Args({100000, 2});
 BENCHMARK(BM_FindViolationsIncremental)
     ->Unit(benchmark::kMillisecond)
     ->Arg(100)
     ->Arg(1000);
-BENCHMARK(BM_BuildRepairProblem)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(10000)
-    ->Arg(100000);
-BENCHMARK(BM_ApplyCover)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(10000)
-    ->Arg(100000);
 
 BENCHMARK_MAIN();

@@ -505,38 +505,7 @@ ViolationEngine::Plan ViolationEngine::BuildPlan(const BoundConstraint& ic,
     if (b.rhs_is_var) {
       depth = std::max(depth, first_bind_depth[uf.Find(b.rhs_var)]);
     }
-    AtomStep& step = plan.steps[static_cast<size_t>(depth)];
-    step.builtins.push_back(planned_index);
-    ++planned_index;
-
-    // Ordered-index pushdown: a var-constant range built-in anchored at
-    // this step's atom can drive a B+-tree range scan when the step has no
-    // hash-join columns (hash joins are more selective and take priority).
-    const bool order_op = b.op == CompareOp::kLt || b.op == CompareOp::kLe ||
-                          b.op == CompareOp::kGt || b.op == CompareOp::kGe;
-    if (b.rhs_is_var || !order_op || !step.index_positions.empty() ||
-        step.range_position >= 0) {
-      continue;
-    }
-    const int32_t cls = uf.Find(b.lhs_var);
-    for (const auto& [pos, bound_cls] : step.bind_positions) {
-      if (bound_cls != cls) continue;
-      const uint32_t rel = ic.atoms[step.atom_index].relation_index;
-      const Table& table = db_.table(rel);
-      // A range scan returns rows in key order (cache-hostile) and
-      // materialises the id list, so it only beats the sequential scan when
-      // the predicate is selective.
-      constexpr double kIndexSelectivityThreshold = 0.15;
-      const double selectivity =
-          EstimateSelectivity(GetStats(rel), pos, b.op, b.rhs_const);
-      if (selectivity < kIndexSelectivityThreshold &&
-          table.FindOrderedIndex(pos) != nullptr) {
-        step.range_position = static_cast<int32_t>(pos);
-        step.range_op = b.op;
-        step.range_bound = b.rhs_const;
-      }
-      break;
-    }
+    plan.steps[static_cast<size_t>(depth)].builtins.push_back(planned_index++);
   }
   return plan;
 }
@@ -946,12 +915,10 @@ Status ViolationEngine::ExecuteInto(const Plan& plan, const ColumnarPlan& cp,
     const ColumnarPlan::Step& cstep = cp.steps[depth];
     const BoundAtom& atom = ic.atoms[step.atom_index];
 
-    // Candidate rows: code index on join columns, then B+-tree range scan,
-    // then a direct walk over the column arrays (no materialised id list).
+    // Candidate rows: code index on join columns, else a direct walk over
+    // the column arrays (no materialised id list).
     const uint32_t* cand = nullptr;
     uint32_t cand_count = 0;
-    bool have_candidates = false;
-    std::vector<uint32_t> scan_rows;
     bool verify_key = false;
     if (cstep.index != nullptr) {
       uint64_t key;
@@ -967,26 +934,7 @@ Status ViolationEngine::ExecuteInto(const Plan& plan, const ColumnarPlan& cp,
       }
       std::tie(cand, cand_count) = cstep.index->Find(key);
       if (cand == nullptr) return true;  // no matching rows
-      have_candidates = true;
       verify_key = !cstep.index->exact;
-    } else if (step.range_position >= 0) {
-      // The B+-tree walk yields a candidate superset; the range built-in
-      // still filters below.
-      const BTreeIndex* btree = db_.table(atom.relation_index)
-                                    .FindOrderedIndex(
-                                        static_cast<size_t>(
-                                            step.range_position));
-      const bool upper = step.range_op == CompareOp::kLt ||
-                         step.range_op == CompareOp::kLe;
-      const bool strict = step.range_op == CompareOp::kLt ||
-                          step.range_op == CompareOp::kGt;
-      scan_rows = upper ? btree->RangeScan(std::nullopt, false,
-                                           step.range_bound, strict)
-                        : btree->RangeScan(step.range_bound, strict,
-                                           std::nullopt, false);
-      cand = scan_rows.data();
-      cand_count = static_cast<uint32_t>(scan_rows.size());
-      have_candidates = true;
     }
 
     const AtomFilter& filter =
@@ -1043,7 +991,7 @@ Status ViolationEngine::ExecuteInto(const Plan& plan, const ColumnarPlan& cp,
       return self(self, depth + 1);
     };
 
-    if (have_candidates) {
+    if (cand != nullptr) {
       for (uint32_t k = 0; k < cand_count; ++k) {
         const uint32_t row = cand[k];
         if (!filter.Admits(row)) continue;

@@ -156,14 +156,6 @@ class ViolationEngine {
     std::vector<int32_t> index_classes;
     // Built-ins fully bound once this step binds its variables.
     std::vector<uint32_t> builtins;
-    // Ordered-index range scan: when no hash-join columns exist but a
-    // var-constant range built-in anchors at this atom on a column with a
-    // B+-tree index, the scan walks only the qualifying leaf range. The
-    // built-in also stays in `builtins` (the index range is a superset:
-    // e.g. NULL keys sort low and must still be filtered out).
-    int32_t range_position = -1;
-    CompareOp range_op = CompareOp::kLt;
-    Value range_bound;
   };
 
   // The logical plan: join order and per-step positions. PrepareColumnar

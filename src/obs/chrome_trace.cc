@@ -123,7 +123,7 @@ Json ChromeTraceJson(const ObsContext& context) {
     events.Append(MetadataEvent("thread_sort_index", tid, std::move(sort)));
   }
 
-  for (const SpanNode* root : context.tracer.roots()) {
+  for (const auto& root : context.tracer.roots()) {
     AppendSpanEvents(*root, now, &events);
   }
   for (const auto& [lane, tid] : lane_tids) {

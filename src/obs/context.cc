@@ -75,7 +75,7 @@ void DeepestContainingSpan(const SpanNode& node, const std::string& prefix,
 Json BuildWorkersSection(const ObsContext& context, double now_seconds) {
   const std::vector<LaneSnapshot> lanes =
       SnapshotLanes(context.events, now_seconds);
-  const std::vector<const SpanNode*> roots = context.tracer.roots();
+  const auto roots = context.tracer.roots();
 
   Json lanes_json = Json::MakeArray();
   struct PhaseWork {
@@ -96,7 +96,7 @@ Json BuildWorkersSection(const ObsContext& context, double now_seconds) {
     for (const LaneInterval& interval : lane.intervals) {
       if (interval.depth != 0) continue;  // children are inside a counted span
       std::string phase;
-      for (const SpanNode* root : roots) {
+      for (const auto& root : roots) {
         DeepestContainingSpan(*root, "", interval.begin_seconds,
                               interval.end_seconds, now_seconds, &phase);
         if (!phase.empty()) break;
@@ -145,7 +145,7 @@ Json BuildRunSnapshot(const ObsContext& context) {
   const double now = context.clock.SecondsSinceEpoch();
   Json phases = Json::MakeObject();
   Json trace = Json::MakeArray();
-  for (const SpanNode* root : context.tracer.roots()) {
+  for (const auto& root : context.tracer.roots()) {
     FlattenPhases(*root, "", now, &phases);
     trace.Append(SpanTreeToJson(*root, now));
   }

@@ -7,23 +7,27 @@
 
 namespace dbrepair::obs {
 
-SpanNode* Tracer::OpenSpan(std::string_view name) {
+std::shared_ptr<SpanNode> Tracer::OpenSpan(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto node = std::make_unique<SpanNode>();
   node->name = std::string(name);
   node->start_seconds = Now();
   SpanNode* raw = node.get();
   if (stack_.empty()) {
+    // No span is open, so the oldest root is closed and may go.
+    if (roots_.size() >= kMaxRoots) roots_.erase(roots_.begin());
     roots_.push_back(std::move(node));
   } else {
     stack_.back()->children.push_back(std::move(node));
   }
   stack_.push_back(raw);
-  return raw;
+  // The open root is the newest one: no root opens while a span is open.
+  return std::shared_ptr<SpanNode>(roots_.back(), raw);
 }
 
 double Tracer::CloseSpan(SpanNode* node) {
   const std::lock_guard<std::mutex> lock(mu_);
+  if (!node->open) return node->duration_seconds;
   const double now = Now();
   // Close any deeper spans left open (abandoned by early returns) so the
   // stack discipline survives error paths.
@@ -37,12 +41,9 @@ double Tracer::CloseSpan(SpanNode* node) {
   return node->duration_seconds;
 }
 
-std::vector<const SpanNode*> Tracer::roots() const {
+std::vector<std::shared_ptr<const SpanNode>> Tracer::roots() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<const SpanNode*> out;
-  out.reserve(roots_.size());
-  for (const auto& root : roots_) out.push_back(root.get());
-  return out;
+  return {roots_.begin(), roots_.end()};
 }
 
 namespace {
@@ -61,10 +62,13 @@ const SpanNode* FindSpanIn(const SpanNode& node, std::string_view path) {
 
 }  // namespace
 
-const SpanNode* Tracer::FindSpan(std::string_view path) const {
+std::shared_ptr<const SpanNode> Tracer::FindSpan(
+    std::string_view path) const {
   const std::lock_guard<std::mutex> lock(mu_);
   for (const auto& root : roots_) {
-    if (const SpanNode* found = FindSpanIn(*root, path)) return found;
+    if (const SpanNode* found = FindSpanIn(*root, path)) {
+      return std::shared_ptr<const SpanNode>(root, found);
+    }
   }
   return nullptr;
 }
@@ -85,7 +89,7 @@ Span::~Span() { Finish(); }
 
 double Span::Finish() {
   if (!finished_) {
-    duration_seconds_ = tracer_->CloseSpan(node_);
+    duration_seconds_ = tracer_->CloseSpan(node_.get());
     finished_ = true;
   }
   return duration_seconds_;
@@ -132,7 +136,7 @@ std::string FormatSpanTree(const SpanNode& root, double now_seconds) {
 std::string FormatSpanTrees(const Tracer& tracer) {
   std::string out;
   const double now = tracer.clock().SecondsSinceEpoch();
-  for (const SpanNode* root : tracer.roots()) {
+  for (const auto& root : tracer.roots()) {
     out += FormatSpanTree(*root, now);
   }
   return out;

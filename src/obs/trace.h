@@ -1,6 +1,7 @@
 #ifndef DBREPAIR_OBS_TRACE_H_
 #define DBREPAIR_OBS_TRACE_H_
 
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,8 +30,16 @@ struct SpanNode {
 /// so concurrent readers (snapshots) are safe. Worker-side work inside a
 /// phase is recorded into the EventCollector's per-thread lanes and merged
 /// back against this tree at snapshot time.
+///
+/// The history is bounded: a long-lived tracer (one per server tenant)
+/// keeps the kMaxRoots most recent root trees. Opening a root when that
+/// many are held evicts the oldest; a root opens only when no span is
+/// open, so every root it can evict is closed. Readers and Spans hold
+/// shared ownership, so an eviction never frees a tree still in use.
 class Tracer {
  public:
+  static constexpr size_t kMaxRoots = 64;
+
   /// Standalone tracer with its own epoch.
   Tracer() : clock_(&own_clock_) {}
 
@@ -43,19 +52,21 @@ class Tracer {
   const TraceClock& clock() const { return *clock_; }
 
   /// Opens a span as a child of the innermost open span (or a new root).
-  SpanNode* OpenSpan(std::string_view name);
+  /// The pointer shares ownership of the span's root tree.
+  std::shared_ptr<SpanNode> OpenSpan(std::string_view name);
 
   /// Closes `node` (and any deeper spans left open) and returns its
-  /// duration in seconds. Idempotent per node via Span.
+  /// duration in seconds. A span already closed keeps its duration.
   double CloseSpan(SpanNode* node);
 
-  /// Completed and open root spans, in open order. Pointers remain valid
-  /// until Clear().
-  std::vector<const SpanNode*> roots() const;
+  /// The held root spans (completed, then at most one open), in open
+  /// order.
+  std::vector<std::shared_ptr<const SpanNode>> roots() const;
 
   /// Looks a span up by '/'-separated path, e.g. "repair/build/setcover".
-  /// Searches every root; returns nullptr when absent.
-  const SpanNode* FindSpan(std::string_view path) const;
+  /// Searches every held root; returns nullptr when absent. The pointer
+  /// shares ownership of the span's root tree.
+  std::shared_ptr<const SpanNode> FindSpan(std::string_view path) const;
 
   /// Drops all recorded spans and resets the epoch.
   void Clear();
@@ -66,7 +77,7 @@ class Tracer {
   mutable std::mutex mu_;
   TraceClock own_clock_;
   TraceClock* clock_;
-  std::vector<std::unique_ptr<SpanNode>> roots_;
+  std::vector<std::shared_ptr<SpanNode>> roots_;
   std::vector<SpanNode*> stack_;
 };
 
@@ -88,7 +99,7 @@ class Span {
 
  private:
   Tracer* tracer_;
-  SpanNode* node_;
+  std::shared_ptr<SpanNode> node_;
   bool finished_ = false;
   double duration_seconds_ = 0.0;
 };

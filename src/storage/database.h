@@ -53,7 +53,6 @@ class Database {
   /// Deep copy sharing the schema, used to materialise repairs without
   /// touching the original instance. Each table's rows and primary-key
   /// index are copied as a whole (no row is re-inserted or re-checked).
-  /// Ordered indexes are not copied; recreate them on the clone if needed.
   Database Clone() const;
 
  private:

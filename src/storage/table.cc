@@ -113,9 +113,6 @@ Result<size_t> Table::Insert(Tuple tuple) {
   const size_t row = rows_.size();
   key_slots_[slot] = (uint64_t{tag} << 32) | row;
   rows_.push_back(std::move(tuple));
-  for (auto& [attribute, index] : ordered_indexes_) {
-    index.Insert(rows_[row].value(attribute), static_cast<uint32_t>(row));
-  }
   return row;
 }
 
@@ -162,28 +159,7 @@ Status Table::UpdateValue(size_t row, size_t attribute, Value v) {
   }
   DBREPAIR_RETURN_IF_ERROR(CheckType(attribute, v));
   rows_[row].set_value(attribute, std::move(v));
-  ordered_indexes_.erase(attribute);  // now stale; owner rebuilds if needed
   return Status::OK();
-}
-
-Status Table::CreateOrderedIndex(size_t attribute) {
-  if (attribute >= schema_->arity()) {
-    return Status::OutOfRange("attribute index out of range in '" +
-                              schema_->name() + "'");
-  }
-  std::vector<std::pair<Value, uint32_t>> entries;
-  entries.reserve(rows_.size());
-  for (uint32_t row = 0; row < rows_.size(); ++row) {
-    entries.emplace_back(rows_[row].value(attribute), row);
-  }
-  ordered_indexes_.insert_or_assign(attribute,
-                                    BTreeIndex::BulkLoad(std::move(entries)));
-  return Status::OK();
-}
-
-const BTreeIndex* Table::FindOrderedIndex(size_t attribute) const {
-  const auto it = ordered_indexes_.find(attribute);
-  return it == ordered_indexes_.end() ? nullptr : &it->second;
 }
 
 }  // namespace dbrepair

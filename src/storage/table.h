@@ -3,11 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/schema.h"
-#include "storage/btree_index.h"
 #include "storage/tuple.h"
 
 namespace dbrepair {
@@ -36,22 +34,12 @@ class Table {
   Result<size_t> LookupByKey(const std::vector<Value>& key) const;
 
   /// A copy of the rows and the primary-key index, sharing the schema.
-  /// Ordered indexes are not carried over.
   Table Clone() const;
 
   /// Updates one attribute of one row. Key attributes cannot be updated
   /// (repairs never change keys; Definition 2.2 keeps val(K_R) fixed), and
   /// the value must fit the column's declared type, as for Insert.
-  /// An ordered index on the updated attribute, if any, is dropped (it
-  /// would be stale); recreate it after a batch of updates.
   Status UpdateValue(size_t row, size_t attribute, Value v);
-
-  /// Builds (or rebuilds) a B+-tree secondary index over `attribute`.
-  /// Subsequent inserts maintain it; UpdateValue on the attribute drops it.
-  Status CreateOrderedIndex(size_t attribute);
-
-  /// The ordered index on `attribute`, or nullptr if none exists.
-  const BTreeIndex* FindOrderedIndex(size_t attribute) const;
 
  private:
   static constexpr uint64_t kEmptySlot = UINT64_MAX;
@@ -79,9 +67,6 @@ class Table {
   // re-slot without rehashing; key equality is checked against rows_.
   std::vector<uint64_t> key_slots_;
   unsigned key_shift_ = 64;  // 64 - log2(key_slots_.size())
-  // Secondary B+-tree indexes by attribute position. Maintained per index
-  // on insert, so the container's iteration order never affects anything.
-  std::unordered_map<size_t, BTreeIndex> ordered_indexes_;
 };
 
 }  // namespace dbrepair

@@ -109,8 +109,8 @@ TEST(FlagsTest, UsageListsEveryFlag) {
 }
 
 TEST(FlagsTest, CanonicalSpellingsAreStable) {
-  // The CLI, bench_figure2_approximation, and bench_session_batches all
-  // reference these constants; a spelling change is an interface break.
+  // The CLI and bench_figure2_approximation reference these constants; a
+  // spelling change is an interface break.
   EXPECT_STREQ(kFlagThreads, "--threads");
   EXPECT_STREQ(kFlagSolver, "--solver");
 }

@@ -14,7 +14,6 @@ namespace {
 using obs::Json;
 using obs::ObsContext;
 using obs::ScopedObs;
-using obs::SpanNode;
 
 RepairOutcome RunInstrumented(ObsContext* obs, SolverKind solver) {
   ScopedObs scoped(obs);
@@ -40,7 +39,7 @@ TEST(PipelineObsTest, SpanTreeCoversEveryPhase) {
         "repair/build/violations", "repair/build/fixes",
         "repair/build/setcover", "repair/solve", "repair/apply",
         "repair/verify"}) {
-    const SpanNode* node = obs.tracer.FindSpan(path);
+    const auto node = obs.tracer.FindSpan(path);
     ASSERT_NE(node, nullptr) << path;
     EXPECT_FALSE(node->open) << path;
     EXPECT_GE(node->duration_seconds, 0.0) << path;
@@ -50,7 +49,7 @@ TEST(PipelineObsTest, SpanTreeCoversEveryPhase) {
 TEST(PipelineObsTest, ChildPhasesSumWithinRoot) {
   ObsContext obs;
   RunInstrumented(&obs, SolverKind::kModifiedGreedy);
-  const SpanNode* root = obs.tracer.FindSpan("repair");
+  const auto root = obs.tracer.FindSpan("repair");
   ASSERT_NE(root, nullptr);
   double child_sum = 0.0;
   for (const auto& child : root->children) {

@@ -87,7 +87,7 @@ TEST(TraceMergeTest, RandomizedRoundsAccountForEveryShardOnce) {
     // Each round's shard intervals fall inside that round's span window,
     // and each shard falls in exactly one round (rounds are sequential).
     for (size_t round = 0; round < num_rounds; ++round) {
-      const SpanNode* span = context.tracer.FindSpan(round_names[round]);
+      const auto span = context.tracer.FindSpan(round_names[round]);
       ASSERT_NE(span, nullptr);
       const double begin = span->start_seconds;
       const double end = span->start_seconds + span->duration_seconds;
@@ -112,7 +112,7 @@ TEST(TraceMergeTest, RandomizedRoundsAccountForEveryShardOnce) {
     const Json* phases = snapshot.Find("workers")->Find("phases");
     ASSERT_NE(phases, nullptr);
     for (size_t round = 0; round < num_rounds; ++round) {
-      const SpanNode* span = context.tracer.FindSpan(round_names[round]);
+      const auto span = context.tracer.FindSpan(round_names[round]);
       const Json* entry = phases->Find(round_names[round]);
       ASSERT_NE(entry, nullptr) << round_names[round];
       const double busy = entry->Find("worker_busy_seconds")->AsDouble();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "obs/context.h"
 
 namespace dbrepair::obs {
@@ -40,7 +42,7 @@ TEST(TracerTest, FinishReturnsDurationAndIsIdempotent) {
   const double second = span.Finish();
   EXPECT_GE(first, 0.0);
   EXPECT_EQ(first, second);
-  const SpanNode* node = tracer.FindSpan("work");
+  const auto node = tracer.FindSpan("work");
   ASSERT_NE(node, nullptr);
   EXPECT_DOUBLE_EQ(node->duration_seconds, first);
 }
@@ -51,8 +53,8 @@ TEST(TracerTest, ChildDurationsBoundedByParent) {
     Span outer(&tracer, "outer");
     { Span inner(&tracer, "inner"); }
   }
-  const SpanNode* outer = tracer.FindSpan("outer");
-  const SpanNode* inner = tracer.FindSpan("outer/inner");
+  const auto outer = tracer.FindSpan("outer");
+  const auto inner = tracer.FindSpan("outer/inner");
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
   EXPECT_GE(inner->start_seconds, outer->start_seconds);
@@ -63,16 +65,89 @@ TEST(TracerTest, CloseSpanPopsAbandonedChildren) {
   // An early error return destroys Span objects out of strict order; closing
   // a parent must finish any deeper spans still open.
   Tracer tracer;
-  SpanNode* outer = tracer.OpenSpan("outer");
+  const auto outer = tracer.OpenSpan("outer");
   tracer.OpenSpan("leaked");
-  tracer.CloseSpan(outer);
-  const SpanNode* leaked = tracer.FindSpan("outer/leaked");
+  tracer.CloseSpan(outer.get());
+  const auto leaked = tracer.FindSpan("outer/leaked");
   ASSERT_NE(leaked, nullptr);
   EXPECT_FALSE(leaked->open);
   // A fresh span after the close is a new root, not a child of "outer".
   { Span next(&tracer, "next"); }
   EXPECT_EQ(tracer.roots().size(), 2u);
   EXPECT_NE(tracer.FindSpan("next"), nullptr);
+}
+
+TEST(TracerTest, KeepsOnlyTheNewestRootsUpToTheCap) {
+  Tracer tracer;
+  constexpr size_t kRoots = 1000;
+  for (size_t i = 0; i < kRoots; ++i) {
+    Span root(&tracer, std::to_string(i));
+    { Span child(&tracer, "child"); }
+  }
+  const auto roots = tracer.roots();
+  ASSERT_EQ(roots.size(), Tracer::kMaxRoots);
+  for (size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_EQ(roots[i]->name, std::to_string(kRoots - Tracer::kMaxRoots + i));
+    EXPECT_FALSE(roots[i]->open);
+  }
+  EXPECT_EQ(tracer.FindSpan("0"), nullptr);
+  EXPECT_NE(tracer.FindSpan("999/child"), nullptr);
+}
+
+TEST(TracerTest, OpenRootIsNeverEvicted) {
+  Tracer tracer;
+  for (size_t i = 0; i < Tracer::kMaxRoots; ++i) {
+    Span root(&tracer, std::to_string(i));
+  }
+  {
+    Span live(&tracer, "live");
+    // Spans opened under an open root are its children: however many there
+    // are, they open no root and evict nothing.
+    for (size_t i = 0; i < 2 * Tracer::kMaxRoots; ++i) {
+      Span child(&tracer, "child");
+    }
+    const auto roots = tracer.roots();
+    ASSERT_EQ(roots.size(), Tracer::kMaxRoots);
+    EXPECT_EQ(roots.back()->name, "live");
+    EXPECT_TRUE(roots.back()->open);
+    EXPECT_EQ(roots.back()->children.size(), 2 * Tracer::kMaxRoots);
+  }
+  // Once closed, "live" is the newest completed root and outlasts the next
+  // opening, which evicts the oldest.
+  { Span next(&tracer, "next"); }
+  const auto roots = tracer.roots();
+  ASSERT_EQ(roots.size(), Tracer::kMaxRoots);
+  EXPECT_EQ(roots[roots.size() - 2]->name, "live");
+  EXPECT_EQ(roots.back()->name, "next");
+  EXPECT_EQ(tracer.FindSpan("0"), nullptr);
+  EXPECT_EQ(tracer.FindSpan("1"), nullptr);
+  EXPECT_NE(tracer.FindSpan("2"), nullptr);
+}
+
+TEST(TracerTest, EvictedTreesStayValidForTheirHolders) {
+  Tracer tracer;
+  Span outer(&tracer, "outer");
+  Span inner(&tracer, "inner");
+  auto held = tracer.FindSpan("outer/inner");
+  ASSERT_NE(held, nullptr);
+  // Closing the parent first closes "inner" too; then enough roots open to
+  // evict "outer"'s tree while a reader and the Span still point into it.
+  const double outer_seconds = outer.Finish();
+  for (size_t i = 0; i < 2 * Tracer::kMaxRoots; ++i) {
+    Span root(&tracer, "later");
+  }
+  EXPECT_EQ(tracer.FindSpan("outer"), nullptr);
+  EXPECT_EQ(held->name, "inner");
+  EXPECT_FALSE(held->open);
+  EXPECT_LE(held->duration_seconds, outer_seconds + 1e-9);
+  // The Span alone keeps the tree once the reader lets go: finishing the
+  // already-closed span reports its recorded duration and leaves a root
+  // opened meanwhile untouched.
+  const double inner_seconds = held->duration_seconds;
+  held.reset();
+  Span open_root(&tracer, "open-root");
+  EXPECT_DOUBLE_EQ(inner.Finish(), inner_seconds);
+  EXPECT_TRUE(tracer.roots().back()->open);
 }
 
 TEST(TracerTest, FindSpanByPath) {
@@ -130,9 +205,9 @@ TEST(TracerTest, SpanTreeToJsonShape) {
 
 TEST(TracerTest, OpenSpansReportElapsedInJsonAndText) {
   Tracer tracer;
-  SpanNode* repair = tracer.OpenSpan("repair");
-  SpanNode* solve = tracer.OpenSpan("solve");
-  tracer.CloseSpan(solve);
+  const auto repair = tracer.OpenSpan("repair");
+  const auto solve = tracer.OpenSpan("solve");
+  tracer.CloseSpan(solve.get());
   // "repair" is still open: a mid-run snapshot must say so and report
   // elapsed-so-far rather than duration 0.
   for (volatile int i = 0; i < 100000; ++i) {  // let some time pass
@@ -154,7 +229,7 @@ TEST(TracerTest, OpenSpansReportElapsedInJsonAndText) {
   // Without a reference time an open span's duration stays 0 (unknown).
   const Json unknown = SpanTreeToJson(*tracer.roots()[0]);
   EXPECT_DOUBLE_EQ(unknown.Find("duration_s")->AsDouble(), 0.0);
-  tracer.CloseSpan(repair);
+  tracer.CloseSpan(repair.get());
 }
 
 TEST(ScopedObsTest, InstallsAndRestoresCurrentContext) {

@@ -19,6 +19,7 @@
 #include "io/csv.h"
 #include "io/snapshot.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 #include "repair/api.h"
 #include "server/client.h"
 
@@ -193,6 +194,33 @@ TEST(ServerTest, StatsMidStreamIsValidJsonWithTenantLabel) {
       json->Find("session")->Find("batches_recorded");
   ASSERT_NE(recorded, nullptr);
   EXPECT_GE(recorded->AsInt(), 8);  // 8 batches + the open's batch 0
+  (*server)->Stop();
+}
+
+TEST(ServerTest, StatsTraceHistoryIsBounded) {
+  // A tenant records one "session.batch" span tree per batch; STATS must
+  // serialise a bounded window of them, not the tenant's whole history.
+  constexpr int kBatches = 200;
+  auto server = RepairServer::Start(TestOptions());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = RepairClient::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Send("OPEN bounded GEN client-buy 90 3").ok());
+  for (int b = 0; b < kBatches; ++b) {
+    ASSERT_TRUE(client->SendBatch("bounded", MakeRows(0, b, 2)).ok()) << b;
+  }
+  auto stats = client->Send("STATS bounded");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  auto json = obs::Json::Parse(stats->body);
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  EXPECT_GE(json->Find("session")->Find("batches_recorded")->AsInt(),
+            kBatches);
+  const obs::Json* trace = json->Find("trace");
+  ASSERT_NE(trace, nullptr);
+  const auto& roots = trace->AsArray();
+  EXPECT_LE(roots.size(), obs::Tracer::kMaxRoots);
+  ASSERT_FALSE(roots.empty());
+  EXPECT_EQ(roots.back().Find("name")->AsString(), "session.batch");
   (*server)->Stop();
 }
 

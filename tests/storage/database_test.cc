@@ -90,18 +90,5 @@ TEST(DatabaseTest, InsertsAfterCloneStayOnTheirSide) {
   }
 }
 
-TEST(DatabaseTest, CloneDropsSecondaryIndexes) {
-  Database db(MakeClientBuySchema());
-  ASSERT_TRUE(
-      db.Insert("Client", {Value::Int(1), Value::Int(20), Value::Int(30)})
-          .ok());
-  ASSERT_TRUE(db.FindMutableTable("Client")->CreateOrderedIndex(1).ok());
-  ASSERT_NE(db.table(0).FindOrderedIndex(1), nullptr);
-  const Database copy = db.Clone();
-  // Data and key index are carried over; secondary indexes are not.
-  EXPECT_EQ(copy.table(0).size(), 1u);
-  EXPECT_EQ(copy.table(0).FindOrderedIndex(1), nullptr);
-}
-
 }  // namespace
 }  // namespace dbrepair

@@ -9,12 +9,14 @@
 # suite (snapshots extended and rebased batch by batch) and the scenario
 # suites, plus the suites that create, copy and drop Values wholesale: the
 # catalog tests (every copy, move and assignment of each Value kind), the
-# io tests (CSV load and export) and the SQL tests. The scan's hot loop
-# reads typed arrays through `const void*` casts and binds cell addresses
-# into its binding slots, and a string Value frees its shared payload by
-# hand when the last copy goes, so an out-of-bounds read, a dangling
-# binding, an invalid cast, a use-after-free or a leaked payload fails this
-# job.
+# io tests (CSV load and export) and the SQL tests; and the obs and server
+# tests, whose span trees are shared between the tracer, open Spans and
+# snapshot readers and freed when the bounded history evicts them. The
+# scan's hot loop reads typed arrays through `const void*` casts and binds
+# cell addresses into its binding slots, and a string Value frees its
+# shared payload by hand when the last copy goes, so an out-of-bounds read,
+# a dangling binding, an invalid cast, a use-after-free or a leaked payload
+# or span tree fails this job.
 #
 # Usage: tools/check_memory.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -23,7 +25,8 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 SUITES=(catalog_test io_test sql_test storage_test constraints_test
         differential_test repair_test session_test fd_test inconsistency_test
-        scenario_metamorphic_test scenario_differential_test)
+        scenario_metamorphic_test scenario_differential_test obs_test
+        server_test)
 
 # UBSan is fatal at compile time (no recovery) and at run time; the
 # libstdc++ assertions bounds-check every container index.
