@@ -442,7 +442,7 @@ int RunRepair(RepairConfig config, int argc, char** argv, int arg_start) {
     std::cerr << FormatHistogramSummaries(obs.metrics);
   }
   if (trace) {
-    std::cerr << obs::FormatSpanTrees(obs.tracer);
+    std::cerr << obs::FormatSpanTrees(obs.events);
   }
   if (!metrics_out.empty()) {
     obs::Json snapshot = obs::BuildRunSnapshot(obs);
@@ -605,7 +605,7 @@ int RunGenerate(int argc, char** argv, int arg_start) {
                     " export to " + output_path);
   }
   if (trace) {
-    std::cerr << obs::FormatSpanTrees(obs.tracer);
+    std::cerr << obs::FormatSpanTrees(obs.events);
   }
   if (!metrics_out.empty()) {
     obs::Json snapshot = obs::BuildRunSnapshot(obs);

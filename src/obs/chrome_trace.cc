@@ -33,22 +33,9 @@ Json MetadataEvent(const char* name, int64_t tid, Json args) {
   return event;
 }
 
-void AppendSpanEvents(const SpanNode& node, double now_seconds, Json* events) {
-  Json event = EventBase(node.name, "X", /*tid=*/0, node.start_seconds);
-  event.Set("dur", Json(ToMicros(EffectiveDurationSeconds(node, now_seconds))));
-  if (node.open) {
-    Json args = Json::MakeObject();
-    args.Set("open", Json(true));
-    event.Set("args", std::move(args));
-  }
-  events->Append(std::move(event));
-  for (const auto& child : node.children) {
-    AppendSpanEvents(*child, now_seconds, events);
-  }
-}
-
-void AppendLaneEvents(const LaneSnapshot& lane, int64_t tid, Json* events) {
-  for (const LaneInterval& interval : lane.intervals) {
+void AppendIntervals(const std::vector<LaneInterval>& intervals, int64_t tid,
+                     Json* events) {
+  for (const LaneInterval& interval : intervals) {
     Json event = EventBase(interval.name, "X", tid, interval.begin_seconds);
     event.Set("dur", Json(ToMicros(interval.end_seconds -
                                    interval.begin_seconds)));
@@ -59,6 +46,11 @@ void AppendLaneEvents(const LaneSnapshot& lane, int64_t tid, Json* events) {
     }
     events->Append(std::move(event));
   }
+}
+
+void AppendLaneEvents(const LaneSnapshot& lane, int64_t tid, Json* events) {
+  AppendIntervals(lane.spans, tid, events);
+  AppendIntervals(lane.intervals, tid, events);
   for (const TraceEvent& raw : lane.events) {
     if (raw.kind == EventKind::kInstant) {
       Json event = EventBase(raw.name, "i", tid, raw.ts_seconds);
@@ -91,8 +83,8 @@ Json ChromeTraceJson(const ObsContext& context) {
     events.Append(MetadataEvent("process_name", /*tid=*/0, std::move(args)));
   }
 
-  // The span tree always lives on tid 0, merged with the pipeline thread's
-  // own event lane ("main") so phase spans and caller-run shards nest.
+  // The pipeline thread's lane ("main") is tid 0, so its phase spans and
+  // the shards it ran itself nest.
   const std::vector<LaneSnapshot> lanes = SnapshotLanes(context.events, now);
   std::vector<std::pair<const LaneSnapshot*, int64_t>> lane_tids;
   int64_t next_tid = 1;
@@ -123,9 +115,6 @@ Json ChromeTraceJson(const ObsContext& context) {
     events.Append(MetadataEvent("thread_sort_index", tid, std::move(sort)));
   }
 
-  for (const auto& root : context.tracer.roots()) {
-    AppendSpanEvents(*root, now, &events);
-  }
   for (const auto& [lane, tid] : lane_tids) {
     AppendLaneEvents(*lane, tid, &events);
   }

@@ -11,13 +11,13 @@ namespace dbrepair::obs {
 /// Perfetto (ui.perfetto.dev) or chrome://tracing.
 ///
 /// Layout:
-///  - tid 0 ("main") carries the tracer's span tree as complete ("X")
-///    events plus the pipeline thread's own lane events — phase spans and
-///    the shards the calling thread ran itself nest visually.
-///  - every other event lane gets its own tid in registration order
-///    ("worker-1", "worker-2", ... for pool workers), showing one "X" event
-///    per pool task / shard region, "i" instants (CSR freeze,
-///    epoch-append), and "C" counter samples recorded on that thread.
+///  - every event lane gets its own tid: the first non-worker lane (the
+///    pipeline thread, "main") is tid 0, the others follow in registration
+///    order ("worker-1", "worker-2", ... for pool workers). A lane shows
+///    its spans and its work regions (pool tasks, shards) as complete
+///    ("X") events, so phase spans and the shards a thread ran nest
+///    visually, plus "i" instants (CSR freeze, epoch-append) and "C"
+///    counter samples recorded on that thread.
 ///  - the metrics registry's counters and gauges are emitted as one final
 ///    counter sample each at export time, so every registry metric appears
 ///    as a counter track.

@@ -1,18 +1,15 @@
 #ifndef DBREPAIR_OBS_CLOCK_H_
 #define DBREPAIR_OBS_CLOCK_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
 namespace dbrepair::obs {
 
-/// The shared steady-clock epoch that every trace source of one ObsContext
-/// stamps against. The span tracer and the per-worker event buffers read
-/// the same epoch, so their timestamps merge without skew: a shard event
-/// recorded on a worker sorts correctly inside the pipeline thread's phase
-/// span. The epoch is an atomic so Reset() (between runs) and concurrent
-/// readers never see a torn value.
+/// The shared steady-clock epoch that every event lane of one ObsContext
+/// stamps against, so spans and work events of different threads merge
+/// without skew: a shard event recorded on a worker sorts correctly inside
+/// the pipeline thread's phase span.
 class TraceClock {
  public:
   TraceClock() : epoch_ns_(NowNanos()) {}
@@ -27,19 +24,13 @@ class TraceClock {
         .count();
   }
 
-  /// Seconds elapsed since the (last reset of the) epoch.
+  /// Seconds elapsed since the epoch.
   double SecondsSinceEpoch() const {
-    return static_cast<double>(NowNanos() -
-                               epoch_ns_.load(std::memory_order_relaxed)) *
-           1e-9;
+    return static_cast<double>(NowNanos() - epoch_ns_) * 1e-9;
   }
 
-  /// Moves the epoch to now. Tracer::Clear() does this between runs so
-  /// span and event timestamps restart from ~0 together.
-  void Reset() { epoch_ns_.store(NowNanos(), std::memory_order_relaxed); }
-
  private:
-  std::atomic<int64_t> epoch_ns_;
+  const int64_t epoch_ns_;
 };
 
 }  // namespace dbrepair::obs

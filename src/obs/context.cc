@@ -1,6 +1,9 @@
 #include "obs/context.h"
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "common/thread_pool.h"
 
@@ -42,41 +45,68 @@ void RestorePoolContext(void* previous) {
   return true;
 }();
 
-void FlattenPhases(const SpanNode& node, const std::string& prefix,
-                   double now_seconds, Json* phases) {
-  const std::string path =
-      prefix.empty() ? node.name : prefix + "/" + node.name;
-  phases->Set(path, Json(EffectiveDurationSeconds(node, now_seconds)));
-  for (const auto& child : node.children) {
-    FlattenPhases(*child, path, now_seconds, phases);
+// The '/'-joined path of every span of a SpanForest, e.g.
+// "repair/build/fixes", index-aligned with the forest.
+std::vector<std::string> SpanPaths(const std::vector<LaneInterval>& forest) {
+  std::vector<std::string> paths;
+  paths.reserve(forest.size());
+  std::vector<size_t> ancestors;  // forest indices of the enclosing spans
+  for (size_t i = 0; i < forest.size(); ++i) {
+    ancestors.resize(forest[i].depth);
+    paths.push_back(ancestors.empty()
+                        ? forest[i].name
+                        : paths[ancestors.back()] + "/" + forest[i].name);
+    ancestors.push_back(i);
   }
+  return paths;
 }
 
-// Walks the span tree for the deepest span whose [start, end] window
-// contains [begin, end]; returns its '/'-joined path (empty when no span
-// contains the interval — e.g. events recorded outside any traced run).
-void DeepestContainingSpan(const SpanNode& node, const std::string& prefix,
-                           double begin, double end, double now_seconds,
-                           std::string* best) {
-  const double span_end =
-      node.start_seconds + EffectiveDurationSeconds(node, now_seconds);
+// Renders forest[*next] and its descendants as one "trace" tree, recording
+// each span's duration under its path in `phases`; advances *next past the
+// subtree.
+Json SpanTreeJson(const std::vector<LaneInterval>& forest,
+                  const std::vector<std::string>& paths, size_t* next,
+                  Json* phases) {
+  const size_t index = (*next)++;
+  const LaneInterval& span = forest[index];
+  const double seconds = span.end_seconds - span.begin_seconds;
+  phases->Set(paths[index], Json(seconds));
+  Json out = Json::MakeObject();
+  out.Set("name", Json(span.name));
+  out.Set("start_s", Json(span.begin_seconds));
+  out.Set("duration_s", Json(seconds));
+  if (span.open) out.Set("open", Json(true));
+  Json children = Json::MakeArray();
+  while (*next < forest.size() && forest[*next].depth > span.depth) {
+    children.Append(SpanTreeJson(forest, paths, next, phases));
+  }
+  if (!children.AsArray().empty()) out.Set("children", std::move(children));
+  return out;
+}
+
+// The forest index of the deepest span whose window contains `work`: the
+// last containing span, in preorder, of the first root that contains it.
+// npos when no span does (work recorded outside any traced span).
+size_t DeepestContainingSpan(const std::vector<LaneInterval>& forest,
+                             const LaneInterval& work) {
   // Clock reads on different threads interleave at ~ns scale; a hair of
   // slack keeps boundary shards attributed to the phase that ran them.
   constexpr double kSlack = 1e-9;
-  if (begin + kSlack < node.start_seconds || end > span_end + kSlack) return;
-  const std::string path =
-      prefix.empty() ? node.name : prefix + "/" + node.name;
-  *best = path;
-  for (const auto& child : node.children) {
-    DeepestContainingSpan(*child, path, begin, end, now_seconds, best);
+  size_t best = std::string::npos;
+  for (size_t i = 0; i < forest.size(); ++i) {
+    const LaneInterval& span = forest[i];
+    if (span.depth == 0 && best != std::string::npos) break;
+    if (work.begin_seconds + kSlack >= span.begin_seconds &&
+        work.end_seconds <= span.end_seconds + kSlack) {
+      best = i;
+    }
   }
+  return best;
 }
 
-Json BuildWorkersSection(const ObsContext& context, double now_seconds) {
-  const std::vector<LaneSnapshot> lanes =
-      SnapshotLanes(context.events, now_seconds);
-  const auto roots = context.tracer.roots();
-
+Json BuildWorkersSection(const std::vector<LaneSnapshot>& lanes,
+                         const std::vector<LaneInterval>& forest,
+                         const std::vector<std::string>& paths) {
   Json lanes_json = Json::MakeArray();
   struct PhaseWork {
     size_t spans = 0;
@@ -84,6 +114,7 @@ Json BuildWorkersSection(const ObsContext& context, double now_seconds) {
   };
   std::map<std::string, PhaseWork> per_phase;
   for (const LaneSnapshot& lane : lanes) {
+    if (lane.events.empty()) continue;  // a lane holding only spans
     Json entry = Json::MakeObject();
     entry.Set("label", Json(lane.label));
     entry.Set("id", Json(static_cast<uint64_t>(lane.id)));
@@ -95,14 +126,9 @@ Json BuildWorkersSection(const ObsContext& context, double now_seconds) {
 
     for (const LaneInterval& interval : lane.intervals) {
       if (interval.depth != 0) continue;  // children are inside a counted span
-      std::string phase;
-      for (const auto& root : roots) {
-        DeepestContainingSpan(*root, "", interval.begin_seconds,
-                              interval.end_seconds, now_seconds, &phase);
-        if (!phase.empty()) break;
-      }
-      if (phase.empty()) continue;
-      PhaseWork& work = per_phase[phase];
+      const size_t span = DeepestContainingSpan(forest, interval);
+      if (span == std::string::npos) continue;
+      PhaseWork& work = per_phase[paths[span]];
       ++work.spans;
       work.busy_seconds += interval.end_seconds - interval.begin_seconds;
     }
@@ -143,19 +169,23 @@ ScopedObs::~ScopedObs() { CurrentObsSlot() = previous_; }
 
 Json BuildRunSnapshot(const ObsContext& context) {
   const double now = context.clock.SecondsSinceEpoch();
+  const std::vector<LaneSnapshot> lanes = SnapshotLanes(context.events, now);
+  const std::vector<LaneInterval> forest = SpanForest(lanes);
+  const std::vector<std::string> paths = SpanPaths(forest);
   Json phases = Json::MakeObject();
   Json trace = Json::MakeArray();
-  for (const auto& root : context.tracer.roots()) {
-    FlattenPhases(*root, "", now, &phases);
-    trace.Append(SpanTreeToJson(*root, now));
+  for (size_t next = 0; next < forest.size();) {
+    trace.Append(SpanTreeJson(forest, paths, &next, &phases));
   }
   Json out = Json::MakeObject();
   out.Set("schema_version", Json(2));
   out.Set("phases", std::move(phases));
   out.Set("metrics", context.metrics.Snapshot());
   out.Set("trace", std::move(trace));
-  if (context.events.num_lanes() > 0) {
-    out.Set("workers", BuildWorkersSection(context, now));
+  if (std::any_of(lanes.begin(), lanes.end(), [](const LaneSnapshot& lane) {
+        return !lane.events.empty();
+      })) {
+    out.Set("workers", BuildWorkersSection(lanes, forest, paths));
   }
   return out;
 }

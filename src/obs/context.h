@@ -10,18 +10,18 @@
 
 namespace dbrepair::obs {
 
-/// One run's observability state: the metrics registry, the span tracer,
-/// the per-thread event collector, and the logger. The pipeline reads it
-/// through CurrentObs(), so library code needs no plumbed-through
-/// parameters and uninstrumented callers pay only a thread-local load.
-/// ThreadPool workers inherit the submitting thread's context (the pool's
-/// context hooks install it around every task), so worker-side events and
-/// metrics land in the same run. Tracer and events share `clock`, making
-/// their timestamps directly comparable at merge time.
+/// One run's observability state: the metrics registry, the per-thread
+/// event collector (which also records the phase spans), and the logger.
+/// The pipeline reads it through CurrentObs(), so library code needs no
+/// plumbed-through parameters and uninstrumented callers pay only a
+/// thread-local load. ThreadPool workers inherit the submitting thread's
+/// context (the pool's context hooks install it around every task), so
+/// worker-side events and metrics land in the same run. Every lane stamps
+/// against `clock`, so spans and work events of different threads compare
+/// directly at merge time.
 struct ObsContext {
   TraceClock clock;
   MetricsRegistry metrics;
-  Tracer tracer{&clock};
   EventCollector events{&clock};
   Logger logger;
 };
@@ -54,13 +54,15 @@ class ScopedObs {
 ///    "trace": [<span tree>, ...],
 ///    "workers": {"lanes": [...], "phases": {...}}}      // when events on
 ///
-/// Spans still open at snapshot time are marked "open": true and report
-/// elapsed-so-far (both in "phases" and in "trace"), so a mid-run snapshot
-/// is distinguishable from instant spans. When the event collector has
-/// lanes, "workers" lists one entry per recording thread (label, event and
-/// span counts, busy seconds) plus per-phase worker-time attribution: each
-/// completed lane interval is charged to the deepest span whose window
-/// contains it.
+/// The span trees are built from the lanes' span intervals: the newest
+/// EventLane::kMaxRoots roots across all lanes, by start time. Spans still
+/// open at snapshot time are marked "open": true and report elapsed-so-far
+/// (both in "phases" and in "trace"), so a mid-run snapshot is
+/// distinguishable from instant spans. When any lane holds a work event,
+/// "workers" lists one entry per such lane (label, work event and interval
+/// counts, busy seconds) plus per-phase worker-time attribution: each
+/// completed top-level work interval is charged to the deepest span whose
+/// window contains it.
 Json BuildRunSnapshot(const ObsContext& context);
 
 }  // namespace dbrepair::obs

@@ -1,25 +1,35 @@
 #ifndef DBREPAIR_OBS_EVENTS_H_
 #define DBREPAIR_OBS_EVENTS_H_
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "obs/clock.h"
 
 namespace dbrepair::obs {
 
-/// What one trace event records. Begin/end pairs bracket a region of work
-/// on one thread (a shard scan, a pool task); instants mark a point in time
-/// (a CSR freeze); counters sample a time-series value (cumulative repair
-/// distance after each session batch).
-enum class EventKind : uint8_t { kBegin, kEnd, kInstant, kCounter };
+/// What one trace event records. Span begin/end pairs bracket a pipeline
+/// phase (obs::Span, always recorded); work begin/end pairs bracket a
+/// region of work on one thread (a shard scan, a pool task); instants mark
+/// a point in time (a CSR freeze); counters sample a time-series value
+/// (cumulative repair distance after each session batch). Work events,
+/// instants and counters are recorded only while the collector is enabled.
+enum class EventKind : uint8_t {
+  kBegin,
+  kEnd,
+  kInstant,
+  kCounter,
+  kSpanBegin,
+  kSpanEnd
+};
 
 /// One event, stamped against the collector's shared TraceClock epoch.
 struct TraceEvent {
@@ -29,20 +39,24 @@ struct TraceEvent {
   std::string name;
 };
 
-/// One thread's event buffer: a chunked arena that only the owning thread
-/// appends to, readable from any thread without locks. The writer fills the
-/// current chunk's next slot and then publishes the new event count with a
-/// release store; readers acquire the count first and only then walk the
-/// chunk chain, so every event (and the chunk link leading to it) is fully
-/// written before it becomes visible. No event is ever moved or mutated
-/// after publication, so snapshots need no synchronisation with the writer
-/// beyond that single acquire load.
+/// One thread's event buffer. The owning thread appends; snapshot readers
+/// copy. A mutex guards the buffer: it is uncontended except while a
+/// snapshot copies the lane, and it lets the lane trim its front (below)
+/// while a reader could otherwise be walking it.
+///
+/// Span events always nest on a lane: ending a span first ends every span
+/// opened inside it and still open, at the same time stamp, so a reader
+/// pairs them with a plain stack. A root span is one opened while no span
+/// is open on the lane. The history is bounded: opening a root while the
+/// lane holds kMaxRoots closed roots drops the oldest closed root and every
+/// event recorded before its end.
 class EventLane {
  public:
-  static constexpr size_t kChunkEvents = 128;
+  static constexpr size_t kMaxRoots = 64;
 
-  EventLane(uint32_t id, std::string label, bool worker)
-      : id_(id), label_(std::move(label)), worker_(worker) {}
+  EventLane(uint32_t id, std::string label, bool worker,
+            std::thread::id owner = {})
+      : id_(id), label_(std::move(label)), worker_(worker), owner_(owner) {}
 
   EventLane(const EventLane&) = delete;
   EventLane& operator=(const EventLane&) = delete;
@@ -51,37 +65,45 @@ class EventLane {
   const std::string& label() const { return label_; }
   /// True when the owning thread was a ThreadPool worker at registration.
   bool worker() const { return worker_; }
+  /// The thread this lane records for.
+  std::thread::id owner() const { return owner_; }
 
-  /// Published event count (safe from any thread).
-  size_t size() const { return size_.load(std::memory_order_acquire); }
+  /// Events currently held (after any trimming).
+  size_t size() const;
 
-  /// Appends one event. Owning thread only.
+  /// Appends one work event, instant or counter.
   void Append(EventKind kind, std::string_view name, double ts_seconds,
               double value);
 
-  /// Copies the currently published events, in record order.
+  /// Records a span begin and returns its sequence number, the handle
+  /// EndSpan takes.
+  uint64_t BeginSpan(std::string_view name, double ts_seconds);
+  /// Records the end of the span `begin` (and of any span still open inside
+  /// it). A no-op when an enclosing span's end already closed it.
+  void EndSpan(uint64_t begin, double ts_seconds);
+
+  /// Copies the held events, in record order.
   std::vector<TraceEvent> Events() const;
 
  private:
-  struct Chunk {
-    std::array<TraceEvent, kChunkEvents> events;
-    std::atomic<Chunk*> next{nullptr};
-  };
+  void PushLocked(EventKind kind, std::string_view name, double ts_seconds,
+                  double value);
 
   const uint32_t id_;
   const std::string label_;
   const bool worker_;
-  Chunk head_;
-  // Writer-only cursor; readers navigate via the atomic next pointers.
-  Chunk* write_chunk_ = &head_;
-  size_t write_offset_ = 0;
-  std::vector<std::unique_ptr<Chunk>> overflow_;  // writer-only until dtor
-  std::atomic<size_t> size_{0};
+  const std::thread::id owner_;
+  mutable std::mutex mu_;
+  std::deque<TraceEvent> events_;
+  uint64_t dropped_ = 0;             ///< events trimmed off the front
+  std::vector<uint64_t> open_spans_;  ///< sequence numbers, innermost last
+  std::deque<uint64_t> root_ends_;   ///< end sequence numbers of closed roots
 };
 
 /// A begin/end pair resolved into one interval (what the exporters and the
-/// phase-attribution pass consume). `depth` is the nesting level within the
-/// lane (0 = top-level); `open` marks a begin whose end had not been
+/// phase-attribution pass consume). `depth` is the nesting level among
+/// intervals of the same kind on the lane — spans among spans, work among
+/// work (0 = top-level); `open` marks a begin whose end had not been
 /// recorded when the snapshot was taken — its end_seconds is "now".
 struct LaneInterval {
   std::string name;
@@ -96,18 +118,19 @@ struct LaneSnapshot {
   uint32_t id = 0;
   std::string label;
   bool worker = false;
-  std::vector<TraceEvent> events;      ///< raw events in record order
-  std::vector<LaneInterval> intervals; ///< paired begin/end regions
-  double busy_seconds = 0.0;           ///< sum of depth-0 interval durations
+  std::vector<TraceEvent> events;       ///< work events, instants, counters
+  std::vector<LaneInterval> intervals;  ///< paired work begin/end regions
+  std::vector<LaneInterval> spans;      ///< span intervals, in begin order
+  double busy_seconds = 0.0;  ///< sum of depth-0 work interval durations
 };
 
-/// Owner of all per-thread event lanes of one run. Recording is
-/// lock-free after a thread's first event (lane registration takes the
-/// mutex once per thread per collector); when disabled — the default —
-/// every Record call is a single relaxed load and branch, so
-/// uninstrumented runs pay nothing. Lanes live until the collector is
-/// destroyed; Clear() retires them (thread-local caches are invalidated
-/// via a fresh registration serial, never reused).
+/// Owner of all per-thread event lanes of one run. A thread's first event
+/// registers its lane under the mutex; after that a one-entry thread-local
+/// cache finds it, and a thread that alternates between collectors looks
+/// its lane up again by thread id (under the same mutex) on each switch.
+/// Work events are off by default; while disabled every Record call is a
+/// single relaxed load and branch. Spans record regardless. Lanes live
+/// until the collector is destroyed; Clear() retires them.
 class EventCollector {
  public:
   explicit EventCollector(TraceClock* clock = nullptr);
@@ -115,7 +138,7 @@ class EventCollector {
   EventCollector(const EventCollector&) = delete;
   EventCollector& operator=(const EventCollector&) = delete;
 
-  /// Event recording is off by default; the CLI's --trace-out flag (or
+  /// Work-event recording is off by default; the CLI's --trace-out flag (or
   /// DBREPAIR_TRACE_EVENTS=1 for the benchmarks) turns it on.
   void set_enabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
@@ -133,40 +156,42 @@ class EventCollector {
   /// Samples a counter track (one time-series per distinct name).
   void RecordCounter(std::string_view name, double value);
 
+  /// The calling thread's lane, registered on first use.
+  EventLane* LaneForThisThread();
+
   /// Stable lane pointers, in registration order. Lanes may still be
   /// written concurrently; read them via EventLane::Events()/size().
   std::vector<const EventLane*> lanes() const;
 
   size_t num_lanes() const;
 
-  /// Retires all lanes. Callers must guarantee no thread is concurrently
-  /// recording (i.e. the run's pools have drained), same as Tracer::Clear.
+  /// Retires all lanes: the next event of every thread lands in a fresh
+  /// lane. A Span still open keeps writing to its retired lane.
   void Clear();
 
  private:
-  EventLane* LaneForThisThread();
   void Record(EventKind kind, std::string_view name, double value);
 
   TraceClock own_clock_;
   TraceClock* clock_;
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  uint64_t serial_;  ///< cache key for thread-local lane lookup; unique ever
+  /// Cache key for the thread-local lane lookup; unique ever.
+  std::atomic<uint64_t> serial_;
   std::vector<std::unique_ptr<EventLane>> lanes_;
   std::vector<std::unique_ptr<EventLane>> retired_;  ///< lanes from before Clear()
   size_t worker_lanes_ = 0;
   size_t main_lanes_ = 0;
 };
 
-/// Pairs every lane's begin/end events into intervals as of `now_seconds`
-/// (the collector's clock), computing per-lane busy time. Lanes are
-/// returned in registration order.
+/// Copies every lane as of `now_seconds` (the collector's clock), pairing
+/// its begin/end events into intervals (open ones end at `now_seconds`) and
+/// computing busy time. Lanes are returned in registration order.
 std::vector<LaneSnapshot> SnapshotLanes(const EventCollector& events,
                                         double now_seconds);
 
-/// RAII begin/end pair on the calling thread's current ObsContext event
-/// collector — the worker-side analogue of obs::Span. Safe (and free) when
-/// event recording is disabled.
+/// RAII work begin/end pair on the calling thread's current ObsContext
+/// event collector. Safe (and free) when event recording is disabled.
 class ScopedWorkEvent {
  public:
   explicit ScopedWorkEvent(std::string_view name);

@@ -197,7 +197,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
       num_threads > 1 ? num_threads * kShardsPerThread : 1;
 
   // ---- Algorithm 3: candidate mono-local fixes. ----
-  obs::Span fixes_span(&obs.tracer, "fixes");
+  obs::Span fixes_span(&obs.events, "fixes");
   // Comparisons of each ic on each flexible attribute, grouped.
   const LocalityReport locality = CheckLocality(db.schema(), ics);
   using GroupKey = std::tuple<uint32_t, uint32_t, uint32_t>;  // ic, rel, attr
@@ -288,7 +288,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
   fixes_span.Finish();
 
   // ---- Algorithm 4: link candidates to the violation sets they solve. ----
-  obs::Span setcover_span(&obs.tracer, "setcover");
+  obs::Span setcover_span(&obs.events, "setcover");
   // Each shard records its (fix, violation) links in scan order; appending
   // shard by shard reproduces the serial ascending-vid `solved` lists. A
   // candidate t' is checked in place: member j reads the fix's value in the
@@ -372,7 +372,7 @@ Result<RepairProblem> BuildRepairProblem(
   if (engine_options.columnar != nullptr) {
     problem.snapshot = *engine_options.columnar;
   } else {
-    obs::Span snapshot_span(&obs.tracer, "snapshot");
+    obs::Span snapshot_span(&obs.events, "snapshot");
     const auto snapshot_start = std::chrono::steady_clock::now();
     problem.snapshot = ColumnSnapshot::Build(db, pool);
     obs.metrics.GetCounter("scan.columnar.snapshot_ns")
@@ -382,7 +382,7 @@ Result<RepairProblem> BuildRepairProblem(
   engine_options.columnar = &problem.snapshot;
 
   // ---- Algorithm 2: the violation-set array A. ----
-  obs::Span violations_span(&obs.tracer, "violations");
+  obs::Span violations_span(&obs.events, "violations");
   ViolationEngine engine(db, ics, engine_options);
   DBREPAIR_ASSIGN_OR_RETURN(problem.violations, engine.FindViolations());
   problem.degrees = ComputeDegrees(problem.violations);
@@ -428,7 +428,7 @@ Result<RepairProblem> BuildRepairProblem(
   // assembled, while they are still cache-hot. The count feeds the
   // repair.components decomposition gauge. ----
   {
-    obs::Span components_span(&obs.tracer, "components");
+    obs::Span components_span(&obs.events, "components");
     problem.components = ComponentIndex::Build(problem.instance);
     obs.metrics.GetGauge("repair.components")
         ->Set(static_cast<double>(problem.components.num_components()));

@@ -23,12 +23,12 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
                                       const RepairOptions& options,
                                       obs::ObsContext& obs) {
   if (options.require_local) {
-    obs::Span locality_span(&obs.tracer, "locality");
+    obs::Span locality_span(&obs.events, "locality");
     DBREPAIR_RETURN_IF_ERROR(EnsureLocal(db.schema(), ics));
   }
   const DistanceFunction distance(options.distance);
 
-  obs::Span build_span(&obs.tracer, "build");
+  obs::Span build_span(&obs.events, "build");
   BuildOptions build_options = options.build;
   build_options.num_threads = options.num_threads;
   DBREPAIR_ASSIGN_OR_RETURN(
@@ -36,7 +36,7 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
       BuildRepairProblem(db, ics, distance, build_options));
   const double build_seconds = build_span.Finish();
 
-  obs::Span solve_span(&obs.tracer, "solve");
+  obs::Span solve_span(&obs.events, "solve");
   // Freeze the built instance into the flat CSR view once; the solver's hot
   // loop then streams contiguous arenas. One pass over the whole instance:
   // the modified greedy's bound is O(n log n) under bounded degree
@@ -49,7 +49,7 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
   }
   const double solve_seconds = solve_span.Finish();
 
-  obs::Span apply_span(&obs.tracer, "apply");
+  obs::Span apply_span(&obs.events, "apply");
   std::vector<AppliedUpdate> updates;
   DBREPAIR_ASSIGN_OR_RETURN(Database repaired,
                             ApplyCover(db, problem, cover, &updates));
@@ -57,7 +57,7 @@ Result<RepairOutcome> RepairBoundImpl(const Database& db,
 
   double verify_seconds = 0.0;
   if (options.verify) {
-    obs::Span verify_span(&obs.tracer, "verify");
+    obs::Span verify_span(&obs.events, "verify");
     ViolationEngineOptions verify_options = build_options.engine;
     verify_options.num_threads = options.num_threads;
     // Re-snapshot only the relations the repair touched; clean relations
@@ -155,7 +155,7 @@ Result<RepairOutcome> RepairDatabase(const Database& db,
                                      const RepairOptions& options) {
   DBREPAIR_RETURN_IF_ERROR(options.Validate());
   obs::ObsContext& obs = obs::CurrentObs();
-  obs::Span repair_span(&obs.tracer, "repair");
+  obs::Span repair_span(&obs.events, "repair");
   Result<RepairOutcome> outcome = RepairBoundImpl(db, ics, options, obs);
   if (outcome.ok()) outcome.value().stats.total_seconds = repair_span.Finish();
   return outcome;
@@ -166,10 +166,10 @@ Result<RepairOutcome> RepairDatabase(const Database& db,
                                      const RepairOptions& options) {
   DBREPAIR_RETURN_IF_ERROR(options.Validate());
   obs::ObsContext& obs = obs::CurrentObs();
-  obs::Span repair_span(&obs.tracer, "repair");
+  obs::Span repair_span(&obs.events, "repair");
   std::vector<BoundConstraint> bound;
   {
-    obs::Span bind_span(&obs.tracer, "bind");
+    obs::Span bind_span(&obs.events, "bind");
     DBREPAIR_ASSIGN_OR_RETURN(bound, BindAll(db.schema(), ics));
   }
   Result<RepairOutcome> outcome = RepairBoundImpl(db, bound, options, obs);

@@ -87,9 +87,9 @@ RepairSession::~RepairSession() = default;
 
 Status RepairSession::Init() {
   obs::ObsContext& obs = obs::CurrentObs();
-  obs::Span open_span(&obs.tracer, "session.open");
+  obs::Span open_span(&obs.events, "session.open");
   {
-    obs::Span locality_span(&obs.tracer, "locality");
+    obs::Span locality_span(&obs.events, "locality");
     DBREPAIR_RETURN_IF_ERROR(EnsureLocal(db_.schema(), bound_));
   }
   if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
@@ -126,12 +126,12 @@ Status RepairSession::Init() {
   csr_ = CsrSetCoverInstance::Freeze(problem.instance);
   solver_ = std::make_unique<IncrementalGreedySolver>(&csr_);
 
-  obs::Span solve_span(&obs.tracer, "solve");
+  obs::Span solve_span(&obs.events, "solve");
   DBREPAIR_ASSIGN_OR_RETURN(const SetCoverSolution solution,
                             solver_->SolveDelta());
   const double open_solve_seconds = solve_span.Finish();
 
-  obs::Span apply_span(&obs.tracer, "apply");
+  obs::Span apply_span(&obs.events, "apply");
   std::vector<std::vector<uint32_t>> updated_rows;
   DBREPAIR_RETURN_IF_ERROR(ApplyChosen(solution, &updated_rows, &open_updates_));
   const size_t num_updates = open_updates_.size();
@@ -143,7 +143,7 @@ Status RepairSession::Init() {
   const double open_apply_seconds = apply_span.Finish();
 
   if (options_.verify && !updated_relations.empty()) {
-    obs::Span verify_span(&obs.tracer, "verify");
+    obs::Span verify_span(&obs.events, "verify");
     // Every residual violation set would have to touch an updated row: an
     // untouched one existed pre-apply, was enumerated, and was covered by a
     // chosen fix — which updates one of its tuples.
@@ -253,7 +253,7 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   }
 
   obs::ObsContext& obs = obs::CurrentObs();
-  obs::Span batch_span(&obs.tracer, "session.batch");
+  obs::Span batch_span(&obs.events, "session.batch");
   BatchStats batch;
   batch.num_rows = rows.size();
 
@@ -292,7 +292,7 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   engine_->InvalidateRelations(appended_relations);
 
   // ---- 3. Delta-join: violation sets involving at least one new row. ----
-  obs::Span detect_span(&obs.tracer, "detect");
+  obs::Span detect_span(&obs.events, "detect");
   Result<std::vector<ViolationSet>> new_violations =
       engine_->FindViolationsSince(first_new_row);
   if (!new_violations.ok()) return poison(new_violations.status());
@@ -306,21 +306,21 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
                              vid_offset, num_threads_, pool_.get());
   if (!new_fixes.ok()) return poison(new_fixes.status());
 
-  obs::Span patch_span(&obs.tracer, "patch");
+  obs::Span patch_span(&obs.events, "patch");
   Status patched = PatchInstance(std::move(*new_violations),
                                  std::move(*new_fixes), &batch);
   if (!patched.ok()) return poison(std::move(patched));
   batch.patch_seconds = patch_span.Finish();
 
   // ---- 5. Continue the greedy loop; apply what it picks. ----
-  obs::Span solve_span(&obs.tracer, "solve");
+  obs::Span solve_span(&obs.events, "solve");
   Result<SetCoverSolution> solution = solver_->SolveDelta();
   if (!solution.ok()) return poison(solution.status());
   batch.num_chosen_fixes = solution->chosen.size();
   batch.cover_weight = solution->weight;
   batch.solve_seconds = solve_span.Finish();
 
-  obs::Span apply_span(&obs.tracer, "apply");
+  obs::Span apply_span(&obs.events, "apply");
   std::vector<std::vector<uint32_t>> updated_rows;
   Status applied = ApplyChosen(*solution, &updated_rows, &batch.updates);
   if (!applied.ok()) return poison(std::move(applied));
@@ -335,7 +335,7 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
 
   // ---- 6. Incremental verify over this batch's dirty rows. ----
   if (options_.verify) {
-    obs::Span verify_span(&obs.tracer, "verify");
+    obs::Span verify_span(&obs.events, "verify");
     std::vector<std::vector<uint8_t>> dirty(db_.relation_count());
     for (uint32_t r = 0; r < db_.relation_count(); ++r) {
       dirty[r].assign(db_.table(r).size(), 0);

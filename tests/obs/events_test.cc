@@ -1,6 +1,7 @@
-// Per-worker event buffers: lane registration and labels, chunk growth,
-// enabled gating, begin/end pairing (including open intervals), the
-// snapshot "workers" section, and the Chrome trace-event exporter.
+// Per-thread event lanes: lane registration and labels, growth, the
+// one-entry lane cache, enabled gating, begin/end pairing (including open
+// intervals), the snapshot "workers" section, and the Chrome trace-event
+// exporter.
 
 #include "obs/events.h"
 
@@ -16,6 +17,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/context.h"
 #include "obs/json.h"
+#include "obs/trace.h"
 
 namespace dbrepair::obs {
 namespace {
@@ -37,7 +39,7 @@ TEST(EventLaneTest, AppendAndReadBack) {
 
 TEST(EventLaneTest, GrowsPastOneChunkInOrder) {
   EventLane lane(/*id=*/0, "main", /*worker=*/false);
-  const size_t n = EventLane::kChunkEvents * 3 + 17;
+  const size_t n = 3 * 128 + 17;
   for (size_t i = 0; i < n; ++i) {
     lane.Append(EventKind::kInstant, "tick", static_cast<double>(i), 0.0);
   }
@@ -51,7 +53,7 @@ TEST(EventLaneTest, GrowsPastOneChunkInOrder) {
 
 TEST(EventLaneTest, ConcurrentReaderSeesPrefix) {
   // A reader snapshotting mid-write must always see a clean prefix: size()
-  // events, each fully written, never garbage past a chunk boundary.
+  // events, each fully written.
   EventLane lane(/*id=*/0, "main", /*worker=*/false);
   std::atomic<bool> done{false};
   std::thread reader([&] {
@@ -63,7 +65,7 @@ TEST(EventLaneTest, ConcurrentReaderSeesPrefix) {
       }
     }
   });
-  for (size_t i = 0; i < EventLane::kChunkEvents * 8; ++i) {
+  for (size_t i = 0; i < 1024; ++i) {
     lane.Append(EventKind::kInstant, "tick", static_cast<double>(i), 0.0);
   }
   done.store(true, std::memory_order_release);
@@ -129,6 +131,29 @@ TEST(EventCollectorTest, ClearRetiresLanesAndReRegisters) {
   const std::vector<TraceEvent> events = collector.lanes()[0]->Events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].name, "after");
+}
+
+TEST(EventCollectorTest, AlternatingCollectorsKeepOneLaneEach) {
+  // The lane cache holds one entry: a thread switching collectors finds its
+  // lane again by thread id instead of registering another one.
+  EventCollector first;
+  EventCollector second;
+  first.set_enabled(true);
+  second.set_enabled(true);
+  constexpr int kRounds = 1000;
+  for (int i = 0; i < kRounds; ++i) {
+    first.RecordCounter("first", i);
+    second.RecordCounter("second", i);
+  }
+  for (const EventCollector* collector : {&first, &second}) {
+    ASSERT_EQ(collector->num_lanes(), 1u);
+    const std::vector<TraceEvent> events = collector->lanes()[0]->Events();
+    ASSERT_EQ(events.size(), static_cast<size_t>(kRounds));
+    for (int i = 0; i < kRounds; ++i) {
+      EXPECT_EQ(events[i].name, collector == &first ? "first" : "second");
+      EXPECT_DOUBLE_EQ(events[i].value, i);
+    }
+  }
 }
 
 TEST(SnapshotLanesTest, PairsNestedAndOpenIntervals) {
@@ -229,7 +254,7 @@ TEST(RunSnapshotTest, WorkersSectionListsLanes) {
   ObsContext context;
   ScopedObs scoped(&context);
   context.events.set_enabled(true);
-  Span phase(&context.tracer, "phase");
+  Span phase(&context.events, "phase");
   {
     const ScopedWorkEvent event("phase.shard");
   }
@@ -258,7 +283,7 @@ TEST(RunSnapshotTest, WorkersSectionListsLanes) {
 TEST(RunSnapshotTest, NoWorkersSectionWhenNoEvents) {
   ObsContext context;
   ScopedObs scoped(&context);
-  Span(&context.tracer, "phase").Finish();
+  Span(&context.events, "phase").Finish();
   const Json snapshot = BuildRunSnapshot(context);
   EXPECT_EQ(snapshot.Find("workers"), nullptr);
 }
@@ -267,7 +292,7 @@ TEST(ChromeTraceTest, ExportsLanesSpansAndCounters) {
   ObsContext context;
   ScopedObs scoped(&context);
   context.events.set_enabled(true);
-  Span root(&context.tracer, "repair");
+  Span root(&context.events, "repair");
   {
     const ScopedWorkEvent event("scan.shard");
   }

@@ -6,6 +6,7 @@
 
 #include "gen/paper_example.h"
 #include "obs/context.h"
+#include "obs_testing.h"
 #include "repair/api.h"
 
 namespace dbrepair {
@@ -29,35 +30,37 @@ TEST(PipelineObsTest, SpanTreeCoversEveryPhase) {
   ObsContext obs;
   RunInstrumented(&obs, SolverKind::kModifiedGreedy);
 
-  const auto roots = obs.tracer.roots();
+  const Json snapshot = obs::BuildRunSnapshot(obs);
+  const Json::Array& roots = obs::SpanRoots(snapshot);
   ASSERT_EQ(roots.size(), 1u);
-  EXPECT_EQ(roots[0]->name, "repair");
-  EXPECT_FALSE(roots[0]->open);
+  EXPECT_EQ(roots[0].Find("name")->AsString(), "repair");
+  EXPECT_FALSE(obs::SpanOpen(&roots[0]));
 
   for (const char* path :
        {"repair/bind", "repair/locality", "repair/build",
         "repair/build/violations", "repair/build/fixes",
         "repair/build/setcover", "repair/solve", "repair/apply",
         "repair/verify"}) {
-    const auto node = obs.tracer.FindSpan(path);
+    const Json* node = obs::FindSpan(snapshot, path);
     ASSERT_NE(node, nullptr) << path;
-    EXPECT_FALSE(node->open) << path;
-    EXPECT_GE(node->duration_seconds, 0.0) << path;
+    EXPECT_FALSE(obs::SpanOpen(node)) << path;
+    EXPECT_GE(obs::SpanSeconds(node), 0.0) << path;
   }
 }
 
 TEST(PipelineObsTest, ChildPhasesSumWithinRoot) {
   ObsContext obs;
   RunInstrumented(&obs, SolverKind::kModifiedGreedy);
-  const auto root = obs.tracer.FindSpan("repair");
+  const Json snapshot = obs::BuildRunSnapshot(obs);
+  const Json* root = obs::FindSpan(snapshot, "repair");
   ASSERT_NE(root, nullptr);
   double child_sum = 0.0;
-  for (const auto& child : root->children) {
-    child_sum += child->duration_seconds;
+  for (const Json& child : root->Find("children")->AsArray()) {
+    child_sum += obs::SpanSeconds(&child);
   }
   // Phases are sequential and non-overlapping: their sum cannot exceed the
   // root (modulo clock resolution).
-  EXPECT_LE(child_sum, root->duration_seconds + 1e-6);
+  EXPECT_LE(child_sum, obs::SpanSeconds(root) + 1e-6);
 }
 
 TEST(PipelineObsTest, StatsPhaseTimesComeFromSpans) {
@@ -65,16 +68,17 @@ TEST(PipelineObsTest, StatsPhaseTimesComeFromSpans) {
   const RepairOutcome outcome =
       RunInstrumented(&obs, SolverKind::kModifiedGreedy);
   const RepairStats& stats = outcome.stats;
-  EXPECT_DOUBLE_EQ(stats.build_seconds,
-                   obs.tracer.FindSpan("repair/build")->duration_seconds);
-  EXPECT_DOUBLE_EQ(stats.solve_seconds,
-                   obs.tracer.FindSpan("repair/solve")->duration_seconds);
-  EXPECT_DOUBLE_EQ(stats.apply_seconds,
-                   obs.tracer.FindSpan("repair/apply")->duration_seconds);
-  EXPECT_DOUBLE_EQ(stats.verify_seconds,
-                   obs.tracer.FindSpan("repair/verify")->duration_seconds);
-  EXPECT_DOUBLE_EQ(stats.total_seconds,
-                   obs.tracer.FindSpan("repair")->duration_seconds);
+  const Json snapshot = obs::BuildRunSnapshot(obs);
+  const auto seconds = [&snapshot](const char* path) {
+    const Json* span = obs::FindSpan(snapshot, path);
+    EXPECT_NE(span, nullptr) << path;
+    return span != nullptr ? obs::SpanSeconds(span) : -1.0;
+  };
+  EXPECT_DOUBLE_EQ(stats.build_seconds, seconds("repair/build"));
+  EXPECT_DOUBLE_EQ(stats.solve_seconds, seconds("repair/solve"));
+  EXPECT_DOUBLE_EQ(stats.apply_seconds, seconds("repair/apply"));
+  EXPECT_DOUBLE_EQ(stats.verify_seconds, seconds("repair/verify"));
+  EXPECT_DOUBLE_EQ(stats.total_seconds, seconds("repair"));
   // Verify is its own phase, not folded into apply.
   EXPECT_GE(stats.total_seconds, stats.build_seconds + stats.solve_seconds +
                                      stats.apply_seconds +

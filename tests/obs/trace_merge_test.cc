@@ -1,15 +1,19 @@
 // Randomized multi-thread trace merge: ThreadPool workers record shard
-// events into their per-thread lanes while the pipeline thread runs the
-// span tree, and the snapshot-time merge must account for every event
-// exactly once, inside its enclosing phase, with per-phase busy times that
-// agree with a serial tracer run of the same work. Runs under TSan via
+// events into their per-thread lanes while the pipeline thread records its
+// phase spans into its own, and the snapshot-time merge must account for
+// every event exactly once, inside its enclosing phase, with per-phase busy
+// times that agree with a serial run of the same work. Also: threads that
+// share one context keep separate span stacks. Runs under TSan via
 // tools/check_concurrency.sh (labels: obs, concurrency).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -17,6 +21,7 @@
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/trace.h"
+#include "obs_testing.h"
 
 namespace dbrepair::obs {
 namespace {
@@ -59,6 +64,7 @@ TEST(TraceMergeTest, RandomizedRoundsAccountForEveryShardOnce) {
 
     const double now = context.clock.SecondsSinceEpoch();
     const std::vector<LaneSnapshot> lanes = SnapshotLanes(context.events, now);
+    const Json snapshot = BuildRunSnapshot(context);
 
     // Every shard event landed in exactly one lane: lanes partition the
     // events by construction (one lane per thread, single-writer), so the
@@ -87,10 +93,10 @@ TEST(TraceMergeTest, RandomizedRoundsAccountForEveryShardOnce) {
     // Each round's shard intervals fall inside that round's span window,
     // and each shard falls in exactly one round (rounds are sequential).
     for (size_t round = 0; round < num_rounds; ++round) {
-      const auto span = context.tracer.FindSpan(round_names[round]);
+      const Json* span = FindSpan(snapshot, round_names[round]);
       ASSERT_NE(span, nullptr);
-      const double begin = span->start_seconds;
-      const double end = span->start_seconds + span->duration_seconds;
+      const double begin = span->Find("start_s")->AsDouble();
+      const double end = begin + SpanSeconds(span);
       size_t inside = 0;
       for (const LaneSnapshot& lane : lanes) {
         for (const LaneInterval& interval : lane.intervals) {
@@ -108,17 +114,16 @@ TEST(TraceMergeTest, RandomizedRoundsAccountForEveryShardOnce) {
 
     // The snapshot merge attributes every worker task to some round, and a
     // lane's busy time within one round cannot exceed the round's wall time.
-    const Json snapshot = BuildRunSnapshot(context);
     const Json* phases = snapshot.Find("workers")->Find("phases");
     ASSERT_NE(phases, nullptr);
     for (size_t round = 0; round < num_rounds; ++round) {
-      const auto span = context.tracer.FindSpan(round_names[round]);
+      const Json* span = FindSpan(snapshot, round_names[round]);
       const Json* entry = phases->Find(round_names[round]);
       ASSERT_NE(entry, nullptr) << round_names[round];
       const double busy = entry->Find("worker_busy_seconds")->AsDouble();
       EXPECT_GE(busy, 0.0);
       EXPECT_LE(busy,
-                static_cast<double>(num_threads) * span->duration_seconds +
+                static_cast<double>(num_threads) * SpanSeconds(span) +
                     1e-6)
           << round_names[round];
     }
@@ -127,19 +132,19 @@ TEST(TraceMergeTest, RandomizedRoundsAccountForEveryShardOnce) {
 
 TEST(TraceMergeTest, MergedPhaseTimesMatchSerialTracer) {
   // The same deterministic workload, once on a pool and once serially with
-  // the work recorded straight into the span tree. The parallel run's
-  // merged per-phase worker busy time must agree with the serial tracer's
-  // measured work time (same shard count, same spin) within a generous
+  // the work timed by the phase span alone. The parallel run's merged
+  // per-phase worker busy time must agree with the serial span's measured
+  // work time (same shard count, same spin) within a generous
   // scheduling tolerance.
   constexpr size_t kShards = 64;
   constexpr uint32_t kSpin = 2000;
 
-  // Serial reference: total work time measured by the tracer alone.
+  // Serial reference: total work time measured by the span alone.
   double serial_work = 0.0;
   {
     ObsContext context;
     ScopedObs scoped(&context);
-    Span phase(&context.tracer, "work");
+    Span phase(&context.events, "work");
     for (size_t i = 0; i < kShards; ++i) SpinABit(kSpin);
     serial_work = phase.Finish();
   }
@@ -151,7 +156,7 @@ TEST(TraceMergeTest, MergedPhaseTimesMatchSerialTracer) {
   double parallel_wall = 0.0;
   {
     ThreadPool pool(4);
-    Span phase(&context.tracer, "work");
+    Span phase(&context.events, "work");
     ParallelFor(&pool, kShards, [&](size_t) {
       const ScopedWorkEvent shard("merge.shard");
       SpinABit(kSpin);
@@ -169,7 +174,7 @@ TEST(TraceMergeTest, MergedPhaseTimesMatchSerialTracer) {
     }
   }
   ASSERT_EQ(merged_shards, kShards);
-  // The summed shard time is the same CPU work the serial tracer measured;
+  // The summed shard time is the same CPU work the serial span measured;
   // scheduling noise (and TSan) can only make either side slower, so agree
   // within a factor rather than an absolute delta.
   EXPECT_GT(merged_shard_seconds, 0.0);
@@ -182,6 +187,49 @@ TEST(TraceMergeTest, MergedPhaseTimesMatchSerialTracer) {
   ASSERT_NE(entry, nullptr);
   EXPECT_LE(entry->Find("worker_busy_seconds")->AsDouble(),
             4.0 * parallel_wall + 1e-6);
+}
+
+TEST(TraceMergeTest, ThreadsSharingOneContextKeepSeparateSpanStacks) {
+  // Two threads record spans into one context (as any two library callers
+  // without a ScopedObs do through DefaultObs()). Each thread's spans nest
+  // only among themselves: A closing its span must not close B's, and B's
+  // spans must not become children of A's.
+  ObsContext context;
+  std::barrier sync(2);
+  double b_outer = 0.0;
+  double b_inner = 0.0;
+  std::thread a([&] {
+    Span repair(&context.events, "a.repair");
+    sync.arrive_and_wait();  // 1: A's span is open
+    sync.arrive_and_wait();  // 2: B's spans are open
+    repair.Finish();
+    sync.arrive_and_wait();  // 3: A's span is closed
+  });
+  std::thread b([&] {
+    sync.arrive_and_wait();  // 1
+    Span repair(&context.events, "b.repair");
+    Span solve(&context.events, "b.solve");
+    sync.arrive_and_wait();  // 2
+    sync.arrive_and_wait();  // 3
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    b_inner = solve.Finish();
+    b_outer = repair.Finish();
+  });
+  a.join();
+  b.join();
+  EXPECT_GE(b_outer, 0.05);
+  EXPECT_GE(b_inner, 0.05);
+
+  const Json snapshot = BuildRunSnapshot(context);
+  const Json::Array& roots = SpanRoots(snapshot);
+  ASSERT_EQ(roots.size(), 2u);
+  EXPECT_EQ(roots[0].Find("name")->AsString(), "a.repair");
+  EXPECT_EQ(roots[0].Find("children"), nullptr);
+  EXPECT_EQ(roots[1].Find("name")->AsString(), "b.repair");
+  const Json* solve = FindSpan(snapshot, "b.repair/b.solve");
+  ASSERT_NE(solve, nullptr);
+  EXPECT_DOUBLE_EQ(SpanSeconds(solve), b_inner);
+  EXPECT_DOUBLE_EQ(SpanSeconds(&roots[1]), b_outer);
 }
 
 }  // namespace

@@ -5,196 +5,223 @@
 #include <string>
 
 #include "obs/context.h"
+#include "obs_testing.h"
 
 namespace dbrepair::obs {
 namespace {
 
 TEST(TracerTest, SpansNestInOpenOrder) {
-  Tracer tracer;
+  ObsContext context;
   {
-    Span repair(&tracer, "repair");
-    { Span bind(&tracer, "bind"); }
+    Span repair(&context.events, "repair");
+    { Span bind(&context.events, "bind"); }
     {
-      Span build(&tracer, "build");
-      { Span violations(&tracer, "violations"); }
-      { Span fixes(&tracer, "fixes"); }
+      Span build(&context.events, "build");
+      { Span violations(&context.events, "violations"); }
+      { Span fixes(&context.events, "fixes"); }
     }
-    { Span solve(&tracer, "solve"); }
+    { Span solve(&context.events, "solve"); }
   }
-  const auto roots = tracer.roots();
+  const Json snapshot = BuildRunSnapshot(context);
+  const Json::Array& roots = SpanRoots(snapshot);
   ASSERT_EQ(roots.size(), 1u);
-  const SpanNode& root = *roots[0];
-  EXPECT_EQ(root.name, "repair");
-  EXPECT_FALSE(root.open);
-  ASSERT_EQ(root.children.size(), 3u);
-  EXPECT_EQ(root.children[0]->name, "bind");
-  EXPECT_EQ(root.children[1]->name, "build");
-  EXPECT_EQ(root.children[2]->name, "solve");
-  ASSERT_EQ(root.children[1]->children.size(), 2u);
-  EXPECT_EQ(root.children[1]->children[0]->name, "violations");
-  EXPECT_EQ(root.children[1]->children[1]->name, "fixes");
+  const Json& root = roots[0];
+  EXPECT_EQ(root.Find("name")->AsString(), "repair");
+  EXPECT_FALSE(SpanOpen(&root));
+  const Json::Array& children = root.Find("children")->AsArray();
+  ASSERT_EQ(children.size(), 3u);
+  EXPECT_EQ(children[0].Find("name")->AsString(), "bind");
+  EXPECT_EQ(children[1].Find("name")->AsString(), "build");
+  EXPECT_EQ(children[2].Find("name")->AsString(), "solve");
+  const Json::Array& build = children[1].Find("children")->AsArray();
+  ASSERT_EQ(build.size(), 2u);
+  EXPECT_EQ(build[0].Find("name")->AsString(), "violations");
+  EXPECT_EQ(build[1].Find("name")->AsString(), "fixes");
 }
 
 TEST(TracerTest, FinishReturnsDurationAndIsIdempotent) {
-  Tracer tracer;
-  Span span(&tracer, "work");
+  ObsContext context;
+  Span span(&context.events, "work");
   const double first = span.Finish();
   const double second = span.Finish();
   EXPECT_GE(first, 0.0);
   EXPECT_EQ(first, second);
-  const auto node = tracer.FindSpan("work");
+  const Json snapshot = BuildRunSnapshot(context);
+  const Json* node = FindSpan(snapshot, "work");
   ASSERT_NE(node, nullptr);
-  EXPECT_DOUBLE_EQ(node->duration_seconds, first);
+  EXPECT_DOUBLE_EQ(SpanSeconds(node), first);
 }
 
 TEST(TracerTest, ChildDurationsBoundedByParent) {
-  Tracer tracer;
+  ObsContext context;
   {
-    Span outer(&tracer, "outer");
-    { Span inner(&tracer, "inner"); }
+    Span outer(&context.events, "outer");
+    { Span inner(&context.events, "inner"); }
   }
-  const auto outer = tracer.FindSpan("outer");
-  const auto inner = tracer.FindSpan("outer/inner");
+  const Json snapshot = BuildRunSnapshot(context);
+  const Json* outer = FindSpan(snapshot, "outer");
+  const Json* inner = FindSpan(snapshot, "outer/inner");
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
-  EXPECT_GE(inner->start_seconds, outer->start_seconds);
-  EXPECT_LE(inner->duration_seconds, outer->duration_seconds + 1e-9);
+  EXPECT_GE(inner->Find("start_s")->AsDouble(),
+            outer->Find("start_s")->AsDouble());
+  EXPECT_LE(SpanSeconds(inner), SpanSeconds(outer) + 1e-9);
 }
 
 TEST(TracerTest, CloseSpanPopsAbandonedChildren) {
-  // An early error return destroys Span objects out of strict order; closing
-  // a parent must finish any deeper spans still open.
-  Tracer tracer;
-  const auto outer = tracer.OpenSpan("outer");
-  tracer.OpenSpan("leaked");
-  tracer.CloseSpan(outer.get());
-  const auto leaked = tracer.FindSpan("outer/leaked");
-  ASSERT_NE(leaked, nullptr);
-  EXPECT_FALSE(leaked->open);
+  // Finishing a span out of order (an explicit Finish() on the parent while
+  // a child is still alive) must finish any deeper spans still open.
+  ObsContext context;
+  Span outer(&context.events, "outer");
+  Span leaked(&context.events, "leaked");
+  outer.Finish();
+  const Json closed = BuildRunSnapshot(context);
+  const Json* node = FindSpan(closed, "outer/leaked");
+  ASSERT_NE(node, nullptr);
+  EXPECT_FALSE(SpanOpen(node));
   // A fresh span after the close is a new root, not a child of "outer".
-  { Span next(&tracer, "next"); }
-  EXPECT_EQ(tracer.roots().size(), 2u);
-  EXPECT_NE(tracer.FindSpan("next"), nullptr);
+  { Span next(&context.events, "next"); }
+  const Json snapshot = BuildRunSnapshot(context);
+  EXPECT_EQ(SpanRoots(snapshot).size(), 2u);
+  EXPECT_NE(FindSpan(snapshot, "next"), nullptr);
 }
 
 TEST(TracerTest, KeepsOnlyTheNewestRootsUpToTheCap) {
-  Tracer tracer;
+  ObsContext context;
   constexpr size_t kRoots = 1000;
   for (size_t i = 0; i < kRoots; ++i) {
-    Span root(&tracer, std::to_string(i));
-    { Span child(&tracer, "child"); }
+    Span root(&context.events, std::to_string(i));
+    { Span child(&context.events, "child"); }
   }
-  const auto roots = tracer.roots();
-  ASSERT_EQ(roots.size(), Tracer::kMaxRoots);
+  const Json snapshot = BuildRunSnapshot(context);
+  const Json::Array& roots = SpanRoots(snapshot);
+  ASSERT_EQ(roots.size(), EventLane::kMaxRoots);
   for (size_t i = 0; i < roots.size(); ++i) {
-    EXPECT_EQ(roots[i]->name, std::to_string(kRoots - Tracer::kMaxRoots + i));
-    EXPECT_FALSE(roots[i]->open);
+    EXPECT_EQ(roots[i].Find("name")->AsString(),
+              std::to_string(kRoots - EventLane::kMaxRoots + i));
+    EXPECT_FALSE(SpanOpen(&roots[i]));
   }
-  EXPECT_EQ(tracer.FindSpan("0"), nullptr);
-  EXPECT_NE(tracer.FindSpan("999/child"), nullptr);
+  EXPECT_EQ(FindSpan(snapshot, "0"), nullptr);
+  EXPECT_NE(FindSpan(snapshot, "999/child"), nullptr);
+  // The lane itself holds nothing older than the first kept root: four
+  // events (two begins, two ends) per root.
+  ASSERT_EQ(context.events.num_lanes(), 1u);
+  const std::vector<TraceEvent> events = context.events.lanes()[0]->Events();
+  ASSERT_EQ(events.size(), 4 * EventLane::kMaxRoots);
+  EXPECT_EQ(events.front().kind, EventKind::kSpanBegin);
+  EXPECT_EQ(events.front().name,
+            std::to_string(kRoots - EventLane::kMaxRoots));
 }
 
 TEST(TracerTest, OpenRootIsNeverEvicted) {
-  Tracer tracer;
-  for (size_t i = 0; i < Tracer::kMaxRoots; ++i) {
-    Span root(&tracer, std::to_string(i));
+  ObsContext context;
+  for (size_t i = 0; i < EventLane::kMaxRoots; ++i) {
+    Span root(&context.events, std::to_string(i));
   }
   {
-    Span live(&tracer, "live");
+    Span live(&context.events, "live");
     // Spans opened under an open root are its children: however many there
     // are, they open no root and evict nothing.
-    for (size_t i = 0; i < 2 * Tracer::kMaxRoots; ++i) {
-      Span child(&tracer, "child");
+    for (size_t i = 0; i < 2 * EventLane::kMaxRoots; ++i) {
+      Span child(&context.events, "child");
     }
-    const auto roots = tracer.roots();
-    ASSERT_EQ(roots.size(), Tracer::kMaxRoots);
-    EXPECT_EQ(roots.back()->name, "live");
-    EXPECT_TRUE(roots.back()->open);
-    EXPECT_EQ(roots.back()->children.size(), 2 * Tracer::kMaxRoots);
+    const Json snapshot = BuildRunSnapshot(context);
+    const Json::Array& roots = SpanRoots(snapshot);
+    ASSERT_EQ(roots.size(), EventLane::kMaxRoots);
+    EXPECT_EQ(roots.back().Find("name")->AsString(), "live");
+    EXPECT_TRUE(SpanOpen(&roots.back()));
+    EXPECT_EQ(roots.back().Find("children")->AsArray().size(),
+              2 * EventLane::kMaxRoots);
   }
   // Once closed, "live" is the newest completed root and outlasts the next
   // opening, which evicts the oldest.
-  { Span next(&tracer, "next"); }
-  const auto roots = tracer.roots();
-  ASSERT_EQ(roots.size(), Tracer::kMaxRoots);
-  EXPECT_EQ(roots[roots.size() - 2]->name, "live");
-  EXPECT_EQ(roots.back()->name, "next");
-  EXPECT_EQ(tracer.FindSpan("0"), nullptr);
-  EXPECT_EQ(tracer.FindSpan("1"), nullptr);
-  EXPECT_NE(tracer.FindSpan("2"), nullptr);
+  { Span next(&context.events, "next"); }
+  const Json snapshot = BuildRunSnapshot(context);
+  const Json::Array& roots = SpanRoots(snapshot);
+  ASSERT_EQ(roots.size(), EventLane::kMaxRoots);
+  EXPECT_EQ(roots[roots.size() - 2].Find("name")->AsString(), "live");
+  EXPECT_EQ(roots.back().Find("name")->AsString(), "next");
+  EXPECT_EQ(FindSpan(snapshot, "0"), nullptr);
+  EXPECT_EQ(FindSpan(snapshot, "1"), nullptr);
+  EXPECT_NE(FindSpan(snapshot, "2"), nullptr);
 }
 
 TEST(TracerTest, EvictedTreesStayValidForTheirHolders) {
-  Tracer tracer;
-  Span outer(&tracer, "outer");
-  Span inner(&tracer, "inner");
-  auto held = tracer.FindSpan("outer/inner");
-  ASSERT_NE(held, nullptr);
+  // A snapshot is a copy: one taken before its trees are evicted from the
+  // lane stays whole after the eviction.
+  ObsContext context;
+  Span outer(&context.events, "outer");
+  Span inner(&context.events, "inner");
   // Closing the parent first closes "inner" too; then enough roots open to
-  // evict "outer"'s tree while a reader and the Span still point into it.
+  // evict "outer"'s tree from the lane.
   const double outer_seconds = outer.Finish();
-  for (size_t i = 0; i < 2 * Tracer::kMaxRoots; ++i) {
-    Span root(&tracer, "later");
+  const Json held = BuildRunSnapshot(context);
+  for (size_t i = 0; i < 2 * EventLane::kMaxRoots; ++i) {
+    Span root(&context.events, "later");
   }
-  EXPECT_EQ(tracer.FindSpan("outer"), nullptr);
-  EXPECT_EQ(held->name, "inner");
-  EXPECT_FALSE(held->open);
-  EXPECT_LE(held->duration_seconds, outer_seconds + 1e-9);
-  // The Span alone keeps the tree once the reader lets go: finishing the
-  // already-closed span reports its recorded duration and leaves a root
-  // opened meanwhile untouched.
-  const double inner_seconds = held->duration_seconds;
-  held.reset();
-  Span open_root(&tracer, "open-root");
-  EXPECT_DOUBLE_EQ(inner.Finish(), inner_seconds);
-  EXPECT_TRUE(tracer.roots().back()->open);
+  EXPECT_EQ(FindSpan(BuildRunSnapshot(context), "outer"), nullptr);
+  const Json* node = FindSpan(held, "outer/inner");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->Find("name")->AsString(), "inner");
+  EXPECT_FALSE(SpanOpen(node));
+  EXPECT_LE(SpanSeconds(node), outer_seconds + 1e-9);
+  // Finishing the already-closed span reports its own stamps and records
+  // nothing: a root opened meanwhile stays open.
+  const double inner_seconds = SpanSeconds(node);
+  Span open_root(&context.events, "open-root");
+  EXPECT_GE(inner.Finish(), inner_seconds);
+  const Json after = BuildRunSnapshot(context);
+  EXPECT_TRUE(SpanOpen(&SpanRoots(after).back()));
 }
 
 TEST(TracerTest, FindSpanByPath) {
-  Tracer tracer;
+  ObsContext context;
   {
-    Span a(&tracer, "a");
-    Span b(&tracer, "b");
-    Span c(&tracer, "c");
+    Span a(&context.events, "a");
+    Span b(&context.events, "b");
+    Span c(&context.events, "c");
     c.Finish();
     b.Finish();
     a.Finish();
   }
-  EXPECT_NE(tracer.FindSpan("a"), nullptr);
-  EXPECT_NE(tracer.FindSpan("a/b"), nullptr);
-  EXPECT_NE(tracer.FindSpan("a/b/c"), nullptr);
-  EXPECT_EQ(tracer.FindSpan("a/c"), nullptr);
-  EXPECT_EQ(tracer.FindSpan("nope"), nullptr);
+  const Json snapshot = BuildRunSnapshot(context);
+  EXPECT_NE(FindSpan(snapshot, "a"), nullptr);
+  EXPECT_NE(FindSpan(snapshot, "a/b"), nullptr);
+  EXPECT_NE(FindSpan(snapshot, "a/b/c"), nullptr);
+  EXPECT_EQ(FindSpan(snapshot, "a/c"), nullptr);
+  EXPECT_EQ(FindSpan(snapshot, "nope"), nullptr);
 }
 
 TEST(TracerTest, ClearDropsEverything) {
-  Tracer tracer;
-  { Span s(&tracer, "s"); }
-  EXPECT_EQ(tracer.roots().size(), 1u);
-  tracer.Clear();
-  EXPECT_TRUE(tracer.roots().empty());
-  EXPECT_EQ(tracer.FindSpan("s"), nullptr);
+  ObsContext context;
+  { Span s(&context.events, "s"); }
+  EXPECT_EQ(SpanRoots(BuildRunSnapshot(context)).size(), 1u);
+  context.events.Clear();
+  const Json snapshot = BuildRunSnapshot(context);
+  EXPECT_TRUE(SpanRoots(snapshot).empty());
+  EXPECT_EQ(FindSpan(snapshot, "s"), nullptr);
 }
 
 TEST(TracerTest, FormatSpanTreeListsEveryNode) {
-  Tracer tracer;
+  ObsContext context;
   {
-    Span repair(&tracer, "repair");
-    { Span build(&tracer, "build"); }
+    Span repair(&context.events, "repair");
+    { Span build(&context.events, "build"); }
   }
-  const std::string text = FormatSpanTrees(tracer);
+  const std::string text = FormatSpanTrees(context.events);
   EXPECT_NE(text.find("repair"), std::string::npos) << text;
   EXPECT_NE(text.find("build"), std::string::npos) << text;
   EXPECT_NE(text.find("ms"), std::string::npos) << text;
 }
 
 TEST(TracerTest, SpanTreeToJsonShape) {
-  Tracer tracer;
+  ObsContext context;
   {
-    Span repair(&tracer, "repair");
-    { Span solve(&tracer, "solve"); }
+    Span repair(&context.events, "repair");
+    { Span solve(&context.events, "solve"); }
   }
-  const Json json = SpanTreeToJson(*tracer.roots()[0]);
+  const Json snapshot = BuildRunSnapshot(context);
+  const Json& json = SpanRoots(snapshot)[0];
   EXPECT_EQ(json.Find("name")->AsString(), "repair");
   EXPECT_TRUE(json.Find("duration_s")->is_double());
   const Json* children = json.Find("children");
@@ -204,16 +231,16 @@ TEST(TracerTest, SpanTreeToJsonShape) {
 }
 
 TEST(TracerTest, OpenSpansReportElapsedInJsonAndText) {
-  Tracer tracer;
-  const auto repair = tracer.OpenSpan("repair");
-  const auto solve = tracer.OpenSpan("solve");
-  tracer.CloseSpan(solve.get());
+  ObsContext context;
+  Span repair(&context.events, "repair");
+  { Span solve(&context.events, "solve"); }
   // "repair" is still open: a mid-run snapshot must say so and report
   // elapsed-so-far rather than duration 0.
   for (volatile int i = 0; i < 100000; ++i) {  // let some time pass
   }
-  const double now = tracer.clock().SecondsSinceEpoch();
-  const Json json = SpanTreeToJson(*tracer.roots()[0], now);
+  const Json snapshot = BuildRunSnapshot(context);
+  const double now = context.clock.SecondsSinceEpoch();
+  const Json& json = SpanRoots(snapshot)[0];
   const Json* open = json.Find("open");
   ASSERT_NE(open, nullptr);
   EXPECT_TRUE(open->AsBool());
@@ -223,13 +250,8 @@ TEST(TracerTest, OpenSpansReportElapsedInJsonAndText) {
   const Json& child = json.Find("children")->AsArray()[0];
   EXPECT_EQ(child.Find("open"), nullptr);
 
-  const std::string text = FormatSpanTree(*tracer.roots()[0], now);
+  const std::string text = FormatSpanTrees(context.events);
   EXPECT_NE(text.find("(open)"), std::string::npos) << text;
-
-  // Without a reference time an open span's duration stays 0 (unknown).
-  const Json unknown = SpanTreeToJson(*tracer.roots()[0]);
-  EXPECT_DOUBLE_EQ(unknown.Find("duration_s")->AsDouble(), 0.0);
-  tracer.CloseSpan(repair.get());
 }
 
 TEST(ScopedObsTest, InstallsAndRestoresCurrentContext) {
@@ -238,9 +260,10 @@ TEST(ScopedObsTest, InstallsAndRestoresCurrentContext) {
   {
     ScopedObs scoped(&local);
     EXPECT_EQ(&CurrentObs(), &local);
-    // The default-tracer Span constructor writes into the installed context.
+    // The default-collector Span constructor writes into the installed
+    // context.
     { Span s("scoped-span"); }
-    EXPECT_NE(local.tracer.FindSpan("scoped-span"), nullptr);
+    EXPECT_NE(FindSpan(BuildRunSnapshot(local), "scoped-span"), nullptr);
     ObsContext nested;
     {
       ScopedObs inner(&nested);
@@ -249,7 +272,7 @@ TEST(ScopedObsTest, InstallsAndRestoresCurrentContext) {
     EXPECT_EQ(&CurrentObs(), &local);
   }
   EXPECT_EQ(&CurrentObs(), &base);
-  EXPECT_EQ(base.tracer.FindSpan("scoped-span"), nullptr);
+  EXPECT_EQ(FindSpan(BuildRunSnapshot(base), "scoped-span"), nullptr);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@
 #include "io/csv.h"
 #include "io/snapshot.h"
 #include "obs/json.h"
-#include "obs/trace.h"
+#include "obs/events.h"
 #include "repair/api.h"
 #include "server/client.h"
 
@@ -218,7 +218,7 @@ TEST(ServerTest, StatsTraceHistoryIsBounded) {
   const obs::Json* trace = json->Find("trace");
   ASSERT_NE(trace, nullptr);
   const auto& roots = trace->AsArray();
-  EXPECT_LE(roots.size(), obs::Tracer::kMaxRoots);
+  EXPECT_LE(roots.size(), obs::EventLane::kMaxRoots);
   ASSERT_FALSE(roots.empty());
   EXPECT_EQ(roots.back().Find("name")->AsString(), "session.batch");
   (*server)->Stop();

@@ -9,13 +9,15 @@
 # conflict-component suite (its session case streams batches through a
 # 4-thread session), the
 # randomized trace-merge suite (pool workers appending to per-thread event
-# lanes while snapshots read them), the scenario suite (the generator
+# lanes while snapshots read them, and two threads recording spans into one
+# shared context), the scenario suite (the generator
 # differential oracle replays every scenario at 1 and 4 threads, plus the
 # FD-compilation and inconsistency-measure tests that ride the same label),
 # and the repair-server suite (concurrent tenants streaming batches over
 # real sockets into the shared worker pool, with STATS snapshots racing the
-# streams). Any data race in the parallel pipeline, the lock-free event
-# buffers, or the server's dispatch path fails this job.
+# streams). Any data race in the parallel pipeline, the mutex-guarded event
+# lanes (appends racing snapshot copies and front trimming, lane lookup by
+# thread id), or the server's dispatch path fails this job.
 #
 # Usage: tools/check_concurrency.sh [build-dir]   (default: build-tsan)
 set -euo pipefail

@@ -10,13 +10,14 @@
 # suites, plus the suites that create, copy and drop Values wholesale: the
 # catalog tests (every copy, move and assignment of each Value kind), the
 # io tests (CSV load and export) and the SQL tests; and the obs and server
-# tests, whose span trees are shared between the tracer, open Spans and
-# snapshot readers and freed when the bounded history evicts them. The
-# scan's hot loop reads typed arrays through `const void*` casts and binds
-# cell addresses into its binding slots, and a string Value frees its
-# shared payload by hand when the last copy goes, so an out-of-bounds read,
-# a dangling binding, an invalid cast, a use-after-free or a leaked payload
-# or span tree fails this job.
+# tests, whose per-thread event lanes (mutex-guarded deques) trim their
+# oldest span trees from the front while open Spans still hold the lane
+# and snapshot readers copy it. The scan's hot loop reads typed arrays
+# through `const void*` casts and binds cell addresses into its binding
+# slots, and a string Value frees its shared payload by hand when the last
+# copy goes, so an out-of-bounds read, a dangling binding, an invalid cast,
+# a use-after-free or a leaked payload, or a read past a trimmed lane
+# front, fails this job.
 #
 # Usage: tools/check_memory.sh [build-dir]   (default: build-asan)
 set -euo pipefail

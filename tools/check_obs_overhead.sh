@@ -7,7 +7,7 @@
 # order alternates per pair), so both sides share one heap, one scheduler
 # history and one host phase. It reports the median off time and the
 # median per-pair on-minus-off difference. This enforces the DESIGN.md
-# contract that recording into the lock-free lanes is cheap enough to leave
+# contract that recording into the per-thread lanes is cheap enough to leave
 # on for any run that wants a trace. Wired into ctest under the perf-smoke
 # label (serial, so other tests don't pollute the timings).
 #
