@@ -20,7 +20,7 @@ namespace {
 void Dump(const Database& db) {
   for (size_t r = 0; r < db.relation_count(); ++r) {
     const Table& table = db.table(r);
-    for (const Tuple& row : table.rows()) {
+    for (const TupleView row : table.rows()) {
       std::printf("  %s%s\n", table.schema().name().c_str(),
                   row.ToString().c_str());
     }

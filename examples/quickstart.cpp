@@ -19,7 +19,7 @@ void PrintTable(const Database& db, const char* title) {
   std::printf("%s\n", title);
   const Table& paper = *db.FindTable("Paper");
   std::printf("  %-4s %-3s %-4s %-3s\n", "ID", "EF", "PRC", "CF");
-  for (const Tuple& row : paper.rows()) {
+  for (const TupleView row : paper.rows()) {
     std::printf("  %-4s %-3lld %-4lld %-3lld\n",
                 row.value(0).AsString().c_str(),
                 static_cast<long long>(row.value(1).AsInt()),

@@ -88,10 +88,7 @@ int Value::Compare(const Value& other) const {
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(AsInt());
-  if (is_double()) {
-    std::string out = std::to_string(AsDouble());
-    return out;
-  }
+  if (is_double()) return FormatDouble(AsDouble());
   return "'" + AsString() + "'";
 }
 

@@ -79,6 +79,13 @@ Result<double> ParseDouble(std::string_view s) {
   return value;
 }
 
+std::string FormatDouble(double v) {
+  char buffer[32];  // the shortest form of any double fits in 24 chars
+  const std::to_chars_result result =
+      std::to_chars(buffer, buffer + sizeof(buffer), v);
+  return std::string(buffer, result.ptr);
+}
+
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

@@ -28,6 +28,11 @@ Result<int64_t> ParseInt64(std::string_view s);
 /// Parses a floating point number; the whole string must be consumed.
 Result<double> ParseDouble(std::string_view s);
 
+/// The shortest decimal that ParseDouble reads back as exactly `v`
+/// (0.1234567891, 1e-07, 1e+300, 2); NaN and infinities print as
+/// "nan", "-nan", "inf", "-inf".
+std::string FormatDouble(double v);
+
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 

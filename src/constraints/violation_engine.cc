@@ -110,31 +110,33 @@ struct ColumnarPlan {
   // A column devirtualised to its raw array pointer, so the hot loop pays
   // one predictable switch and one indexed load per code instead of chasing
   // ColumnData's type and vector headers every row. kValue reads the row
-  // store instead: `data` is the relation's Tuple array, `pos` the
-  // attribute.
+  // store instead: `data` is the relation's cell array, `pos` the
+  // attribute and `arity` the row stride.
   struct ColRef {
     enum class Kind : uint8_t { kI64, kF64, kU32, kValue };
     Kind kind = Kind::kI64;
     uint32_t pos = 0;
+    uint32_t arity = 0;
     const void* data = nullptr;
 
     static ColRef Of(const ColumnData& col) {
       switch (col.type) {
         case Type::kInt64:
-          return {Kind::kI64, 0, col.ints.data()};
+          return {Kind::kI64, 0, 0, col.ints.data()};
         case Type::kDouble:
-          return {Kind::kF64, 0, col.doubles.data()};
+          return {Kind::kF64, 0, 0, col.doubles.data()};
         case Type::kString:
-          return {Kind::kU32, 0, col.codes.data()};
+          return {Kind::kU32, 0, 0, col.codes.data()};
       }
       return {};
     }
     static ColRef OfValues(const Table& table, uint32_t pos) {
-      return {Kind::kValue, pos, table.rows().data()};
+      return {Kind::kValue, pos,
+              static_cast<uint32_t>(table.schema().arity()), table.cells()};
     }
 
     const Value& ValueAt(uint32_t row) const {
-      return static_cast<const Tuple*>(data)[row].value(pos);
+      return static_cast<const Value*>(data)[size_t{row} * arity + pos];
     }
 
     // What a class binding from this column stores: the code
@@ -1314,7 +1316,7 @@ Result<bool> ViolationEngine::Satisfies(
 
 bool ViolationEngine::SetSatisfies(
     const BoundConstraint& ic,
-    const std::vector<std::pair<uint32_t, const Tuple*>>& tuples) {
+    const std::vector<std::pair<uint32_t, TupleView>>& tuples) {
   SatisfiesScratch scratch;
   return SetSatisfies(ic, tuples, CellOverride{tuples.size(), 0, nullptr},
                       &scratch);
@@ -1322,7 +1324,7 @@ bool ViolationEngine::SetSatisfies(
 
 bool ViolationEngine::SetSatisfies(
     const BoundConstraint& ic,
-    const std::vector<std::pair<uint32_t, const Tuple*>>& tuples,
+    const std::vector<std::pair<uint32_t, TupleView>>& tuples,
     const CellOverride& override, SatisfiesScratch* scratch) {
   const size_t num_vars = ic.var_names.size();
   const size_t mask_words = (num_vars + 63) / 64;
@@ -1360,14 +1362,14 @@ bool ViolationEngine::SetSatisfies(
     for (size_t m = 0; m < tuples.size(); ++m) {
       const auto& [relation, tuple] = tuples[m];
       if (relation != atom.relation_index) continue;
-      if (tuple->arity() != atom.var_ids.size()) continue;
+      if (tuple.arity() != atom.var_ids.size()) continue;
       std::fill(bound, bound + mask_words, 0);
       bool ok = true;
       for (uint32_t pos = 0; pos < atom.var_ids.size() && ok; ++pos) {
         const int32_t vid = atom.var_ids[pos];
         const Value& v = m == override.member && pos == override.attribute
                              ? *override.value
-                             : tuple->value(pos);
+                             : tuple.value(pos);
         if (vid < 0) {
           ok = v == atom.constants[pos];
         } else if (binding[vid] != nullptr) {

@@ -114,7 +114,7 @@ class ViolationEngine {
   /// EvalCompare.
   static bool SetSatisfies(
       const BoundConstraint& ic,
-      const std::vector<std::pair<uint32_t, const Tuple*>>& tuples);
+      const std::vector<std::pair<uint32_t, TupleView>>& tuples);
 
   /// One cell read in place of the stored one: attribute `attribute` of
   /// `tuples[member]` reads as `*value`.
@@ -135,7 +135,7 @@ class ViolationEngine {
   /// materialising t'. Allocation-free once `scratch` has grown to `ic`.
   static bool SetSatisfies(
       const BoundConstraint& ic,
-      const std::vector<std::pair<uint32_t, const Tuple*>>& tuples,
+      const std::vector<std::pair<uint32_t, TupleView>>& tuples,
       const CellOverride& override, SatisfiesScratch* scratch);
 
  private:

@@ -121,7 +121,7 @@ Result<CqaResult> ConsistentAnswers(const Database& db,
     alternatives[fix.tuple.row][fix.attribute].push_back(fix.new_value);
   }
 
-  auto selected = [&](const Tuple& t) {
+  auto selected = [&](TupleView t) {
     for (const ResolvedPredicate& p : predicates) {
       const Value& lhs =
           p.lhs_is_column ? t.value(p.lhs_column) : p.lhs_literal;
@@ -131,7 +131,7 @@ Result<CqaResult> ConsistentAnswers(const Database& db,
     }
     return true;
   };
-  auto project = [&](const Tuple& t) {
+  auto project = [&](TupleView t) {
     RowKey key;
     key.values.reserve(projection.size());
     for (const uint32_t pos : projection) key.values.push_back(t.value(pos));
@@ -151,7 +151,7 @@ Result<CqaResult> ConsistentAnswers(const Database& db,
   };
 
   for (uint32_t row = 0; row < table->size(); ++row) {
-    const Tuple& original = table->row(row);
+    const TupleView original = table->row(row);
     const auto alt_it = alternatives.find(row);
     if (alt_it == alternatives.end()) {
       // Consistent tuple: one state only.
@@ -176,7 +176,7 @@ Result<CqaResult> ConsistentAnswers(const Database& db,
       }
       continue;
     }
-    Tuple combo = original;
+    Tuple combo(original.values());
     bool all_selected = true;
     bool any_selected = false;
     RowKey first_projection;
@@ -187,11 +187,11 @@ Result<CqaResult> ConsistentAnswers(const Database& db,
                                   std::vector<int64_t>>::const_iterator it)
         -> void {
       if (it == attr_values.end()) {
-        if (!selected(combo)) {
+        if (!selected(combo.view())) {
           all_selected = false;
           return;
         }
-        RowKey key = project(combo);
+        RowKey key = project(combo.view());
         if (!any_selected) {
           first_projection = key;
         } else if (!(key == first_projection)) {
@@ -313,7 +313,7 @@ Result<AggregateRange> AggregateConsistentRange(
     }
     predicates.push_back(std::move(p));
   }
-  auto selected = [&](const Tuple& t) {
+  auto selected = [&](TupleView t) {
     for (const ResolvedPredicate& p : predicates) {
       const Value& lhs =
           p.lhs_is_column ? t.value(p.lhs_column) : p.lhs_literal;
@@ -349,7 +349,7 @@ Result<AggregateRange> AggregateConsistentRange(
   double max_upper = -inf;
 
   for (uint32_t row = 0; row < table->size(); ++row) {
-    const Tuple& original = table->row(row);
+    const TupleView original = table->row(row);
     // Per-tuple summary over its combo set.
     bool sel_all = true;        // selected (and value non-null) in all combos
     bool sel_some = false;      // selected with non-null value somewhere
@@ -358,7 +358,7 @@ Result<AggregateRange> AggregateConsistentRange(
     double val_min = inf, val_max = -inf;
     double contrib_min = inf, contrib_max = -inf;  // SUM contribution
 
-    auto account = [&](const Tuple& t) {
+    auto account = [&](TupleView t) {
       const bool sel = selected(t);
       sel_some_any |= sel;
       sel_all_any &= sel;
@@ -417,13 +417,13 @@ Result<AggregateRange> AggregateConsistentRange(
         contrib_min = std::min(0.0, val_min == inf ? 0.0 : val_min);
         contrib_max = std::max(0.0, val_max == -inf ? 0.0 : val_max);
       } else {
-        Tuple combo = original;
+        Tuple combo(original.values());
         auto enumerate =
             [&](auto&& self,
                 std::map<uint32_t, std::vector<int64_t>>::const_iterator it)
             -> void {
           if (it == alt_it->second.end()) {
-            account(combo);
+            account(combo.view());
             return;
           }
           const auto& [attr, values] = *it;

@@ -40,6 +40,12 @@ Result<GeneratedWorkload> GenerateClientBuy(const ClientBuyOptions& options) {
   Rng rng(options.seed);
   Database db(MakeClientBuySchema());
 
+  // Exact for Client; for Buy an upper bound (hotspot clients take
+  // hotspot_buys in place of buys_per_client).
+  db.FindMutableTable("Client")->Reserve(options.num_clients);
+  db.FindMutableTable("Buy")->Reserve(
+      options.num_clients * options.buys_per_client +
+      options.hotspot_clients * options.hotspot_buys);
   size_t hotspots_left = options.hotspot_clients;
   for (size_t c = 0; c < options.num_clients; ++c) {
     const auto id = static_cast<int64_t>(c + 1);

@@ -96,9 +96,7 @@ std::string ValueToField(const Value& v, char delimiter) {
   } else if (v.is_int()) {
     raw = std::to_string(v.AsInt());
   } else {
-    std::ostringstream os;
-    os << v.AsDouble();
-    raw = os.str();
+    raw = FormatDouble(v.AsDouble());
   }
   const bool needs_quoting =
       raw.find_first_of(std::string("\"\n") + delimiter) != std::string::npos;
@@ -123,11 +121,14 @@ Result<size_t> LoadCsvString(Database* db, std::string_view relation,
                             "'");
   }
   const RelationSchema& schema = table->schema();
+  const std::vector<std::string> lines = Split(data, '\n');
+  // At most one row per line; the header and blank lines over-count.
+  db->FindMutableTable(relation)->Reserve(table->size() + lines.size());
 
   size_t inserted = 0;
   bool saw_header = !options.has_header;
   size_t line_number = 0;
-  for (const std::string& raw : Split(data, '\n')) {
+  for (const std::string& raw : lines) {
     ++line_number;
     std::string_view line = raw;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
@@ -199,7 +200,7 @@ Result<std::string> WriteCsvString(const Database& db,
     }
     out += '\n';
   }
-  for (const Tuple& row : table->rows()) {
+  for (const TupleView row : table->rows()) {
     for (size_t i = 0; i < row.arity(); ++i) {
       if (i > 0) out += options.delimiter;
       out += ValueToField(row.value(i), options.delimiter);

@@ -40,10 +40,10 @@ std::string SqlLiteral(const Value& v) {
     out += "'";
     return out;
   }
-  return v.is_int() ? std::to_string(v.AsInt()) : std::to_string(v.AsDouble());
+  return v.is_int() ? std::to_string(v.AsInt()) : FormatDouble(v.AsDouble());
 }
 
-std::string KeyPredicate(const RelationSchema& schema, const Tuple& row) {
+std::string KeyPredicate(const RelationSchema& schema, TupleView row) {
   std::string out;
   bool first = true;
   for (const size_t pos : schema.key_positions()) {
@@ -78,7 +78,7 @@ std::string ExportInserts(const Database& repaired) {
       if (i > 0) columns += ", ";
       columns += schema.attribute(i).name;
     }
-    for (const Tuple& row : table.rows()) {
+    for (const TupleView row : table.rows()) {
       out += "INSERT INTO " + schema.name() + " (" + columns + ") VALUES (";
       for (size_t i = 0; i < row.arity(); ++i) {
         if (i > 0) out += ", ";
@@ -97,7 +97,7 @@ std::string ExportDump(const Database& repaired) {
     const RelationSchema& schema = table.schema();
     out += "-- " + schema.name() + " (" + std::to_string(table.size()) +
            " tuples)\n";
-    for (const Tuple& row : table.rows()) {
+    for (const TupleView row : table.rows()) {
       out += schema.name() + row.ToString() + "\n";
     }
   }

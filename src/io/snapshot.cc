@@ -98,8 +98,8 @@ Status WriteSnapshot(const Database& db, std::ostream& out) {
     const Table& table = db.table(r);
     WriteString(out, table.schema().name());
     WritePod<uint64_t>(out, table.size());
-    for (const Tuple& row : table.rows()) {
-      for (const Value& v : row.values()) WriteValue(out, v);
+    for (const TupleView row : table.rows()) {
+      for (const Value& v : row) WriteValue(out, v);
     }
   }
   if (!out) return Status::IoError("failed writing snapshot stream");

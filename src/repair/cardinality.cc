@@ -70,7 +70,7 @@ Result<CardinalityProblem> BuildCardinalityProblem(
   Database db_sharp(schema_sharp);
   for (size_t r = 0; r < db.relation_count(); ++r) {
     const Table& table = db.table(r);
-    for (const Tuple& row : table.rows()) {
+    for (const TupleView row : table.rows()) {
       std::vector<Value> values = row.values();
       values.push_back(Value::Int(1));
       const auto inserted =
@@ -109,12 +109,10 @@ Result<Database> ProjectDeltas(const Database& repaired_sharp,
       return Status::InvalidArgument("relation '" + rel.name() +
                                      "' has no delta attribute to project");
     }
-    for (const Tuple& row : sharp_table->rows()) {
+    for (const TupleView row : sharp_table->rows()) {
       const Value& delta = row.value(*delta_pos);
       if (delta.is_int() && delta.AsInt() == 0) continue;  // deleted tuple.
-      std::vector<Value> values(row.values().begin(),
-                                row.values().begin() +
-                                    static_cast<long>(rel.arity()));
+      std::vector<Value> values(row.begin(), row.begin() + rel.arity());
       DBREPAIR_RETURN_IF_ERROR(
           out.Insert(rel.name(), std::move(values)).status());
     }

@@ -3,7 +3,7 @@
 namespace dbrepair {
 
 double DistanceFunction::TupleDistance(const RelationSchema& schema,
-                                       const Tuple& a, const Tuple& b) const {
+                                       TupleView a, TupleView b) const {
   double total = 0.0;
   for (const size_t pos : schema.flexible_positions()) {
     const Value& va = a.value(pos);
@@ -55,7 +55,7 @@ Result<double> DistanceFunction::DatabaseDistance(
       // Match by key. A repair is a clone updated in place, so row `row` of
       // tb almost always carries the same key; look it up only otherwise.
       // Keys are unique, so either way the pair (and the sum) is the same.
-      const Tuple& a = ta.row(row);
+      const TupleView a = ta.row(row);
       size_t other_row = row;
       for (const size_t pos : kp) {
         if (a.value(pos) != tb.row(row).value(pos)) {

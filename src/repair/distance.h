@@ -45,8 +45,8 @@ class DistanceFunction {
 
   /// Delta({t},{t'}): sum over flexible attributes of
   /// alpha_A * Dist(t.A, t'.A). Both tuples must belong to `schema`.
-  double TupleDistance(const RelationSchema& schema, const Tuple& a,
-                       const Tuple& b) const;
+  double TupleDistance(const RelationSchema& schema, TupleView a,
+                       TupleView b) const;
 
   /// Delta(D, D') per Definition 2.1: tuples are matched by primary key
   /// (repairs keep val(K_R) fixed), and flexible-attribute differences are

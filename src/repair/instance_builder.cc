@@ -301,7 +301,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
   ParallelFor(pool, link_ranges.size(), [&](size_t s) {
     const obs::ScopedWorkEvent shard_event("links.shard");
     const auto start = std::chrono::steady_clock::now();
-    std::vector<std::pair<uint32_t, const Tuple*>> members;
+    std::vector<std::pair<uint32_t, TupleView>> members;
     ViolationEngine::SatisfiesScratch scratch;
     for (size_t vid = link_ranges[s].first; vid < link_ranges[s].second;
          ++vid) {
@@ -309,7 +309,7 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
       const BoundConstraint& ic = ics[v.ic_index];
       members.clear();
       for (const TupleRef t : v.tuples) {
-        members.emplace_back(t.relation, &db.tuple(t));
+        members.emplace_back(t.relation, db.tuple(t));
       }
       for (size_t j = 0; j < v.tuples.size(); ++j) {
         const uint64_t packed = v.tuples[j].Packed();

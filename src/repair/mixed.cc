@@ -29,7 +29,7 @@ Result<MixedRepairOutcome> MixedRepair(
   Database db_sharp(schema_sharp);
   for (size_t r = 0; r < db.relation_count(); ++r) {
     const Table& table = db.table(r);
-    for (const Tuple& row : table.rows()) {
+    for (const TupleView row : table.rows()) {
       std::vector<Value> values = row.values();
       values.push_back(Value::Int(1));
       DBREPAIR_RETURN_IF_ERROR(

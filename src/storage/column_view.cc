@@ -81,16 +81,16 @@ void FillColumn(const Table& table, size_t position,
   }
 }
 
-// Serial fast path: one row-major pass filling every column, so each
-// tuple's header is walked once instead of once per column. Produces
-// exactly the per-column fill's vectors and flags.
+// Serial fast path: one row-major pass filling every column, so the cell
+// array is read once in memory order instead of once per column at a
+// stride. Produces exactly the per-column fill's vectors and flags.
 void FillRelationRowMajor(const Table& table, const StringInterner& interner,
                           RelationColumns* rel) {
   const size_t n = table.size();
   const size_t arity = rel->columns.size();
   for (ColumnData& col : rel->columns) SizeColumn(n, &col);
   for (uint32_t row = 0; row < n; ++row) {
-    const Tuple& tuple = table.row(row);
+    const TupleView tuple = table.row(row);
     for (size_t c = 0; c < arity; ++c) {
       FillCell(tuple.value(c), row, interner, &rel->columns[c]);
     }
@@ -230,7 +230,7 @@ void ColumnSnapshot::ExtendAppended(
     }
     for (ColumnData& col : rel->columns) SizeColumn(new_count, &col);
     for (uint32_t row = old_count; row < new_count; ++row) {
-      const Tuple& tuple = table.row(row);
+      const TupleView tuple = table.row(row);
       for (size_t c = 0; c < rel->columns.size(); ++c) {
         FillCell(tuple.value(c), row, *interner_, &rel->columns[c]);
       }

@@ -54,7 +54,7 @@ class StringInterner {
 /// One attribute of one relation as a typed vector: int64 / double values in
 /// raw arrays, strings as dictionary codes. This is the cache-friendly view
 /// the violation engine's columnar scan compares against instead of walking
-/// `Tuple`/`Value` objects.
+/// the row store's `Value` cells.
 struct ColumnData {
   Type type = Type::kInt64;
 
@@ -112,8 +112,8 @@ struct RelationColumns {
 /// A read-only columnar snapshot of a Database: per-relation typed column
 /// vectors plus one shared string dictionary. The row store stays the
 /// source of truth — the snapshot is derived data the violation engine
-/// scans instead of Tuples, and it must be rebuilt (or Rebase'd) after the
-/// rows change.
+/// scans instead of the row cells, and it must be rebuilt (or Rebase'd)
+/// after the rows change.
 class ColumnSnapshot {
  public:
   ColumnSnapshot() = default;

@@ -42,8 +42,9 @@ class Database {
   Result<TupleRef> Insert(std::string_view relation_name,
                           std::vector<Value> values);
 
-  /// The tuple identified by `ref`.
-  const Tuple& tuple(TupleRef ref) const {
+  /// The tuple identified by `ref`, as a view into its table's cells
+  /// (invalidated by the next Insert into that table).
+  TupleView tuple(TupleRef ref) const {
     return tables_[ref.relation].row(ref.row);
   }
 
@@ -51,8 +52,9 @@ class Database {
   size_t TotalTuples() const;
 
   /// Deep copy sharing the schema, used to materialise repairs without
-  /// touching the original instance. Each table's rows and primary-key
-  /// index are copied as a whole (no row is re-inserted or re-checked).
+  /// touching the original instance. Each table's cell array and primary-key
+  /// index are copied as two flat arrays (no row is re-inserted or
+  /// re-checked).
   Database Clone() const;
 
  private:

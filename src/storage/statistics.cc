@@ -17,7 +17,7 @@ TableStats ComputeTableStats(const Table& table) {
   std::vector<std::unordered_set<Value, ValueHash>> distinct(arity);
   std::vector<std::vector<double>> numeric(arity);
 
-  for (const Tuple& row : table.rows()) {
+  for (const TupleView row : table.rows()) {
     for (size_t c = 0; c < arity; ++c) {
       const Value& v = row.value(c);
       if (v.is_null()) continue;

@@ -20,11 +20,11 @@ uint32_t KeyTag(uint64_t hash) {
   return static_cast<uint32_t>((hash * 0x9e3779b97f4a7c15ULL) >> 32);
 }
 
-bool NoRowMatches(const Tuple&) { return false; }
+bool NoRowMatches(TupleView) { return false; }
 
 }  // namespace
 
-uint32_t Table::KeyTagOf(const Tuple& tuple) const {
+uint32_t Table::KeyTagOf(TupleView tuple) const {
   uint64_t h = kKeyHashSeed;
   for (const size_t pos : schema_->key_positions()) {
     h = FoldKeyHash(h, tuple.value(pos));
@@ -40,7 +40,7 @@ size_t Table::FindSlot(uint32_t tag, Matches matches) const {
     const uint64_t entry = key_slots_[slot];
     if (entry == kEmptySlot) return slot;
     if ((entry >> 32) == tag &&
-        matches(rows_[static_cast<uint32_t>(entry)])) {
+        matches(row(static_cast<uint32_t>(entry)))) {
       return slot;
     }
   }
@@ -71,7 +71,7 @@ Status Table::CheckType(size_t attribute, const Value& v) const {
       ", got " + v.ToString());
 }
 
-Status Table::CheckTypes(const Tuple& tuple) const {
+Status Table::CheckTypes(TupleView tuple) const {
   for (size_t i = 0; i < tuple.arity(); ++i) {
     DBREPAIR_RETURN_IF_ERROR(CheckType(i, tuple.value(i)));
   }
@@ -85,14 +85,14 @@ Result<size_t> Table::Insert(Tuple tuple) {
         std::to_string(schema_->arity()) + " values, got " +
         std::to_string(tuple.arity()));
   }
-  DBREPAIR_RETURN_IF_ERROR(CheckTypes(tuple));
-  if (rows_.size() >= UINT32_MAX) {
+  DBREPAIR_RETURN_IF_ERROR(CheckTypes(tuple.view()));
+  if (row_count_ >= UINT32_MAX) {
     return Status::OutOfRange("too many rows in '" + schema_->name() + "'");
   }
-  const uint32_t tag = KeyTagOf(tuple);
+  const uint32_t tag = KeyTagOf(tuple.view());
   size_t slot = 0;
   if (!key_slots_.empty()) {
-    const auto same_key = [&](const Tuple& row) {
+    const auto same_key = [&](TupleView row) {
       for (const size_t pos : schema_->key_positions()) {
         if (row.value(pos) != tuple.value(pos)) return false;
       }
@@ -106,13 +106,16 @@ Result<size_t> Table::Insert(Tuple tuple) {
   }
   // Grow only once the key is known to be new: a rejected insert changes
   // nothing.
-  if (2 * (rows_.size() + 1) > key_slots_.size()) {
+  if (2 * (row_count_ + 1) > key_slots_.size()) {
     GrowKeyIndex();
     slot = FindSlot(tag, NoRowMatches);
   }
-  const size_t row = rows_.size();
+  const size_t row = row_count_;
   key_slots_[slot] = (uint64_t{tag} << 32) | row;
-  rows_.push_back(std::move(tuple));
+  std::vector<Value> values = tuple.release_values();
+  cells_.insert(cells_.end(), std::make_move_iterator(values.begin()),
+                std::make_move_iterator(values.end()));
+  ++row_count_;
   return row;
 }
 
@@ -121,7 +124,7 @@ Result<size_t> Table::LookupByKey(const std::vector<Value>& key) const {
   if (key.size() == kp.size() && !key_slots_.empty()) {
     uint64_t hash = kKeyHashSeed;
     for (const Value& v : key) hash = FoldKeyHash(hash, v);
-    const auto same_key = [&](const Tuple& row) {
+    const auto same_key = [&](TupleView row) {
       for (size_t i = 0; i < kp.size(); ++i) {
         if (row.value(kp[i]) != key[i]) return false;
       }
@@ -136,14 +139,15 @@ Result<size_t> Table::LookupByKey(const std::vector<Value>& key) const {
 
 Table Table::Clone() const {
   Table copy(schema_);
-  copy.rows_ = rows_;
+  copy.cells_ = cells_;
+  copy.row_count_ = row_count_;
   copy.key_slots_ = key_slots_;
   copy.key_shift_ = key_shift_;
   return copy;
 }
 
 Status Table::UpdateValue(size_t row, size_t attribute, Value v) {
-  if (row >= rows_.size()) {
+  if (row >= row_count_) {
     return Status::OutOfRange("row index out of range in '" +
                               schema_->name() + "'");
   }
@@ -158,7 +162,7 @@ Status Table::UpdateValue(size_t row, size_t attribute, Value v) {
         schema_->attribute(attribute).name + "'");
   }
   DBREPAIR_RETURN_IF_ERROR(CheckType(attribute, v));
-  rows_[row].set_value(attribute, std::move(v));
+  cells_[row * schema_->arity() + attribute] = std::move(v);
   return Status::OK();
 }
 

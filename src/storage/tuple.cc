@@ -2,11 +2,11 @@
 
 namespace dbrepair {
 
-std::string Tuple::ToString() const {
+std::string TupleView::ToString() const {
   std::string out = "(";
-  for (size_t i = 0; i < values_.size(); ++i) {
+  for (size_t i = 0; i < arity_; ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    out += cells_[i].ToString();
   }
   out += ")";
   return out;

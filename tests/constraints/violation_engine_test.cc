@@ -394,17 +394,17 @@ TEST(SetSatisfiesTest, DetectsViolationAndSatisfaction) {
   ASSERT_TRUE(bound.ok());
   const BoundConstraint& ic1 = (*bound)[0];
 
-  const Tuple& t1 = w.db.tuple(TupleRef{0, 0});
+  const TupleView t1 = w.db.tuple(TupleRef{0, 0});
   // t1 = (B1, 1, 40, 0) violates ic1 (EF > 0, PRC < 50).
-  EXPECT_FALSE(ViolationEngine::SetSatisfies(ic1, {{0, &t1}}));
+  EXPECT_FALSE(ViolationEngine::SetSatisfies(ic1, {{0, t1}}));
 
-  Tuple fixed = t1;
+  Tuple fixed(t1.values());
   fixed.set_value(1, Value::Int(0));  // EF := 0
-  EXPECT_TRUE(ViolationEngine::SetSatisfies(ic1, {{0, &fixed}}));
+  EXPECT_TRUE(ViolationEngine::SetSatisfies(ic1, {{0, fixed.view()}}));
 
-  Tuple fixed_prc = t1;
+  Tuple fixed_prc(t1.values());
   fixed_prc.set_value(2, Value::Int(50));  // PRC := 50
-  EXPECT_TRUE(ViolationEngine::SetSatisfies(ic1, {{0, &fixed_prc}}));
+  EXPECT_TRUE(ViolationEngine::SetSatisfies(ic1, {{0, fixed_prc.view()}}));
 }
 
 TEST(SetSatisfiesTest, CrossRelationCheck) {
@@ -413,24 +413,25 @@ TEST(SetSatisfiesTest, CrossRelationCheck) {
   ASSERT_TRUE(bound.ok());
   const BoundConstraint& ic3 = (*bound)[2];
 
-  const Tuple& t1 = w.db.tuple(TupleRef{0, 0});
-  const Tuple& p1 = w.db.tuple(TupleRef{1, 0});
-  EXPECT_FALSE(ViolationEngine::SetSatisfies(ic3, {{0, &t1}, {1, &p1}}));
+  const TupleView t1 = w.db.tuple(TupleRef{0, 0});
+  const TupleView p1 = w.db.tuple(TupleRef{1, 0});
+  EXPECT_FALSE(ViolationEngine::SetSatisfies(ic3, {{0, t1}, {1, p1}}));
 
-  Tuple p1_fixed = p1;
+  Tuple p1_fixed(p1.values());
   p1_fixed.set_value(2, Value::Int(40));  // Pag := 40
   EXPECT_TRUE(
-      ViolationEngine::SetSatisfies(ic3, {{0, &t1}, {1, &p1_fixed}}));
+      ViolationEngine::SetSatisfies(ic3, {{0, t1}, {1, p1_fixed.view()}}));
 
-  Tuple t1_fixed = t1;
+  Tuple t1_fixed(t1.values());
   t1_fixed.set_value(2, Value::Int(70));  // PRC := 70
   EXPECT_TRUE(
-      ViolationEngine::SetSatisfies(ic3, {{0, &t1_fixed}, {1, &p1}}));
+      ViolationEngine::SetSatisfies(ic3, {{0, t1_fixed.view()}, {1, p1}}));
 
   // An unrelated fix (EF := 0) does not solve the ic3 violation.
-  Tuple t1_ef = t1;
+  Tuple t1_ef(t1.values());
   t1_ef.set_value(1, Value::Int(0));
-  EXPECT_FALSE(ViolationEngine::SetSatisfies(ic3, {{0, &t1_ef}, {1, &p1}}));
+  EXPECT_FALSE(
+      ViolationEngine::SetSatisfies(ic3, {{0, t1_ef.view()}, {1, p1}}));
 }
 
 // The Algorithm-4 overlay: SetSatisfies with one overridden cell must equal
@@ -494,7 +495,7 @@ TEST(SetSatisfiesTest, OverrideEqualsMaterialisedTuple) {
         (*bound)[static_cast<size_t>(rng.UniformInRange(0, 3))];
     // One member per atom, of that atom's relation; a self-join sometimes
     // gets one tuple for both atoms.
-    std::vector<std::pair<uint32_t, const Tuple*>> members;
+    std::vector<std::pair<uint32_t, TupleView>> members;
     for (const BoundAtom& atom : ic.atoms) {
       if (!members.empty() && members.back().first == atom.relation_index &&
           rng.Bernoulli(0.3)) {
@@ -502,7 +503,7 @@ TEST(SetSatisfiesTest, OverrideEqualsMaterialisedTuple) {
       }
       members.emplace_back(
           atom.relation_index,
-          &pool[static_cast<size_t>(rng.UniformInRange(0, 23))]);
+          pool[static_cast<size_t>(rng.UniformInRange(0, 23))].view());
     }
     const auto n = static_cast<int64_t>(members.size());
     const auto j = static_cast<size_t>(rng.UniformInRange(0, n - 1));
@@ -512,10 +513,10 @@ TEST(SetSatisfiesTest, OverrideEqualsMaterialisedTuple) {
         rng.Bernoulli(0.5) ? static_cast<int>(attr)
                            : static_cast<int>(rng.UniformInRange(0, 3)));
 
-    Tuple materialised = *members[j].second;
+    Tuple materialised(members[j].second.values());
     materialised.set_value(attr, value);
-    std::vector<std::pair<uint32_t, const Tuple*>> replaced = members;
-    replaced[j].second = &materialised;
+    std::vector<std::pair<uint32_t, TupleView>> replaced = members;
+    replaced[j].second = materialised.view();
 
     const bool expected = ViolationEngine::SetSatisfies(ic, replaced);
     EXPECT_EQ(ViolationEngine::SetSatisfies(ic, members, {j, attr, &value},

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "gen/client_buy.h"
 #include "gen/paper_example.h"
 
@@ -87,6 +91,34 @@ TEST(CsvRoundTripTest, WriteThenLoad) {
   EXPECT_EQ(n.value(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(reload.table(0).row(i), w.db.table(0).row(i));
+  }
+}
+
+TEST(CsvRoundTripTest, DoublesKeepEveryBit) {
+  auto schema = std::make_shared<Schema>();
+  ASSERT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "M",
+                      {AttributeDef{"K", Type::kInt64, false, 1.0},
+                       AttributeDef{"X", Type::kDouble, false, 1.0}},
+                      {"K"}))
+                  .ok());
+  const std::vector<double> doubles = {0.1234567891, 1e-7, 1e300, -2.5};
+  Database db(schema);
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    ASSERT_TRUE(db.Insert("M", {Value::Int(static_cast<int64_t>(i)),
+                                Value::Double(doubles[i])})
+                    .ok());
+  }
+  const auto csv = WriteCsvString(db, "M");
+  ASSERT_TRUE(csv.ok());
+  Database reload(schema);
+  ASSERT_TRUE(LoadCsvString(&reload, "M", csv.value()).ok());
+  ASSERT_EQ(reload.table(0).size(), doubles.size());
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    const double got = reload.table(0).row(i).value(1).AsDouble();
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(doubles[i]))
+        << doubles[i] << " came back from \"" << csv.value() << "\"";
   }
 }
 

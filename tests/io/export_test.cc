@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/strings.h"
 #include "gen/paper_example.h"
 #include "repair/api.h"
 
@@ -65,6 +71,48 @@ TEST_F(ExportTest, StringLiteralEscaping) {
   const auto sql = ExportRepair(db, {}, ExportMode::kInsertStatements);
   ASSERT_TRUE(sql.ok());
   EXPECT_NE(sql->find("'O''Brien'"), std::string::npos);
+}
+
+// Every DOUBLE literal in the INSERT and dump exports reads back as the
+// same bits: one row per value, whose literal is the text between the
+// row's ", " and its closing ")".
+TEST(ExportDoubleTest, LiteralsRoundTrip) {
+  auto schema = std::make_shared<Schema>();
+  ASSERT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "M",
+                      {AttributeDef{"K", Type::kInt64, false, 1.0},
+                       AttributeDef{"X", Type::kDouble, false, 1.0}},
+                      {"K"}))
+                  .ok());
+  const std::vector<double> doubles = {0.1234567891, 1e-7, 1e300, -2.5};
+  Database db(schema);
+  for (size_t i = 0; i < doubles.size(); ++i) {
+    ASSERT_TRUE(db.Insert("M", {Value::Int(static_cast<int64_t>(i)),
+                                Value::Double(doubles[i])})
+                    .ok());
+  }
+  for (const ExportMode mode :
+       {ExportMode::kInsertStatements, ExportMode::kDump}) {
+    const auto text = ExportRepair(db, {}, mode);
+    ASSERT_TRUE(text.ok());
+    std::vector<double> read_back;
+    for (const std::string& line : Split(text.value(), '\n')) {
+      const size_t close = line.rfind(')');
+      const size_t comma = line.rfind(", ", close);
+      if (close == std::string::npos || comma == std::string::npos) continue;
+      const auto value =
+          ParseDouble(line.substr(comma + 2, close - comma - 2));
+      ASSERT_TRUE(value.ok()) << line;
+      read_back.push_back(value.value());
+    }
+    ASSERT_EQ(read_back.size(), doubles.size()) << text.value();
+    for (size_t i = 0; i < doubles.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(read_back[i]),
+                std::bit_cast<uint64_t>(doubles[i]))
+          << ExportModeName(mode) << ": " << text.value();
+    }
+  }
 }
 
 TEST(ExportModeTest, ParseAndName) {

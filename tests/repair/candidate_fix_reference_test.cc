@@ -77,14 +77,14 @@ std::vector<CandidateFix> ReferenceCandidateFixes(
   }
   std::vector<CandidateFix> kept;
   for (CandidateFix& fix : fixes) {
-    Tuple fixed = db.tuple(fix.tuple);
+    Tuple fixed(db.tuple(fix.tuple).values());
     fixed.set_value(fix.attribute, Value::Int(fix.new_value));
     for (const uint32_t vid : sets_of[fix.tuple]) {
       const ViolationSet& v = violations[vid];
-      std::vector<std::pair<uint32_t, const Tuple*>> members;
+      std::vector<std::pair<uint32_t, TupleView>> members;
       for (const TupleRef t : v.tuples) {
         members.emplace_back(t.relation,
-                             t == fix.tuple ? &fixed : &db.tuple(t));
+                             t == fix.tuple ? fixed.view() : db.tuple(t));
       }
       if (ViolationEngine::SetSatisfies(ics[v.ic_index], members)) {
         fix.solved.push_back(vid);

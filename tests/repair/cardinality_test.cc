@@ -17,7 +17,7 @@ std::multiset<std::string> RowSet(const Database& db,
   std::multiset<std::string> out;
   const Table* table = db.FindTable(relation);
   EXPECT_NE(table, nullptr);
-  for (const Tuple& row : table->rows()) out.insert(row.ToString());
+  for (const TupleView row : table->rows()) out.insert(row.ToString());
   return out;
 }
 
@@ -41,7 +41,7 @@ TEST(CardinalityTransformTest, DeltasInitialisedToOne) {
   const auto problem = BuildCardinalityProblem(w.db, w.ics);
   ASSERT_TRUE(problem.ok());
   for (size_t r = 0; r < problem->db_sharp.relation_count(); ++r) {
-    for (const Tuple& row : problem->db_sharp.table(r).rows()) {
+    for (const TupleView row : problem->db_sharp.table(r).rows()) {
       EXPECT_EQ(row.value(row.arity() - 1), Value::Int(1));
     }
   }

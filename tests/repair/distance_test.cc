@@ -22,7 +22,7 @@ double LookupOnlyDistance(const DistanceFunction& f, const Database& d,
   double total = 0.0;
   for (size_t r = 0; r < d.relation_count(); ++r) {
     const RelationSchema& schema = d.table(r).schema();
-    for (const Tuple& row : d.table(r).rows()) {
+    for (const TupleView row : d.table(r).rows()) {
       std::vector<Value> key;
       for (const size_t pos : schema.key_positions()) {
         key.push_back(row.value(pos));
@@ -148,13 +148,13 @@ TEST(DistanceTest, TupleDistanceWeighted) {
                   Value::Int(0)});
   Tuple t1_fix = t1;
   t1_fix.set_value(1, Value::Int(0));
-  EXPECT_DOUBLE_EQ(l1.TupleDistance(schema, t1, t1_fix), 1.0);
+  EXPECT_DOUBLE_EQ(l1.TupleDistance(schema, t1.view(), t1_fix.view()), 1.0);
 
   // Example 2.3: distance of t1 -> (B1, 1, 50, 1) is 10/20 + 1/2 = 1.0.
   Tuple t1_2 = t1;
   t1_2.set_value(2, Value::Int(50));
   t1_2.set_value(3, Value::Int(1));
-  EXPECT_DOUBLE_EQ(l1.TupleDistance(schema, t1, t1_2), 1.0);
+  EXPECT_DOUBLE_EQ(l1.TupleDistance(schema, t1.view(), t1_2.view()), 1.0);
 }
 
 TEST(DistanceTest, TupleDistanceIgnoresHardAttributes) {
@@ -165,7 +165,7 @@ TEST(DistanceTest, TupleDistanceIgnoresHardAttributes) {
                  Value::Int(0)});
   const Tuple b({Value::String("ZZ"), Value::Int(1), Value::Int(40),
                  Value::Int(0)});
-  EXPECT_DOUBLE_EQ(l1.TupleDistance(schema, a, b), 0.0);
+  EXPECT_DOUBLE_EQ(l1.TupleDistance(schema, a.view(), b.view()), 0.0);
 }
 
 TEST(DistanceTest, DatabaseDistanceExample23) {

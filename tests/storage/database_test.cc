@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "gen/client_buy.h"
 
 namespace dbrepair {
@@ -33,16 +35,37 @@ TEST(DatabaseTest, RelationIndexOrder) {
 }
 
 TEST(DatabaseTest, CloneIsDeepAndIndependent) {
-  Database db(MakeClientBuySchema());
-  ASSERT_TRUE(
-      db.Insert("Client", {Value::Int(1), Value::Int(20), Value::Int(30)})
-          .ok());
-  Database copy = db.Clone();
+  auto schema = std::make_shared<Schema>();
+  ASSERT_TRUE(schema
+                  ->AddRelation(RelationSchema(
+                      "Person",
+                      {AttributeDef{"ID", Type::kInt64, false, 1.0},
+                       AttributeDef{"A", Type::kInt64, true, 1.0},
+                       AttributeDef{"Name", Type::kString, false, 1.0}},
+                      {"ID"}))
+                  .ok());
+  std::optional<Database> db(std::in_place, schema);
+  ASSERT_TRUE(db->Insert("Person", {Value::Int(1), Value::Int(20),
+                                    Value::String("ada")})
+                  .ok());
+  ASSERT_TRUE(db->Insert("Person", {Value::Int(2), Value::Int(30),
+                                    Value::String("bob")})
+                  .ok());
+  Database copy = db->Clone();
   ASSERT_TRUE(copy.mutable_table(0).UpdateValue(0, 1, Value::Int(99)).ok());
+  ASSERT_TRUE(
+      copy.mutable_table(0).UpdateValue(0, 2, Value::String("eve")).ok());
   EXPECT_EQ(copy.table(0).row(0).value(1), Value::Int(99));
-  EXPECT_EQ(db.table(0).row(0).value(1), Value::Int(20));
+  EXPECT_EQ(copy.table(0).row(0).value(2), Value::String("eve"));
+  EXPECT_EQ(db->table(0).row(0).value(1), Value::Int(20));
+  EXPECT_EQ(db->table(0).row(0).value(2), Value::String("ada"));
   // The clone shares the schema object.
-  EXPECT_EQ(&copy.schema(), &db.schema());
+  EXPECT_EQ(&copy.schema(), &db->schema());
+  // The copies share string payloads; destroying the original first leaves
+  // the clone's strings readable (ASan would flag a use after free).
+  db.reset();
+  EXPECT_EQ(copy.table(0).row(0).value(2), Value::String("eve"));
+  EXPECT_EQ(copy.table(0).row(1).value(2), Value::String("bob"));
 }
 
 TEST(DatabaseTest, ClonePreservesKeyIndex) {

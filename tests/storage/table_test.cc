@@ -15,6 +15,32 @@ class TableTest : public ::testing::Test {
                 {"ID"}),
         table_(&schema_) {}
 
+  // Asserts that the table holds exactly `rows`, cell by cell.
+  void ExpectRows(const std::vector<Tuple>& rows) {
+    ASSERT_EQ(table_.size(), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      for (size_t c = 0; c < schema_.arity(); ++c) {
+        EXPECT_EQ(table_.row(r).value(c), rows[r].value(c))
+            << "row " << r << ", column " << c;
+      }
+    }
+  }
+
+  // After a rejected insert: the rows already present are unchanged, and
+  // the next good row lands whole at the next index, so a rejected insert
+  // that left some of its cells behind would shift it.
+  void ExpectRejectedInsertChangedNothing(const std::vector<Tuple>& before) {
+    ExpectRows(before);
+    const Tuple next({Value::Int(100), Value::Int(101), Value::Int(102)});
+    const auto row = table_.Insert(next);
+    ASSERT_TRUE(row.ok()) << row.status().ToString();
+    EXPECT_EQ(row.value(), before.size());
+    std::vector<Tuple> after = before;
+    after.push_back(next);
+    ExpectRows(after);
+  }
+
+  const Tuple first_{{Value::Int(1), Value::Int(2), Value::Int(3)}};
   RelationSchema schema_;
   Table table_;
 };
@@ -28,15 +54,45 @@ TEST_F(TableTest, InsertAndRead) {
   EXPECT_EQ(table_.row(0).value(1), Value::Int(20));
 }
 
+TEST_F(TableTest, ReserveKeepsTheCellArrayInPlace) {
+  ASSERT_TRUE(table_.Insert(first_).ok());
+  table_.Reserve(64);
+  const Value* cells = table_.cells();
+  const TupleView row0 = table_.row(0);
+  for (int64_t id = 2; id <= 64; ++id) {
+    ASSERT_TRUE(
+        table_.Insert(Tuple({Value::Int(id), Value::Int(id), Value::Int(0)}))
+            .ok());
+  }
+  // No insert up to the reserved count moved the array, so the view taken
+  // before them still reads row 0.
+  EXPECT_EQ(table_.cells(), cells);
+  EXPECT_TRUE(row0 == first_);
+  EXPECT_EQ(table_.row(63).value(0), Value::Int(64));
+}
+
 TEST_F(TableTest, RejectsArityMismatch) {
-  EXPECT_FALSE(table_.Insert(Tuple({Value::Int(1)})).ok());
+  ASSERT_TRUE(table_.Insert(first_).ok());
+  EXPECT_FALSE(table_.Insert(Tuple({Value::Int(5)})).ok());
+  EXPECT_FALSE(table_
+                   .Insert(Tuple({Value::Int(5), Value::Int(6), Value::Int(7),
+                                  Value::Int(8)}))
+                   .ok());
+  ExpectRejectedInsertChangedNothing({first_});
 }
 
 TEST_F(TableTest, RejectsTypeMismatch) {
+  ASSERT_TRUE(table_.Insert(first_).ok());
   const auto res = table_.Insert(
       Tuple({Value::String("x"), Value::Int(1), Value::Int(2)}));
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  // The bad value in the last column: every earlier cell would be valid.
+  const auto last = table_.Insert(
+      Tuple({Value::Int(5), Value::Int(6), Value::String("x")}));
+  ASSERT_FALSE(last.ok());
+  EXPECT_EQ(last.status().code(), StatusCode::kInvalidArgument);
+  ExpectRejectedInsertChangedNothing({first_});
 }
 
 TEST_F(TableTest, AllowsNulls) {
@@ -45,14 +101,12 @@ TEST_F(TableTest, AllowsNulls) {
 }
 
 TEST_F(TableTest, RejectsDuplicateKey) {
-  ASSERT_TRUE(table_
-                  .Insert(Tuple({Value::Int(1), Value::Int(2),
-                                 Value::Int(3)}))
-                  .ok());
+  ASSERT_TRUE(table_.Insert(first_).ok());
   const auto res =
       table_.Insert(Tuple({Value::Int(1), Value::Int(9), Value::Int(9)}));
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kKeyViolation);
+  ExpectRejectedInsertChangedNothing({first_});
 }
 
 TEST_F(TableTest, LookupByKey) {
@@ -223,6 +277,27 @@ TEST(DoubleColumnTableTest, UpdateAcceptsIntsAndDoubles) {
 TEST(TupleTest, ToString) {
   const Tuple t({Value::Int(1), Value::String("x"), Value()});
   EXPECT_EQ(t.ToString(), "(1, 'x', NULL)");
+
+  // A stored row, read through its view, equals the tuple inserted.
+  RelationSchema schema("R",
+                        {AttributeDef{"K", Type::kInt64, false, 1.0},
+                         AttributeDef{"S", Type::kString, false, 1.0},
+                         AttributeDef{"N", Type::kInt64, true, 1.0}},
+                        {"K"});
+  Table table(&schema);
+  ASSERT_TRUE(table.Insert(t).ok());
+  const TupleView view = table.row(0);
+  EXPECT_EQ(view.arity(), 3u);
+  EXPECT_EQ(view.ToString(), "(1, 'x', NULL)");
+  EXPECT_TRUE(view == t);
+  EXPECT_TRUE(t == view);
+  EXPECT_TRUE(view == t.view());
+  EXPECT_FALSE(view == Tuple({Value::Int(1), Value::String("y"), Value()}));
+  // Converting the view gives an equal tuple that owns its cells.
+  const Tuple copy = view;
+  EXPECT_EQ(copy, t);
+  EXPECT_EQ(copy.values(), view.values());
+  EXPECT_NE(copy.values().data(), view.begin());
 }
 
 TEST(TupleRefTest, OrderingAndPacking) {

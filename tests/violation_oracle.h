@@ -55,7 +55,7 @@ inline std::set<std::vector<TupleRef>> OracleRawSets(
     const BoundAtom& atom = ic.atoms[atom_index];
     const Table& table = db.table(atom.relation_index);
     for (uint32_t row = 0; row < table.size(); ++row) {
-      const Tuple& tuple = table.row(row);
+      const TupleView tuple = table.row(row);
       bool ok = true;
       std::vector<int32_t> bound_here;
       for (uint32_t pos = 0; pos < atom.var_ids.size() && ok; ++pos) {

@@ -1,23 +1,26 @@
 #!/usr/bin/env bash
-# Builds the tree under AddressSanitizer + UndefinedBehaviorSanitizer and
-# runs the suites that drive the violation scan's raw column arrays: the
-# storage tests (column snapshots, the flat key index), the constraints
-# tests (the engine against the brute-force oracle, on every column kind),
-# the serial-vs-parallel and scan-vs-oracle differential harness, the
-# repair suite (the instance builder, whose Algorithm-4 linking binds
-# `const Value*` cells through a one-cell override), the RepairSession
-# suite (snapshots extended and rebased batch by batch) and the scenario
-# suites, plus the suites that create, copy and drop Values wholesale: the
-# catalog tests (every copy, move and assignment of each Value kind), the
-# io tests (CSV load and export) and the SQL tests; and the obs and server
-# tests, whose per-thread event lanes (mutex-guarded deques) trim their
-# oldest span trees from the front while open Spans still hold the lane
-# and snapshot readers copy it. The scan's hot loop reads typed arrays
-# through `const void*` casts and binds cell addresses into its binding
-# slots, and a string Value frees its shared payload by hand when the last
-# copy goes, so an out-of-bounds read, a dangling binding, an invalid cast,
-# a use-after-free or a leaked payload, or a read past a trimmed lane
-# front, fails this job.
+# Builds the tree under AddressSanitizer + UndefinedBehaviorSanitizer and runs
+# the suites that drive the violation scan's raw column arrays: the storage
+# tests (column snapshots, each table's flat cell array and key index, clones
+# that share string payloads), the constraints tests (the engine against the
+# brute-force oracle, on every column kind), the serial-vs-parallel and
+# scan-vs-oracle differential harness, the repair suite (the instance builder,
+# whose Algorithm-4 linking binds `const Value*` cells through a one-cell
+# override), the RepairSession suite (snapshots extended and rebased batch by
+# batch) and the scenario suites, plus the suites that create, copy and drop
+# Values wholesale: the catalog tests (every copy, move and assignment of each
+# Value kind), the io tests (CSV load and export), the SQL tests, the CQA
+# tests (row views copied into owning Tuple combos) and the generator tests
+# (every table built through Insert, so its cell array grows and moves); and
+# the obs and server tests, whose per-thread event lanes (mutex-guarded
+# deques) trim their oldest span trees from the front while open Spans still
+# hold the lane and snapshot readers copy it. The scan's hot loop reads typed
+# arrays through `const void*` casts and binds cell addresses into its binding
+# slots; those `const Value*` cells, like the ones Algorithm-4 linking binds,
+# point into each table's one cell array, which an Insert may move. A string
+# Value frees its shared payload by hand when the last copy goes, so an
+# out-of-bounds read, a dangling binding, an invalid cast, a use-after-free or
+# a leaked payload, or a read past a trimmed lane front, fails this job.
 #
 # Usage: tools/check_memory.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -27,7 +30,7 @@ BUILD_DIR="${1:-build-asan}"
 SUITES=(catalog_test io_test sql_test storage_test constraints_test
         differential_test repair_test session_test fd_test inconsistency_test
         scenario_metamorphic_test scenario_differential_test obs_test
-        server_test)
+        server_test cqa_test gen_test)
 
 # UBSan is fatal at compile time (no recovery) and at run time; the
 # libstdc++ assertions bounds-check every container index.
