@@ -6,17 +6,22 @@
 
 namespace dbrepair {
 
+namespace {
+
+// std::isspace in the C locale, which the library never leaves, without a
+// library call per character (the CSV loader trims every field).
+bool IsSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' ||
+         c == '\f';
+}
+
+}  // namespace
+
 std::string_view TrimWhitespace(std::string_view s) {
   size_t begin = 0;
-  while (begin < s.size() &&
-         std::isspace(static_cast<unsigned char>(s[begin]))) {
-    ++begin;
-  }
+  while (begin < s.size() && IsSpace(s[begin])) ++begin;
   size_t end = s.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(s[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 

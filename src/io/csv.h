@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "storage/database.h"
@@ -16,14 +17,31 @@ struct CsvOptions {
   bool has_header = true;
 };
 
-/// Parses one CSV record, honouring double-quote quoting with "" escapes.
+// Reading CSV. One scanner reads every record, for files and for single
+// lines alike:
+//  - A record ends at a '\n' outside quotes or at the end of the data; one
+//    '\r' before that end is dropped, so CRLF files read as LF files. The
+//    loaders skip lines that hold only whitespace.
+//  - A field is unquoted, taken as it stands up to the next delimiter, or
+//    quoted: optional blanks, a string in double quotes in which "" is one
+//    quote and a delimiter, '\r' or '\n' is text, then optional blanks.
+//    Anything else after the closing quote is a parse error.
+//  - An unquoted field, or any field of a non-STRING column, is trimmed,
+//    and empty means NULL. A quoted field of a STRING column is taken
+//    verbatim: `" a "` is " a " and `""` is the empty string.
+// Error messages of the loaders count physical lines, so a record with a
+// quoted '\n' spans several.
+
+/// Parses one CSV record into its fields' text (quotes removed, "" read as
+/// one quote, nothing trimmed). `line` must hold exactly one record.
 Result<std::vector<std::string>> ParseCsvLine(std::string_view line,
                                               char delimiter);
 
-/// Converts one CSV field to a Value of the given column type (empty field
-/// = NULL, whitespace trimmed). Shared by the CSV loader and the CLI's
-/// batch-file reader.
-Result<Value> CsvFieldToValue(const std::string& field, Type type);
+/// Converts one CSV field to a Value of the given column type, by the rules
+/// above: a quoted field of a STRING column verbatim, anything else trimmed
+/// with empty = NULL.
+Result<Value> CsvFieldToValue(std::string_view field, bool quoted,
+                              Type type);
 
 /// One data row parsed from a `relation,v1,v2,...` line: the target
 /// relation plus one typed value per attribute.
@@ -34,7 +52,8 @@ struct TypedCsvRow {
 
 /// Parses one `relation,v1,v2,...` line against `db`'s schema: resolves
 /// the relation by name, checks the field count against its arity, and
-/// converts each field to the declared column type. This is the row
+/// converts each field to the declared column type by the rules above (so
+/// `""` is the empty string in a STRING column, NULL elsewhere). This is the row
 /// framing shared by the CLI's --batch-file reader and the repair server's
 /// BATCH payload; callers prepend their own location (line number, frame
 /// index) to the returned error message.
@@ -42,17 +61,22 @@ Result<TypedCsvRow> ParseTypedCsvRow(const Database& db,
                                      std::string_view line);
 
 /// Loads CSV `data` into relation `relation` of `db`, converting each field
-/// to the column type. Returns the number of inserted rows.
+/// to the column type. Returns the number of inserted rows. Rows go into
+/// the table in chunks through Table::AppendRows. All or nothing: if any
+/// record fails (quoting, field count, type, duplicate key), the table is
+/// truncated back to the rows it had before the call.
 Result<size_t> LoadCsvString(Database* db, std::string_view relation,
                              std::string_view data,
                              const CsvOptions& options = {});
 
-/// Loads a CSV file (see LoadCsvString).
+/// Loads a CSV file (see LoadCsvString), read whole in one sized read.
 Result<size_t> LoadCsvFile(Database* db, std::string_view relation,
                            const std::string& path,
                            const CsvOptions& options = {});
 
-/// Serialises one relation as CSV (header + rows).
+/// Serialises one relation as CSV (header + rows). A string is quoted when
+/// reading it back unquoted would change it: when it is empty, starts or
+/// ends with whitespace, or holds the delimiter, '"', '\n' or '\r'.
 Result<std::string> WriteCsvString(const Database& db,
                                    std::string_view relation,
                                    const CsvOptions& options = {});

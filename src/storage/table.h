@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <ranges>
+#include <span>
 #include <vector>
 
 #include "catalog/schema.h"
@@ -19,10 +20,10 @@ namespace dbrepair {
 /// mutate attribute values in place on a copied Database rather than
 /// deleting rows.
 ///
-/// row() hands out TupleViews into the cell array. An Insert may move that
-/// array, so it invalidates every TupleView and every `const Value&` or
-/// `const Value*` into this table; UpdateValue invalidates none (it
-/// assigns one cell in place).
+/// row() hands out TupleViews into the cell array. An Insert or AppendRows
+/// may move that array, so it invalidates every TupleView and every
+/// `const Value&` or `const Value*` into this table; UpdateValue invalidates
+/// none (it assigns one cell in place).
 class Table {
  public:
   explicit Table(const RelationSchema* schema) : schema_(schema) {}
@@ -31,7 +32,7 @@ class Table {
 
   size_t size() const { return row_count_; }
   /// Row `index` as a view into the cell array; valid until the next
-  /// Insert into this table.
+  /// Insert or AppendRows into this table.
   TupleView row(size_t index) const {
     return {cells_.data() + index * schema_->arity(), schema_->arity()};
   }
@@ -48,11 +49,35 @@ class Table {
   /// nothing; an accepted one invalidates every view into this table.
   Result<size_t> Insert(Tuple tuple);
 
+  /// Appends `cells.size() / arity` rows given row-major in `cells`, moving
+  /// the cells in. Checks, as Insert does for one row, that `cells` holds
+  /// whole rows, that every cell fits its column's type and that no key
+  /// repeats, whether against a row already present or within `cells`.
+  /// All or nothing: on success every row is appended in order (a bulk
+  /// loader's chunk path; the key index grows once for the chunk and the
+  /// new keys are slotted in one pass after the cells are in); on failure
+  /// the table keeps its size, cells and key lookups, and the cells of
+  /// `cells` may have been moved from.
+  Status AppendRows(std::span<Value> cells);
+
+  /// Drops every row from index `rows` on, with its key, so the table reads
+  /// as it did before those rows were appended. This undoes a load that
+  /// failed part-way; it is not a delete, so nothing may hold a TupleRef to
+  /// a dropped row. Does nothing when `rows >= size()`.
+  void Truncate(size_t rows);
+
   /// Makes room for `rows` rows in all, so that inserts up to that count
   /// do not regrow the cell array (each regrowth moves every cell into
   /// freshly faulted pages). A loader that knows its row count calls this
   /// first. Like Insert, it may move the array and invalidate views.
   void Reserve(size_t rows) { cells_.reserve(rows * schema_->arity()); }
+
+  /// Sizes the key index for `rows` keys in all, so that the key index of a
+  /// bulk load through AppendRows is allocated once instead of re-slotting
+  /// every row at each doubling. Only for AppendRows callers: a per-row
+  /// Insert into a presized index misses cache on every probe, where a
+  /// growing index stays small while the table is. Views stay valid.
+  void ReserveKeys(size_t rows);
 
   /// Row index of the tuple with the given key values, or NotFound
   /// (also for a key of the wrong arity). Keys compare with Value ==.
@@ -70,15 +95,25 @@ class Table {
   static constexpr uint64_t kEmptySlot = UINT64_MAX;
 
   uint32_t KeyTagOf(TupleView tuple) const;
-  // The first slot on `tag`'s probe path that is empty or holds a row with
-  // this tag for which `matches(row)` is true. Requires a non-empty slot
-  // array.
+  // A key's home slot: the top log2(capacity) bits of its tag.
+  size_t HomeSlot(uint32_t tag) const {
+    return (uint64_t{tag} << 32) >> key_shift_;
+  }
+  // The first slot on `tag`'s probe path that is empty or holds a row id
+  // with this tag for which `matches(row_id)` is true. Requires a non-empty
+  // slot array.
   template <typename Matches>
   size_t FindSlot(uint32_t tag, Matches matches) const;
-  // Doubles the slot array (16 slots at first) and re-slots every row.
-  void GrowKeyIndex();
+  // The empty slot where `tuple`'s key (tagged `tag`) goes, or KeyViolation
+  // if a slotted row has the same key. Insert and AppendRows both call it.
+  Result<size_t> FreeKeySlot(TupleView tuple, uint32_t tag) const;
+  // Re-slots the rows below `keep_rows` into a fresh array of `capacity`
+  // slots (a power of two).
+  void RebuildKeyIndex(size_t capacity, size_t keep_rows);
   // NULL fits any column; INT needs an int, DOUBLE an int or a double,
-  // STRING a string. Insert checks every cell, UpdateValue the one it sets.
+  // STRING a string. Insert and AppendRows check every cell, UpdateValue
+  // the one it sets.
+  bool Fits(size_t attribute, const Value& v) const;
   Status CheckType(size_t attribute, const Value& v) const;
   Status CheckTypes(TupleView tuple) const;
 
@@ -94,6 +129,12 @@ class Table {
   // re-slot without rehashing; key equality is checked against cells_.
   std::vector<uint64_t> key_slots_;
   unsigned key_shift_ = 64;  // 64 - log2(key_slots_.size())
+  // Rows below this were slotted by the last RebuildKeyIndex, in slot
+  // order; the rest were slotted one at a time in row order after it. So
+  // emptying the slots of rows from here on, newest first, leaves exactly
+  // the array their inserts found: under linear probing a key slotted later
+  // never lies on the probe path of one slotted earlier.
+  size_t reslotted_rows_ = 0;
 };
 
 }  // namespace dbrepair

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_set>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace dbrepair {
 namespace {
 
@@ -255,6 +261,146 @@ TEST_F(TableTest, UpdateRejectsTypeMismatch) {
   // NULL fits any column, as for Insert.
   ASSERT_TRUE(table_.UpdateValue(0, 1, Value()).ok());
   EXPECT_TRUE(table_.row(0).value(1).is_null());
+}
+
+// Row-major cells of Client rows (id, 2 * id, 3 * id) for each id.
+std::vector<Value> ClientCells(const std::vector<int64_t>& ids) {
+  std::vector<Value> cells;
+  for (const int64_t id : ids) {
+    cells.push_back(Value::Int(id));
+    cells.push_back(Value::Int(2 * id));
+    cells.push_back(Value::Int(3 * id));
+  }
+  return cells;
+}
+
+TEST_F(TableTest, AppendRowsMatchesInsert) {
+  std::vector<int64_t> ids;
+  for (int64_t id = 0; id < 10'000; ++id) ids.push_back(id * 7919 % 100'003);
+  Table inserted(&schema_);
+  for (const int64_t id : ids) {
+    ASSERT_TRUE(inserted
+                    .Insert(Tuple({Value::Int(id), Value::Int(2 * id),
+                                   Value::Int(3 * id)}))
+                    .ok());
+  }
+  // Chunks of 3000 rows, the last one partial, onto a table with a row.
+  ASSERT_TRUE(table_.Insert(first_).ok());
+  for (size_t begin = 0; begin < ids.size(); begin += 3000) {
+    const size_t end = std::min(ids.size(), begin + 3000);
+    std::vector<Value> cells =
+        ClientCells({ids.begin() + begin, ids.begin() + end});
+    ASSERT_TRUE(table_.AppendRows(cells).ok());
+  }
+  ASSERT_EQ(table_.size(), ids.size() + 1);
+  for (size_t r = 0; r < ids.size(); ++r) {
+    EXPECT_TRUE(table_.row(r + 1) == inserted.row(r)) << r;
+    EXPECT_EQ(table_.LookupByKey({Value::Int(ids[r])}).value(), r + 1);
+  }
+  EXPECT_EQ(table_.LookupByKey({Value::Int(1)}).value(), 0u);
+  EXPECT_TRUE(table_.AppendRows({}).ok());
+  EXPECT_EQ(table_.size(), ids.size() + 1);
+}
+
+TEST_F(TableTest, AppendRowsRejectsDuplicateWithinTheChunk) {
+  ASSERT_TRUE(table_.Insert(first_).ok());
+  std::vector<Value> cells = ClientCells({5, 6, 7, 6});
+  EXPECT_EQ(table_.AppendRows(cells).code(), StatusCode::kKeyViolation);
+  EXPECT_EQ(table_.LookupByKey({Value::Int(5)}).status().code(),
+            StatusCode::kNotFound);
+  ExpectRejectedInsertChangedNothing({first_});
+}
+
+TEST_F(TableTest, AppendRowsRejectsDuplicateOfAnOldRow) {
+  ASSERT_TRUE(table_.Insert(first_).ok());
+  std::vector<Value> cells = ClientCells({5, 6, 1, 7});
+  EXPECT_EQ(table_.AppendRows(cells).code(), StatusCode::kKeyViolation);
+  EXPECT_EQ(table_.LookupByKey({Value::Int(1)}).value(), 0u);
+  EXPECT_EQ(table_.LookupByKey({Value::Int(6)}).status().code(),
+            StatusCode::kNotFound);
+  ExpectRejectedInsertChangedNothing({first_});
+}
+
+TEST_F(TableTest, AppendRowsRejectsPartialRowsAndTypeMismatches) {
+  ASSERT_TRUE(table_.Insert(first_).ok());
+  std::vector<Value> partial = ClientCells({5, 6});
+  partial.pop_back();
+  EXPECT_EQ(table_.AppendRows(partial).code(), StatusCode::kInvalidArgument);
+  std::vector<Value> mistyped = ClientCells({5, 6});
+  mistyped.back() = Value::String("x");
+  EXPECT_EQ(table_.AppendRows(mistyped).code(), StatusCode::kInvalidArgument);
+  ExpectRejectedInsertChangedNothing({first_});
+}
+
+// Random keys fill the slot array to just under its load limit, so the
+// probe runs of old and new keys interleave; the chunk's last row repeats an
+// old key. Every old key must still be found where it was, no new key at
+// all. Chunks that do and do not grow the slot array both roll back.
+TEST_F(TableTest, FailedAppendRollsBackInterleavedProbeRuns) {
+  Rng rng(20'261);
+  std::unordered_set<int64_t> used;
+  const auto fresh_keys = [&](size_t n) {
+    std::vector<int64_t> keys;
+    while (keys.size() < n) {
+      const auto key = static_cast<int64_t>(rng.Next() >> 4);  // 3 * key fits
+      if (used.insert(key).second) keys.push_back(key);
+    }
+    return keys;
+  };
+  // 30,000 rows in 65,536 slots; a 2,000-row chunk stays under half full,
+  // a 4,000-row chunk grows the array first.
+  const std::vector<int64_t> old_keys = fresh_keys(30'000);
+  std::vector<Value> old_cells = ClientCells(old_keys);
+  ASSERT_TRUE(table_.AppendRows(old_cells).ok());
+  for (const size_t chunk_rows : {size_t{2'000}, size_t{4'000}}) {
+    std::vector<int64_t> new_keys = fresh_keys(chunk_rows);
+    new_keys.back() = old_keys[rng.Uniform(old_keys.size())];
+    std::vector<Value> cells = ClientCells(new_keys);
+    EXPECT_EQ(table_.AppendRows(cells).code(), StatusCode::kKeyViolation);
+    ASSERT_EQ(table_.size(), old_keys.size());
+    for (size_t r = 0; r < old_keys.size(); ++r) {
+      const auto row = table_.LookupByKey({Value::Int(old_keys[r])});
+      ASSERT_TRUE(row.ok()) << "old key " << r << " lost";
+      EXPECT_EQ(row.value(), r);
+      EXPECT_EQ(table_.row(r).value(2), Value::Int(3 * old_keys[r]));
+    }
+    for (size_t i = 0; i + 1 < new_keys.size(); ++i) {
+      EXPECT_EQ(table_.LookupByKey({Value::Int(new_keys[i])}).status().code(),
+                StatusCode::kNotFound)
+          << "new key " << i << " kept";
+    }
+  }
+}
+
+// A load that spans several AppendRows calls rolls back with Truncate, also
+// when a later chunk grew the slot array and re-slotted the earlier rows.
+TEST_F(TableTest, TruncateAcrossAGrowthRestoresTheTable) {
+  std::vector<int64_t> ids;
+  for (int64_t id = 0; id < 100; ++id) ids.push_back(id);
+  std::vector<Value> before = ClientCells(ids);
+  ASSERT_TRUE(table_.AppendRows(before).ok());
+  for (int64_t begin = 100; begin < 5'100; begin += 1'000) {
+    std::vector<int64_t> chunk;
+    for (int64_t id = begin; id < begin + 1'000; ++id) chunk.push_back(id);
+    std::vector<Value> cells = ClientCells(chunk);
+    ASSERT_TRUE(table_.AppendRows(cells).ok());
+  }
+  table_.Truncate(100);
+  ASSERT_EQ(table_.size(), 100u);
+  for (int64_t id = 0; id < 5'100; ++id) {
+    const auto row = table_.LookupByKey({Value::Int(id)});
+    if (id < 100) {
+      ASSERT_TRUE(row.ok()) << id;
+      EXPECT_EQ(row.value(), static_cast<size_t>(id));
+      EXPECT_EQ(table_.row(id).value(1), Value::Int(2 * id));
+    } else {
+      EXPECT_FALSE(row.ok()) << id;
+    }
+  }
+  // The dropped keys are free again.
+  std::vector<Value> again = ClientCells({100, 5'000});
+  ASSERT_TRUE(table_.AppendRows(again).ok());
+  EXPECT_EQ(table_.LookupByKey({Value::Int(5'000)}).value(), 101u);
 }
 
 TEST(DoubleColumnTableTest, UpdateAcceptsIntsAndDoubles) {

@@ -12,7 +12,7 @@
 # lanes while snapshots read them, and two threads recording spans into one
 # shared context), the scenario suite (the generator
 # differential oracle replays every scenario at 1 and 4 threads, plus the
-# FD-compilation and inconsistency-measure tests that ride the same label),
+# inconsistency-measure tests that ride the same label),
 # and the repair-server suite (concurrent tenants streaming batches over
 # real sockets into the shared worker pool, with STATS snapshots racing the
 # streams). Any data race in the parallel pipeline, the mutex-guarded event
@@ -31,7 +31,7 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target thread_pool_test catalog_test differential_test obs_test \
            session_test setcover_layout_test components_test \
-           trace_merge_test fd_test inconsistency_test \
+           trace_merge_test inconsistency_test \
            scenario_metamorphic_test scenario_differential_test \
            protocol_test server_test
 ctest --test-dir "$BUILD_DIR" \

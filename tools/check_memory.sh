@@ -9,7 +9,9 @@
 # override), the RepairSession suite (snapshots extended and rebased batch by
 # batch) and the scenario suites, plus the suites that create, copy and drop
 # Values wholesale: the catalog tests (every copy, move and assignment of each
-# Value kind), the io tests (CSV load and export), the SQL tests, the CQA
+# Value kind), the io tests (the CSV scanner's field views into the loaded
+# text, chunked appends and the truncation that undoes a failed load, and
+# export), the SQL tests, the CQA
 # tests (row views copied into owning Tuple combos) and the generator tests
 # (every table built through Insert, so its cell array grows and moves); and
 # the obs and server tests, whose per-thread event lanes (mutex-guarded
@@ -28,7 +30,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 SUITES=(catalog_test io_test sql_test storage_test constraints_test
-        differential_test repair_test session_test fd_test inconsistency_test
+        differential_test repair_test session_test inconsistency_test
         scenario_metamorphic_test scenario_differential_test obs_test
         server_test cqa_test gen_test)
 
