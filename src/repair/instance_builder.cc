@@ -17,149 +17,121 @@ namespace dbrepair {
 
 namespace {
 
-// Key for candidate-fix deduplication: (tuple, attribute, new value).
-struct FixKey {
-  uint64_t tuple_packed;
-  uint32_t attribute;
-  int64_t value;
-
-  bool operator==(const FixKey& o) const {
-    return tuple_packed == o.tuple_packed && attribute == o.attribute &&
-           value == o.value;
-  }
-};
-
-size_t HashOf(const FixKey& k) {
-  size_t h = k.tuple_packed * 0x9e3779b97f4a7c15ULL;
-  h ^= (k.attribute + 0x9e3779b9U) + (h << 6) + (h >> 2);
-  h ^= std::hash<int64_t>{}(k.value) + (h << 6) + (h >> 2);
-  return h;
-}
-
-FixKey KeyOf(const CandidateFix& fix) {
-  return FixKey{fix.tuple.Packed(), fix.attribute, fix.new_value};
-}
-
-// Dedupe index over a fix vector: an open-addressed table of ids into it,
-// keyed by each fix's (tuple, attribute, new value). Linear probing, at most
-// half full (it doubles past that), home slot from the top bits of the
-// scrambled hash. No per-key allocation.
-class FixIndex {
+// The fixes of one candidate column — one (relation, attribute, MLF value)
+// — by row: an open-addressed table of 8-byte {row, fix id} slots. A
+// column holds at most one fix per row, so the row alone is the key. Linear
+// probing, at most half full (it doubles past that), so it is sized by the
+// column's candidates in this call and a session batch pays O(batch), never
+// O(|relation|). The home slot keeps row order local: a row's block of 64
+// consecutive rows is scrambled (Fibonacci hashing) onto a block of 64
+// slots and the low row bits pick the slot in it. Both algorithms visit
+// violation members in near-ascending row order, so successive probes
+// mostly hit the same cache lines instead of missing once each.
+class RowFixTable {
  public:
-  explicit FixIndex(size_t expected) {
-    Rehash(std::bit_ceil(std::max<size_t>(16, 2 * expected)), {});
-  }
+  static constexpr uint32_t kNone = UINT32_MAX;
 
-  // True iff no fix in `fixes` has `key`; the caller then appends its fix,
-  // whose id (fixes.size()) the index has already recorded.
-  bool Insert(const std::vector<CandidateFix>& fixes, const FixKey& key) {
-    if (2 * (fixes.size() + 1) > slots_.size()) {
-      Rehash(2 * slots_.size(), fixes);
-    }
-    size_t slot = Home(key);
-    while (slots_[slot] != kEmpty) {
-      if (KeyOf(fixes[slots_[slot]]) == key) return false;
-      slot = (slot + 1) & (slots_.size() - 1);
-    }
-    slots_[slot] = static_cast<uint32_t>(fixes.size());
-    return true;
-  }
+  // At least two blocks, so the block shift below stays under 64.
+  RowFixTable() { Rehash(2 << kBlockBits); }
 
- private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-
-  size_t Home(const FixKey& key) const {
-    return (HashOf(key) * 0x9e3779b97f4a7c15ULL) >> shift_;
-  }
-
-  void Rehash(size_t capacity, const std::vector<CandidateFix>& fixes) {
-    slots_.assign(capacity, kEmpty);
-    shift_ = 64 - std::countr_zero(capacity);
-    for (uint32_t id = 0; id < fixes.size(); ++id) {
-      size_t slot = Home(KeyOf(fixes[id]));
-      while (slots_[slot] != kEmpty) slot = (slot + 1) & (capacity - 1);
-      slots_[slot] = id;
-    }
-  }
-
-  std::vector<uint32_t> slots_;
-  int shift_ = 0;
-};
-
-// Where each tuple's run starts in the (packed tuple, fix id)-sorted
-// tuple_fixes list: an open-addressed table keyed by the packed tuple.
-// Linear probing, at most half full; a slot holds run start + 1 (0 is
-// empty), and a probe confirms its key on that list entry, which the
-// caller reads next anyway — so a slot is 4 bytes. The home slot keeps row
-// order local: a tuple's block of 64 consecutive rows is scrambled
-// (Fibonacci hashing) onto a block of 64 slots and the low row bits pick
-// the slot in it. Algorithm 4 visits violation members in near-ascending
-// row order, so successive probes mostly hit the same cache lines instead
-// of missing once each. Sized by the number of tuples with fixes, so a
-// session batch pays O(batch), never O(|D|).
-class TupleFixRuns {
- public:
-  explicit TupleFixRuns(
-      const std::vector<std::pair<uint64_t, uint32_t>>& tuple_fixes)
-      : tuple_fixes_(tuple_fixes) {
-    size_t runs = 0;
-    for (size_t i = 0; i < tuple_fixes.size(); ++i) {
-      if (i == 0 || tuple_fixes[i].first != tuple_fixes[i - 1].first) ++runs;
-    }
-    // At least two blocks, so the block shift below stays under 64.
-    const size_t capacity =
-        std::bit_ceil(std::max<size_t>(2 << kBlockBits, 2 * runs));
-    slots_.assign(capacity, 0);
-    shift_ = 64 - std::countr_zero(capacity) + kBlockBits;
-    for (size_t i = 0; i < tuple_fixes.size(); ++i) {
-      if (i > 0 && tuple_fixes[i].first == tuple_fixes[i - 1].first) continue;
-      size_t slot = Home(tuple_fixes[i].first);
-      while (slots_[slot] != 0) slot = (slot + 1) & (capacity - 1);
-      slots_[slot] = static_cast<uint32_t>(i + 1);
-    }
-  }
-
-  // The position of `tuple`'s first entry; tuple_fixes.size() if it has
-  // none.
-  size_t Find(uint64_t tuple) const {
-    for (size_t slot = Home(tuple); slots_[slot] != 0;
+  // The id of `row`'s fix in this column, or kNone.
+  uint32_t Find(uint32_t row) const {
+    for (size_t slot = Home(row); slots_[slot].id != kNone;
          slot = (slot + 1) & (slots_.size() - 1)) {
-      const size_t begin = slots_[slot] - 1;
-      if (tuple_fixes_[begin].first == tuple) return begin;
+      if (slots_[slot].row == row) return slots_[slot].id;
     }
-    return tuple_fixes_.size();
+    return kNone;
+  }
+
+  // The id of `row`'s fix; a row without one gets `id`, which is returned.
+  uint32_t FindOrInsert(uint32_t row, uint32_t id) {
+    if (2 * (size_ + 1) > slots_.size()) Rehash(2 * slots_.size());
+    size_t slot = Home(row);
+    for (; slots_[slot].id != kNone; slot = (slot + 1) & (slots_.size() - 1)) {
+      if (slots_[slot].row == row) return slots_[slot].id;
+    }
+    slots_[slot] = {row, id};
+    ++size_;
+    return id;
   }
 
  private:
   static constexpr int kBlockBits = 6;
-  static constexpr uint64_t kBlockMask = (uint64_t{1} << kBlockBits) - 1;
+  static constexpr uint32_t kBlockMask = (uint32_t{1} << kBlockBits) - 1;
 
-  size_t Home(uint64_t tuple) const {
+  struct Slot {
+    uint32_t row;
+    uint32_t id;
+  };
+
+  size_t Home(uint32_t row) const {
     const uint64_t block =
-        ((tuple >> kBlockBits) * 0x9e3779b97f4a7c15ULL) >> shift_;
-    return (block << kBlockBits) | (tuple & kBlockMask);
+        (uint64_t{row >> kBlockBits} * 0x9e3779b97f4a7c15ULL) >> shift_;
+    return (block << kBlockBits) | (row & kBlockMask);
   }
 
-  const std::vector<std::pair<uint64_t, uint32_t>>& tuple_fixes_;
-  std::vector<uint32_t> slots_;
+  void Rehash(size_t capacity) {
+    std::vector<Slot> old = std::exchange(slots_, {});
+    slots_.assign(capacity, Slot{0, kNone});
+    shift_ = 64 - std::countr_zero(capacity) + kBlockBits;
+    for (const Slot& s : old) {
+      if (s.id == kNone) continue;
+      size_t slot = Home(s.row);
+      while (slots_[slot].id != kNone) slot = (slot + 1) & (capacity - 1);
+      slots_[slot] = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
   int shift_ = 0;
 };
 
-// Assigns fix ids to the shards' candidates in shard order, dropping repeats
-// across shards, so ids follow exactly the serial first-encounter order.
-std::vector<CandidateFix> MergeShardFixes(
-    std::vector<std::vector<CandidateFix>>& shard_fixes) {
-  size_t pending = 0;
-  for (const auto& shard : shard_fixes) pending += shard.size();
-  FixIndex index(pending);
-  std::vector<CandidateFix> fixes;
-  fixes.reserve(pending);
-  for (std::vector<CandidateFix>& shard : shard_fixes) {
-    for (CandidateFix& fix : shard) {
-      if (index.Insert(fixes, KeyOf(fix))) fixes.push_back(std::move(fix));
+// One candidate column and the fixes Algorithm 3 put in it.
+struct FixColumn {
+  uint32_t relation = 0;
+  uint32_t attribute = 0;
+  int64_t value = 0;
+  RowFixTable rows;
+};
+
+// What a fix of one column does to any violation set of one constraint
+// (Algorithm 4), when the constraint alone decides it.
+enum class Link : uint8_t { kSolves, kKeeps, kCheck };
+
+// The closed-form link rule. When `ic` repeats no relation, a violation set
+// of it has exactly one assignment of members to atoms, and that
+// assignment satisfies the body at the current cells. If the fix's
+// attribute holds a variable that occurs nowhere else in the atoms and in
+// no variable-variable built-in, the fix can only falsify the `x θ c`
+// built-ins on that variable: every other atom position and built-in
+// reads the same cells as before. So the fix solves the set iff one of
+// those built-ins is false at the new value, whatever the set. Any other
+// shape is kCheck: SetSatisfies decides it per set. The rule is syntactic
+// and sound for non-local IC sets too.
+Link ClosedFormLink(const BoundConstraint& ic, const FixColumn& column) {
+  const BoundAtom* atom = nullptr;
+  for (size_t a = 0; a < ic.atoms.size(); ++a) {
+    for (size_t b = a + 1; b < ic.atoms.size(); ++b) {
+      if (ic.atoms[a].relation_index == ic.atoms[b].relation_index) {
+        return Link::kCheck;
+      }
+    }
+    if (ic.atoms[a].relation_index == column.relation) atom = &ic.atoms[a];
+  }
+  if (atom == nullptr) return Link::kCheck;  // no set of ic holds its tuples
+  const int32_t var = atom->var_ids[column.attribute];
+  if (var < 0 || ic.var_occurrences[var].size() != 1) return Link::kCheck;
+  const Value new_value = Value::Int(column.value);
+  bool solves = false;
+  for (const BoundBuiltin& b : ic.builtins) {
+    if (b.rhs_is_var) {
+      if (b.lhs_var == var || b.rhs_var == var) return Link::kCheck;
+    } else if (b.lhs_var == var && !EvalCompare(new_value, b.op, b.rhs_const)) {
+      solves = true;
     }
   }
-  return fixes;
+  return solves ? Link::kSolves : Link::kKeeps;
 }
 
 // A few shards per worker so one dense shard does not leave the other
@@ -173,18 +145,6 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-// Flushes the per-shard timing counters of one parallel phase ("fixes",
-// "links"): `<phase>.shards`, `<phase>.shard_ns`, `<phase>.merge_ns`.
-void RecordShardMetrics(obs::MetricsRegistry* metrics, const char* phase,
-                        const std::vector<uint64_t>& shard_ns,
-                        uint64_t merge_ns) {
-  const std::string prefix(phase);
-  metrics->GetCounter(prefix + ".shards")->Add(shard_ns.size());
-  metrics->GetCounter(prefix + ".merge_ns")->Add(merge_ns);
-  obs::Histogram* hist = metrics->GetHistogram(prefix + ".shard_ns");
-  for (const uint64_t ns : shard_ns) hist->Record(ns);
-}
-
 }  // namespace
 
 Result<std::vector<CandidateFix>> GenerateCandidateFixes(
@@ -193,8 +153,6 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     const std::vector<ViolationSet>& violations, uint32_t vid_offset,
     size_t num_threads, ThreadPool* pool) {
   obs::ObsContext& obs = obs::CurrentObs();
-  const size_t max_shards =
-      num_threads > 1 ? num_threads * kShardsPerThread : 1;
 
   // ---- Algorithm 3: candidate mono-local fixes. ----
   obs::Span fixes_span(&obs.events, "fixes");
@@ -212,134 +170,166 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     group.push_back(cmp);
   }
   // MLF(t, ic, A) depends only on the group, so compute it once into a flat
-  // (ic, relation) -> [(attribute, MLF value)] table the workers share; a
-  // non-local group (no MLF value) has no entry.
+  // (ic, relation) -> [column] table; a non-local group (no MLF value) has
+  // no entry. Groups with the same (relation, attribute, MLF value) share
+  // one column, since their fixes coincide.
   const size_t num_relations = db.relation_count();
-  std::vector<std::vector<std::pair<uint32_t, int64_t>>> mlf_table(
-      ics.size() * num_relations);
+  std::vector<std::vector<uint32_t>> mlf_table(ics.size() * num_relations);
+  std::vector<FixColumn> columns;
+  // Per relation, its columns: the fixes a tuple of it may have.
+  std::vector<std::vector<uint32_t>> relation_columns(num_relations);
+  std::map<std::tuple<uint32_t, uint32_t, int64_t>, uint32_t> column_ids;
   for (const GroupKey& key : group_order) {
     const auto [ic_index, relation, attribute] = key;
     const std::optional<int64_t> value = MonoLocalFixValue(groups.at(key));
-    if (value.has_value()) {
-      mlf_table[ic_index * num_relations + relation].emplace_back(attribute,
-                                                                  *value);
+    if (!value.has_value()) continue;
+    const auto [it, added] = column_ids.try_emplace(
+        {relation, attribute, *value}, static_cast<uint32_t>(columns.size()));
+    if (added) {
+      FixColumn& column = columns.emplace_back();
+      column.relation = relation;
+      column.attribute = attribute;
+      column.value = *value;
+      relation_columns[relation].push_back(it->second);
     }
+    mlf_table[ic_index * num_relations + relation].push_back(it->second);
   }
 
-  // Violation shards emit their candidates in scan order into per-shard
-  // buffers; the shard-order merge assigns ids in the exact serial
-  // first-encounter order.
-  const auto fix_ranges = ShardRanges(violations.size(), max_shards);
-  std::vector<std::vector<CandidateFix>> shard_fixes(fix_ranges.size());
-  std::vector<uint64_t> fix_shard_ns(fix_ranges.size(), 0);
-  ParallelFor(pool, fix_ranges.size(), [&](size_t s) {
-    const obs::ScopedWorkEvent shard_event("fixes.shard");
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<CandidateFix>& out = shard_fixes[s];
-    // Dropping the shard's own repeats here keeps the shard buffers (and
-    // the merge) small on hotspots, where many sets share one tuple. Each
-    // violation set emits about 2 fixes per tuple-attribute pair it
-    // touches, so twice the shard's set count rarely grows the index.
-    FixIndex seen(2 * (fix_ranges[s].second - fix_ranges[s].first));
-    for (size_t vid = fix_ranges[s].first; vid < fix_ranges[s].second;
-         ++vid) {
-      const ViolationSet& v = violations[vid];
+  // One serial pass in violation order: a fix's id is its first encounter,
+  // and its column's row table drops every later repeat. The fix list is
+  // reserved once, for an upper bound: per column, its entries among the
+  // members, but at most one fix per row of its relation.
+  std::vector<CandidateFix> fixes;
+  {
+    std::vector<size_t> entries(columns.size(), 0);
+    for (const ViolationSet& v : violations) {
       for (const TupleRef t : v.tuples) {
-        for (const auto& [attr, new_value] :
+        for (const uint32_t c :
              mlf_table[v.ic_index * num_relations + t.relation]) {
-          const Value& current = db.tuple(t).value(attr);
-          if (current.is_int() && current.AsInt() == new_value) {
-            continue;  // MLF(t, ic, A) == t changes nothing, solves nothing.
-          }
-          if (!seen.Insert(out, FixKey{t.Packed(), attr, new_value})) continue;
-          const int64_t old_value = current.is_int() ? current.AsInt() : 0;
-          CandidateFix& fix = out.emplace_back();
-          fix.tuple = t;
-          fix.attribute = attr;
-          fix.old_value = old_value;
-          fix.new_value = new_value;
-          const double alpha =
-              db.schema().relations()[t.relation].attribute(attr).alpha;
-          fix.weight = alpha * distance.ScalarDistance(
-                                   static_cast<double>(old_value),
-                                   static_cast<double>(new_value));
+          ++entries[c];
         }
       }
     }
-    fix_shard_ns[s] = ElapsedNs(start);
-  });
-
-  const auto fix_merge_start = std::chrono::steady_clock::now();
-  // One shard has already dropped its own repeats: its buffer is the merge.
-  std::vector<CandidateFix> fixes = fix_ranges.size() == 1
-                                        ? std::move(shard_fixes[0])
-                                        : MergeShardFixes(shard_fixes);
-  // (packed tuple, fix id), sorted: each tuple's fixes in ascending id order.
-  std::vector<std::pair<uint64_t, uint32_t>> tuple_fixes;
-  tuple_fixes.reserve(fixes.size());
-  for (uint32_t id = 0; id < fixes.size(); ++id) {
-    tuple_fixes.emplace_back(fixes[id].tuple.Packed(), id);
+    size_t bound = 0;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      bound += std::min(entries[c], db.table(columns[c].relation).size());
+    }
+    fixes.reserve(bound);
   }
-  std::sort(tuple_fixes.begin(), tuple_fixes.end());
-  const TupleFixRuns tuple_runs(tuple_fixes);
-  RecordShardMetrics(&obs.metrics, "fixes", fix_shard_ns,
-                     ElapsedNs(fix_merge_start));
+  for (const ViolationSet& v : violations) {
+    for (const TupleRef t : v.tuples) {
+      for (const uint32_t c :
+           mlf_table[v.ic_index * num_relations + t.relation]) {
+        FixColumn& column = columns[c];
+        const Value& current = db.tuple(t).value(column.attribute);
+        if (current.is_int() && current.AsInt() == column.value) {
+          continue;  // MLF(t, ic, A) == t changes nothing, solves nothing.
+        }
+        const auto id = static_cast<uint32_t>(fixes.size());
+        if (column.rows.FindOrInsert(t.row, id) != id) continue;
+        const int64_t old_value = current.is_int() ? current.AsInt() : 0;
+        CandidateFix& fix = fixes.emplace_back();
+        fix.tuple = t;
+        fix.attribute = column.attribute;
+        fix.old_value = old_value;
+        fix.new_value = column.value;
+        const double alpha = db.schema()
+                                 .relations()[t.relation]
+                                 .attribute(column.attribute)
+                                 .alpha;
+        fix.weight = alpha * distance.ScalarDistance(
+                                 static_cast<double>(old_value),
+                                 static_cast<double>(column.value));
+      }
+    }
+  }
   obs.metrics.GetCounter("build.candidate_fixes")->Add(fixes.size());
   fixes_span.Finish();
 
   // ---- Algorithm 4: link candidates to the violation sets they solve. ----
   obs::Span setcover_span(&obs.events, "setcover");
+  // Per (ic, column), the closed-form verdict or kCheck.
+  std::vector<Link> link_rule(ics.size() * columns.size());
+  for (size_t i = 0; i < ics.size(); ++i) {
+    for (size_t c = 0; c < columns.size(); ++c) {
+      link_rule[i * columns.size() + c] = ClosedFormLink(ics[i], columns[c]);
+    }
+  }
   // Each shard records its (fix, violation) links in scan order; appending
-  // shard by shard reproduces the serial ascending-vid `solved` lists. A
-  // candidate t' is checked in place: member j reads the fix's value in the
-  // fix's attribute instead of its stored cell.
+  // shard by shard reproduces the serial ascending-vid `solved` lists (a
+  // fix links to a set at most once, so the column order within a set does
+  // not matter). A kCheck candidate t' is checked in place: member j reads
+  // the fix's value in the fix's attribute instead of its stored cell.
+  const size_t max_shards =
+      num_threads > 1 ? num_threads * kShardsPerThread : 1;
   const auto link_ranges = ShardRanges(violations.size(), max_shards);
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> shard_links(
       link_ranges.size());
-  std::vector<uint64_t> shard_checks(link_ranges.size(), 0);
+  std::vector<uint64_t> shard_closed(link_ranges.size(), 0);
+  std::vector<uint64_t> shard_fallback(link_ranges.size(), 0);
   std::vector<uint64_t> link_shard_ns(link_ranges.size(), 0);
   ParallelFor(pool, link_ranges.size(), [&](size_t s) {
     const obs::ScopedWorkEvent shard_event("links.shard");
     const auto start = std::chrono::steady_clock::now();
+    std::vector<std::pair<uint32_t, uint32_t>> links;
+    uint64_t closed = 0;
+    uint64_t fallback = 0;
+    // The set's members, read only by a kCheck; built by its first one.
     std::vector<std::pair<uint32_t, TupleView>> members;
     ViolationEngine::SatisfiesScratch scratch;
     for (size_t vid = link_ranges[s].first; vid < link_ranges[s].second;
          ++vid) {
       const ViolationSet& v = violations[vid];
-      const BoundConstraint& ic = ics[v.ic_index];
+      const Link* rule = &link_rule[v.ic_index * columns.size()];
       members.clear();
-      for (const TupleRef t : v.tuples) {
-        members.emplace_back(t.relation, db.tuple(t));
-      }
       for (size_t j = 0; j < v.tuples.size(); ++j) {
-        const uint64_t packed = v.tuples[j].Packed();
-        for (size_t k = tuple_runs.Find(packed);
-             k < tuple_fixes.size() && tuple_fixes[k].first == packed; ++k) {
-          const uint32_t f = tuple_fixes[k].second;
-          const Value new_value = Value::Int(fixes[f].new_value);
-          ++shard_checks[s];
-          if (ViolationEngine::SetSatisfies(
-                  ic, members, {j, fixes[f].attribute, &new_value},
-                  &scratch)) {
-            shard_links[s].emplace_back(f, static_cast<uint32_t>(vid));
+        const TupleRef t = v.tuples[j];
+        for (const uint32_t c : relation_columns[t.relation]) {
+          const uint32_t f = columns[c].rows.Find(t.row);
+          if (f == RowFixTable::kNone) continue;
+          bool solves = rule[c] == Link::kSolves;
+          if (rule[c] != Link::kCheck) {
+            ++closed;
+          } else {
+            ++fallback;
+            if (members.empty()) {
+              for (const TupleRef m : v.tuples) {
+                members.emplace_back(m.relation, db.tuple(m));
+              }
+            }
+            const Value new_value = Value::Int(columns[c].value);
+            solves = ViolationEngine::SetSatisfies(
+                ics[v.ic_index], members,
+                {j, columns[c].attribute, &new_value}, &scratch);
           }
+          if (solves) links.emplace_back(f, static_cast<uint32_t>(vid));
         }
       }
     }
+    shard_links[s] = std::move(links);
+    shard_closed[s] = closed;
+    shard_fallback[s] = fallback;
     link_shard_ns[s] = ElapsedNs(start);
   });
 
   const auto link_merge_start = std::chrono::steady_clock::now();
-  uint64_t satisfies_checks = 0;
+  uint64_t closed_checks = 0;
+  uint64_t fallback_checks = 0;
   for (size_t s = 0; s < link_ranges.size(); ++s) {
-    satisfies_checks += shard_checks[s];
+    closed_checks += shard_closed[s];
+    fallback_checks += shard_fallback[s];
     for (const auto& [f, vid] : shard_links[s]) {
       fixes[f].solved.push_back(vid_offset + vid);
     }
   }
-  RecordShardMetrics(&obs.metrics, "links", link_shard_ns,
-                     ElapsedNs(link_merge_start));
-  obs.metrics.GetCounter("build.satisfies_checks")->Add(satisfies_checks);
+  obs.metrics.GetCounter("links.shards")->Add(link_ranges.size());
+  obs.metrics.GetCounter("links.merge_ns")->Add(ElapsedNs(link_merge_start));
+  obs::Histogram* shard_hist = obs.metrics.GetHistogram("links.shard_ns");
+  for (const uint64_t ns : link_shard_ns) shard_hist->Record(ns);
+  obs.metrics.GetCounter("build.satisfies_checks")
+      ->Add(closed_checks + fallback_checks);
+  obs.metrics.GetCounter("build.link_checks_closed")->Add(closed_checks);
+  obs.metrics.GetCounter("build.link_checks_fallback")->Add(fallback_checks);
 
   // Drop candidates with empty S(t, t') (Definition 2.6(b)), in place; the
   // survivors keep their relative order, so ids are renumbered densely.

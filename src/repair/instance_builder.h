@@ -44,12 +44,13 @@ struct BuildOptions {
   /// `engine.columnar` when set, else against a ColumnSnapshot of `db`
   /// built here.
   ViolationEngineOptions engine;
-  /// Worker threads for the three parallelisable build phases: the
-  /// violation scan, mono-local fix generation, and fix-to-violation
-  /// linking. 1 (the default) is the exact serial path; 0 means one per
-  /// hardware thread. Any value produces a byte-identical RepairProblem:
-  /// shards partition the violation list and are merged in shard order, so
-  /// fix ids, solved-set order, and the MWSCP instance never change.
+  /// Worker threads for the two parallelisable build phases: the
+  /// violation scan and fix-to-violation linking (mono-local fix generation
+  /// is one serial pass). 1 (the default) is the exact serial path; 0 means
+  /// one per hardware thread. Any value produces a byte-identical
+  /// RepairProblem: shards partition their input and are merged in shard
+  /// order, so fix ids, solved-set order, and the MWSCP instance never
+  /// change.
   size_t num_threads = 1;
 };
 
@@ -63,6 +64,14 @@ struct BuildOptions {
 /// Weights are computed against the tuples' *current* cell values.
 /// Deterministic for any `num_threads` (shard-order merge); `pool` may be
 /// nullptr when `num_threads` <= 1.
+///
+/// Precondition: every set in `violations` is a violation set of `db` as it
+/// is at call time (its members satisfy its constraint's body). The
+/// closed-form link rule relies on it: for a constraint that repeats no
+/// relation, it decides whether a fix solves a set from the constraint's
+/// comparisons alone, without reading the set's cells. BuildRepairProblem
+/// scans `db` itself, and a session passes the sets it has just detected
+/// on its current instance, so both meet it.
 Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     const Database& db, const std::vector<BoundConstraint>& ics,
     const DistanceFunction& distance,

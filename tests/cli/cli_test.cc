@@ -432,8 +432,8 @@ TEST_F(CliTest, TraceOutWritesChromeTraceWithWorkerLanes) {
     if (ph == "X") {
       ++x_events[event.Find("tid")->AsInt()];
       const std::string& name = event.Find("name")->AsString();
-      if (name == "scan.shard" || name == "fixes.shard" ||
-          name == "links.shard" || name == "snapshot.column") {
+      if (name == "scan.shard" || name == "links.shard" ||
+          name == "snapshot.column") {
         saw_shard_span = true;
       }
     }

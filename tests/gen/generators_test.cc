@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "constraints/violation_engine.h"
 #include "gen/adversary.h"
 #include "gen/census.h"
@@ -93,6 +94,83 @@ TEST(ClientBuyGeneratorTest, DeterministicInSeed) {
       EXPECT_EQ(a->db.table(r).row(row), b->db.table(r).row(row));
     }
   }
+}
+
+// The Client/Buy generation loop with one Database::Insert per row: the
+// same Rng draws in the same order as GenerateClientBuy, which hands its
+// rows to Table::AppendRows in chunks instead.
+Database ClientBuyByInsert(const ClientBuyOptions& options) {
+  Rng rng(options.seed);
+  Database db(MakeClientBuySchema());
+  size_t hotspots_left = options.hotspot_clients;
+  for (size_t c = 0; c < options.num_clients; ++c) {
+    const auto id = static_cast<int64_t>(c + 1);
+    const bool inconsistent = rng.Bernoulli(options.inconsistency_ratio);
+    int64_t age;
+    int64_t credit;
+    if (inconsistent) {
+      age = rng.UniformInRange(10, 17);
+      credit = rng.Bernoulli(options.credit_violation_ratio)
+                   ? rng.UniformInRange(51, 100)
+                   : rng.UniformInRange(0, 50);
+    } else {
+      age = rng.UniformInRange(18, 80);
+      credit = rng.UniformInRange(0, 100);
+    }
+    EXPECT_TRUE(db.Insert("Client", {Value::Int(id), Value::Int(age),
+                                     Value::Int(credit)})
+                    .ok());
+    size_t buys = options.buys_per_client;
+    bool hotspot = false;
+    if (inconsistent && hotspots_left > 0) {
+      hotspot = true;
+      --hotspots_left;
+      buys = options.hotspot_buys;
+    }
+    for (size_t b = 0; b < buys; ++b) {
+      const int64_t price =
+          inconsistent &&
+                  (hotspot || rng.Bernoulli(options.purchase_violation_ratio))
+              ? rng.UniformInRange(26, 100)
+              : rng.UniformInRange(1, 25);
+      EXPECT_TRUE(db.Insert("Buy", {Value::Int(id),
+                                    Value::Int(static_cast<int64_t>(b + 1)),
+                                    Value::Int(price)})
+                      .ok());
+    }
+  }
+  return db;
+}
+
+// Chunked AppendRows builds the same tables as per-row Inserts: every cell,
+// and every key's LookupByKey row. Sized past two chunks per relation, with
+// hotspots so Buy's rows per client vary.
+TEST(ClientBuyGeneratorTest, ChunkedBuildEqualsPerRowInserts) {
+  ClientBuyOptions options;
+  options.num_clients = 9'000;
+  options.hotspot_clients = 4;
+  options.hotspot_buys = 300;
+  options.seed = 17;
+  const auto w = GenerateClientBuy(options);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const Database expected = ClientBuyByInsert(options);
+  EXPECT_TRUE(SameDatabases(w->db, expected));
+  for (size_t r = 0; r < expected.relation_count(); ++r) {
+    const Table& table = w->db.table(r);
+    const std::vector<size_t>& key = table.schema().key_positions();
+    for (size_t row = 0; row < table.size(); ++row) {
+      std::vector<Value> key_values;
+      for (const size_t a : key) {
+        key_values.push_back(expected.table(r).row(row).value(a));
+      }
+      const Result<size_t> found = table.LookupByKey(key_values);
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      EXPECT_EQ(*found, row);
+    }
+  }
+  EXPECT_FALSE(w->db.FindTable("Client")
+                   ->LookupByKey({Value::Int(9'001)})
+                   .ok());
 }
 
 TEST(ClientBuyGeneratorTest, SizesMatchOptions) {

@@ -1,25 +1,38 @@
 // Reference copy of Algorithms 3-4 (candidate mono-local fixes and their
 // solved links), written the direct way: std::map groups looked up per
 // tuple, a node-based dedupe set, and a materialised t' per candidate
-// checked with the plain SetSatisfies. GenerateCandidateFixes — flat MLF
-// table, open-addressed dedupe, one overridden cell instead of t' — must
-// produce the same fix list: ids (order), tuples, values, bit-equal weights
-// and solved lists, at 1 and 4 threads.
+// checked with the plain SetSatisfies. GenerateCandidateFixes — one row
+// table per candidate column, the closed-form link rule where the
+// constraint's shape allows it, one overridden cell instead of t'
+// elsewhere — must produce the same fix list: ids (order), tuples, values,
+// bit-equal weights and solved lists, at 1 and 4 threads. The inputs cover
+// both link paths: every generator, a local self-join (a repeated relation
+// always takes the SetSatisfies fallback), and non-local sets whose
+// flexible attribute sits in a variable-variable built-in, in a join, or
+// under a constant.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "constraints/locality.h"
+#include "constraints/parser.h"
 #include "constraints/violation_engine.h"
+#include "gen/adversary.h"
 #include "gen/census.h"
 #include "gen/client_buy.h"
+#include "gen/paper_example.h"
+#include "gen/sensor_drift.h"
 #include "gen/zipf_hotspot.h"
+#include "obs/context.h"
 #include "repair/instance_builder.h"
 #include "repair/mono_local_fix.h"
 
@@ -95,7 +108,17 @@ std::vector<CandidateFix> ReferenceCandidateFixes(
   return kept;
 }
 
-void ExpectMatchesReference(const GeneratedWorkload& w) {
+// How many Algorithm-4 checks took each path.
+struct LinkChecks {
+  uint64_t closed = 0;
+  uint64_t fallback = 0;
+};
+
+// Checks GenerateCandidateFixes against the reference at 1 and 4 threads;
+// `checks` gets the link-path counts, which must not depend on the thread
+// count.
+void ExpectMatchesReference(const GeneratedWorkload& w,
+                            LinkChecks* checks = nullptr) {
   auto bound = BindAll(w.db.schema(), w.ics);
   ASSERT_TRUE(bound.ok()) << bound.status().ToString();
   ViolationEngine engine(w.db, *bound);
@@ -107,8 +130,13 @@ void ExpectMatchesReference(const GeneratedWorkload& w) {
       ReferenceCandidateFixes(w.db, *bound, distance, *violations);
   ASSERT_FALSE(expected.empty());
 
-  ThreadPool pool(4);
+  std::optional<std::pair<uint64_t, uint64_t>> serial_checks;
   for (const size_t threads : {size_t{1}, size_t{4}}) {
+    obs::ObsContext obs;
+    const obs::ScopedObs scoped(&obs);
+    // Declared after the context, so its workers are joined before the
+    // context goes: each records its task's end into the context it ran in.
+    ThreadPool pool(threads);
     auto fixes = GenerateCandidateFixes(w.db, *bound, distance, *violations,
                                         /*vid_offset=*/0, threads,
                                         threads > 1 ? &pool : nullptr);
@@ -124,7 +152,59 @@ void ExpectMatchesReference(const GeneratedWorkload& w) {
       EXPECT_EQ(got.weight, want.weight) << "fix " << id;
       EXPECT_EQ(got.solved, want.solved) << "fix " << id;
     }
+
+    const uint64_t closed =
+        obs.metrics.GetCounter("build.link_checks_closed")->value();
+    const uint64_t fallback =
+        obs.metrics.GetCounter("build.link_checks_fallback")->value();
+    EXPECT_EQ(closed + fallback,
+              obs.metrics.GetCounter("build.satisfies_checks")->value());
+    if (!serial_checks.has_value()) {
+      serial_checks.emplace(closed, fallback);
+    } else {
+      EXPECT_EQ(std::make_pair(closed, fallback), *serial_checks)
+          << threads << " threads";
+    }
   }
+  if (checks != nullptr) {
+    *checks = LinkChecks{serial_checks->first, serial_checks->second};
+  }
+}
+
+// A workload over hand-made relations: `relations` gives each relation's
+// name, attributes and key; `rows` fills them; `constraints` is parsed as
+// an IC set.
+GeneratedWorkload MakeWorkload(
+    const std::vector<std::tuple<std::string, std::vector<AttributeDef>,
+                                 std::vector<std::string>>>& relations,
+    const std::vector<std::pair<std::string, std::vector<int64_t>>>& rows,
+    const char* constraints) {
+  auto schema = std::make_shared<Schema>();
+  for (const auto& [name, attrs, key] : relations) {
+    EXPECT_TRUE(schema->AddRelation(RelationSchema(name, attrs, key)).ok());
+  }
+  Database db(schema);
+  for (const auto& [relation, cells] : rows) {
+    std::vector<Value> values;
+    for (const int64_t cell : cells) values.push_back(Value::Int(cell));
+    EXPECT_TRUE(db.Insert(relation, std::move(values)).ok());
+  }
+  auto ics = ParseConstraintSet(constraints);
+  EXPECT_TRUE(ics.ok()) << ics.status().ToString();
+  return GeneratedWorkload{std::move(db), std::move(ics).value()};
+}
+
+bool IsLocal(const GeneratedWorkload& w) {
+  auto bound = BindAll(w.db.schema(), w.ics);
+  EXPECT_TRUE(bound.ok()) << bound.status().ToString();
+  return bound.ok() && CheckLocality(w.db.schema(), *bound).local;
+}
+
+AttributeDef Hard(const char* name) {
+  return AttributeDef{name, Type::kInt64, false, 1.0};
+}
+AttributeDef Flexible(const char* name) {
+  return AttributeDef{name, Type::kInt64, true, 1.0};
 }
 
 TEST(CandidateFixReferenceTest, ClientBuy) {
@@ -135,7 +215,10 @@ TEST(CandidateFixReferenceTest, ClientBuy) {
   options.seed = 9;
   auto w = GenerateClientBuy(options);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
-  ExpectMatchesReference(*w);
+  LinkChecks checks;
+  ExpectMatchesReference(*w, &checks);
+  EXPECT_GT(checks.closed, 0u);
+  EXPECT_EQ(checks.fallback, 0u);
 }
 
 TEST(CandidateFixReferenceTest, ZipfHotspot) {
@@ -145,7 +228,10 @@ TEST(CandidateFixReferenceTest, ZipfHotspot) {
   options.seed = 4;
   auto w = GenerateZipfHotspot(options);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
-  ExpectMatchesReference(*w);
+  LinkChecks checks;
+  ExpectMatchesReference(*w, &checks);
+  EXPECT_GT(checks.closed, 0u);
+  EXPECT_EQ(checks.fallback, 0u);
 }
 
 TEST(CandidateFixReferenceTest, Census) {
@@ -154,7 +240,102 @@ TEST(CandidateFixReferenceTest, Census) {
   options.seed = 6;
   auto w = GenerateCensus(options);
   ASSERT_TRUE(w.ok()) << w.status().ToString();
+  LinkChecks checks;
+  ExpectMatchesReference(*w, &checks);
+  EXPECT_GT(checks.closed, 0u);
+  EXPECT_EQ(checks.fallback, 0u);
+}
+
+TEST(CandidateFixReferenceTest, SensorDrift) {
+  SensorDriftOptions options;
+  options.num_sensors = 40;
+  options.readings_per_sensor = 60;
+  options.seed = 3;
+  auto w = GenerateSensorDrift(options);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
   ExpectMatchesReference(*w);
+}
+
+TEST(CandidateFixReferenceTest, Adversary) {
+  AdversaryOptions options;
+  options.num_hubs = 30;
+  options.target_degree = 12;
+  options.seed = 5;
+  auto w = GenerateAdversary(options);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ExpectMatchesReference(*w);
+}
+
+TEST(CandidateFixReferenceTest, PaperExamples) {
+  ExpectMatchesReference(MakePaperTableExample());
+  ExpectMatchesReference(MakePaperPubExample());
+}
+
+// A local self-join: R repeats, so every check takes the SetSatisfies
+// fallback. A tuple with x < 10 and y > 50 fills both atoms alone.
+TEST(CandidateFixReferenceTest, LocalSelfJoinTakesTheFallback) {
+  std::vector<std::pair<std::string, std::vector<int64_t>>> rows;
+  for (int64_t id = 0; id < 120; ++id) {
+    rows.push_back({"R", {id, id % 7, (id * 37) % 20, (id * 53) % 100}});
+  }
+  const GeneratedWorkload w = MakeWorkload(
+      {{"R",
+        {Hard("id"), Hard("g"), Flexible("x"), Flexible("y")},
+        {"id"}}},
+      rows, "sj: :- R(id, g, x, y), R(id2, g, x2, y2), x < 10, y2 > 50\n");
+  ASSERT_TRUE(IsLocal(w));
+  LinkChecks checks;
+  ExpectMatchesReference(w, &checks);
+  EXPECT_GT(checks.fallback, 0u);
+  EXPECT_EQ(checks.closed, 0u);
+}
+
+// Non-local sets, passed straight to GenerateCandidateFixes. c1's fix
+// x -> 10 is checked against the sets of c2-c4, where R's x is in a
+// variable-variable built-in (c2: x = z, c3: x != z), in a join (c4: x
+// also fills T's second position). Breaking any of them solves the set
+// even though no `x θ c` built-in turns false, so the closed form must not
+// apply there.
+TEST(CandidateFixReferenceTest, NonLocalVariableBuiltinsTakeTheFallback) {
+  std::vector<std::pair<std::string, std::vector<int64_t>>> rows;
+  for (int64_t id = 0; id < 80; ++id) {
+    const int64_t x = (id * 7) % 16;
+    rows.push_back({"R", {id, x, (id * 29) % 100}});
+    rows.push_back({"S", {id, id % 3 == 0 ? x : x + 1}});
+    rows.push_back({"T", {id, id % 2 == 0 ? x : x + 2}});
+  }
+  const GeneratedWorkload w = MakeWorkload(
+      {{"R", {Hard("id"), Flexible("x"), Flexible("y")}, {"id"}},
+       {"S", {Hard("id"), Hard("z")}, {"id"}},
+       {"T", {Hard("id"), Flexible("w")}, {"id"}}},
+      rows,
+      "c1: :- R(id, x, y), x < 10\n"
+      "c2: :- R(id, x, y), S(id, z), x = z, y > 50\n"
+      "c3: :- R(id, x, y), S(id, z), x != z, y > 80\n"
+      "c4: :- R(id, x, y), T(id, x), y > 60\n");
+  ASSERT_FALSE(IsLocal(w));
+  LinkChecks checks;
+  ExpectMatchesReference(w, &checks);
+  EXPECT_GT(checks.closed, 0u);
+  EXPECT_GT(checks.fallback, 0u);
+}
+
+// A non-local set with a constant at a flexible position: c2 selects
+// x = 5, so c1's fix x -> 10 solves c2's sets by leaving the selection.
+TEST(CandidateFixReferenceTest, NonLocalConstantPositionTakesTheFallback) {
+  std::vector<std::pair<std::string, std::vector<int64_t>>> rows;
+  for (int64_t id = 0; id < 90; ++id) {
+    rows.push_back({"R", {id, id % 3 == 0 ? 5 : id % 12, (id * 31) % 100}});
+  }
+  const GeneratedWorkload w = MakeWorkload(
+      {{"R", {Hard("id"), Flexible("x"), Flexible("y")}, {"id"}}}, rows,
+      "c1: :- R(id, x, y), x < 10\n"
+      "c2: :- R(id, 5, y), y > 50\n");
+  ASSERT_FALSE(IsLocal(w));
+  LinkChecks checks;
+  ExpectMatchesReference(w, &checks);
+  EXPECT_GT(checks.closed, 0u);
+  EXPECT_GT(checks.fallback, 0u);
 }
 
 }  // namespace
