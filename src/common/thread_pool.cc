@@ -15,7 +15,8 @@ thread_local int t_pool_worker_index = -1;
 // Context-propagation hooks (see ThreadContextHooks). Stored as individual
 // atomics so Submit can read them without a lock; `capture` is published
 // last with release order and read first with acquire, making the other
-// two visible whenever it is.
+// two visible whenever it is. Submit copies all three into the task, so a
+// queued task never sees a later replacement.
 std::atomic<void* (*)()> g_hook_capture{nullptr};
 std::atomic<void* (*)(void*)> g_hook_install{nullptr};
 std::atomic<void (*)(void*)> g_hook_restore{nullptr};
@@ -28,14 +29,20 @@ size_t ResolveNumThreads(size_t requested) {
   return hw == 0 ? 1 : hw;
 }
 
-void SetThreadContextHooks(const ThreadContextHooks& hooks) {
-  if (hooks.capture == nullptr || hooks.install == nullptr ||
-      hooks.restore == nullptr) {
-    return;
+ThreadContextHooks SetThreadContextHooks(const ThreadContextHooks& hooks) {
+  const ThreadContextHooks previous{
+      g_hook_capture.load(std::memory_order_acquire),
+      g_hook_install.load(std::memory_order_relaxed),
+      g_hook_restore.load(std::memory_order_relaxed)};
+  const bool unset = hooks.capture == nullptr;
+  if ((hooks.install == nullptr) != unset ||
+      (hooks.restore == nullptr) != unset) {
+    return previous;  // partly set: ignored
   }
   g_hook_install.store(hooks.install, std::memory_order_relaxed);
   g_hook_restore.store(hooks.restore, std::memory_order_relaxed);
   g_hook_capture.store(hooks.capture, std::memory_order_release);
+  return previous;
 }
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -55,15 +62,22 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::Submit(std::function<void()> task,
+                        std::function<void()> done) {
   if (auto* capture = g_hook_capture.load(std::memory_order_acquire)) {
     void* context = capture();
-    task = [context, inner = std::move(task)] {
-      auto* install = g_hook_install.load(std::memory_order_relaxed);
-      auto* restore = g_hook_restore.load(std::memory_order_relaxed);
+    task = [context, install = g_hook_install.load(std::memory_order_relaxed),
+            restore = g_hook_restore.load(std::memory_order_relaxed),
+            inner = std::move(task)] {
       void* previous = install(context);
       inner();
       restore(previous);
+    };
+  }
+  if (done) {
+    task = [inner = std::move(task), done = std::move(done)] {
+      inner();
+      done();
     };
   }
   {
@@ -134,12 +148,14 @@ void ParallelFor(ThreadPool* pool, size_t count,
     std::lock_guard<std::mutex> lock(shared->mu);
     shared->active_helpers = helpers;
   }
+  // A helper counts itself done only after the pool has restored the
+  // worker's context, so nothing it records outlives this call.
   for (size_t h = 0; h < helpers; ++h) {
-    pool->Submit([shared, &run_iterations] {
-      run_iterations();
-      std::lock_guard<std::mutex> lock(shared->mu);
-      if (--shared->active_helpers == 0) shared->cv.notify_all();
-    });
+    pool->Submit([&run_iterations] { run_iterations(); },
+                 [shared] {
+                   std::lock_guard<std::mutex> lock(shared->mu);
+                   if (--shared->active_helpers == 0) shared->cv.notify_all();
+                 });
   }
   run_iterations();  // the calling thread claims iterations too
   std::unique_lock<std::mutex> lock(shared->mu);

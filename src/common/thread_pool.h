@@ -22,17 +22,18 @@ size_t ResolveNumThreads(size_t requested);
 /// the task (returning whatever was installed before), `restore` runs on
 /// the worker after the task. Registered once at startup by the obs layer;
 /// common/ stays free of any dependency on it. All three must be set
-/// together (or the hooks are ignored).
+/// together; all three unset means no hooks.
 struct ThreadContextHooks {
   void* (*capture)() = nullptr;
   void* (*install)(void* context) = nullptr;
   void (*restore)(void* previous) = nullptr;
 };
 
-/// Installs the process-wide context-propagation hooks. Call before any
-/// pool work is submitted; later calls replace the hooks for tasks
-/// submitted afterwards.
-void SetThreadContextHooks(const ThreadContextHooks& hooks);
+/// Installs the process-wide context-propagation hooks and returns the ones
+/// they replace. Call while no pool work is queued; tasks submitted
+/// afterwards use the new hooks. All-unset hooks clear them; a partly set
+/// value is ignored (and the current hooks are returned).
+ThreadContextHooks SetThreadContextHooks(const ThreadContextHooks& hooks);
 
 /// A fixed-size FIFO thread pool — no work stealing, one shared queue.
 /// `Submit` enqueues a task; workers drain the queue in submission order.
@@ -53,8 +54,11 @@ class ThreadPool {
   /// Enqueues `task` for execution by some worker. When context hooks are
   /// registered, the submitting thread's context is captured here and
   /// installed around the task on the worker, so pool work observes the
-  /// same ObsContext as the thread that fanned it out.
-  void Submit(std::function<void()> task);
+  /// same ObsContext as the thread that fanned it out. `done`, when set,
+  /// runs on the worker after the hooks' `restore`: the last point at which
+  /// the task touches the captured context, so a submitter that waits for
+  /// `done` may then destroy that context.
+  void Submit(std::function<void()> task, std::function<void()> done = {});
 
   /// True when the calling thread is a worker of *any* ThreadPool.
   /// ParallelFor uses this to run nested fan-outs inline on the worker
@@ -90,6 +94,10 @@ class ThreadPool {
 /// If any iteration throws, later unclaimed iterations are skipped and the
 /// first exception (in completion order) is rethrown on the calling thread
 /// after all in-flight iterations finish.
+///
+/// Returns only after every helper task has also left the caller's context
+/// (its `restore` hook has run), so the caller may destroy its ObsContext
+/// as soon as ParallelFor returns, even while the pool lives on.
 void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& body);
 

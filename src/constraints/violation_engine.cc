@@ -592,18 +592,9 @@ const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
 const TableStats& ViolationEngine::GetStats(uint32_t relation) {
   const auto it = stats_cache_.find(relation);
   if (it != stats_cache_.end()) return it->second;
-  // For an all-clean relation, derive the planner statistics from the typed
-  // arrays (sampled distinct/histograms, see ComputeColumnStats) instead of
-  // the full Value scan. Estimates may differ, so the join order may too —
-  // the enumerated violation sets never do. Relations with an unclean
-  // column keep the exact row statistics.
-  const RelationColumns& rel = snapshot_->relation(relation);
-  const bool all_clean =
-      std::all_of(rel.columns.begin(), rel.columns.end(),
-                  [](const ColumnData& c) { return c.clean(); });
   return stats_cache_
-      .emplace(relation, all_clean ? ComputeColumnStats(rel)
-                                   : ComputeTableStats(db_.table(relation)))
+      .emplace(relation, ComputeColumnStats(snapshot_->relation(relation),
+                                            db_.table(relation)))
       .first->second;
 }
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <tuple>
 #include <utility>
 
@@ -134,10 +133,6 @@ Link ClosedFormLink(const BoundConstraint& ic, const FixColumn& column) {
   return solves ? Link::kSolves : Link::kKeeps;
 }
 
-// A few shards per worker so one dense shard does not leave the other
-// workers idle; shard boundaries never influence the output.
-constexpr size_t kShardsPerThread = 4;
-
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -150,8 +145,7 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
 Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     const Database& db, const std::vector<BoundConstraint>& ics,
     const DistanceFunction& distance,
-    const std::vector<ViolationSet>& violations, uint32_t vid_offset,
-    size_t num_threads, ThreadPool* pool) {
+    const std::vector<ViolationSet>& violations, uint32_t vid_offset) {
   obs::ObsContext& obs = obs::CurrentObs();
 
   // ---- Algorithm 3: candidate mono-local fixes. ----
@@ -255,77 +249,45 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
       link_rule[i * columns.size() + c] = ClosedFormLink(ics[i], columns[c]);
     }
   }
-  // Each shard records its (fix, violation) links in scan order; appending
-  // shard by shard reproduces the serial ascending-vid `solved` lists (a
-  // fix links to a set at most once, so the column order within a set does
-  // not matter). A kCheck candidate t' is checked in place: member j reads
-  // the fix's value in the fix's attribute instead of its stored cell.
-  const size_t max_shards =
-      num_threads > 1 ? num_threads * kShardsPerThread : 1;
-  const auto link_ranges = ShardRanges(violations.size(), max_shards);
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> shard_links(
-      link_ranges.size());
-  std::vector<uint64_t> shard_closed(link_ranges.size(), 0);
-  std::vector<uint64_t> shard_fallback(link_ranges.size(), 0);
-  std::vector<uint64_t> link_shard_ns(link_ranges.size(), 0);
-  ParallelFor(pool, link_ranges.size(), [&](size_t s) {
-    const obs::ScopedWorkEvent shard_event("links.shard");
-    const auto start = std::chrono::steady_clock::now();
-    std::vector<std::pair<uint32_t, uint32_t>> links;
-    uint64_t closed = 0;
-    uint64_t fallback = 0;
-    // The set's members, read only by a kCheck; built by its first one.
-    std::vector<std::pair<uint32_t, TupleView>> members;
-    ViolationEngine::SatisfiesScratch scratch;
-    for (size_t vid = link_ranges[s].first; vid < link_ranges[s].second;
-         ++vid) {
-      const ViolationSet& v = violations[vid];
-      const Link* rule = &link_rule[v.ic_index * columns.size()];
-      members.clear();
-      for (size_t j = 0; j < v.tuples.size(); ++j) {
-        const TupleRef t = v.tuples[j];
-        for (const uint32_t c : relation_columns[t.relation]) {
-          const uint32_t f = columns[c].rows.Find(t.row);
-          if (f == RowFixTable::kNone) continue;
-          bool solves = rule[c] == Link::kSolves;
-          if (rule[c] != Link::kCheck) {
-            ++closed;
-          } else {
-            ++fallback;
-            if (members.empty()) {
-              for (const TupleRef m : v.tuples) {
-                members.emplace_back(m.relation, db.tuple(m));
-              }
+  // One pass in violation order, so every `solved` list comes out in
+  // ascending vid order (a fix links to a set at most once). A kCheck
+  // candidate t' is checked in place: member j reads the fix's value in the
+  // fix's attribute instead of its stored cell.
+  uint64_t closed_checks = 0;
+  uint64_t fallback_checks = 0;
+  // The set's members, read only by a kCheck; built by its first one.
+  std::vector<std::pair<uint32_t, TupleView>> members;
+  ViolationEngine::SatisfiesScratch scratch;
+  for (size_t vid = 0; vid < violations.size(); ++vid) {
+    const ViolationSet& v = violations[vid];
+    const Link* rule = &link_rule[v.ic_index * columns.size()];
+    members.clear();
+    for (size_t j = 0; j < v.tuples.size(); ++j) {
+      const TupleRef t = v.tuples[j];
+      for (const uint32_t c : relation_columns[t.relation]) {
+        const uint32_t f = columns[c].rows.Find(t.row);
+        if (f == RowFixTable::kNone) continue;
+        bool solves = rule[c] == Link::kSolves;
+        if (rule[c] != Link::kCheck) {
+          ++closed_checks;
+        } else {
+          ++fallback_checks;
+          if (members.empty()) {
+            for (const TupleRef m : v.tuples) {
+              members.emplace_back(m.relation, db.tuple(m));
             }
-            const Value new_value = Value::Int(columns[c].value);
-            solves = ViolationEngine::SetSatisfies(
-                ics[v.ic_index], members,
-                {j, columns[c].attribute, &new_value}, &scratch);
           }
-          if (solves) links.emplace_back(f, static_cast<uint32_t>(vid));
+          const Value new_value = Value::Int(columns[c].value);
+          solves = ViolationEngine::SetSatisfies(
+              ics[v.ic_index], members,
+              {j, columns[c].attribute, &new_value}, &scratch);
+        }
+        if (solves) {
+          fixes[f].solved.push_back(vid_offset + static_cast<uint32_t>(vid));
         }
       }
     }
-    shard_links[s] = std::move(links);
-    shard_closed[s] = closed;
-    shard_fallback[s] = fallback;
-    link_shard_ns[s] = ElapsedNs(start);
-  });
-
-  const auto link_merge_start = std::chrono::steady_clock::now();
-  uint64_t closed_checks = 0;
-  uint64_t fallback_checks = 0;
-  for (size_t s = 0; s < link_ranges.size(); ++s) {
-    closed_checks += shard_closed[s];
-    fallback_checks += shard_fallback[s];
-    for (const auto& [f, vid] : shard_links[s]) {
-      fixes[f].solved.push_back(vid_offset + vid);
-    }
   }
-  obs.metrics.GetCounter("links.shards")->Add(link_ranges.size());
-  obs.metrics.GetCounter("links.merge_ns")->Add(ElapsedNs(link_merge_start));
-  obs::Histogram* shard_hist = obs.metrics.GetHistogram("links.shard_ns");
-  for (const uint64_t ns : link_shard_ns) shard_hist->Record(ns);
   obs.metrics.GetCounter("build.satisfies_checks")
       ->Add(closed_checks + fallback_checks);
   obs.metrics.GetCounter("build.link_checks_closed")->Add(closed_checks);
@@ -342,19 +304,13 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
 
 Result<RepairProblem> BuildRepairProblem(
     const Database& db, const std::vector<BoundConstraint>& ics,
-    const DistanceFunction& distance, const BuildOptions& options,
-    ThreadPool* pool) {
+    const DistanceFunction& distance, const BuildOptions& options) {
   RepairProblem problem;
   obs::ObsContext& obs = obs::CurrentObs();
 
   const size_t num_threads = ResolveNumThreads(options.num_threads);
   obs.metrics.GetGauge("parallel.num_threads")
       ->Set(static_cast<double>(num_threads));
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && num_threads > 1) {
-    owned_pool = std::make_unique<ThreadPool>(num_threads);
-    pool = owned_pool.get();
-  }
 
   // ---- Columnar snapshot of the row store (the scan's input). ----
   ViolationEngineOptions engine_options = options.engine;
@@ -364,7 +320,7 @@ Result<RepairProblem> BuildRepairProblem(
   } else {
     obs::Span snapshot_span(&obs.events, "snapshot");
     const auto snapshot_start = std::chrono::steady_clock::now();
-    problem.snapshot = ColumnSnapshot::Build(db, pool);
+    problem.snapshot = ColumnSnapshot::Build(db);
     obs.metrics.GetCounter("scan.columnar.snapshot_ns")
         ->Add(ElapsedNs(snapshot_start));
     obs.metrics.GetCounter("scan.columnar.snapshots")->Add(1);
@@ -388,7 +344,7 @@ Result<RepairProblem> BuildRepairProblem(
   DBREPAIR_ASSIGN_OR_RETURN(
       problem.fixes,
       GenerateCandidateFixes(db, ics, distance, problem.violations,
-                             /*vid_offset=*/0, num_threads, pool));
+                             /*vid_offset=*/0));
 
   // ---- Definition 3.1: the pure MWSCP view. ----
   problem.instance.num_elements = problem.violations.size();

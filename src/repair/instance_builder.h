@@ -44,13 +44,12 @@ struct BuildOptions {
   /// `engine.columnar` when set, else against a ColumnSnapshot of `db`
   /// built here.
   ViolationEngineOptions engine;
-  /// Worker threads for the two parallelisable build phases: the
-  /// violation scan and fix-to-violation linking (mono-local fix generation
-  /// is one serial pass). 1 (the default) is the exact serial path; 0 means
-  /// one per hardware thread. Any value produces a byte-identical
-  /// RepairProblem: shards partition their input and are merged in shard
-  /// order, so fix ids, solved-set order, and the MWSCP instance never
-  /// change.
+  /// Worker threads for the violation scan, the build's only parallel
+  /// phase (the snapshot, fix generation and linking are serial passes).
+  /// 1 (the default) is the exact serial path; 0 means one per hardware
+  /// thread. Any value produces a byte-identical RepairProblem: the scan's
+  /// shards partition the driving table and are merged in shard order, so
+  /// fix ids, solved-set order, and the MWSCP instance never change.
   size_t num_threads = 1;
 };
 
@@ -61,9 +60,9 @@ struct BuildOptions {
 /// session generating fixes for one batch's new violations can append them
 /// straight to its frozen CsrSetCoverInstance (the full build passes 0).
 /// Candidates whose solved list is empty are dropped (Definition 2.6(b)).
-/// Weights are computed against the tuples' *current* cell values.
-/// Deterministic for any `num_threads` (shard-order merge); `pool` may be
-/// nullptr when `num_threads` <= 1.
+/// Weights are computed against the tuples' *current* cell values. One
+/// serial pass each: fix ids are first-encounter order and each `solved`
+/// list is ascending.
 ///
 /// Precondition: every set in `violations` is a violation set of `db` as it
 /// is at call time (its members satisfy its constraint's body). The
@@ -75,8 +74,17 @@ struct BuildOptions {
 Result<std::vector<CandidateFix>> GenerateCandidateFixes(
     const Database& db, const std::vector<BoundConstraint>& ics,
     const DistanceFunction& distance,
-    const std::vector<ViolationSet>& violations, uint32_t vid_offset,
-    size_t num_threads, ThreadPool* pool);
+    const std::vector<ViolationSet>& violations, uint32_t vid_offset);
+/// Kept only for the ledger's staged replay, which still passes a thread
+/// count and a pool; both are ignored. Delete with that replay (ROADMAP
+/// item 1).
+inline Result<std::vector<CandidateFix>> GenerateCandidateFixes(
+    const Database& db, const std::vector<BoundConstraint>& ics,
+    const DistanceFunction& distance,
+    const std::vector<ViolationSet>& violations, uint32_t vid_offset, size_t,
+    ThreadPool*) {
+  return GenerateCandidateFixes(db, ics, distance, violations, vid_offset);
+}
 
 /// Builds the MWSCP instance (U, S, w)^(D, IC) of Definition 3.1:
 ///  1. enumerate violation sets (Algorithm 2);
@@ -92,15 +100,18 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
 ///
 /// Fails with Internal if some violation set ends up coverable by no fix —
 /// impossible for a local IC set, so callers should EnsureLocal first.
-///
-/// `pool` lets a caller that already owns a thread pool (a session, which
-/// keeps one for its batches) share it with the build phases instead of
-/// the builder spinning up a second one; nullptr gives an internal pool
-/// when `options.num_threads` > 1.
 Result<RepairProblem> BuildRepairProblem(
     const Database& db, const std::vector<BoundConstraint>& ics,
-    const DistanceFunction& distance, const BuildOptions& options = {},
-    ThreadPool* pool = nullptr);
+    const DistanceFunction& distance, const BuildOptions& options = {});
+/// Kept only for the ledger's staged replay, which still passes a pool; the
+/// pool is ignored (the scan runs on the engine's own). Delete with that
+/// replay (ROADMAP item 1).
+inline Result<RepairProblem> BuildRepairProblem(
+    const Database& db, const std::vector<BoundConstraint>& ics,
+    const DistanceFunction& distance, const BuildOptions& options,
+    ThreadPool*) {
+  return BuildRepairProblem(db, ics, distance, options);
+}
 
 }  // namespace dbrepair
 

@@ -28,13 +28,12 @@ struct RepairOptions {
   /// Post-process the cover with PruneRedundantSets before materialising
   /// the repair (never worsens the distance; an ablation of the pipeline).
   bool prune_cover = false;
-  /// Worker threads for the build and verify phases. The solve is one
-  /// serial pass over the whole MWSCP instance, and the apply phase is an
-  /// ordered pass over the chosen cover. 0 (the default) means one per
+  /// Worker threads for the violation scan, in the build and in verify;
+  /// every other phase is one serial pass. 0 (the default) means one per
   /// hardware thread; 1 is the exact serial path. Any value produces a
-  /// byte-identical repair: parallel phases shard their input and merge
-  /// per-shard buffers in a deterministic order, so no output ever depends
-  /// on thread scheduling. Overrides `build.num_threads`.
+  /// byte-identical repair: the scan shards its driving table and merges
+  /// the per-shard buffers in shard order, so no output ever depends on
+  /// thread scheduling. Overrides `build.num_threads`.
   size_t num_threads = 0;
   BuildOptions build;
 

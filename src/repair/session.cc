@@ -5,6 +5,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "constraints/locality.h"
 #include "obs/context.h"
 #include "obs/trace.h"
@@ -92,7 +93,6 @@ Status RepairSession::Init() {
     obs::Span locality_span(&obs.events, "locality");
     DBREPAIR_RETURN_IF_ERROR(EnsureLocal(db_.schema(), bound_));
   }
-  if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
 
   // Full build of the initial problem; the session adopts every structure
   // the one-shot pipeline would discard.
@@ -100,7 +100,7 @@ Status RepairSession::Init() {
   build.num_threads = options_.num_threads;
   DBREPAIR_ASSIGN_OR_RETURN(
       RepairProblem problem,
-      BuildRepairProblem(db_, bound_, distance_, build, pool_.get()));
+      BuildRepairProblem(db_, bound_, distance_, build));
   violations_ = std::move(problem.violations);
   fixes_ = std::move(problem.fixes);
   components_ = std::move(problem.components);
@@ -303,7 +303,7 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   const uint32_t vid_offset = static_cast<uint32_t>(violations_.size());
   Result<std::vector<CandidateFix>> new_fixes =
       GenerateCandidateFixes(db_, bound_, distance_, *new_violations,
-                             vid_offset, num_threads_, pool_.get());
+                             vid_offset);
   if (!new_fixes.ok()) return poison(new_fixes.status());
 
   obs::Span patch_span(&obs.events, "patch");

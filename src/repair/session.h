@@ -13,7 +13,6 @@
 
 #include "common/status.h"
 #include "obs/json.h"
-#include "common/thread_pool.h"
 #include "constraints/ast.h"
 #include "constraints/violation.h"
 #include "constraints/violation_engine.h"
@@ -286,7 +285,6 @@ class RepairSession {
   Database db_;  // the session's consistent clone; rows append, cells move
   const std::vector<BoundConstraint> bound_;
 
-  std::unique_ptr<ThreadPool> pool_;     // nullptr when num_threads_ <= 1
   ColumnSnapshot snapshot_;              // the scan's input; tracks db_
   std::unique_ptr<ViolationEngine> engine_;  // holds &db_, &bound_, &snapshot_
 

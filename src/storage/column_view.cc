@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <utility>
+#include <vector>
 
-#include "obs/events.h"
 
 namespace dbrepair {
 
@@ -25,7 +25,7 @@ void SizeColumn(size_t n, ColumnData* col) {
 }
 
 // Encodes one cell into `col` at `row`. The single definition of the typed
-// encoding (null/lossy rules), shared by the per-column and row-major fills.
+// encoding (null/lossy rules), shared by the full and the appending fills.
 inline void FillCell(const Value& v, uint32_t row,
                      const StringInterner& interner, ColumnData* col) {
   if (v.is_null()) {
@@ -69,21 +69,8 @@ inline void FillCell(const Value& v, uint32_t row,
   }
 }
 
-// Fills `col` (already typed) from one relation's rows. The interner must
-// already contain every string of the column (Find only), so concurrent
-// fills of different columns never mutate shared state.
-void FillColumn(const Table& table, size_t position,
-                const StringInterner& interner, ColumnData* col) {
-  const size_t n = table.size();
-  SizeColumn(n, col);
-  for (uint32_t row = 0; row < n; ++row) {
-    FillCell(table.row(row).value(position), row, interner, col);
-  }
-}
-
-// Serial fast path: one row-major pass filling every column, so the cell
-// array is read once in memory order instead of once per column at a
-// stride. Produces exactly the per-column fill's vectors and flags.
+// One row-major pass filling every column, so the cell array is read once
+// in memory order instead of once per column at a stride.
 void FillRelationRowMajor(const Table& table, const StringInterner& interner,
                           RelationColumns* rel) {
   const size_t n = table.size();
@@ -122,52 +109,25 @@ std::shared_ptr<RelationColumns> MakeShell(const Table& table) {
 }
 
 std::shared_ptr<const RelationColumns> BuildRelation(
-    const Table& table, const StringInterner& interner, ThreadPool* pool) {
+    const Table& table, const StringInterner& interner) {
   auto rel = MakeShell(table);
-  if (pool == nullptr) {
-    FillRelationRowMajor(table, interner, rel.get());
-  } else {
-    ParallelFor(pool, rel->columns.size(), [&](size_t c) {
-      FillColumn(table, c, interner, &rel->columns[c]);
-    });
-  }
+  FillRelationRowMajor(table, interner, rel.get());
   return rel;
 }
 
 }  // namespace
 
-ColumnSnapshot ColumnSnapshot::Build(const Database& db, ThreadPool* pool) {
+ColumnSnapshot ColumnSnapshot::Build(const Database& db) {
   ColumnSnapshot snapshot;
   snapshot.interner_ = std::make_shared<StringInterner>();
   for (size_t r = 0; r < db.relation_count(); ++r) {
     InternRelationStrings(db.table(r), snapshot.interner_.get());
   }
-  std::vector<std::shared_ptr<RelationColumns>> shells(db.relation_count());
+  snapshot.relations_.reserve(db.relation_count());
   for (uint32_t r = 0; r < db.relation_count(); ++r) {
-    shells[r] = MakeShell(db.table(r));
+    snapshot.relations_.push_back(
+        BuildRelation(db.table(r), *snapshot.interner_));
   }
-  const StringInterner& interner = *snapshot.interner_;
-  if (pool == nullptr) {
-    // Serial: row-major, one tuple walk per relation.
-    for (uint32_t r = 0; r < db.relation_count(); ++r) {
-      FillRelationRowMajor(db.table(r), interner, shells[r].get());
-    }
-  } else {
-    // Parallel: fan the typed fills out over every (relation, column) pair;
-    // the fills are read-only against the row store and the interner.
-    std::vector<std::pair<uint32_t, uint32_t>> work;
-    for (uint32_t r = 0; r < db.relation_count(); ++r) {
-      for (size_t c = 0; c < db.table(r).schema().arity(); ++c) {
-        work.emplace_back(r, static_cast<uint32_t>(c));
-      }
-    }
-    ParallelFor(pool, work.size(), [&](size_t i) {
-      const obs::ScopedWorkEvent column_event("snapshot.column");
-      const auto [r, c] = work[i];
-      FillColumn(db.table(r), c, interner, &shells[r]->columns[c]);
-    });
-  }
-  snapshot.relations_.assign(shells.begin(), shells.end());
   return snapshot;
 }
 
@@ -184,7 +144,7 @@ ColumnSnapshot ColumnSnapshot::Rebase(
     // a dirty relation are appended to the shared dictionary.
     InternRelationStrings(new_db.table(r), snapshot.interner_.get());
     snapshot.relations_[r] =
-        BuildRelation(new_db.table(r), *snapshot.interner_, nullptr);
+        BuildRelation(new_db.table(r), *snapshot.interner_);
   }
   return snapshot;
 }
@@ -202,7 +162,7 @@ void ColumnSnapshot::ExtendAppended(
         old_rel->columns.size() != table.schema().arity()) {
       // Not an append-only delta; rebuild the relation outright.
       InternRelationStrings(table, interner_.get());
-      relations_[r] = BuildRelation(table, *interner_, nullptr);
+      relations_[r] = BuildRelation(table, *interner_);
       continue;
     }
     const auto old_count = static_cast<uint32_t>(old_rel->row_count);

@@ -9,10 +9,11 @@
 #include <vector>
 
 #include "catalog/value.h"
-#include "common/thread_pool.h"
 #include "storage/database.h"
 
 namespace dbrepair {
+
+class ThreadPool;
 
 /// Largest magnitude an int64 may have before its double image stops being
 /// exact (2^53). Ints beyond it stored in a kDouble column — or compared
@@ -118,11 +119,15 @@ class ColumnSnapshot {
  public:
   ColumnSnapshot() = default;
 
-  /// Builds typed columns for every relation of `db`. String dictionaries
-  /// are interned in a serial (relation, column, row) pass so codes are
-  /// deterministic regardless of threading; the typed fill then fans out
-  /// across `pool` (nullptr = serial).
-  static ColumnSnapshot Build(const Database& db, ThreadPool* pool = nullptr);
+  /// Builds typed columns for every relation of `db`: one (relation,
+  /// column, row) pass interns the string dictionary, then one row-major
+  /// pass per relation fills its typed columns.
+  static ColumnSnapshot Build(const Database& db);
+  /// Kept only for the ledger's staged replay, which still passes a pool;
+  /// the pool is ignored. Delete with that replay (ROADMAP item 1).
+  static ColumnSnapshot Build(const Database& db, ThreadPool*) {
+    return Build(db);
+  }
 
   /// Snapshot of `new_db` that shares the column vectors of every relation
   /// NOT listed in `dirty_relations` and rebuilds only the dirty ones.

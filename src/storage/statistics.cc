@@ -3,140 +3,145 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "storage/column_view.h"
 
 namespace dbrepair {
-
-TableStats ComputeTableStats(const Table& table) {
-  TableStats stats;
-  stats.row_count = table.size();
-  const size_t arity = table.schema().arity();
-  stats.columns.resize(arity);
-  std::vector<std::unordered_set<Value, ValueHash>> distinct(arity);
-  std::vector<std::vector<double>> numeric(arity);
-
-  for (const TupleView row : table.rows()) {
-    for (size_t c = 0; c < arity; ++c) {
-      const Value& v = row.value(c);
-      if (v.is_null()) continue;
-      ColumnStats& col = stats.columns[c];
-      ++col.non_null;
-      distinct[c].insert(v);
-      if (v.is_int() || v.is_double()) {
-        const double x = v.AsNumeric();
-        numeric[c].push_back(x);
-        if (!col.has_range) {
-          col.has_range = true;
-          col.min = col.max = x;
-        } else {
-          col.min = std::min(col.min, x);
-          col.max = std::max(col.max, x);
-        }
-      }
-    }
-  }
-  for (size_t c = 0; c < arity; ++c) {
-    ColumnStats& col = stats.columns[c];
-    col.distinct = distinct[c].size();
-    // Equi-depth histogram: ~kHistogramBuckets buckets of equal population.
-    std::vector<double>& values = numeric[c];
-    if (values.empty()) continue;
-    std::sort(values.begin(), values.end());
-    const size_t buckets = std::min(kHistogramBuckets, values.size());
-    for (size_t b = 1; b <= buckets; ++b) {
-      const size_t end = values.size() * b / buckets;  // cumulative count
-      col.bucket_upper.push_back(values[end - 1]);
-      col.bucket_cumulative.push_back(end);
-    }
-  }
-  return stats;
-}
 
 namespace {
 
 /// Target sample size for ComputeColumnStats' distinct / histogram pass.
 constexpr size_t kStatsSampleTarget = 2048;
 
+/// One column's fixed-stride sample of its non-NULL cells: occurrence
+/// counts per value key for the distinct estimate, numeric values for the
+/// histogram.
+struct ColumnSample {
+  std::unordered_map<uint64_t, uint32_t> counts;
+  std::vector<double> values;
+  size_t size = 0;
+};
+
+/// Clean column: non_null is the row count, min/max come from one
+/// vectorisable pass over the typed array, and the sample is keyed by the
+/// column's key codes.
+void SummariseTyped(const ColumnData& data, size_t n, size_t stride,
+                    ColumnStats* col, ColumnSample* sample) {
+  col->non_null = n;
+  const bool numeric = data.type != Type::kString;
+  if (numeric) {
+    col->has_range = true;
+    if (data.type == Type::kInt64) {
+      const auto [lo, hi] =
+          std::minmax_element(data.ints.begin(), data.ints.end());
+      col->min = static_cast<double>(*lo);
+      col->max = static_cast<double>(*hi);
+    } else {
+      const auto [lo, hi] =
+          std::minmax_element(data.doubles.begin(), data.doubles.end());
+      col->min = *lo;
+      col->max = *hi;
+    }
+  }
+  for (size_t row = 0; row < n; row += stride) {
+    ++sample->counts[data.KeyCode(static_cast<uint32_t>(row))];
+    ++sample->size;
+    if (numeric) {
+      sample->values.push_back(data.type == Type::kInt64
+                                   ? static_cast<double>(data.ints[row])
+                                   : data.doubles[row]);
+    }
+  }
+}
+
+/// Unclean column: the typed array holds placeholders for NULLs, so one
+/// pass over the row store's Values gives exact non_null and min/max over
+/// the non-NULL cells, and the same stride rows feed the sample, keyed by
+/// Value::Hash. A NaN cell counts as non-NULL but joins no numeric summary.
+void SummariseValues(const Table& table, size_t column, size_t stride,
+                     ColumnStats* col, ColumnSample* sample) {
+  const size_t n = table.size();
+  for (size_t row = 0; row < n; ++row) {
+    const Value& v = table.row(static_cast<uint32_t>(row)).value(column);
+    if (v.is_null()) continue;
+    ++col->non_null;
+    const bool sampled = row % stride == 0;
+    if (sampled) {
+      ++sample->counts[v.Hash()];
+      ++sample->size;
+    }
+    if (!(v.is_int() || v.is_double())) continue;
+    const double x = v.AsNumeric();
+    if (std::isnan(x)) continue;
+    if (sampled) sample->values.push_back(x);
+    if (!col->has_range) {
+      col->has_range = true;
+      col->min = col->max = x;
+    } else {
+      col->min = std::min(col->min, x);
+      col->max = std::max(col->max, x);
+    }
+  }
+}
+
+/// Distinct estimate and equi-depth histogram of `col` from its sample,
+/// scaled to col->non_null.
+void EstimateFromSample(ColumnSample* sample, ColumnStats* col) {
+  const size_t total = col->non_null;
+  // A duplicate-free sample reads as a key column (where GEE's sqrt scaling
+  // would badly undershoot — 1/distinct drives equality selectivity, so key
+  // columns must estimate high); otherwise GEE: sampled-distinct plus the
+  // once-seen values scaled by sqrt(total / s), clamped to
+  // [sampled-distinct, total].
+  const size_t seen = sample->counts.size();
+  if (seen == sample->size) {
+    col->distinct = total;
+  } else {
+    size_t once = 0;
+    for (const auto& [key, count] : sample->counts) {
+      if (count == 1) ++once;
+    }
+    const double scale = std::sqrt(static_cast<double>(total) /
+                                   static_cast<double>(sample->size)) -
+                         1.0;
+    const double estimate =
+        static_cast<double>(seen) + scale * static_cast<double>(once);
+    col->distinct = static_cast<size_t>(std::clamp(
+        estimate, static_cast<double>(seen), static_cast<double>(total)));
+  }
+
+  // Equi-depth histogram over the sample, cumulative counts scaled back to
+  // non_null (the last bucket lands exactly on it).
+  std::vector<double>& values = sample->values;
+  if (values.empty()) return;
+  std::sort(values.begin(), values.end());
+  const size_t buckets = std::min(kHistogramBuckets, values.size());
+  for (size_t b = 1; b <= buckets; ++b) {
+    const size_t end = values.size() * b / buckets;
+    col->bucket_upper.push_back(values[end - 1]);
+    col->bucket_cumulative.push_back(end * total / values.size());
+  }
+}
+
 }  // namespace
 
-TableStats ComputeColumnStats(const RelationColumns& rel) {
+TableStats ComputeColumnStats(const RelationColumns& rel, const Table& table) {
   TableStats stats;
   const size_t n = rel.row_count;
   stats.row_count = n;
   stats.columns.resize(rel.columns.size());
   if (n == 0) return stats;
   const size_t stride = std::max<size_t>(1, n / kStatsSampleTarget);
-
   for (size_t c = 0; c < rel.columns.size(); ++c) {
     const ColumnData& data = rel.columns[c];
     ColumnStats& col = stats.columns[c];
-    col.non_null = n;  // clean() columns hold no NULLs
-
-    // Exact min/max in one vectorisable pass over the typed array.
-    const bool numeric = data.type != Type::kString;
-    if (numeric) {
-      col.has_range = true;
-      if (data.type == Type::kInt64) {
-        const auto [lo, hi] =
-            std::minmax_element(data.ints.begin(), data.ints.end());
-        col.min = static_cast<double>(*lo);
-        col.max = static_cast<double>(*hi);
-      } else {
-        const auto [lo, hi] =
-            std::minmax_element(data.doubles.begin(), data.doubles.end());
-        col.min = *lo;
-        col.max = *hi;
-      }
-    }
-
-    // Fixed-stride sample: key-code occurrence counts for the distinct
-    // estimate, raw numeric values for the histogram.
-    std::unordered_map<uint64_t, uint32_t> counts;
-    std::vector<double> values;
-    for (size_t row = 0; row < n; row += stride) {
-      ++counts[data.KeyCode(static_cast<uint32_t>(row))];
-      if (numeric) {
-        values.push_back(data.type == Type::kInt64
-                             ? static_cast<double>(data.ints[row])
-                             : data.doubles[row]);
-      }
-    }
-    const size_t s = (n + stride - 1) / stride;
-
-    // Distinct estimate. A duplicate-free sample reads as a key column
-    // (where GEE's sqrt scaling would badly undershoot — 1/distinct drives
-    // equality selectivity, so key columns must estimate high); otherwise
-    // GEE: sampled-distinct plus the once-seen values scaled by sqrt(n / s),
-    // clamped to [sampled-distinct, n].
-    size_t once = 0;
-    for (const auto& [code, count] : counts) {
-      if (count == 1) ++once;
-    }
-    if (counts.size() == s) {
-      col.distinct = n;
+    ColumnSample sample;
+    if (data.clean()) {
+      SummariseTyped(data, n, stride, &col, &sample);
     } else {
-      const double scale =
-          std::sqrt(static_cast<double>(n) / static_cast<double>(s)) - 1.0;
-      const double estimate = static_cast<double>(counts.size()) +
-                              scale * static_cast<double>(once);
-      col.distinct = static_cast<size_t>(
-          std::clamp(estimate, static_cast<double>(counts.size()),
-                     static_cast<double>(n)));
+      SummariseValues(table, c, stride, &col, &sample);
     }
-
-    // Equi-depth histogram over the sample, cumulative counts scaled back to
-    // the full row count (the last bucket lands exactly on non_null).
-    if (!values.empty()) {
-      std::sort(values.begin(), values.end());
-      const size_t buckets = std::min(kHistogramBuckets, values.size());
-      for (size_t b = 1; b <= buckets; ++b) {
-        const size_t end = values.size() * b / buckets;
-        col.bucket_upper.push_back(values[end - 1]);
-        col.bucket_cumulative.push_back(end * n / values.size());
-      }
-    }
+    EstimateFromSample(&sample, &col);
   }
   return stats;
 }

@@ -35,22 +35,20 @@ struct TableStats {
 /// Number of equi-depth histogram buckets built per numeric column.
 inline constexpr size_t kHistogramBuckets = 32;
 
-/// Scans the table once and computes the statistics (including the
-/// equi-depth histograms; numeric columns are sorted once each).
-TableStats ComputeTableStats(const Table& table);
-
 struct RelationColumns;  // storage/column_view.h
 
-/// Planner statistics from a columnar snapshot relation, orders of magnitude
-/// cheaper than the row scan: row count, non-null counts, and min/max are
-/// exact (one pass over the typed arrays); distinct counts and equi-depth
+/// Planner statistics of one relation from its columnar snapshot `rel` and
+/// its row store `table` (rel must be a snapshot of table). Row count,
+/// non-null counts and min/max are exact; distinct counts and equi-depth
 /// histograms come from a fixed-stride row sample (deterministic — no RNG),
-/// with distinct extrapolated by the GEE estimator. Requires every column to
-/// be clean() (no NULLs, nothing lossy); callers keep ComputeTableStats as
-/// the fallback. Estimates can differ from the row scan's exact values, so
-/// the planner may pick a different join order — which never changes the
-/// enumerated violation sets (set semantics), only how fast they are found.
-TableStats ComputeColumnStats(const RelationColumns& rel);
+/// with distinct extrapolated by the GEE estimator and both scaled to the
+/// column's non-null count. A clean() column is read from its typed array
+/// and sampled by key code; an unclean one (NULLs, or lossy) is read from
+/// the row store's Values, skipping NULLs, and sampled by Value::Hash.
+/// Estimates can differ from exact values, so the planner may pick a
+/// different join order — which never changes the enumerated violation
+/// sets (set semantics), only how fast they are found.
+TableStats ComputeColumnStats(const RelationColumns& rel, const Table& table);
 
 /// Estimated fraction of the column's non-null values strictly below `c`,
 /// from the histogram when present, else linear interpolation in

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dbrepair {
@@ -164,6 +166,35 @@ TEST(ThreadPoolTest, OnWorkerThreadDistinguishesWorkers) {
 // Stress target for `ctest -L concurrency` under -DDBREPAIR_SANITIZE=thread:
 // repeated fan-outs sharing read state and per-slot outputs, the exact
 // access pattern the pipeline's sharded phases use.
+// Context hooks whose `restore` writes into the captured context late, as
+// the obs layer's does when it records a pool task's end event.
+struct RestoreProbe {
+  std::atomic<int> restored{0};
+};
+RestoreProbe* g_restore_probe = nullptr;
+
+void* CaptureProbe() { return g_restore_probe; }
+void* InstallProbe(void* context) { return context; }
+void RestoreLate(void* context) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  static_cast<RestoreProbe*>(context)->restored.fetch_add(1);
+}
+
+TEST(ParallelForTest, ReturnsOnlyAfterEveryHelperRestoredItsContext) {
+  RestoreProbe probe;
+  // Declared after the probe, so at worst its workers finish with the probe
+  // before it goes.
+  ThreadPool pool(4);
+  g_restore_probe = &probe;
+  const ThreadContextHooks previous =
+      SetThreadContextHooks({&CaptureProbe, &InstallProbe, &RestoreLate});
+  // 64 iterations on 4 workers: 4 helper tasks, each restored after a sleep.
+  ParallelFor(&pool, 64, [](size_t) {});
+  const int restored = probe.restored.load();
+  SetThreadContextHooks(previous);
+  EXPECT_EQ(restored, 4);
+}
+
 TEST(ParallelForTest, StressRepeatedFanOutsAreRaceFree) {
   ThreadPool pool(8);
   constexpr size_t kRounds = 50;

@@ -250,6 +250,27 @@ TEST(PoolIntegrationTest, WorkersGetLabelledLanes) {
   EXPECT_EQ(task_intervals, 64u);
 }
 
+TEST(PoolIntegrationTest, PoolMayOutliveEachFanOutsContext) {
+  // One pool, a fresh context per fan-out: each helper's pool.task end is
+  // written into the context before ParallelFor returns, never after it is
+  // gone (a use-after-scope under ASan otherwise).
+  ThreadPool pool(4);
+  for (int round = 0; round < 50; ++round) {
+    ObsContext context;
+    const ScopedObs scoped(&context);
+    context.events.set_enabled(true);
+    ParallelFor(&pool, 16, [](size_t) {
+      const ScopedWorkEvent event("fan.out");
+    });
+    for (const LaneSnapshot& lane :
+         SnapshotLanes(context.events, context.clock.SecondsSinceEpoch())) {
+      for (const LaneInterval& interval : lane.intervals) {
+        EXPECT_FALSE(interval.open) << interval.name << " round " << round;
+      }
+    }
+  }
+}
+
 TEST(RunSnapshotTest, WorkersSectionListsLanes) {
   ObsContext context;
   ScopedObs scoped(&context);

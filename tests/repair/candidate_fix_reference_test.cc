@@ -5,7 +5,8 @@
 // table per candidate column, the closed-form link rule where the
 // constraint's shape allows it, one overridden cell instead of t'
 // elsewhere — must produce the same fix list: ids (order), tuples, values,
-// bit-equal weights and solved lists, at 1 and 4 threads. The inputs cover
+// bit-equal weights and solved lists, alone and inside BuildRepairProblem
+// at 1 and 4 threads. The inputs cover
 // both link paths: every generator, a local self-join (a repeated relation
 // always takes the SetSatisfies fallback), and non-local sets whose
 // flexible attribute sits in a variable-variable built-in, in a join, or
@@ -22,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "constraints/locality.h"
 #include "constraints/parser.h"
 #include "constraints/violation_engine.h"
@@ -114,9 +114,36 @@ struct LinkChecks {
   uint64_t fallback = 0;
 };
 
-// Checks GenerateCandidateFixes against the reference at 1 and 4 threads;
-// `checks` gets the link-path counts, which must not depend on the thread
-// count.
+// Expects `got` to be `want` fix for fix: ids, cells, bit-equal weights and
+// solved lists.
+void ExpectSameFixes(const std::vector<CandidateFix>& got,
+                     const std::vector<CandidateFix>& want,
+                     const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t id = 0; id < want.size(); ++id) {
+    ASSERT_EQ(got[id].tuple, want[id].tuple) << label << " fix " << id;
+    EXPECT_EQ(got[id].attribute, want[id].attribute) << label << " fix " << id;
+    EXPECT_EQ(got[id].old_value, want[id].old_value) << label << " fix " << id;
+    EXPECT_EQ(got[id].new_value, want[id].new_value) << label << " fix " << id;
+    EXPECT_EQ(got[id].weight, want[id].weight) << label << " fix " << id;
+    EXPECT_EQ(got[id].solved, want[id].solved) << label << " fix " << id;
+  }
+}
+
+// The (closed, fallback) link-check counts `obs` recorded.
+std::pair<uint64_t, uint64_t> LinkCheckCounts(obs::ObsContext& obs) {
+  const uint64_t closed =
+      obs.metrics.GetCounter("build.link_checks_closed")->value();
+  const uint64_t fallback =
+      obs.metrics.GetCounter("build.link_checks_fallback")->value();
+  EXPECT_EQ(closed + fallback,
+            obs.metrics.GetCounter("build.satisfies_checks")->value());
+  return {closed, fallback};
+}
+
+// Checks GenerateCandidateFixes against the reference, then the whole build
+// at 1 and 4 threads (its violation scan shards): the same violation array,
+// the same fixes and the same link-path counts, which `checks` gets.
 void ExpectMatchesReference(const GeneratedWorkload& w,
                             LinkChecks* checks = nullptr) {
   auto bound = BindAll(w.db.schema(), w.ics);
@@ -130,44 +157,30 @@ void ExpectMatchesReference(const GeneratedWorkload& w,
       ReferenceCandidateFixes(w.db, *bound, distance, *violations);
   ASSERT_FALSE(expected.empty());
 
-  std::optional<std::pair<uint64_t, uint64_t>> serial_checks;
+  std::pair<uint64_t, uint64_t> link_checks;
+  {
+    obs::ObsContext obs;
+    const obs::ScopedObs scoped(&obs);
+    auto fixes = GenerateCandidateFixes(w.db, *bound, distance, *violations,
+                                        /*vid_offset=*/0);
+    ASSERT_TRUE(fixes.ok()) << fixes.status().ToString();
+    ExpectSameFixes(*fixes, expected, "GenerateCandidateFixes");
+    link_checks = LinkCheckCounts(obs);
+  }
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     obs::ObsContext obs;
     const obs::ScopedObs scoped(&obs);
-    // Declared after the context, so its workers are joined before the
-    // context goes: each records its task's end into the context it ran in.
-    ThreadPool pool(threads);
-    auto fixes = GenerateCandidateFixes(w.db, *bound, distance, *violations,
-                                        /*vid_offset=*/0, threads,
-                                        threads > 1 ? &pool : nullptr);
-    ASSERT_TRUE(fixes.ok()) << fixes.status().ToString();
-    ASSERT_EQ(fixes->size(), expected.size()) << threads << " threads";
-    for (size_t id = 0; id < expected.size(); ++id) {
-      const CandidateFix& got = (*fixes)[id];
-      const CandidateFix& want = expected[id];
-      ASSERT_EQ(got.tuple, want.tuple) << "fix " << id;
-      EXPECT_EQ(got.attribute, want.attribute) << "fix " << id;
-      EXPECT_EQ(got.old_value, want.old_value) << "fix " << id;
-      EXPECT_EQ(got.new_value, want.new_value) << "fix " << id;
-      EXPECT_EQ(got.weight, want.weight) << "fix " << id;
-      EXPECT_EQ(got.solved, want.solved) << "fix " << id;
-    }
-
-    const uint64_t closed =
-        obs.metrics.GetCounter("build.link_checks_closed")->value();
-    const uint64_t fallback =
-        obs.metrics.GetCounter("build.link_checks_fallback")->value();
-    EXPECT_EQ(closed + fallback,
-              obs.metrics.GetCounter("build.satisfies_checks")->value());
-    if (!serial_checks.has_value()) {
-      serial_checks.emplace(closed, fallback);
-    } else {
-      EXPECT_EQ(std::make_pair(closed, fallback), *serial_checks)
-          << threads << " threads";
-    }
+    BuildOptions build;
+    build.num_threads = threads;
+    auto problem = BuildRepairProblem(w.db, *bound, distance, build);
+    ASSERT_TRUE(problem.ok()) << problem.status().ToString();
+    const std::string label = std::to_string(threads) + " threads";
+    EXPECT_EQ(problem->violations, *violations) << label;
+    ExpectSameFixes(problem->fixes, expected, label);
+    EXPECT_EQ(LinkCheckCounts(obs), link_checks) << label;
   }
   if (checks != nullptr) {
-    *checks = LinkChecks{serial_checks->first, serial_checks->second};
+    *checks = LinkChecks{link_checks.first, link_checks.second};
   }
 }
 

@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 
 #include "catalog/schema.h"
-#include "common/thread_pool.h"
 #include "storage/database.h"
 #include "storage/statistics.h"
 
@@ -115,31 +116,6 @@ TEST(ColumnViewTest, KeyCodeEqualityMatchesValueEquality) {
   EXPECT_NE(rel.columns[0].KeyCode(0), rel.columns[0].KeyCode(1));
 }
 
-TEST(ColumnViewTest, ParallelBuildMatchesSerial) {
-  Database db(MakeSchema());
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(db.Insert("T", {Value::Int(i),
-                                Value::String("s" + std::to_string(i % 17)),
-                                Value::Double(i / 3.0), Value::Int(i % 5)})
-                    .ok());
-  }
-  const ColumnSnapshot serial = ColumnSnapshot::Build(db);
-  ThreadPool pool(4);
-  const ColumnSnapshot parallel = ColumnSnapshot::Build(db, &pool);
-  for (uint32_t r = 0; r < serial.relation_count(); ++r) {
-    const RelationColumns& a = serial.relation(r);
-    const RelationColumns& b = parallel.relation(r);
-    ASSERT_EQ(a.row_count, b.row_count);
-    for (size_t c = 0; c < a.columns.size(); ++c) {
-      EXPECT_EQ(a.columns[c].ints, b.columns[c].ints);
-      EXPECT_EQ(a.columns[c].doubles, b.columns[c].doubles);
-      // The interning pass is serial in both builds, so even dictionary
-      // codes are identical, not merely consistent.
-      EXPECT_EQ(a.columns[c].codes, b.columns[c].codes);
-    }
-  }
-}
-
 TEST(ColumnViewTest, RebaseRebuildsOnlyDirtyRelations) {
   Database db(MakeSchema());
   ASSERT_TRUE(db.Insert("T", {Value::Int(1), Value::String("a"),
@@ -167,30 +143,65 @@ TEST(ColumnViewTest, RebaseRebuildsOnlyDirtyRelations) {
   EXPECT_EQ(again.interner().Find("b"), base.interner().Find("b"));
 }
 
+// Reference for the exact fields of ComputeColumnStats: one scan of the
+// row store's Values counting non-NULL cells and the numeric range.
+TableStats ExactRowStats(const Table& table) {
+  TableStats stats;
+  stats.row_count = table.size();
+  const size_t arity = table.schema().arity();
+  stats.columns.resize(arity);
+  for (const TupleView row : table.rows()) {
+    for (size_t c = 0; c < arity; ++c) {
+      const Value& v = row.value(c);
+      if (v.is_null()) continue;
+      ColumnStats& col = stats.columns[c];
+      ++col.non_null;
+      if (!(v.is_int() || v.is_double())) continue;
+      const double x = v.AsNumeric();
+      if (!col.has_range) {
+        col.has_range = true;
+        col.min = col.max = x;
+      } else {
+        col.min = std::min(col.min, x);
+        col.max = std::max(col.max, x);
+      }
+    }
+  }
+  return stats;
+}
+
 TEST(ColumnViewTest, ColumnStatsMatchRowStatsOnExactFields) {
   Database db(MakeSchema());
-  for (int i = 0; i < 200; ++i) {
+  // 5000 rows, so the sample is strided; A is NULL on every fifth row, so
+  // its column is unclean and read from the row store.
+  for (int i = 0; i < 5000; ++i) {
     ASSERT_TRUE(db.Insert("T", {Value::Int(i),
                                 Value::String("s" + std::to_string(i % 7)),
-                                Value::Double(i * 0.5), Value::Int(i % 3)})
+                                Value::Double(i * 0.5),
+                                i % 5 == 0 ? Value() : Value::Int(i % 3 - 1)})
                     .ok());
   }
   const ColumnSnapshot snap = ColumnSnapshot::Build(db);
-  const TableStats row = ComputeTableStats(db.table(0));
-  const TableStats col = ComputeColumnStats(snap.relation(0));
+  ASSERT_FALSE(snap.relation(0).columns[3].clean());
+  const TableStats row = ExactRowStats(db.table(0));
+  const TableStats col = ComputeColumnStats(snap.relation(0), db.table(0));
   ASSERT_EQ(col.row_count, row.row_count);
   ASSERT_EQ(col.columns.size(), row.columns.size());
   for (size_t c = 0; c < col.columns.size(); ++c) {
-    EXPECT_EQ(col.columns[c].non_null, row.columns[c].non_null) << c;
-    EXPECT_EQ(col.columns[c].has_range, row.columns[c].has_range) << c;
-    if (row.columns[c].has_range) {
-      // Min/max are exact in both paths; distinct counts are estimates in
-      // the columnar path and are only sanity-bounded here.
-      EXPECT_EQ(col.columns[c].min, row.columns[c].min) << c;
-      EXPECT_EQ(col.columns[c].max, row.columns[c].max) << c;
+    const ColumnStats& got = col.columns[c];
+    const ColumnStats& want = row.columns[c];
+    EXPECT_EQ(got.non_null, want.non_null) << c;
+    EXPECT_EQ(got.has_range, want.has_range) << c;
+    if (want.has_range) {
+      // Min/max are exact; the histogram's total is the non-null count.
+      EXPECT_EQ(got.min, want.min) << c;
+      EXPECT_EQ(got.max, want.max) << c;
+      ASSERT_FALSE(got.bucket_cumulative.empty()) << c;
+      EXPECT_EQ(got.bucket_cumulative.back(), want.non_null) << c;
     }
-    EXPECT_GE(col.columns[c].distinct, 1u) << c;
-    EXPECT_LE(col.columns[c].distinct, col.row_count) << c;
+    // Distinct counts are sample estimates, only sanity-bounded here.
+    EXPECT_GE(got.distinct, 1u) << c;
+    EXPECT_LE(got.distinct, want.non_null) << c;
   }
 }
 
