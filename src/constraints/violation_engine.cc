@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "obs/context.h"
@@ -552,15 +553,20 @@ void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes) {
     }
   }
   for (Group& g : groups) g.offset -= g.count;
+  tail.clear();
+  tail_rows = 0;
 }
 
 const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
     uint32_t relation, const std::vector<uint32_t>& key) {
   using ColRef = ColumnarPlan::ColRef;
-  auto cache_key = std::make_pair(relation, key);
-  const auto it = code_index_cache_.find(cache_key);
-  if (it != code_index_cache_.end()) return it->second;
   const RelationColumns& rel = snapshot_->relation(relation);
+  const auto n = static_cast<uint32_t>(rel.row_count);
+  auto [it, inserted] =
+      code_index_cache_.try_emplace(std::make_pair(relation, key));
+  CodeIndex& index = it->second;
+  if (!inserted && index.indexed_rows() == n) return index;
+
   std::vector<ColRef> cols;
   for (const uint32_t k : key) {
     const uint32_t pos = k & ~kValueKeyBit;
@@ -568,34 +574,48 @@ const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
                        ? ColRef::OfValues(db_.table(relation), pos)
                        : ColRef::Of(rel.columns[pos]));
   }
-  CodeIndex index;
+  const auto code_of = [&cols](uint32_t row) {
+    if (cols.size() == 1) return cols[0].IndexCode(row);
+    uint64_t code = kKeySeed;
+    for (const ColRef& col : cols) {
+      code = CombineKeyCodes(code, col.IndexCode(row));
+    }
+    return code;
+  };
+
+  // Tables only append, so rows [0, indexed_rows()) still hold the keys
+  // they were indexed under: a small suffix joins the tail.
+  const size_t from = inserted ? 0 : index.indexed_rows();
+  if (!inserted && from < n &&
+      (index.tail_rows + (n - from)) * kTailFoldShare <=
+          index.rows.size()) {
+    for (auto row = static_cast<uint32_t>(from); row < n; ++row) {
+      index.tail[code_of(row)].push_back(row);
+    }
+    index.tail_rows += n - static_cast<uint32_t>(from);
+    return index;
+  }
   index.exact = cols.size() == 1 && cols[0].kind != ColRef::Kind::kValue;
-  const auto n = static_cast<uint32_t>(rel.row_count);
   // Pack each row's key code once; both counting passes reuse the array.
   std::vector<uint64_t> codes(n);
-  if (cols.size() == 1) {
-    for (uint32_t row = 0; row < n; ++row) codes[row] = cols[0].IndexCode(row);
-  } else {
-    for (uint32_t row = 0; row < n; ++row) {
-      uint64_t code = kKeySeed;
-      for (const ColRef& col : cols) {
-        code = CombineKeyCodes(code, col.IndexCode(row));
-      }
-      codes[row] = code;
-    }
-  }
+  for (uint32_t row = 0; row < n; ++row) codes[row] = code_of(row);
   index.Build(codes);
-  return code_index_cache_.emplace(std::move(cache_key), std::move(index))
-      .first->second;
+  obs::CurrentObs().metrics.GetCounter("engine.code_index.builds")->Add(1);
+  return index;
 }
 
 const TableStats& ViolationEngine::GetStats(uint32_t relation) {
+  const RelationColumns& rel = snapshot_->relation(relation);
   const auto it = stats_cache_.find(relation);
-  if (it != stats_cache_.end()) return it->second;
-  return stats_cache_
-      .emplace(relation, ComputeColumnStats(snapshot_->relation(relation),
-                                            db_.table(relation)))
-      .first->second;
+  if (it != stats_cache_.end() &&
+      rel.row_count <=
+          it->second.row_count + it->second.row_count / kStatsRegrowShare) {
+    return it->second;
+  }
+  obs::CurrentObs().metrics.GetCounter("engine.stats.computes")->Add(1);
+  TableStats& stats = stats_cache_[relation];
+  stats = ComputeColumnStats(rel, db_.table(relation));
+  return stats;
 }
 
 Status ViolationEngine::PrepareSnapshot() {
@@ -910,8 +930,7 @@ Status ViolationEngine::ExecuteInto(const Plan& plan, const ColumnarPlan& cp,
 
     // Candidate rows: code index on join columns, else a direct walk over
     // the column arrays (no materialised id list).
-    const uint32_t* cand = nullptr;
-    uint32_t cand_count = 0;
+    CodeIndex::Candidates cand;
     bool verify_key = false;
     if (cstep.index != nullptr) {
       uint64_t key;
@@ -925,8 +944,8 @@ Status ViolationEngine::ExecuteInto(const Plan& plan, const ColumnarPlan& cp,
                                          binding[step.index_classes[i]]));
         }
       }
-      std::tie(cand, cand_count) = cstep.index->Find(key);
-      if (cand == nullptr) return true;  // no matching rows
+      cand = cstep.index->Find(key);
+      if (cand.main_count + cand.tail_count == 0) return true;  // no match
       verify_key = !cstep.index->exact;
     }
 
@@ -984,9 +1003,14 @@ Status ViolationEngine::ExecuteInto(const Plan& plan, const ColumnarPlan& cp,
       return self(self, depth + 1);
     };
 
-    if (cand != nullptr) {
-      for (uint32_t k = 0; k < cand_count; ++k) {
-        const uint32_t row = cand[k];
+    if (cstep.index != nullptr) {
+      for (uint32_t k = 0; k < cand.main_count; ++k) {
+        const uint32_t row = cand.main[k];
+        if (!filter.Admits(row)) continue;
+        if (!scan_row(row)) return false;
+      }
+      for (uint32_t k = 0; k < cand.tail_count; ++k) {
+        const uint32_t row = cand.tail[k];
         if (!filter.Admits(row)) continue;
         if (!scan_row(row)) return false;
       }
@@ -1234,11 +1258,24 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
   }
   DBREPAIR_RETURN_IF_ERROR(PrepareSnapshot());
   // Materialise each relation's ascending dirty-row list once; the pivot's
-  // driving scan walks it instead of the whole table.
+  // driving scan walks it instead of the whole table. Dirty rows are
+  // sparse (a session batch marks a few hundred of ~200k), so the scan
+  // skips eight clean bytes at a time.
   std::vector<std::vector<uint32_t>> dirty_lists(dirty_rows.size());
   for (size_t r = 0; r < dirty_rows.size(); ++r) {
-    for (uint32_t row = 0; row < dirty_rows[r].size(); ++row) {
-      if (dirty_rows[r][row] != 0) dirty_lists[r].push_back(row);
+    const uint8_t* marks = dirty_rows[r].data();
+    const auto n = static_cast<uint32_t>(dirty_rows[r].size());
+    for (uint32_t row = 0; row < n;) {
+      uint64_t word = 0;
+      if (n - row >= sizeof(word)) {
+        std::memcpy(&word, marks + row, sizeof(word));
+        if (word == 0) {
+          row += sizeof(word);
+          continue;
+        }
+      }
+      if (marks[row] != 0) dirty_lists[r].push_back(row);
+      ++row;
     }
   }
 
@@ -1279,20 +1316,35 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
   return out;
 }
 
-void ViolationEngine::InvalidateRelations(
-    const std::vector<uint32_t>& relations) {
-  for (const uint32_t rel : relations) {
-    stats_cache_.erase(rel);
+void ViolationEngine::NoteRowChanges(
+    const std::vector<uint32_t>& appended_relations,
+    const std::vector<std::pair<uint32_t, uint32_t>>& updated_columns) {
+  // An index keyed on an updated column holds stale codes. Appended rows
+  // need nothing here: GetCodeIndex and GetStats compare row counts.
+  std::vector<uint32_t> updated_relations;
+  for (const auto& [rel, attribute] : updated_columns) {
     for (auto it = code_index_cache_.begin();
          it != code_index_cache_.end();) {
-      it = it->first.first == rel ? code_index_cache_.erase(it)
-                                  : std::next(it);
+      const std::vector<uint32_t>& key = it->first.second;
+      const bool stale =
+          it->first.first == rel &&
+          std::any_of(key.begin(), key.end(), [attribute](uint32_t k) {
+            return (k & ~kValueKeyBit) == attribute;
+          });
+      it = stale ? code_index_cache_.erase(it) : std::next(it);
+    }
+    if (std::find(updated_relations.begin(), updated_relations.end(), rel) ==
+        updated_relations.end()) {
+      updated_relations.push_back(rel);
     }
   }
-  // Rebase, never rebuild: the shared dictionary stays append-only, so the
-  // cached code indexes of the other relations keep their meaning.
+  // Extend and rebase, never rebuild: the shared dictionary stays
+  // append-only, so every cached code index keeps its meaning.
   if (snapshot_ == &owned_snapshot_) {
-    owned_snapshot_ = owned_snapshot_.Rebase(db_, relations);
+    owned_snapshot_.ExtendAppended(db_, appended_relations);
+    if (!updated_relations.empty()) {
+      owned_snapshot_ = owned_snapshot_.Rebase(db_, updated_relations);
+    }
   }
 }
 

@@ -38,7 +38,7 @@ struct ViolationEngineOptions {
   /// evaluates every constraint against its typed arrays and dictionary
   /// codes, with join indexes keyed on packed uint64 codes. When null, the
   /// engine builds its own snapshot on first use and keeps it current
-  /// through InvalidateRelations. A supplied snapshot must match the
+  /// through NoteRowChanges. A supplied snapshot must match the
   /// Database row for row: a relation count, row count or arity that
   /// disagrees fails every Find* call with FailedPrecondition.
   const ColumnSnapshot* columnar = nullptr;
@@ -94,13 +94,29 @@ class ViolationEngine {
   Result<std::vector<ViolationSet>> FindViolationsTouching(
       const std::vector<std::vector<uint8_t>>& dirty_rows);
 
-  /// Drops every cached per-relation structure (join code indexes, planner
-  /// statistics) of the listed relations, and rebases the engine's own
-  /// snapshot (if it built one) over them. Long-lived engines (repair
-  /// sessions) must call this after the underlying rows of a relation
-  /// change — the caches are built lazily and are otherwise assumed
-  /// immortal. A caller-supplied snapshot is the caller's to keep current.
-  void InvalidateRelations(const std::vector<uint32_t>& relations);
+  /// Tells a long-lived engine (a repair session) how the rows changed
+  /// since its last Find* call: the relations that gained rows (tables only
+  /// append, so a row-id suffix), and the (relation, attribute) columns in
+  /// which some cell was updated in place. Join code indexes whose key
+  /// reads an updated column are dropped; every other cache is kept:
+  /// indexes grow by the appended suffix on their next probe, and planner
+  /// statistics are recomputed only once a relation has grown by
+  /// 1/kStatsRegrowShare since they were taken (stale statistics change
+  /// plans, never violation sets). The engine's own snapshot (if it built
+  /// one) is extended by the appended suffixes and rebased over the
+  /// updated relations; a caller-supplied snapshot is the caller's to keep
+  /// current.
+  void NoteRowChanges(
+      const std::vector<uint32_t>& appended_relations,
+      const std::vector<std::pair<uint32_t, uint32_t>>& updated_columns);
+
+  /// A join index folds its tail of appended rows into a full rebuild once
+  /// the tail would hold more than 1/kTailFoldShare as many rows as the
+  /// main table, so each appended row costs O(1) over time.
+  static constexpr size_t kTailFoldShare = 8;
+  /// Cached planner statistics of a relation are recomputed once it holds
+  /// more than 1 + 1/kStatsRegrowShare times the rows they describe.
+  static constexpr size_t kStatsRegrowShare = 8;
 
   /// True iff `db` satisfies every constraint (no violation set exists).
   static Result<bool> Satisfies(const Database& db,
@@ -173,9 +189,14 @@ class ViolationEngine {
   //
   // Layout: one open-addressing table (power-of-2 capacity, linear probing,
   // `count == 0` marks an empty slot — every present key owns >= 1 row) whose
-  // groups are (offset, count) spans into a single packed row-id array. Rows
-  // stay ascending within each group. Built in two counting passes with
-  // zero per-key heap allocations.
+  // groups are (offset, count) spans into a single packed row-id array over
+  // rows [0, rows.size()). Rows stay ascending within each group. Built in
+  // two counting passes with zero per-key heap allocations.
+  //
+  // Rows appended after the build go to `tail`, one ascending list per key.
+  // Every tail row is larger than every row of the main table, so a probe
+  // yields the main span and then the tail span: the same rows, in the
+  // same order, as a fresh Build over all rows.
   struct CodeIndex {
     struct Group {
       uint64_t key = 0;
@@ -186,6 +207,8 @@ class ViolationEngine {
     std::vector<uint32_t> rows;
     uint64_t mask = 0;
     bool exact = false;
+    std::unordered_map<uint64_t, std::vector<uint32_t>> tail;
+    uint32_t tail_rows = 0;
 
     static uint64_t Slot(uint64_t key, uint64_t mask) {
       uint64_t h = key * 0x9e3779b97f4a7c15ULL;
@@ -193,17 +216,38 @@ class ViolationEngine {
       return h & mask;
     }
 
-    // Two-pass counting build from one key code per row.
+    // Rows [0, indexed_rows()) are indexed.
+    size_t indexed_rows() const { return rows.size() + tail_rows; }
+
+    // Two-pass counting build from one key code per row; empties the tail.
     void Build(const std::vector<uint64_t>& codes);
 
-    // Candidate rows for `key`: (first, count), or (nullptr, 0).
-    std::pair<const uint32_t*, uint32_t> Find(uint64_t key) const {
-      if (groups.empty()) return {nullptr, 0};
+    // Candidate rows for a key: the main table's span, then the tail's.
+    struct Candidates {
+      const uint32_t* main = nullptr;
+      uint32_t main_count = 0;
+      const uint32_t* tail = nullptr;
+      uint32_t tail_count = 0;
+    };
+    Candidates Find(uint64_t key) const {
+      Candidates c;
       for (uint64_t i = Slot(key, mask);; i = (i + 1) & mask) {
         const Group& g = groups[i];
-        if (g.count == 0) return {nullptr, 0};
-        if (g.key == key) return {rows.data() + g.offset, g.count};
+        if (g.count == 0) break;
+        if (g.key == key) {
+          c.main = rows.data() + g.offset;
+          c.main_count = g.count;
+          break;
+        }
       }
+      if (!tail.empty()) {
+        const auto it = tail.find(key);
+        if (it != tail.end()) {
+          c.tail = it->second.data();
+          c.tail_count = static_cast<uint32_t>(it->second.size());
+        }
+      }
+      return c;
     }
   };
 
@@ -221,7 +265,9 @@ class ViolationEngine {
   // builds every join index the steps probe, so ExecuteInto only reads.
   ColumnarPlan PrepareColumnar(const Plan& plan);
   // `key` holds the index's attribute positions, each with kValueKeyBit
-  // set when that column is keyed on Value::Hash.
+  // set when that column is keyed on Value::Hash. A cached index is grown
+  // by the rows appended since it was last read, or rebuilt in full when
+  // its tail would pass 1/kTailFoldShare of the main table's rows.
   static constexpr uint32_t kValueKeyBit = 1u << 31;
   const CodeIndex& GetCodeIndex(uint32_t relation,
                                 const std::vector<uint32_t>& key);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -102,6 +101,7 @@ Status RepairSession::Init() {
       RepairProblem problem,
       BuildRepairProblem(db_, bound_, distance_, build));
   violations_ = std::move(problem.violations);
+  AddToCensus(violations_);
   fixes_ = std::move(problem.fixes);
   components_ = std::move(problem.components);
   component_count_.store(components_.num_components(),
@@ -135,14 +135,10 @@ Status RepairSession::Init() {
   std::vector<std::vector<uint32_t>> updated_rows;
   DBREPAIR_RETURN_IF_ERROR(ApplyChosen(solution, &updated_rows, &open_updates_));
   const size_t num_updates = open_updates_.size();
-  std::vector<uint32_t> updated_relations;
-  for (uint32_t r = 0; r < updated_rows.size(); ++r) {
-    if (!updated_rows[r].empty()) updated_relations.push_back(r);
-  }
-  RefreshAfterUpdates(updated_relations);
+  RefreshAfterUpdates(open_updates_);
   const double open_apply_seconds = apply_span.Finish();
 
-  if (options_.verify && !updated_relations.empty()) {
+  if (options_.verify && num_updates > 0) {
     obs::Span verify_span(&obs.events, "verify");
     // Every residual violation set would have to touch an updated row: an
     // untouched one existed pre-apply, was enumerated, and was covered by a
@@ -289,7 +285,7 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   // ---- 2. Grow the cached snapshot by exactly the appended suffix. ----
   snapshot_.ExtendAppended(db_, appended_relations);
   obs.metrics.GetCounter("session.batch.snapshot_extends")->Add(1);
-  engine_->InvalidateRelations(appended_relations);
+  engine_->NoteRowChanges(appended_relations, {});
 
   // ---- 3. Delta-join: violation sets involving at least one new row. ----
   obs::Span detect_span(&obs.events, "detect");
@@ -326,11 +322,7 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   if (!applied.ok()) return poison(std::move(applied));
   const size_t num_updates = batch.updates.size();
   batch.num_updates = num_updates;
-  std::vector<uint32_t> updated_relations;
-  for (uint32_t r = 0; r < updated_rows.size(); ++r) {
-    if (!updated_rows[r].empty()) updated_relations.push_back(r);
-  }
-  RefreshAfterUpdates(updated_relations);
+  RefreshAfterUpdates(batch.updates);
   batch.apply_seconds = apply_span.Finish();
 
   // ---- 6. Incremental verify over this batch's dirty rows. ----
@@ -447,15 +439,25 @@ void RepairSession::RecordBatchTelemetry(uint64_t batch_id,
 }
 
 InconsistencyMeasure RepairSession::inconsistency() const {
+  return ComputeInconsistencyMeasure(cumulative_distance_, db_.TotalTuples(),
+                                     inconsistent_tuples_, violations_.size());
+}
+
+void RepairSession::AddToCensus(const std::vector<ViolationSet>& sets) {
   // Every violation set the session has ever allocated references rows of
   // db_ (rows only append, so the ids stay valid); the census therefore
   // covers the whole stream, not just the current batch.
-  std::unordered_set<uint64_t> inconsistent;
-  for (const ViolationSet& v : violations_) {
-    for (const TupleRef& t : v.tuples) inconsistent.insert(t.Packed());
+  in_violation_.resize(db_.relation_count());
+  for (const ViolationSet& v : sets) {
+    for (const TupleRef& t : v.tuples) {
+      std::vector<uint8_t>& marks = in_violation_[t.relation];
+      if (t.row >= marks.size()) marks.resize(db_.table(t.relation).size());
+      if (marks[t.row] == 0) {
+        marks[t.row] = 1;
+        ++inconsistent_tuples_;
+      }
+    }
   }
-  return ComputeInconsistencyMeasure(cumulative_distance_, db_.TotalTuples(),
-                                     inconsistent.size(), violations_.size());
 }
 
 obs::Json RepairSession::TelemetryToJson() const {
@@ -517,6 +519,7 @@ Status RepairSession::PatchInstance(std::vector<ViolationSet> new_violations,
                                     BatchStats* stats) {
   const size_t vid_offset = violations_.size();
   const auto first_new_set = static_cast<uint32_t>(csr_.num_sets());
+  AddToCensus(new_violations);
   CsrEpochDelta delta;
   delta.new_elements = new_violations.size();
   components_.AddElements(new_violations.size());
@@ -642,14 +645,23 @@ Status RepairSession::ApplyChosen(
 }
 
 void RepairSession::RefreshAfterUpdates(
-    const std::vector<uint32_t>& updated_relations) {
-  if (updated_relations.empty()) return;
-  snapshot_ = snapshot_.Rebase(db_, updated_relations);
-  obs::ObsContext& obs = obs::CurrentObs();
-  obs.metrics.GetCounter("scan.columnar.resnapshots")->Add(1);
-  obs.metrics.GetCounter("scan.columnar.resnapshot_relations")
-      ->Add(updated_relations.size());
-  engine_->InvalidateRelations(updated_relations);
+    const std::vector<AppliedUpdate>& updates) {
+  if (updates.empty()) return;
+  std::vector<CellRef> cells;
+  cells.reserve(updates.size());
+  std::vector<std::pair<uint32_t, uint32_t>> columns;
+  for (const AppliedUpdate& update : updates) {
+    cells.push_back(CellRef{update.tuple, update.attribute});
+    const std::pair<uint32_t, uint32_t> column{update.tuple.relation,
+                                               update.attribute};
+    if (std::find(columns.begin(), columns.end(), column) == columns.end()) {
+      columns.push_back(column);
+    }
+  }
+  snapshot_.PatchCells(db_, cells);
+  obs::CurrentObs().metrics.GetCounter("scan.columnar.patched_cells")
+      ->Add(cells.size());
+  engine_->NoteRowChanges({}, columns);
 }
 
 }  // namespace dbrepair

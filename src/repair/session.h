@@ -116,21 +116,25 @@ struct SessionStats {
 /// Open() clones the database, binds and locality-checks the constraints,
 /// runs one full repair (build + modified-greedy solve + apply), and caches
 /// everything the full pipeline would throw away: the columnar snapshot,
-/// the violation engine with its join indexes, the candidate fixes with
-/// their (tuple, attribute, value) keys, the frozen MWSCP instance, and the
-/// greedy solver's covered/heap state. Each ApplyBatch then:
+/// the candidate fixes with their (tuple, attribute, value) keys, the
+/// frozen MWSCP instance, and the greedy solver's covered/heap state. It
+/// also keeps one violation engine whose join indexes and planner
+/// statistics live across batches (built on the first batch that probes
+/// them). Each ApplyBatch then:
 ///
 ///  1. validates and inserts the rows (the whole batch is checked before
 ///     any row lands, so a bad batch leaves the session untouched);
-///  2. extends the columnar snapshot by exactly the appended suffix;
+///  2. extends the columnar snapshot by exactly the appended suffix (the
+///     engine's join indexes grow by the same suffix on their next probe);
 ///  3. delta-joins only the new rows against the instance
 ///     (ViolationEngine::FindViolationsSince) — when the pre-batch instance
 ///     was consistent these are ALL violation sets of the grown instance;
 ///  4. generates mono-local fixes for the new violation sets only and
 ///     appends them to the frozen instance as one epoch (new sets, extended
 ///     sets, refreshed weights);
-///  5. continues the modified-greedy loop over whatever became uncovered
-///     and applies the picked fixes;
+///  5. continues the modified-greedy loop over whatever became uncovered,
+///     applies the picked fixes and patches exactly the updated cells into
+///     the snapshot;
 ///  6. re-verifies incrementally: only violation sets touching this batch's
 ///     dirty rows (inserted or updated) are re-enumerated.
 ///
@@ -199,8 +203,17 @@ class RepairSession {
   /// plus the inconsistent-tuple census over every violation set the
   /// session has seen. Equals the one-shot measure of the final data when
   /// the whole stream arrives as one batch, and tracks it within the
-  /// incremental solver's guarantees otherwise.
+  /// incremental solver's guarantees otherwise. O(1): the census only ever
+  /// grows, so each batch adds its new violation sets to it.
   InconsistencyMeasure inconsistency() const;
+
+  /// Every violation set the session has allocated, indexed by element id
+  /// of frozen_instance(). Exposed for tests and diagnostics.
+  const std::vector<ViolationSet>& violations() const { return violations_; }
+
+  /// The columnar snapshot the engine scans; tracks db() cell for cell.
+  /// Exposed for tests and diagnostics.
+  const ColumnSnapshot& snapshot() const { return snapshot_; }
 
   /// The rolling per-batch telemetry window (newest last; the oldest
   /// records are dropped past kTelemetryWindow batches). Batch 0 is the
@@ -274,9 +287,13 @@ class RepairSession {
                      std::vector<std::vector<uint32_t>>* updated_rows,
                      std::vector<AppliedUpdate>* applied);
 
-  // Rebases the columnar snapshot over the updated relations and drops the
-  // engine's cached indexes for them.
-  void RefreshAfterUpdates(const std::vector<uint32_t>& updated_relations);
+  // Patches the updated cells into the columnar snapshot and tells the
+  // engine which (relation, attribute) columns changed, so it drops the
+  // join indexes keyed on them (by locality (a), none in practice).
+  void RefreshAfterUpdates(const std::vector<AppliedUpdate>& updates);
+
+  // Adds the tuples of `sets` to the inconsistent-tuple census.
+  void AddToCensus(const std::vector<ViolationSet>& sets);
 
   const RepairOptions options_;
   const DistanceFunction distance_;
@@ -316,6 +333,10 @@ class RepairSession {
   // Normalized measure after the previous batch, for the per-batch delta in
   // the telemetry window.
   double last_inconsistency_ = 0.0;
+  // The inconsistent-tuple census: per relation, one byte per row (grown
+  // on demand) marking the tuples in some violation set, and their count.
+  std::vector<std::vector<uint8_t>> in_violation_;
+  size_t inconsistent_tuples_ = 0;
 
   std::atomic<bool> busy_{false};
   bool poisoned_ = false;

@@ -200,4 +200,23 @@ void ColumnSnapshot::ExtendAppended(
   }
 }
 
+void ColumnSnapshot::PatchCells(const Database& db,
+                                const std::vector<CellRef>& cells) {
+  for (const CellRef& cell : cells) {
+    std::shared_ptr<const RelationColumns>& slot =
+        relations_[cell.tuple.relation];
+    // After the copy this snapshot holds the only reference, so the rest
+    // of the relation's cells are patched in place.
+    if (slot.use_count() != 1) {
+      slot = std::make_shared<RelationColumns>(*slot);
+    }
+    // Created mutable and only typed const by the shared_ptr, as in
+    // ExtendAppended.
+    auto* rel = const_cast<RelationColumns*>(slot.get());
+    const Value& v = db.tuple(cell.tuple).value(cell.attribute);
+    if (v.is_string()) interner_->Intern(v.AsString());
+    FillCell(v, cell.tuple.row, *interner_, &rel->columns[cell.attribute]);
+  }
+}
+
 }  // namespace dbrepair

@@ -104,6 +104,12 @@ struct ColumnData {
   }
 };
 
+/// One cell of a Database: attribute `attribute` of `tuple`.
+struct CellRef {
+  TupleRef tuple;
+  uint32_t attribute = 0;
+};
+
 /// All columns of one relation.
 struct RelationColumns {
   size_t row_count = 0;
@@ -150,6 +156,17 @@ class ColumnSnapshot {
   /// the shared dictionary (append-only, so aliased codes stay valid).
   void ExtendAppended(const Database& new_db,
                       const std::vector<uint32_t>& appended_relations);
+
+  /// Re-encodes exactly the listed cells from `db` after they were updated
+  /// in place (a repair session's applied fixes); every cell must lie
+  /// within this snapshot's rows. A relation whose columns another
+  /// snapshot shares is copied once before its first patch, so that
+  /// snapshot is left untouched (the rule ExtendAppended follows). The
+  /// NULL and lossy flags only ever get set: a value written over a column's
+  /// last NULL leaves `has_nulls` set, which sends the scan down the
+  /// Value-backed path but changes no comparison. New strings are interned
+  /// into the shared dictionary.
+  void PatchCells(const Database& db, const std::vector<CellRef>& cells);
 
   /// True once Build/Rebase has populated the snapshot.
   bool valid() const { return !relations_.empty(); }

@@ -1,12 +1,19 @@
 // Tests for FindViolationsSince: the delta-join enumeration of violation
-// sets involving newly appended tuples.
+// sets involving newly appended tuples; and for one long-lived engine whose
+// caches follow appended rows and in-place updates (NoteRowChanges).
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "constraints/parser.h"
 #include "constraints/violation_engine.h"
 #include "gen/client_buy.h"
+#include "gen/scenario.h"
 #include "storage/column_view.h"
 
 namespace dbrepair {
@@ -264,6 +271,166 @@ TEST(IncrementalTest, RejectsWrongMarkArity) {
   ASSERT_TRUE(bound.ok());
   ViolationEngine engine(base->db, *bound);
   EXPECT_FALSE(engine.FindViolationsSince({0}).ok());
+}
+
+// ---- One long-lived engine against fresh engines. ----
+//
+// A repair session keeps one ViolationEngine across batches: its join
+// indexes grow by each appended suffix (a tail, folded into a full rebuild
+// past 1/kTailFoldShare), indexes keyed on an updated column are dropped,
+// and planner statistics are kept until the relation has grown enough.
+// None of that may change a violation set: after every step the long-lived
+// engine's three enumerations must equal a fresh engine's on the same rows.
+
+struct LongLivedCase {
+  const char* scenario;
+  // A join column an appended row leaves NULL, so it turns unclean and its
+  // indexes switch to Value keys.
+  const char* null_relation;
+  uint32_t null_attribute;
+};
+
+void ExpectLongLivedEngineMatchesFresh(const LongLivedCase& c,
+                                       size_t num_threads,
+                                       bool own_snapshot) {
+  auto workload = GenerateScenario({c.scenario, 1200, 7});
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const Database& source = workload->db;
+  auto bound = BindAll(source.schema(), workload->ics);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+
+  // Every source row, interleaved across relations (row 0 of each, then
+  // row 1, ...), so joined rows arrive in different steps.
+  std::vector<std::pair<uint32_t, std::vector<Value>>> rows;
+  for (size_t i = 0;; ++i) {
+    bool any = false;
+    for (uint32_t r = 0; r < source.relation_count(); ++r) {
+      if (i >= source.table(r).size()) continue;
+      rows.emplace_back(r, source.table(r).row(i).values());
+      any = true;
+    }
+    if (!any) break;
+  }
+  // The non-key INT columns of each relation: the in-place update targets.
+  std::vector<std::vector<uint32_t>> updatable(source.relation_count());
+  for (uint32_t r = 0; r < source.relation_count(); ++r) {
+    const RelationSchema& schema = source.schema().relations()[r];
+    const auto& key = schema.key_positions();
+    for (uint32_t a = 0; a < schema.arity(); ++a) {
+      if (schema.attribute(a).type == Type::kInt64 &&
+          std::find(key.begin(), key.end(), a) == key.end()) {
+        updatable[r].push_back(a);
+      }
+    }
+  }
+  auto null_relation = source.RelationIndex(c.null_relation);
+  ASSERT_TRUE(null_relation.ok());
+
+  Database db(source.schema_ptr());
+  const auto insert = [&](size_t i) {
+    return db.Insert(db.schema().relations()[rows[i].first].name(),
+                     rows[i].second)
+        .ok();
+  };
+  size_t next = rows.size() * 2 / 5;
+  for (size_t i = 0; i < next; ++i) ASSERT_TRUE(insert(i));
+
+  ColumnSnapshot snapshot = ColumnSnapshot::Build(db);
+  ViolationEngineOptions options;
+  options.num_threads = num_threads;
+  if (!own_snapshot) options.columnar = &snapshot;
+  ViolationEngine engine(db, *bound, options);
+  ASSERT_TRUE(engine.FindViolations().ok());  // warms indexes, statistics
+
+  Rng rng(num_threads * 2 + (own_snapshot ? 1 : 0));
+  const size_t chunk = rows.size() / 50;
+  bool null_appended = false;
+  for (size_t step = 0; next < rows.size(); ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const std::vector<uint32_t> mark = MarkNow(db);
+    std::vector<uint32_t> appended;
+    for (const size_t end = std::min(rows.size(), next + chunk); next < end;
+         ++next) {
+      if (step >= 3 && !null_appended && rows[next].first == *null_relation) {
+        rows[next].second[c.null_attribute] = Value();
+        null_appended = true;
+      }
+      ASSERT_TRUE(insert(next));
+      if (std::find(appended.begin(), appended.end(), rows[next].first) ==
+          appended.end()) {
+        appended.push_back(rows[next].first);
+      }
+    }
+    // Scattered in-place updates every other step, each copying another
+    // row's value of the same column, so updated join keys meet new rows.
+    std::vector<CellRef> cells;
+    std::vector<std::pair<uint32_t, uint32_t>> columns;
+    for (int k = 0; step % 2 == 1 && k < 8; ++k) {
+      const auto r = static_cast<uint32_t>(rng.Uniform(db.relation_count()));
+      const Table& table = db.table(r);
+      if (updatable[r].empty() || table.size() == 0) continue;
+      const uint32_t a = updatable[r][rng.Uniform(updatable[r].size())];
+      const auto row = static_cast<uint32_t>(rng.Uniform(table.size()));
+      const Value v = table.row(rng.Uniform(table.size())).value(a);
+      if (v.is_null()) continue;
+      ASSERT_TRUE(db.mutable_table(r).UpdateValue(row, a, v).ok());
+      cells.push_back(CellRef{TupleRef{r, row}, a});
+      columns.emplace_back(r, a);
+    }
+    if (!own_snapshot) {
+      snapshot.ExtendAppended(db, appended);
+      snapshot.PatchCells(db, cells);
+    }
+    engine.NoteRowChanges(appended, columns);
+
+    std::vector<std::vector<uint8_t>> dirty(db.relation_count());
+    for (uint32_t r = 0; r < db.relation_count(); ++r) {
+      dirty[r].assign(db.table(r).size(), 0);
+      for (uint32_t row = mark[r]; row < dirty[r].size(); ++row) {
+        dirty[r][row] = 1;
+      }
+    }
+    for (const CellRef& cell : cells) {
+      dirty[cell.tuple.relation][cell.tuple.row] = 1;
+    }
+
+    ViolationEngine fresh(db, *bound);
+    auto got = engine.FindViolations();
+    auto want = fresh.FindViolations();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(*got, *want) << "FindViolations";
+    got = engine.FindViolationsSince(mark);
+    want = fresh.FindViolationsSince(mark);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(*got, *want) << "FindViolationsSince";
+    got = engine.FindViolationsTouching(dirty);
+    want = fresh.FindViolationsTouching(dirty);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(*got, *want) << "FindViolationsTouching";
+  }
+  EXPECT_TRUE(null_appended);
+}
+
+TEST(IncrementalTest, LongLivedEngineMatchesFreshEngines) {
+  // Client-buy and census join on key attributes only; zipf-hotspot's
+  // Spoke.HK is a non-key join column, so its updates hit indexed keys.
+  for (const LongLivedCase& c :
+       {LongLivedCase{"client-buy", "Buy", 0},
+        LongLivedCase{"census", "Person", 0},
+        LongLivedCase{"zipf-hotspot", "Spoke", 1}}) {
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      for (const bool own_snapshot : {true, false}) {
+        SCOPED_TRACE(std::string(c.scenario) + ", " + std::to_string(threads) +
+                     " threads, " +
+                     (own_snapshot ? "own snapshot" : "supplied snapshot"));
+        ExpectLongLivedEngineMatchesFresh(c, threads, own_snapshot);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 // workloads and on hand-built cases for every value the typed codes cannot
 // represent: NULL, NaN, ints beyond 2^53 in DOUBLE columns, INT joined to
 // DOUBLE, string order, and strings missing from the dictionary. The
-// engine's snapshot contract (stale snapshots, InvalidateRelations) is
+// engine's snapshot contract (stale snapshots, NoteRowChanges) is
 // checked on the same schema.
 
 #include <gtest/gtest.h>
@@ -463,7 +463,7 @@ TEST(EngineSnapshotTest, StaleSuppliedSnapshotIsRejected) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST(EngineSnapshotTest, OwnSnapshotFollowsInvalidateRelations) {
+TEST(EngineSnapshotTest, OwnSnapshotFollowsNoteRowChanges) {
   const auto schema = TypedSchema();
   Database db(schema);
   AddRow(&db, "T", Value::Int(1), Value::Double(1.0), Value::String("a"));
@@ -478,13 +478,24 @@ TEST(EngineSnapshotTest, OwnSnapshotFollowsInvalidateRelations) {
   AddRow(&db, "T", Value::Int(1), Value::Double(2.0), Value::String("a"));
   EXPECT_EQ(engine.FindViolations().status().code(),
             StatusCode::kFailedPrecondition);
-  // InvalidateRelations rebases the engine's own snapshot; the cached join
-  // index of U (keyed on dictionary codes) stays valid beside it.
-  engine.InvalidateRelations({0});
+  // NoteRowChanges extends the engine's own snapshot by the appended row;
+  // the cached join index of U (keyed on dictionary codes) stays valid
+  // beside it.
+  engine.NoteRowChanges({0}, {});
   auto second = engine.FindViolations();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->size(), 2u);
   EXPECT_EQ(*second, OracleViolations(db, ics));
+  // In-place updates of the join column on both sides: the engine rebases
+  // its snapshot and drops every index keyed on that column, so the moved
+  // pair still joins and the row left behind does not.
+  ASSERT_TRUE(db.mutable_table(0).UpdateValue(0, 1, Value::Int(5)).ok());
+  ASSERT_TRUE(db.mutable_table(1).UpdateValue(0, 1, Value::Int(5)).ok());
+  engine.NoteRowChanges({}, {{0, 1}, {1, 1}});
+  auto third = engine.FindViolations();
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(third->size(), 1u);
+  EXPECT_EQ(*third, OracleViolations(db, ics));
 }
 
 }  // namespace

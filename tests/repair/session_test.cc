@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +32,8 @@
 #include "constraints/violation_engine.h"
 #include "gen/census.h"
 #include "gen/client_buy.h"
+#include "gen/scenario.h"
+#include "obs/context.h"
 #include "obs/json.h"
 #include "repair/api.h"
 #include "repair/inconsistency.h"
@@ -494,9 +498,25 @@ TEST(SessionTest, InconsistencyTrendMatchesOneShotMeasure) {
   EXPECT_EQ(final_record.inconsistency, one_shot->stats.inconsistency);
   EXPECT_EQ((*single)->inconsistency().normalized, final_record.inconsistency);
 
-  auto streamed = Replay(empty, workload->ics, rows, 6, RepairOptions{});
+  // Streamed in six batches; after each one the census the session keeps
+  // equals a recount from its violation sets.
+  auto streamed = RepairSession::Open(empty, workload->ics, RepairOptions{});
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
   RepairSession& s = **streamed;
+  const size_t chunk = (rows.size() + 5) / 6;
+  for (size_t start = 0; start < rows.size(); start += chunk) {
+    const std::vector<BatchRow> batch(
+        rows.begin() + start,
+        rows.begin() + std::min(rows.size(), start + chunk));
+    ASSERT_TRUE(s.ApplyBatch(batch).ok());
+    std::set<uint64_t> recount;
+    for (const ViolationSet& v : s.violations()) {
+      for (const TupleRef& t : v.tuples) recount.insert(t.Packed());
+    }
+    const InconsistencyMeasure census = s.inconsistency();
+    EXPECT_EQ(census.inconsistent_tuples, recount.size()) << "row " << start;
+    EXPECT_EQ(census.violation_sets, s.violations().size()) << "row " << start;
+  }
   ASSERT_GT(s.telemetry().size(), 2u);
   double running = 0.0;
   for (const BatchTelemetry& record : s.telemetry()) {
@@ -523,6 +543,80 @@ TEST(SessionTest, InconsistencyTrendMatchesOneShotMeasure) {
   }
   EXPECT_DOUBLE_EQ(json.Find("totals")->Find("inconsistency")->AsDouble(),
                    session_measure.normalized);
+}
+
+TEST(SessionTest, BatchesGrowCachesInsteadOfRebuildingThem) {
+  // 50 batches of 100 rows onto a 20k-row base. Timing-free guard on the
+  // per-batch cache work: the engine's join indexes grow by each batch's
+  // suffix and fold into a full rebuild only when the relation has grown
+  // by 1/kTailFoldShare, so full builds stay logarithmic in the growth
+  // (a rebuild per touched relation would be >= 2 per batch); planner
+  // statistics follow the same rule. The snapshot is patched cell by
+  // cell, and must still equal a fresh build of the session database.
+  auto workload = GenerateScenario({"client-buy", 26'000, 5});
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  // Shuffled, so both relations grow and a Buy may arrive before its
+  // Client.
+  const std::vector<BatchRow> rows = ExtractRows(workload->db, 3);
+  constexpr size_t kBaseRows = 20'000;
+  constexpr size_t kBatches = 50;
+  ASSERT_GE(rows.size(), kBaseRows + kBatches * 100);
+  Database base(workload->db.schema_ptr());
+  for (size_t i = 0; i < kBaseRows; ++i) {
+    ASSERT_TRUE(base.Insert(rows[i].relation, rows[i].values).ok());
+  }
+
+  obs::ObsContext obs;
+  const obs::ScopedObs scoped(&obs);
+  auto opened = RepairSession::Open(base, workload->ics, RepairOptions{});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  RepairSession& s = **opened;
+  const auto count = [&obs](const char* name) {
+    return obs.metrics.GetCounter(name)->value();
+  };
+  const uint64_t open_builds = count("engine.code_index.builds");
+  const uint64_t open_stats = count("engine.stats.computes");
+  size_t updates = 0;
+  for (size_t b = 0; b < kBatches; ++b) {
+    const auto first = rows.begin() + kBaseRows + b * 100;
+    auto batch = s.ApplyBatch(std::vector<BatchRow>(first, first + 100));
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    updates += batch->num_updates;
+  }
+  ASSERT_GT(updates, 0u);
+  EXPECT_EQ(count("scan.columnar.patched_cells"),
+            s.open_updates().size() + updates);
+
+  // Open's verify built the session engine's two join indexes (Client and
+  // Buy on the client id) and its statistics; from then on each is rebuilt
+  // once per 1/kTailFoldShare of its relation's growth, and at least one
+  // fold must have run.
+  double growth = 1.0;
+  for (uint32_t r = 0; r < base.relation_count(); ++r) {
+    growth = std::max(growth, static_cast<double>(s.db().table(r).size()) /
+                                  static_cast<double>(base.table(r).size()));
+  }
+  const auto folds = static_cast<uint64_t>(std::ceil(
+      std::log(growth) /
+      std::log(1.0 + 1.0 / ViolationEngine::kTailFoldShare)));
+  const uint64_t builds = count("engine.code_index.builds") - open_builds;
+  const uint64_t stats = count("engine.stats.computes") - open_stats;
+  EXPECT_GT(builds, 0u);
+  EXPECT_LE(builds, 2 * folds);
+  EXPECT_LE(stats, 2 * folds);
+
+  const ColumnSnapshot fresh = ColumnSnapshot::Build(s.db());
+  for (uint32_t r = 0; r < s.db().relation_count(); ++r) {
+    const RelationColumns& kept = s.snapshot().relation(r);
+    ASSERT_EQ(kept.row_count, fresh.relation(r).row_count);
+    for (size_t c = 0; c < kept.columns.size(); ++c) {
+      EXPECT_EQ(kept.columns[c].ints, fresh.relation(r).columns[c].ints)
+          << "relation " << r << " column " << c;
+      EXPECT_EQ(kept.columns[c].doubles, fresh.relation(r).columns[c].doubles)
+          << "relation " << r << " column " << c;
+    }
+  }
+  ExpectConsistent(s.db(), workload->ics);
 }
 
 TEST(SessionTest, RandomWorkloadStreamsMatchOneShot) {

@@ -143,6 +143,65 @@ TEST(ColumnViewTest, RebaseRebuildsOnlyDirtyRelations) {
   EXPECT_EQ(again.interner().Find("b"), base.interner().Find("b"));
 }
 
+TEST(ColumnViewTest, PatchCellsRewritesOnlyTheListedCells) {
+  Database db(MakeSchema());
+  ASSERT_TRUE(db.Insert("T", {Value::Int(1), Value::String("a"),
+                              Value::Double(1.0), Value()})
+                  .ok());
+  ASSERT_TRUE(db.Insert("T", {Value::Int(2), Value::String("b"),
+                              Value::Double(2.0), Value::Int(20)})
+                  .ok());
+  ASSERT_TRUE(db.Insert("U", {Value::Int(1), Value::String("c")}).ok());
+  ColumnSnapshot patched = ColumnSnapshot::Build(db);
+  const ColumnSnapshot shared = patched;  // aliases every relation
+  ASSERT_TRUE(patched.relation(0).columns[3].has_nulls);
+
+  // An int over the column's only NULL, an int over an int, and a new
+  // string, all in T.
+  ASSERT_TRUE(db.mutable_table(0).UpdateValue(0, 3, Value::Int(7)).ok());
+  ASSERT_TRUE(db.mutable_table(0).UpdateValue(1, 3, Value::Int(21)).ok());
+  ASSERT_TRUE(
+      db.mutable_table(0).UpdateValue(1, 1, Value::String("fresh")).ok());
+  patched.PatchCells(db, {CellRef{TupleRef{0, 0}, 3},
+                          CellRef{TupleRef{0, 1}, 3},
+                          CellRef{TupleRef{0, 1}, 1}});
+
+  // The sharing snapshot is untouched: T was copied before the patch, U
+  // is still shared by both.
+  EXPECT_NE(&patched.relation(0), &shared.relation(0));
+  EXPECT_EQ(&patched.relation(1), &shared.relation(1));
+  EXPECT_EQ(shared.relation(0).columns[3].ints, (std::vector<int64_t>{0, 20}));
+  EXPECT_EQ(shared.relation(0).columns[1].codes[1], shared.interner().Find("b"));
+
+  // The flags only ever get set: the column keeps reading as unclean.
+  const ColumnData& a = patched.relation(0).columns[3];
+  EXPECT_TRUE(a.has_nulls);
+  EXPECT_EQ(patched.relation(0).columns[1].codes[1],
+            patched.interner().Find("fresh"));
+  EXPECT_NE(patched.interner().Find("fresh"), StringInterner::kNullCode);
+
+  // Every int and double column equals a fresh build's.
+  const ColumnSnapshot fresh = ColumnSnapshot::Build(db);
+  for (uint32_t r = 0; r < db.relation_count(); ++r) {
+    for (size_t c = 0; c < fresh.relation(r).columns.size(); ++c) {
+      EXPECT_EQ(patched.relation(r).columns[c].ints,
+                fresh.relation(r).columns[c].ints)
+          << "relation " << r << " column " << c;
+      EXPECT_EQ(patched.relation(r).columns[c].doubles,
+                fresh.relation(r).columns[c].doubles)
+          << "relation " << r << " column " << c;
+    }
+  }
+  EXPECT_FALSE(fresh.relation(0).columns[3].has_nulls);
+
+  // A snapshot that holds its relations alone is patched in place.
+  const RelationColumns* before = &patched.relation(0);
+  ASSERT_TRUE(db.mutable_table(0).UpdateValue(0, 3, Value::Int(8)).ok());
+  patched.PatchCells(db, {CellRef{TupleRef{0, 0}, 3}});
+  EXPECT_EQ(&patched.relation(0), before);
+  EXPECT_EQ(patched.relation(0).columns[3].ints[0], 8);
+}
+
 // Reference for the exact fields of ComputeColumnStats: one scan of the
 // row store's Values counting non-NULL cells and the numeric range.
 TableStats ExactRowStats(const Table& table) {

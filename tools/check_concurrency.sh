@@ -7,7 +7,9 @@
 # case must fail cleanly, not racily), the flat set-cover layout suite
 # (which replays the per-batch CSR epoch append at 1 and 4 threads), the
 # conflict-component suite (its session case streams batches through a
-# 4-thread session), the
+# 4-thread session), the incremental-engine suite (one long-lived
+# ViolationEngine whose join indexes grow by appended suffixes, scanned by
+# 4 threads after each extension, against fresh engines), the
 # randomized trace-merge suite (pool workers appending to per-thread event
 # lanes while snapshots read them, and two threads recording spans into one
 # shared context), the scenario suite (the generator
@@ -30,7 +32,8 @@ cmake -B "$BUILD_DIR" -S . \
   -DDBREPAIR_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target thread_pool_test catalog_test differential_test obs_test \
-           session_test setcover_layout_test components_test \
+           incremental_test session_test setcover_layout_test \
+           components_test \
            trace_merge_test inconsistency_test \
            scenario_metamorphic_test scenario_differential_test \
            protocol_test server_test

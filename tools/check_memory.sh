@@ -3,10 +3,12 @@
 # the suites that drive the violation scan's raw column arrays: the storage
 # tests (column snapshots, each table's flat cell array and key index, clones
 # that share string payloads), the constraints tests (the engine against the
-# brute-force oracle, on every column kind), the serial-vs-parallel and
+# brute-force oracle, on every column kind), the incremental-engine tests
+# (join indexes grown by appended suffixes and folded, snapshots patched
+# cell by cell), the serial-vs-parallel and
 # scan-vs-oracle differential harness, the repair suite (the instance builder,
 # whose Algorithm-4 linking binds `const Value*` cells through a one-cell
-# override), the RepairSession suite (snapshots extended and rebased batch by
+# override), the RepairSession suite (snapshots extended and patched batch by
 # batch) and the scenario suites, plus the suites that create, copy and drop
 # Values wholesale: the catalog tests (every copy, move and assignment of each
 # Value kind), the io tests (the CSV scanner's field views into the loaded
@@ -30,9 +32,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 SUITES=(catalog_test io_test sql_test storage_test constraints_test
-        differential_test repair_test session_test inconsistency_test
-        scenario_metamorphic_test scenario_differential_test obs_test
-        server_test cqa_test gen_test)
+        incremental_test differential_test repair_test session_test
+        inconsistency_test scenario_metamorphic_test
+        scenario_differential_test obs_test server_test cqa_test gen_test)
 
 # UBSan is fatal at compile time (no recovery) and at run time; the
 # libstdc++ assertions bounds-check every container index.
