@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "obs/context.h"
@@ -513,18 +512,23 @@ ViolationEngine::Plan ViolationEngine::BuildPlan(const BoundConstraint& ic,
   return plan;
 }
 
-void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes) {
+void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes,
+                                       size_t max_keys) {
   const auto n = static_cast<uint32_t>(codes.size());
   size_t capacity = 16;
-  while (capacity < size_t{n} * 2) capacity <<= 1;  // load factor <= 0.5
+  while (capacity < max_keys * 2) capacity <<= 1;  // load factor <= 0.5
   groups.assign(capacity, Group{});
   mask = capacity - 1;
+  keys = 0;
   // Pass 1: claim a slot per distinct key and count its rows.
   for (uint32_t row = 0; row < n; ++row) {
     const uint64_t key = codes[row];
     for (uint64_t i = Slot(key, mask);; i = (i + 1) & mask) {
       Group& g = groups[i];
-      if (g.count == 0) g.key = key;
+      if (g.count == 0) {
+        g.key = key;
+        ++keys;
+      }
       if (g.key == key) {
         ++g.count;
         break;
@@ -599,7 +603,13 @@ const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
   // Pack each row's key code once; both counting passes reuse the array.
   std::vector<uint64_t> codes(n);
   for (uint32_t row = 0; row < n; ++row) codes[row] = code_of(row);
-  index.Build(codes);
+  // A fold knows its distinct keys up to the rows not yet indexed: size the
+  // slot table on that bound, not on rows (a join key often repeats).
+  const size_t max_keys =
+      inserted || from > n
+          ? n
+          : size_t{index.keys} + index.tail.size() + (n - from);
+  index.Build(codes, max_keys);
   obs::CurrentObs().metrics.GetCounter("engine.code_index.builds")->Add(1);
   return index;
 }
@@ -1244,75 +1254,75 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
 }
 
 Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
-    const std::vector<std::vector<uint8_t>>& dirty_rows) {
+    const std::vector<std::vector<uint32_t>>& dirty_rows) {
   if (dirty_rows.size() != db_.relation_count()) {
     return Status::InvalidArgument(
-        "dirty_rows must have one bitmap per relation");
+        "dirty_rows must have one row list per relation");
   }
   for (uint32_t r = 0; r < dirty_rows.size(); ++r) {
-    if (dirty_rows[r].size() != db_.table(r).size()) {
-      return Status::InvalidArgument(
-          "dirty_rows bitmap of relation " + std::to_string(r) +
-          " must have one byte per row");
+    const std::vector<uint32_t>& rows = dirty_rows[r];
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i] >= db_.table(r).size() || (i > 0 && rows[i] <= rows[i - 1])) {
+        return Status::InvalidArgument(
+            "dirty_rows of '" + db_.table(r).schema().name() +
+            "' must be strictly ascending row ids below its row count");
+      }
     }
   }
   DBREPAIR_RETURN_IF_ERROR(PrepareSnapshot());
-  // Materialise each relation's ascending dirty-row list once; the pivot's
-  // driving scan walks it instead of the whole table. Dirty rows are
-  // sparse (a session batch marks a few hundred of ~200k), so the scan
-  // skips eight clean bytes at a time.
-  std::vector<std::vector<uint32_t>> dirty_lists(dirty_rows.size());
-  for (size_t r = 0; r < dirty_rows.size(); ++r) {
-    const uint8_t* marks = dirty_rows[r].data();
-    const auto n = static_cast<uint32_t>(dirty_rows[r].size());
-    for (uint32_t row = 0; row < n;) {
-      uint64_t word = 0;
-      if (n - row >= sizeof(word)) {
-        std::memcpy(&word, marks + row, sizeof(word));
-        if (word == 0) {
-          row += sizeof(word);
-          continue;
-        }
-      }
-      if (marks[row] != 0) dirty_lists[r].push_back(row);
-      ++row;
-    }
+  // Mark the listed rows; the pivots' filters read the marks, and every
+  // exit path below clears them again.
+  dirty_marks_.resize(dirty_rows.size());
+  uint64_t num_dirty = 0;
+  for (uint32_t r = 0; r < dirty_rows.size(); ++r) {
+    std::vector<uint8_t>& marks = dirty_marks_[r];
+    if (marks.size() < db_.table(r).size()) marks.resize(db_.table(r).size());
+    for (const uint32_t row : dirty_rows[r]) marks[row] = 1;
+    num_dirty += dirty_rows[r].size();
   }
 
   std::vector<ViolationSet> out;
   ExecCounters counters;
-  for (const BoundConstraint& ic : ics_) {
-    SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
-    // FindViolationsSince's partition with "new" generalised to "dirty":
-    // atoms before the pivot bind clean rows only, the pivot binds dirty
-    // rows only, later atoms bind anything — every assignment touching >= 1
-    // dirty row lands in exactly one pivot run.
-    for (size_t pivot = 0; pivot < ic.atoms.size(); ++pivot) {
-      const uint32_t pivot_rel = ic.atoms[pivot].relation_index;
-      if (dirty_lists[pivot_rel].empty()) continue;  // pivot has no dirty row
-      AtomFilters filters(ic.atoms.size());
-      for (size_t a = 0; a < ic.atoms.size(); ++a) {
-        const uint32_t rel = ic.atoms[a].relation_index;
-        if (a < pivot) {
-          filters[a].member = &dirty_rows[rel];
-          filters[a].exclude = true;  // clean rows only
-        } else if (a == pivot) {
-          filters[a].member = &dirty_rows[rel];
-          filters[a].exact_rows = &dirty_lists[rel];  // dirty rows only
+  const Status status = [&]() -> Status {
+    for (const BoundConstraint& ic : ics_) {
+      SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
+      // FindViolationsSince's partition with "new" generalised to "dirty":
+      // atoms before the pivot bind clean rows only, the pivot binds dirty
+      // rows only, later atoms bind anything — every assignment touching
+      // >= 1 dirty row lands in exactly one pivot run.
+      for (size_t pivot = 0; pivot < ic.atoms.size(); ++pivot) {
+        const uint32_t pivot_rel = ic.atoms[pivot].relation_index;
+        if (dirty_rows[pivot_rel].empty()) continue;  // no dirty row to bind
+        AtomFilters filters(ic.atoms.size());
+        for (size_t a = 0; a < ic.atoms.size(); ++a) {
+          const uint32_t rel = ic.atoms[a].relation_index;
+          if (a < pivot) {
+            filters[a].member = &dirty_marks_[rel];
+            filters[a].exclude = true;  // clean rows only
+          } else if (a == pivot) {
+            filters[a].member = &dirty_marks_[rel];
+            filters[a].exact_rows = &dirty_rows[rel];  // dirty rows only
+          }
         }
+        const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
+        const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
+        DBREPAIR_RETURN_IF_ERROR(
+            ExecuteInto(pivot_plan, cplan, &filters, &sets, &counters));
       }
-      const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
-      const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
-      DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, cplan, &filters, &sets, &counters));
+      DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
     }
-    DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
+    return Status::OK();
+  }();
+  for (uint32_t r = 0; r < dirty_rows.size(); ++r) {
+    for (const uint32_t row : dirty_rows[r]) dirty_marks_[r][row] = 0;
   }
+  DBREPAIR_RETURN_IF_ERROR(status);
   SortViolations(&out);
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
   metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
   metrics.GetCounter("engine.assignments_found")
       ->Add(counters.assignments_found);
+  metrics.GetCounter("engine.touching.dirty_rows")->Add(num_dirty);
   return out;
 }
 

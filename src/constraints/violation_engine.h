@@ -83,16 +83,19 @@ class ViolationEngine {
 
   /// Generalisation of FindViolationsSince to an arbitrary set of dirty
   /// rows: enumerates the minimal violation sets involving at least one row
-  /// whose per-relation bitmap entry is non-zero (`dirty_rows[rel][row]`).
-  /// Each bitmap must have exactly one byte per row of its relation. Used by
-  /// repair sessions to verify a batch incrementally — after a batch the
-  /// dirty rows are the appended suffix plus the scattered rows the applied
-  /// fixes updated in place, so a suffix mark cannot describe them. Same
-  /// pivot partition as FindViolationsSince: atoms before the pivot bind
-  /// clean rows only, the pivot binds dirty rows only, later atoms bind
-  /// anything, so no assignment is enumerated twice.
+  /// listed in `dirty_rows[rel]`. Each list holds strictly ascending row ids
+  /// of its relation; a list that is not, or a list count other than the
+  /// relation count, fails with InvalidArgument. Used by repair sessions to
+  /// verify a batch incrementally — after a batch the dirty rows are the
+  /// appended suffix plus the scattered rows the applied fixes updated in
+  /// place, so a suffix mark cannot describe them. Same pivot partition as
+  /// FindViolationsSince: atoms before the pivot bind clean rows only, the
+  /// pivot binds dirty rows only, later atoms bind anything, so no
+  /// assignment is enumerated twice. Costs O(listed rows) beyond the joins:
+  /// the engine keeps one membership byte per row of each relation, grows
+  /// it with the table, and sets and clears only the listed entries.
   Result<std::vector<ViolationSet>> FindViolationsTouching(
-      const std::vector<std::vector<uint8_t>>& dirty_rows);
+      const std::vector<std::vector<uint32_t>>& dirty_rows);
 
   /// Tells a long-lived engine (a repair session) how the rows changed
   /// since its last Find* call: the relations that gained rows (tables only
@@ -207,6 +210,7 @@ class ViolationEngine {
     std::vector<uint32_t> rows;
     uint64_t mask = 0;
     bool exact = false;
+    uint32_t keys = 0;  // distinct keys of the main table
     std::unordered_map<uint64_t, std::vector<uint32_t>> tail;
     uint32_t tail_rows = 0;
 
@@ -220,7 +224,9 @@ class ViolationEngine {
     size_t indexed_rows() const { return rows.size() + tail_rows; }
 
     // Two-pass counting build from one key code per row; empties the tail.
-    void Build(const std::vector<uint64_t>& codes);
+    // The slot table holds `max_keys` (at least the distinct codes) at load
+    // <= 1/2.
+    void Build(const std::vector<uint64_t>& codes, size_t max_keys);
 
     // Candidate rows for a key: the main table's span, then the tail's.
     struct Candidates {
@@ -364,6 +370,10 @@ class ViolationEngine {
   // Lazily created when FindViolations runs with > 1 effective threads;
   // reused across constraints and calls.
   std::unique_ptr<ThreadPool> pool_;
+  // FindViolationsTouching's membership maps, one byte per row of each
+  // relation: non-zero exactly for the rows of the call in progress, zero
+  // between calls.
+  std::vector<std::vector<uint8_t>> dirty_marks_;
 };
 
 }  // namespace dbrepair

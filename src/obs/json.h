@@ -88,8 +88,9 @@ class Json {
       value_;
 };
 
-/// Escapes `s` as a JSON string literal, including the surrounding quotes.
-std::string JsonEscape(std::string_view s);
+/// Appends `s` to `out` as a JSON string literal, including the
+/// surrounding quotes.
+void JsonEscape(std::string_view s, std::string* out);
 
 }  // namespace dbrepair::obs
 

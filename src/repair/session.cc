@@ -1,7 +1,6 @@
 #include "repair/session.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -143,13 +142,9 @@ Status RepairSession::Init() {
     // Every residual violation set would have to touch an updated row: an
     // untouched one existed pre-apply, was enumerated, and was covered by a
     // chosen fix — which updates one of its tuples.
-    std::vector<std::vector<uint8_t>> dirty(db_.relation_count());
-    for (uint32_t r = 0; r < db_.relation_count(); ++r) {
-      dirty[r].assign(db_.table(r).size(), 0);
-      for (const uint32_t row : updated_rows[r]) dirty[r][row] = 1;
-    }
+    // ApplyChosen lists each relation's updated rows ascending.
     DBREPAIR_ASSIGN_OR_RETURN(const std::vector<ViolationSet> leftover,
-                              engine_->FindViolationsTouching(dirty));
+                              engine_->FindViolationsTouching(updated_rows));
     if (!leftover.empty()) {
       return Status::Internal(
           "initial session repair left " + std::to_string(leftover.size()) +
@@ -183,12 +178,12 @@ Status RepairSession::Init() {
   return Status::OK();
 }
 
-Status RepairSession::ValidateBatch(const std::vector<BatchRow>& rows,
-                                    std::vector<uint32_t>* relations) const {
-  relations->clear();
-  relations->reserve(rows.size());
-  // Keys this batch introduces, for intra-batch duplicate detection.
-  std::set<std::pair<uint32_t, std::vector<Value>>> batch_keys;
+Status RepairSession::AppendBatch(const std::vector<BatchRow>& rows,
+                                  const std::vector<uint32_t>& first_new_row,
+                                  std::vector<uint32_t>* appended_relations) {
+  // Each relation's cells, row-major in batch order: its rows get the ids
+  // per-row inserts in batch order would give them.
+  std::vector<std::vector<Value>> cells(db_.relation_count());
   for (size_t i = 0; i < rows.size(); ++i) {
     const BatchRow& row = rows[i];
     DBREPAIR_ASSIGN_OR_RETURN(const uint32_t rel,
@@ -200,38 +195,22 @@ Status RepairSession::ValidateBatch(const std::vector<BatchRow>& rows,
           schema.name() + "': expected " + std::to_string(schema.arity()) +
           " values, got " + std::to_string(row.values.size()));
     }
-    for (size_t a = 0; a < row.values.size(); ++a) {
-      const Value& v = row.values[a];
-      if (v.is_null()) continue;  // NULL is allowed in any column.
-      const Type want = schema.attribute(a).type;
-      const bool ok =
-          (want == Type::kInt64 && v.is_int()) ||
-          (want == Type::kDouble && (v.is_double() || v.is_int())) ||
-          (want == Type::kString && v.is_string());
-      if (!ok) {
-        return Status::InvalidArgument(
-            "batch row " + std::to_string(i) + ": type mismatch in '" +
-            schema.name() + "." + schema.attribute(a).name + "': expected " +
-            TypeName(want) + ", got " + v.ToString());
+    cells[rel].insert(cells[rel].end(), row.values.begin(), row.values.end());
+  }
+  // AppendRows checks types and keys (against the stored rows and within
+  // the batch) and appends nothing when it fails; a relation that fails
+  // after others were appended truncates those back, keys included.
+  appended_relations->clear();
+  for (uint32_t rel = 0; rel < cells.size(); ++rel) {
+    if (cells[rel].empty()) continue;
+    const Status appended = db_.mutable_table(rel).AppendRows(cells[rel]);
+    if (!appended.ok()) {
+      for (const uint32_t done : *appended_relations) {
+        db_.mutable_table(done).Truncate(first_new_row[done]);
       }
+      return appended;
     }
-    std::vector<Value> key;
-    key.reserve(schema.key_positions().size());
-    for (const size_t pos : schema.key_positions()) {
-      key.push_back(row.values[pos]);
-    }
-    if (db_.table(rel).LookupByKey(key).ok()) {
-      return Status::KeyViolation("batch row " + std::to_string(i) +
-                                  ": duplicate primary key in '" +
-                                  schema.name() + "'");
-    }
-    if (!batch_keys.emplace(rel, std::move(key)).second) {
-      return Status::KeyViolation("batch row " + std::to_string(i) +
-                                  ": primary key repeated within the batch "
-                                  "in '" +
-                                  schema.name() + "'");
-    }
-    relations->push_back(rel);
+    appended_relations->push_back(rel);
   }
   return Status::OK();
 }
@@ -253,27 +232,15 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   BatchStats batch;
   batch.num_rows = rows.size();
 
-  // ---- 1. Validate, then insert. Nothing mutates until the whole batch
-  // has passed, so a bad batch leaves the session untouched. ----
-  std::vector<uint32_t> row_relations;
-  DBREPAIR_RETURN_IF_ERROR(ValidateBatch(rows, &row_relations));
-
+  // ---- 1. Append each relation's rows in one pass. A bad batch appends
+  // nothing, so it leaves the session untouched. ----
   std::vector<uint32_t> first_new_row(db_.relation_count());
   for (uint32_t r = 0; r < db_.relation_count(); ++r) {
     first_new_row[r] = static_cast<uint32_t>(db_.table(r).size());
   }
-  for (const BatchRow& row : rows) {
-    const Result<TupleRef> inserted = db_.Insert(row.relation, row.values);
-    if (!inserted.ok()) {  // pre-validated; a failure here is a logic error
-      poisoned_ = true;
-      return inserted.status();
-    }
-  }
-  std::vector<uint32_t> appended_relations = row_relations;
-  std::sort(appended_relations.begin(), appended_relations.end());
-  appended_relations.erase(
-      std::unique(appended_relations.begin(), appended_relations.end()),
-      appended_relations.end());
+  std::vector<uint32_t> appended_relations;
+  DBREPAIR_RETURN_IF_ERROR(
+      AppendBatch(rows, first_new_row, &appended_relations));
 
   // From here on every failure leaves cached state out of sync with the
   // inserted rows, so it poisons the session.
@@ -328,16 +295,19 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   // ---- 6. Incremental verify over this batch's dirty rows. ----
   if (options_.verify) {
     obs::Span verify_span(&obs.events, "verify");
-    std::vector<std::vector<uint8_t>> dirty(db_.relation_count());
+    // The dirty rows: each relation's updated rows below the batch
+    // (ascending, from ApplyChosen), then the batch's own rows.
     for (uint32_t r = 0; r < db_.relation_count(); ++r) {
-      dirty[r].assign(db_.table(r).size(), 0);
-      for (uint32_t row = first_new_row[r]; row < dirty[r].size(); ++row) {
-        dirty[r][row] = 1;
+      std::vector<uint32_t>& dirty = updated_rows[r];
+      dirty.erase(
+          std::lower_bound(dirty.begin(), dirty.end(), first_new_row[r]),
+          dirty.end());
+      for (uint32_t row = first_new_row[r]; row < db_.table(r).size(); ++row) {
+        dirty.push_back(row);
       }
-      for (const uint32_t row : updated_rows[r]) dirty[r][row] = 1;
     }
     Result<std::vector<ViolationSet>> leftover =
-        engine_->FindViolationsTouching(dirty);
+        engine_->FindViolationsTouching(updated_rows);
     if (!leftover.ok()) return poison(leftover.status());
     batch.verify_seconds = verify_span.Finish();
     if (!leftover->empty()) {

@@ -122,8 +122,9 @@ struct SessionStats {
 /// statistics live across batches (built on the first batch that probes
 /// them). Each ApplyBatch then:
 ///
-///  1. validates and inserts the rows (the whole batch is checked before
-///     any row lands, so a bad batch leaves the session untouched);
+///  1. appends the rows, grouped by relation in batch order, one
+///     Table::AppendRows call per relation (a bad batch appends nothing,
+///     so it leaves the session untouched);
 ///  2. extends the columnar snapshot by exactly the appended suffix (the
 ///     engine's join indexes grow by the same suffix on their next probe);
 ///  3. delta-joins only the new rows against the instance
@@ -136,7 +137,11 @@ struct SessionStats {
 ///     applies the picked fixes and patches exactly the updated cells into
 ///     the snapshot;
 ///  6. re-verifies incrementally: only violation sets touching this batch's
-///     dirty rows (inserted or updated) are re-enumerated.
+///     dirty rows (inserted or updated) are re-enumerated, driven from the
+///     ascending list of those rows.
+///
+/// Every step costs O(batch) in the rows and caches it touches, not
+/// O(instance) (DESIGN.md, "What each cache costs per batch").
 ///
 /// Correctness rests on locality (Definition 2.9): repairs move every cell
 /// monotonically in one direction, so a covered violation set can never
@@ -179,9 +184,12 @@ class RepairSession {
   ~RepairSession();
 
   /// Inserts `rows` and restores consistency (steps 1-6 above). The batch
-  /// is atomic with respect to validation: relation names, arity, types,
-  /// and primary-key uniqueness (against the instance and within the
-  /// batch) are checked before the first row is inserted.
+  /// is atomic with respect to validation: when a relation name is unknown
+  /// (NotFound), an arity or type is wrong (InvalidArgument) or a primary
+  /// key repeats, against the instance or within the batch (KeyViolation),
+  /// no row is inserted and the session stays usable. Rows land grouped by
+  /// relation, each relation's in batch order, so their row ids are those
+  /// per-row inserts in batch order would give.
   Result<BatchStats> ApplyBatch(const std::vector<BatchRow>& rows);
 
   /// The session's (consistent, repaired) database instance.
@@ -274,8 +282,15 @@ class RepairSession {
   Status Init();
 
   // Batch steps, factored for the span structure. All run under busy_.
-  Status ValidateBatch(const std::vector<BatchRow>& rows,
-                       std::vector<uint32_t>* relations) const;
+  // Step 1: checks every row's relation name and arity, then appends each
+  // relation's rows, in batch order, with one Table::AppendRows call, which
+  // checks types and key uniqueness. All or nothing: when a relation fails,
+  // the relations appended before it are truncated back to
+  // `first_new_row`. On success `appended_relations` lists, ascending, the
+  // relations that gained rows.
+  Status AppendBatch(const std::vector<BatchRow>& rows,
+                     const std::vector<uint32_t>& first_new_row,
+                     std::vector<uint32_t>* appended_relations);
   Status PatchInstance(std::vector<ViolationSet> new_violations,
                        std::vector<CandidateFix> new_fixes, BatchStats* stats);
 

@@ -383,15 +383,18 @@ void ExpectLongLivedEngineMatchesFresh(const LongLivedCase& c,
     }
     engine.NoteRowChanges(appended, columns);
 
-    std::vector<std::vector<uint8_t>> dirty(db.relation_count());
-    for (uint32_t r = 0; r < db.relation_count(); ++r) {
-      dirty[r].assign(db.table(r).size(), 0);
-      for (uint32_t row = mark[r]; row < dirty[r].size(); ++row) {
-        dirty[r][row] = 1;
-      }
-    }
+    // The dirty rows, ascending: this step's appended rows and updated ones.
+    std::vector<std::vector<uint32_t>> dirty(db.relation_count());
     for (const CellRef& cell : cells) {
-      dirty[cell.tuple.relation][cell.tuple.row] = 1;
+      dirty[cell.tuple.relation].push_back(cell.tuple.row);
+    }
+    for (uint32_t r = 0; r < db.relation_count(); ++r) {
+      for (uint32_t row = mark[r]; row < db.table(r).size(); ++row) {
+        dirty[r].push_back(row);
+      }
+      std::sort(dirty[r].begin(), dirty[r].end());
+      dirty[r].erase(std::unique(dirty[r].begin(), dirty[r].end()),
+                     dirty[r].end());
     }
 
     ViolationEngine fresh(db, *bound);

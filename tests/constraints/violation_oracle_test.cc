@@ -463,6 +463,45 @@ TEST(EngineSnapshotTest, StaleSuppliedSnapshotIsRejected) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST(EngineTouchingTest, RejectsMalformedDirtyRowLists) {
+  const auto schema = TypedSchema();
+  Database db(schema);
+  for (int i = 0; i < 3; ++i) {
+    AddRow(&db, "T", Value::Int(i), Value::Double(1.0), Value::String("a"));
+    AddRow(&db, "U", Value::Int(i), Value::Double(1.0), Value::String("a"));
+  }
+  // T row r joins U row r on I.
+  const auto ics = BindText(*schema, ":- T(k, i, d, s), U(k2, i, e, t)\n");
+  ViolationEngine engine(db, ics);
+  const auto code = [&engine](const std::vector<std::vector<uint32_t>>& dirty) {
+    return engine.FindViolationsTouching(dirty).status().code();
+  };
+  EXPECT_EQ(code({{0}}), StatusCode::kInvalidArgument);          // too few
+  EXPECT_EQ(code({{0}, {}, {}}), StatusCode::kInvalidArgument);  // too many
+  EXPECT_EQ(code({{1, 0}, {}}), StatusCode::kInvalidArgument);   // descending
+  EXPECT_EQ(code({{1, 1}, {}}), StatusCode::kInvalidArgument);   // repeated
+  EXPECT_EQ(code({{0, 3}, {}}), StatusCode::kInvalidArgument);   // past the end
+  EXPECT_EQ(code({{}, {UINT32_MAX}}), StatusCode::kInvalidArgument);
+  auto touched = engine.FindViolationsTouching({{1}, {}});
+  ASSERT_TRUE(touched.ok()) << touched.status().ToString();
+  ASSERT_EQ(touched->size(), 1u);
+  EXPECT_EQ((*touched)[0].tuples,
+            (std::vector<TupleRef>{TupleRef{0, 1}, TupleRef{1, 1}}));
+
+  // A call that fails part-way clears its marks too: were T row 0 still
+  // marked dirty, the U-pivot run below would skip it as a clean partner.
+  ViolationEngineOptions capped;
+  capped.max_violation_sets = 1;
+  ViolationEngine small(db, ics, capped);
+  EXPECT_EQ(small.FindViolationsTouching({{0, 1, 2}, {}}).status().code(),
+            StatusCode::kResourceExhausted);
+  touched = small.FindViolationsTouching({{}, {0}});
+  ASSERT_TRUE(touched.ok()) << touched.status().ToString();
+  ASSERT_EQ(touched->size(), 1u);
+  EXPECT_EQ((*touched)[0].tuples,
+            (std::vector<TupleRef>{TupleRef{0, 0}, TupleRef{1, 0}}));
+}
+
 TEST(EngineSnapshotTest, OwnSnapshotFollowsNoteRowChanges) {
   const auto schema = TypedSchema();
   Database db(schema);

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+
 namespace dbrepair::obs {
 namespace {
 
@@ -37,12 +44,76 @@ TEST(JsonTest, AsDoubleWorksForInts) {
   EXPECT_DOUBLE_EQ(Json(2.5).AsDouble(), 2.5);
 }
 
+std::string Escaped(std::string_view s) {
+  std::string out;
+  JsonEscape(s, &out);
+  return out;
+}
+
 TEST(JsonTest, EscapesSpecialCharacters) {
-  EXPECT_EQ(JsonEscape("a\"b"), "\"a\\\"b\"");
-  EXPECT_EQ(JsonEscape("a\\b"), "\"a\\\\b\"");
-  EXPECT_EQ(JsonEscape("tab\there"), "\"tab\\there\"");
-  EXPECT_EQ(JsonEscape("line\n"), "\"line\\n\"");
-  EXPECT_EQ(JsonEscape(std::string_view("nul\0byte", 8)), "\"nul\\u0000byte\"");
+  EXPECT_EQ(Escaped("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(Escaped("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(Escaped("tab\there"), "\"tab\\there\"");
+  EXPECT_EQ(Escaped("line\n"), "\"line\\n\"");
+  EXPECT_EQ(Escaped(std::string_view("nul\0byte", 8)), "\"nul\\u0000byte\"");
+  // It appends: what `out` held before is kept.
+  std::string out = "k=";
+  JsonEscape("v", &out);
+  EXPECT_EQ(out, "k=\"v\"");
+}
+
+// What Dump wrote for numbers before it used std::to_chars: printf's
+// "%.17g" for a finite double, with ".0" appended when that has no '.',
+// 'e' or 'E'; "null" for NaN and the infinities.
+std::string ReferenceDouble(double d) {
+  if (!std::isfinite(d)) return "null";
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", d);
+  std::string text = buffer;
+  if (text.find_first_of(".eE") == std::string::npos) text += ".0";
+  return text;
+}
+
+TEST(JsonTest, DumpNumbersMatchPrintf) {
+  const double edge[] = {0.0,
+                         -0.0,
+                         1.0,
+                         -1.0,
+                         1e21,
+                         1e-7,
+                         5e-324,
+                         std::numeric_limits<double>::denorm_min(),
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::max(),
+                         -std::numeric_limits<double>::max(),
+                         0.1 + 0.2,
+                         1.0 / 3.0,
+                         123456789012345678.0,
+                         std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()};
+  for (const double d : edge) {
+    EXPECT_EQ(Json(d).Dump(), ReferenceDouble(d)) << ReferenceDouble(d);
+  }
+  EXPECT_EQ(Json(5e-324).Dump(), "4.9406564584124654e-324");
+  EXPECT_EQ(Json(std::nan("")).Dump(), "null");
+  // Seeded sweep: uniform bit patterns reach every exponent, subnormals and
+  // NaN payloads included; values in [-1e6, 1e6] are the common case.
+  std::mt19937_64 rng(20071);
+  std::uniform_real_distribution<double> common(-1e6, 1e6);
+  for (int i = 0; i < 100'000; ++i) {
+    const uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    ASSERT_EQ(Json(d).Dump(), ReferenceDouble(d)) << ReferenceDouble(d);
+    const double c = common(rng);
+    ASSERT_EQ(Json(c).Dump(), ReferenceDouble(c)) << ReferenceDouble(c);
+  }
+  for (const int64_t v : {int64_t{0}, int64_t{-1}, int64_t{1234567890123},
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max()}) {
+    EXPECT_EQ(Json(v).Dump(), std::to_string(v));
+  }
 }
 
 TEST(JsonTest, ObjectPreservesInsertionOrder) {

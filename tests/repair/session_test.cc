@@ -380,6 +380,99 @@ TEST(SessionTest, BatchValidationIsAtomic) {
   auto stored_dup = (*session)->ApplyBatch({{"Client", ok_client}});
   EXPECT_EQ(stored_dup.status().code(), StatusCode::kKeyViolation);
   EXPECT_EQ((*session)->db().TotalTuples(), 1u);
+
+  // Rows land grouped by relation, Client before Buy. A Buy that fails
+  // after the batch's Clients were appended must take them back out, key
+  // index included.
+  const auto client = [](int64_t id) {
+    return BatchRow{"Client", {Value::Int(id), Value::Int(30), Value::Int(10)}};
+  };
+  const auto buy = [](int64_t id, int64_t item) {
+    return BatchRow{"Buy", {Value::Int(id), Value::Int(item), Value::Int(5)}};
+  };
+  ASSERT_TRUE((*session)->ApplyBatch({buy(1, 1)}).ok());
+  const size_t stored = (*session)->db().TotalTuples();
+  const std::vector<BatchRow> clients = {client(10), client(11), client(12)};
+  std::vector<BatchRow> bad_type = clients;
+  bad_type.push_back(
+      {"Buy", {Value::Int(10), Value::String("x"), Value::Int(5)}});
+  auto typed = (*session)->ApplyBatch(bad_type);
+  EXPECT_EQ(typed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(typed.status().message().find("Buy"), std::string::npos)
+      << typed.status().ToString();
+  EXPECT_EQ((*session)->db().TotalTuples(), stored);
+  std::vector<BatchRow> bad_key = clients;
+  bad_key.push_back(buy(1, 1));  // stored by the earlier batch
+  auto keyed = (*session)->ApplyBatch(bad_key);
+  EXPECT_EQ(keyed.status().code(), StatusCode::kKeyViolation);
+  EXPECT_NE(keyed.status().message().find("Buy"), std::string::npos)
+      << keyed.status().ToString();
+  EXPECT_EQ((*session)->db().TotalTuples(), stored);
+  auto clean = (*session)->ApplyBatch(clients);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_EQ((*session)->db().TotalTuples(), stored + clients.size());
+
+  // A key repeated with rows of another relation between the two copies.
+  auto split_dup = (*session)->ApplyBatch(
+      {buy(20, 1), client(20), client(21), buy(20, 2), buy(20, 1)});
+  EXPECT_EQ(split_dup.status().code(), StatusCode::kKeyViolation);
+  EXPECT_NE(split_dup.status().message().find("Buy"), std::string::npos)
+      << split_dup.status().ToString();
+  EXPECT_EQ((*session)->db().TotalTuples(), stored + clients.size());
+
+  // NULL keys compare equal (Value ==), so two in one batch collide.
+  const BatchRow null_client{"Client",
+                             {Value(), Value::Int(30), Value::Int(10)}};
+  auto null_dup = (*session)->ApplyBatch({null_client, null_client});
+  EXPECT_EQ(null_dup.status().code(), StatusCode::kKeyViolation);
+  EXPECT_EQ((*session)->db().TotalTuples(), stored + clients.size());
+
+  // The session was never poisoned.
+  ASSERT_TRUE((*session)->ApplyBatch({client(20), buy(20, 1)}).ok());
+  ExpectConsistent((*session)->db(), ics);
+}
+
+TEST(SessionTest, GroupedIngestMatchesPerRowInserts) {
+  // Clean rows (adults only), interleaved across relations and shuffled so
+  // a Buy may precede its Client: no repair runs, so the session's tables
+  // must equal per-row Database::Insert in batch order, row id for row id,
+  // and every key must be found at its row.
+  Rng rng(7);
+  std::vector<BatchRow> rows;
+  for (int64_t id = 0; id < 60; ++id) {
+    rows.push_back({"Client", {Value::Int(id), Value::Int(20 + id % 50),
+                               Value::Int(rng.UniformInRange(0, 100))}});
+    for (int64_t item = 0; item < id % 3; ++item) {
+      rows.push_back({"Buy", {Value::Int(id), Value::Int(item),
+                              Value::Int(rng.UniformInRange(0, 100))}});
+    }
+  }
+  for (size_t i = rows.size(); i > 1; --i) {
+    std::swap(rows[i - 1], rows[rng.Uniform(i)]);
+  }
+  const Database empty(MakeClientBuySchema());
+  const auto ics = MakeClientBuyConstraints();
+  Database want(empty.schema_ptr());
+  for (const BatchRow& row : rows) {
+    ASSERT_TRUE(want.Insert(row.relation, row.values).ok());
+  }
+  auto session = Replay(empty, ics, rows, /*num_batches=*/3, RepairOptions{});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_EQ((*session)->stats().total_updates, 0u);
+  ExpectSameDatabase((*session)->db(), want, "per-row inserts");
+  for (uint32_t r = 0; r < want.relation_count(); ++r) {
+    const Table& table = (*session)->db().table(r);
+    const auto& key_positions = table.schema().key_positions();
+    for (size_t row = 0; row < table.size(); ++row) {
+      std::vector<Value> key;
+      for (const size_t pos : key_positions) {
+        key.push_back(table.row(row).value(pos));
+      }
+      auto found = table.LookupByKey(key);
+      ASSERT_TRUE(found.ok()) << "relation " << r << " row " << row;
+      EXPECT_EQ(*found, row);
+    }
+  }
 }
 
 TEST(SessionTest, OpenRejectsOptionsTheIncrementalPipelineCannotHonour) {
@@ -552,7 +645,10 @@ TEST(SessionTest, BatchesGrowCachesInsteadOfRebuildingThem) {
   // by 1/kTailFoldShare, so full builds stay logarithmic in the growth
   // (a rebuild per touched relation would be >= 2 per batch); planner
   // statistics follow the same rule. The snapshot is patched cell by
-  // cell, and must still equal a fresh build of the session database.
+  // cell, and must still equal a fresh build of the session database. The
+  // verify's touched scan is driven from exactly the batch's rows plus the
+  // distinct older rows its repairs updated, never from a walk over whole
+  // relations.
   auto workload = GenerateScenario({"client-buy", 26'000, 5});
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
   // Shuffled, so both relations grow and a Buy may arrive before its
@@ -577,13 +673,30 @@ TEST(SessionTest, BatchesGrowCachesInsteadOfRebuildingThem) {
   const uint64_t open_builds = count("engine.code_index.builds");
   const uint64_t open_stats = count("engine.stats.computes");
   size_t updates = 0;
+  size_t updated_old_rows = 0;
   for (size_t b = 0; b < kBatches; ++b) {
+    std::vector<uint32_t> first_new_row;
+    for (uint32_t r = 0; r < s.db().relation_count(); ++r) {
+      first_new_row.push_back(static_cast<uint32_t>(s.db().table(r).size()));
+    }
+    const uint64_t dirty_before = count("engine.touching.dirty_rows");
     const auto first = rows.begin() + kBaseRows + b * 100;
     auto batch = s.ApplyBatch(std::vector<BatchRow>(first, first + 100));
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     updates += batch->num_updates;
+    std::set<TupleRef> updated;
+    for (const AppliedUpdate& update : batch->updates) {
+      if (update.tuple.row < first_new_row[update.tuple.relation]) {
+        updated.insert(update.tuple);
+      }
+    }
+    EXPECT_EQ(count("engine.touching.dirty_rows") - dirty_before,
+              100 + updated.size())
+        << "batch " << b;
+    updated_old_rows += updated.size();
   }
   ASSERT_GT(updates, 0u);
+  EXPECT_GT(updated_old_rows, 0u);  // both kinds of dirty row occurred
   EXPECT_EQ(count("scan.columnar.patched_cells"),
             s.open_updates().size() + updates);
 

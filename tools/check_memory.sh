@@ -9,7 +9,11 @@
 # scan-vs-oracle differential harness, the repair suite (the instance builder,
 # whose Algorithm-4 linking binds `const Value*` cells through a one-cell
 # override), the RepairSession suite (snapshots extended and patched batch by
-# batch) and the scenario suites, plus the suites that create, copy and drop
+# batch; each batch appended one AppendRows call per relation, and a batch
+# whose later relation fails rolled back by truncating the relations
+# appended before it, cells and key slots both; the verify's membership
+# marks set and cleared from row lists) and the scenario suites, plus the
+# suites that create, copy and drop
 # Values wholesale: the catalog tests (every copy, move and assignment of each
 # Value kind), the io tests (the CSV scanner's field views into the loaded
 # text, chunked appends and the truncation that undoes a failed load, and
