@@ -375,7 +375,13 @@ struct SetBuffer {
 ViolationEngine::ViolationEngine(const Database& db,
                                  const std::vector<BoundConstraint>& ics,
                                  ViolationEngineOptions options)
-    : db_(db), ics_(ics), options_(options) {}
+    : db_(db), ics_(ics), options_(options) {
+  if (options_.columnar != nullptr) {
+    snapshot_ = *options_.columnar;
+    has_snapshot_ = true;
+    options_.columnar = nullptr;  // the copy above is the engine's
+  }
+}
 
 ViolationEngine::Plan ViolationEngine::BuildPlan(const BoundConstraint& ic,
                                                  int forced_first_atom) {
@@ -564,7 +570,7 @@ void ViolationEngine::CodeIndex::Build(const std::vector<uint64_t>& codes,
 const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
     uint32_t relation, const std::vector<uint32_t>& key) {
   using ColRef = ColumnarPlan::ColRef;
-  const RelationColumns& rel = snapshot_->relation(relation);
+  const RelationColumns& rel = snapshot_.relation(relation);
   const auto n = static_cast<uint32_t>(rel.row_count);
   auto [it, inserted] =
       code_index_cache_.try_emplace(std::make_pair(relation, key));
@@ -615,7 +621,7 @@ const ViolationEngine::CodeIndex& ViolationEngine::GetCodeIndex(
 }
 
 const TableStats& ViolationEngine::GetStats(uint32_t relation) {
-  const RelationColumns& rel = snapshot_->relation(relation);
+  const RelationColumns& rel = snapshot_.relation(relation);
   const auto it = stats_cache_.find(relation);
   if (it != stats_cache_.end() &&
       rel.row_count <=
@@ -628,21 +634,22 @@ const TableStats& ViolationEngine::GetStats(uint32_t relation) {
   return stats;
 }
 
+void ViolationEngine::BuildSnapshot() {
+  if (has_snapshot_) return;
+  snapshot_ = ColumnSnapshot::Build(db_);
+  has_snapshot_ = true;
+}
+
 Status ViolationEngine::PrepareSnapshot() {
-  if (options_.columnar != nullptr) {
-    snapshot_ = options_.columnar;
-  } else if (snapshot_ == nullptr) {
-    owned_snapshot_ = ColumnSnapshot::Build(db_);
-    snapshot_ = &owned_snapshot_;
-  }
-  if (snapshot_->relation_count() != db_.relation_count()) {
+  BuildSnapshot();
+  if (snapshot_.relation_count() != db_.relation_count()) {
     return Status::FailedPrecondition(
         "columnar snapshot has " +
-        std::to_string(snapshot_->relation_count()) + " relations, the "
+        std::to_string(snapshot_.relation_count()) + " relations, the "
         "database " + std::to_string(db_.relation_count()));
   }
   for (uint32_t r = 0; r < db_.relation_count(); ++r) {
-    const RelationColumns& rel = snapshot_->relation(r);
+    const RelationColumns& rel = snapshot_.relation(r);
     const Table& table = db_.table(r);
     if (rel.row_count != table.size() ||
         rel.columns.size() != table.schema().arity()) {
@@ -659,7 +666,7 @@ Status ViolationEngine::PrepareSnapshot() {
 
 ColumnarPlan ViolationEngine::PrepareColumnar(const Plan& plan) {
   using ColRef = ColumnarPlan::ColRef;
-  const ColumnSnapshot& snap = *snapshot_;
+  const ColumnSnapshot& snap = snapshot_;
   const BoundConstraint& ic = *plan.ic;
   const std::vector<PlannedBuiltin> planned = RebuildPlannedBuiltins(ic);
 
@@ -1328,34 +1335,30 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
 
 void ViolationEngine::NoteRowChanges(
     const std::vector<uint32_t>& appended_relations,
-    const std::vector<std::pair<uint32_t, uint32_t>>& updated_columns) {
+    const std::vector<CellRef>& updated_cells) {
   // An index keyed on an updated column holds stale codes. Appended rows
   // need nothing here: GetCodeIndex and GetStats compare row counts.
-  std::vector<uint32_t> updated_relations;
-  for (const auto& [rel, attribute] : updated_columns) {
+  for (const CellRef& cell : updated_cells) {
     for (auto it = code_index_cache_.begin();
          it != code_index_cache_.end();) {
       const std::vector<uint32_t>& key = it->first.second;
       const bool stale =
-          it->first.first == rel &&
-          std::any_of(key.begin(), key.end(), [attribute](uint32_t k) {
-            return (k & ~kValueKeyBit) == attribute;
+          it->first.first == cell.tuple.relation &&
+          std::any_of(key.begin(), key.end(), [&cell](uint32_t k) {
+            return (k & ~kValueKeyBit) == cell.attribute;
           });
       it = stale ? code_index_cache_.erase(it) : std::next(it);
     }
-    if (std::find(updated_relations.begin(), updated_relations.end(), rel) ==
-        updated_relations.end()) {
-      updated_relations.push_back(rel);
-    }
   }
-  // Extend and rebase, never rebuild: the shared dictionary stays
-  // append-only, so every cached code index keeps its meaning.
-  if (snapshot_ == &owned_snapshot_) {
-    owned_snapshot_.ExtendAppended(db_, appended_relations);
-    if (!updated_relations.empty()) {
-      owned_snapshot_ = owned_snapshot_.Rebase(db_, updated_relations);
-    }
-  }
+  // Extend and patch, never rebuild: the shared dictionary stays
+  // append-only, so every cached code index keeps its meaning. Without a
+  // snapshot there is nothing to keep: the first Find* builds a current one.
+  if (!has_snapshot_) return;
+  snapshot_.ExtendAppended(db_, appended_relations);
+  if (updated_cells.empty()) return;
+  snapshot_.PatchCells(db_, updated_cells);
+  obs::CurrentObs().metrics.GetCounter("scan.columnar.patched_cells")
+      ->Add(updated_cells.size());
 }
 
 Result<bool> ViolationEngine::Satisfies(

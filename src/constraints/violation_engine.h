@@ -34,13 +34,13 @@ struct ViolationEngineOptions {
   /// output — and every downstream violation id — is byte-identical to the
   /// serial run.
   size_t num_threads = 1;
-  /// Optional columnar view of the same database (non-owning). The scan
-  /// evaluates every constraint against its typed arrays and dictionary
-  /// codes, with join indexes keyed on packed uint64 codes. When null, the
-  /// engine builds its own snapshot on first use and keeps it current
-  /// through NoteRowChanges. A supplied snapshot must match the
-  /// Database row for row: a relation count, row count or arity that
-  /// disagrees fails every Find* call with FailedPrecondition.
+  /// Optional columnar snapshot of the same database, which the engine
+  /// copies at construction (the copy shares the column vectors); when
+  /// null, the engine builds its own on first use. The scan evaluates every
+  /// constraint against the snapshot's typed arrays and dictionary codes,
+  /// with join indexes keyed on packed uint64 codes. A supplied snapshot
+  /// must match the Database row for row: a relation count, row count or
+  /// arity that disagrees fails every Find* call with FailedPrecondition.
   const ColumnSnapshot* columnar = nullptr;
 };
 
@@ -99,19 +99,29 @@ class ViolationEngine {
 
   /// Tells a long-lived engine (a repair session) how the rows changed
   /// since its last Find* call: the relations that gained rows (tables only
-  /// append, so a row-id suffix), and the (relation, attribute) columns in
-  /// which some cell was updated in place. Join code indexes whose key
-  /// reads an updated column are dropped; every other cache is kept:
-  /// indexes grow by the appended suffix on their next probe, and planner
+  /// append, so a row-id suffix), and the cells updated in place. The one
+  /// path that keeps the engine's snapshot current: ExtendAppended, then
+  /// PatchCells, which copy a relation another snapshot shares (the
+  /// caller's `columnar`) before changing it. Join code indexes keyed on an
+  /// updated cell's column are dropped; every other cache is kept: indexes
+  /// grow by the appended suffix on their next probe, and planner
   /// statistics are recomputed only once a relation has grown by
   /// 1/kStatsRegrowShare since they were taken (stale statistics change
-  /// plans, never violation sets). The engine's own snapshot (if it built
-  /// one) is extended by the appended suffixes and rebased over the
-  /// updated relations; a caller-supplied snapshot is the caller's to keep
-  /// current.
-  void NoteRowChanges(
-      const std::vector<uint32_t>& appended_relations,
-      const std::vector<std::pair<uint32_t, uint32_t>>& updated_columns);
+  /// plans, never violation sets).
+  void NoteRowChanges(const std::vector<uint32_t>& appended_relations,
+                      const std::vector<CellRef>& updated_cells);
+
+  /// Builds the engine's snapshot of db() unless it holds one (supplied or
+  /// built before). The first Find* call does this itself; a caller calls
+  /// it to time the build apart from the scan.
+  void BuildSnapshot();
+  bool has_snapshot() const { return has_snapshot_; }
+  /// The snapshot the scans read; empty until one is supplied or built.
+  const ColumnSnapshot& snapshot() const { return snapshot_; }
+
+  const Database& db() const { return db_; }
+  const std::vector<BoundConstraint>& ics() const { return ics_; }
+  size_t num_threads() const { return options_.num_threads; }
 
   /// A join index folds its tail of appended rows into a full rebuild once
   /// the tail would hold more than 1/kTailFoldShare as many rows as the
@@ -262,8 +272,8 @@ class ViolationEngine {
   Plan BuildPlan(const BoundConstraint& ic, int forced_first_atom = -1);
   const TableStats& GetStats(uint32_t relation);
 
-  // Points snapshot_ at the caller's snapshot, or at the engine's own
-  // (built on first use), and checks it against db_ relation by relation.
+  // Builds snapshot_ on first use and checks it against db_ relation by
+  // relation.
   Status PrepareSnapshot();
 
   // Lowers `plan` onto snapshot_: chooses each class's column kind (typed
@@ -363,10 +373,10 @@ class ViolationEngine {
                      IndexKeyHash>
       code_index_cache_;
   std::unordered_map<uint32_t, TableStats> stats_cache_;
-  // The scan's input: options_.columnar, or owned_snapshot_ when the caller
-  // supplied none. Null until the first Find* call.
-  const ColumnSnapshot* snapshot_ = nullptr;
-  ColumnSnapshot owned_snapshot_;
+  // The scan's input: a copy of options.columnar, or built by the first
+  // BuildSnapshot. Only NoteRowChanges changes it afterwards.
+  ColumnSnapshot snapshot_;
+  bool has_snapshot_ = false;
   // Lazily created when FindViolations runs with > 1 effective threads;
   // reused across constraints and calls.
   std::unique_ptr<ThreadPool> pool_;

@@ -302,34 +302,28 @@ Result<std::vector<CandidateFix>> GenerateCandidateFixes(
   return fixes;
 }
 
-Result<RepairProblem> BuildRepairProblem(
-    const Database& db, const std::vector<BoundConstraint>& ics,
-    const DistanceFunction& distance, const BuildOptions& options) {
+Result<RepairProblem> BuildRepairProblem(ViolationEngine& engine,
+                                         const DistanceFunction& distance) {
   RepairProblem problem;
   obs::ObsContext& obs = obs::CurrentObs();
+  const Database& db = engine.db();
+  const std::vector<BoundConstraint>& ics = engine.ics();
 
-  const size_t num_threads = ResolveNumThreads(options.num_threads);
   obs.metrics.GetGauge("parallel.num_threads")
-      ->Set(static_cast<double>(num_threads));
+      ->Set(static_cast<double>(ResolveNumThreads(engine.num_threads())));
 
   // ---- Columnar snapshot of the row store (the scan's input). ----
-  ViolationEngineOptions engine_options = options.engine;
-  engine_options.num_threads = num_threads;
-  if (engine_options.columnar != nullptr) {
-    problem.snapshot = *engine_options.columnar;
-  } else {
+  if (!engine.has_snapshot()) {
     obs::Span snapshot_span(&obs.events, "snapshot");
     const auto snapshot_start = std::chrono::steady_clock::now();
-    problem.snapshot = ColumnSnapshot::Build(db);
+    engine.BuildSnapshot();
     obs.metrics.GetCounter("scan.columnar.snapshot_ns")
         ->Add(ElapsedNs(snapshot_start));
     obs.metrics.GetCounter("scan.columnar.snapshots")->Add(1);
   }
-  engine_options.columnar = &problem.snapshot;
 
   // ---- Algorithm 2: the violation-set array A. ----
   obs::Span violations_span(&obs.events, "violations");
-  ViolationEngine engine(db, ics, engine_options);
   DBREPAIR_ASSIGN_OR_RETURN(problem.violations, engine.FindViolations());
   problem.degrees = ComputeDegrees(problem.violations);
   {
@@ -379,6 +373,18 @@ Result<RepairProblem> BuildRepairProblem(
     obs.metrics.GetGauge("repair.components")
         ->Set(static_cast<double>(problem.components.num_components()));
   }
+  return problem;
+}
+
+Result<RepairProblem> BuildRepairProblem(
+    const Database& db, const std::vector<BoundConstraint>& ics,
+    const DistanceFunction& distance, const BuildOptions& options) {
+  ViolationEngineOptions engine_options = options.engine;
+  engine_options.num_threads = ResolveNumThreads(options.num_threads);
+  ViolationEngine engine(db, ics, engine_options);
+  DBREPAIR_ASSIGN_OR_RETURN(RepairProblem problem,
+                            BuildRepairProblem(engine, distance));
+  problem.snapshot = engine.snapshot();
   return problem;
 }
 

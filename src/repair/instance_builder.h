@@ -31,10 +31,11 @@ struct RepairProblem {
   /// freshly built sets; the repairer reports their count and a session
   /// keeps the index live across batches.
   ComponentIndex components;
-  /// The columnar snapshot the violation scan ran against: built here, or a
-  /// copy of the caller's `engine.columnar` (the copy shares its column
-  /// vectors and dictionary). The repairer's verify phase Rebase()s it over
-  /// the repaired clone instead of re-snapshotting the untouched relations.
+  /// The columnar snapshot the violation scan ran against, copied out of
+  /// the engine (sharing its column vectors and dictionary) by the
+  /// overloads that construct one; empty after the ViolationEngine
+  /// overload. The repairer's verify phase Rebase()s it over the repaired
+  /// clone instead of re-snapshotting the untouched relations.
   ColumnSnapshot snapshot;
 };
 
@@ -100,6 +101,14 @@ inline Result<std::vector<CandidateFix>> GenerateCandidateFixes(
 ///
 /// Fails with Internal if some violation set ends up coverable by no fix —
 /// impossible for a local IC set, so callers should EnsureLocal first.
+///
+/// Scans engine.ics() over engine.db() on `engine`, so a caller that keeps
+/// the engine (a repair session) keeps the snapshot, join indexes and
+/// planner statistics the scan built.
+Result<RepairProblem> BuildRepairProblem(ViolationEngine& engine,
+                                         const DistanceFunction& distance);
+/// Builds on a ViolationEngine made from `options` and copies its snapshot
+/// into RepairProblem::snapshot.
 Result<RepairProblem> BuildRepairProblem(
     const Database& db, const std::vector<BoundConstraint>& ics,
     const DistanceFunction& distance, const BuildOptions& options = {});

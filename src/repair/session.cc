@@ -92,20 +92,20 @@ Status RepairSession::Init() {
     DBREPAIR_RETURN_IF_ERROR(EnsureLocal(db_.schema(), bound_));
   }
 
-  // Full build of the initial problem; the session adopts every structure
-  // the one-shot pipeline would discard.
-  BuildOptions build = options_.build;
-  build.num_threads = options_.num_threads;
-  DBREPAIR_ASSIGN_OR_RETURN(
-      RepairProblem problem,
-      BuildRepairProblem(db_, bound_, distance_, build));
+  // Full build of the initial problem on the session's own engine; the
+  // session adopts every structure the one-shot pipeline would discard,
+  // the engine's snapshot, join indexes and statistics included.
+  ViolationEngineOptions engine_options = options_.build.engine;
+  engine_options.num_threads = num_threads_;
+  engine_ = std::make_unique<ViolationEngine>(db_, bound_, engine_options);
+  DBREPAIR_ASSIGN_OR_RETURN(RepairProblem problem,
+                            BuildRepairProblem(*engine_, distance_));
   violations_ = std::move(problem.violations);
   AddToCensus(violations_);
   fixes_ = std::move(problem.fixes);
   components_ = std::move(problem.components);
   component_count_.store(components_.num_components(),
                          std::memory_order_relaxed);
-  snapshot_ = std::move(problem.snapshot);
 
   fix_ids_.reserve(fixes_.size());
   for (uint32_t f = 0; f < fixes_.size(); ++f) {
@@ -114,11 +114,6 @@ Status RepairSession::Init() {
                      f);
     std::vector<uint32_t>().swap(fixes_[f].solved);  // csr_ holds the links
   }
-
-  ViolationEngineOptions engine_options = options_.build.engine;
-  engine_options.num_threads = num_threads_;
-  engine_options.columnar = &snapshot_;
-  engine_ = std::make_unique<ViolationEngine>(db_, bound_, engine_options);
 
   // Freeze the built instance once; the incremental solver reads only the
   // flat view and every batch grows it by appending its epoch.
@@ -134,7 +129,6 @@ Status RepairSession::Init() {
   std::vector<std::vector<uint32_t>> updated_rows;
   DBREPAIR_RETURN_IF_ERROR(ApplyChosen(solution, &updated_rows, &open_updates_));
   const size_t num_updates = open_updates_.size();
-  RefreshAfterUpdates(open_updates_);
   const double open_apply_seconds = apply_span.Finish();
 
   if (options_.verify && num_updates > 0) {
@@ -249,10 +243,9 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
     return status;
   };
 
-  // ---- 2. Grow the cached snapshot by exactly the appended suffix. ----
-  snapshot_.ExtendAppended(db_, appended_relations);
-  obs.metrics.GetCounter("session.batch.snapshot_extends")->Add(1);
+  // ---- 2. Grow the engine's snapshot by exactly the appended suffix. ----
   engine_->NoteRowChanges(appended_relations, {});
+  obs.metrics.GetCounter("session.batch.snapshot_extends")->Add(1);
 
   // ---- 3. Delta-join: violation sets involving at least one new row. ----
   obs::Span detect_span(&obs.events, "detect");
@@ -289,7 +282,6 @@ Result<BatchStats> RepairSession::ApplyBatch(const std::vector<BatchRow>& rows) 
   if (!applied.ok()) return poison(std::move(applied));
   const size_t num_updates = batch.updates.size();
   batch.num_updates = num_updates;
-  RefreshAfterUpdates(batch.updates);
   batch.apply_seconds = apply_span.Finish();
 
   // ---- 6. Incremental verify over this batch's dirty rows. ----
@@ -576,6 +568,7 @@ Status RepairSession::ApplyChosen(
   // ApplyCover.
   DBREPAIR_ASSIGN_OR_RETURN(const std::vector<uint32_t> cells,
                             CoverCellFixes(fixes_, solution.chosen));
+  std::vector<CellRef> changed;
   for (const uint32_t set_id : cells) {
     const CandidateFix& fix = fixes_[set_id];
     const std::pair<uint64_t, uint32_t> cell{fix.tuple.Packed(),
@@ -606,32 +599,14 @@ Status RepairSession::ApplyChosen(
                          Value::Int(fix.new_value)));
     applied->push_back(AppliedUpdate{fix.tuple, fix.attribute, current_int,
                                      fix.new_value});
+    changed.push_back(CellRef{fix.tuple, fix.attribute});
     std::vector<uint32_t>& rows = (*updated_rows)[fix.tuple.relation];
     if (rows.empty() || rows.back() != fix.tuple.row) {
       rows.push_back(fix.tuple.row);
     }
   }
+  engine_->NoteRowChanges({}, changed);
   return Status::OK();
-}
-
-void RepairSession::RefreshAfterUpdates(
-    const std::vector<AppliedUpdate>& updates) {
-  if (updates.empty()) return;
-  std::vector<CellRef> cells;
-  cells.reserve(updates.size());
-  std::vector<std::pair<uint32_t, uint32_t>> columns;
-  for (const AppliedUpdate& update : updates) {
-    cells.push_back(CellRef{update.tuple, update.attribute});
-    const std::pair<uint32_t, uint32_t> column{update.tuple.relation,
-                                               update.attribute};
-    if (std::find(columns.begin(), columns.end(), column) == columns.end()) {
-      columns.push_back(column);
-    }
-  }
-  snapshot_.PatchCells(db_, cells);
-  obs::CurrentObs().metrics.GetCounter("scan.columnar.patched_cells")
-      ->Add(cells.size());
-  engine_->NoteRowChanges({}, columns);
 }
 
 }  // namespace dbrepair

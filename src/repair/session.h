@@ -115,18 +115,17 @@ struct SessionStats {
 ///
 /// Open() clones the database, binds and locality-checks the constraints,
 /// runs one full repair (build + modified-greedy solve + apply), and caches
-/// everything the full pipeline would throw away: the columnar snapshot,
-/// the candidate fixes with their (tuple, attribute, value) keys, the
-/// frozen MWSCP instance, and the greedy solver's covered/heap state. It
-/// also keeps one violation engine whose join indexes and planner
-/// statistics live across batches (built on the first batch that probes
-/// them). Each ApplyBatch then:
+/// everything the full pipeline would throw away: the candidate fixes with
+/// their (tuple, attribute, value) keys, the frozen MWSCP instance, and the
+/// greedy solver's covered/heap state. The build scans on the session's
+/// one violation engine, so its columnar snapshot, join indexes and
+/// planner statistics live on across batches. Each ApplyBatch then:
 ///
 ///  1. appends the rows, grouped by relation in batch order, one
 ///     Table::AppendRows call per relation (a bad batch appends nothing,
 ///     so it leaves the session untouched);
-///  2. extends the columnar snapshot by exactly the appended suffix (the
-///     engine's join indexes grow by the same suffix on their next probe);
+///  2. extends the engine's snapshot by exactly the appended suffix (its
+///     join indexes grow by the same suffix on their next probe);
 ///  3. delta-joins only the new rows against the instance
 ///     (ViolationEngine::FindViolationsSince) — when the pre-batch instance
 ///     was consistent these are ALL violation sets of the grown instance;
@@ -135,7 +134,7 @@ struct SessionStats {
 ///     sets, refreshed weights);
 ///  5. continues the modified-greedy loop over whatever became uncovered,
 ///     applies the picked fixes and patches exactly the updated cells into
-///     the snapshot;
+///     the engine's snapshot;
 ///  6. re-verifies incrementally: only violation sets touching this batch's
 ///     dirty rows (inserted or updated) are re-enumerated, driven from the
 ///     ascending list of those rows.
@@ -219,9 +218,9 @@ class RepairSession {
   /// of frozen_instance(). Exposed for tests and diagnostics.
   const std::vector<ViolationSet>& violations() const { return violations_; }
 
-  /// The columnar snapshot the engine scans; tracks db() cell for cell.
-  /// Exposed for tests and diagnostics.
-  const ColumnSnapshot& snapshot() const { return snapshot_; }
+  /// The columnar snapshot the session's engine scans; tracks db() cell for
+  /// cell. Exposed for tests and diagnostics.
+  const ColumnSnapshot& snapshot() const { return engine_->snapshot(); }
 
   /// The rolling per-batch telemetry window (newest last; the oldest
   /// records are dropped past kTelemetryWindow batches). Batch 0 is the
@@ -297,15 +296,12 @@ class RepairSession {
   // Applies the chosen sets of `solution` to db_ (same subsumption rule as
   // ApplyCover: of two picks on one (tuple, attribute), the higher-weight
   // fix wins), recording which rows of which relations changed and the
-  // update list itself.
+  // update list itself. Then tells the engine which cells changed: it
+  // patches them into its snapshot and drops the join indexes keyed on
+  // their columns (by locality (a), none in practice).
   Status ApplyChosen(const SetCoverSolution& solution,
                      std::vector<std::vector<uint32_t>>* updated_rows,
                      std::vector<AppliedUpdate>* applied);
-
-  // Patches the updated cells into the columnar snapshot and tells the
-  // engine which (relation, attribute) columns changed, so it drops the
-  // join indexes keyed on them (by locality (a), none in practice).
-  void RefreshAfterUpdates(const std::vector<AppliedUpdate>& updates);
 
   // Adds the tuples of `sets` to the inconsistent-tuple census.
   void AddToCensus(const std::vector<ViolationSet>& sets);
@@ -317,8 +313,9 @@ class RepairSession {
   Database db_;  // the session's consistent clone; rows append, cells move
   const std::vector<BoundConstraint> bound_;
 
-  ColumnSnapshot snapshot_;              // the scan's input; tracks db_
-  std::unique_ptr<ViolationEngine> engine_;  // holds &db_, &bound_, &snapshot_
+  // The build's engine, kept for the session's life; holds &db_ and
+  // &bound_, and owns the snapshot it scans.
+  std::unique_ptr<ViolationEngine> engine_;
 
   std::vector<ViolationSet> violations_;  // element ids are indices here
   // Set ids are indices here. Only the cell, value and weight of each fix

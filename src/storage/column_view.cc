@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/context.h"
 
 namespace dbrepair {
 
@@ -108,6 +109,14 @@ std::shared_ptr<RelationColumns> MakeShell(const Table& table) {
   return rel;
 }
 
+// A private copy of a relation another snapshot shares, so that this
+// snapshot can change it alone.
+std::shared_ptr<RelationColumns> CopyShared(const RelationColumns& rel) {
+  obs::CurrentObs().metrics.GetCounter("scan.columnar.relation_copies")
+      ->Add(1);
+  return std::make_shared<RelationColumns>(rel);
+}
+
 std::shared_ptr<const RelationColumns> BuildRelation(
     const Table& table, const StringInterner& interner) {
   auto rel = MakeShell(table);
@@ -186,7 +195,7 @@ void ColumnSnapshot::ExtendAppended(
     if (relations_[r].use_count() == 1) {
       rel = std::const_pointer_cast<RelationColumns>(relations_[r]);
     } else {
-      rel = std::make_shared<RelationColumns>(*old_rel);
+      rel = CopyShared(*old_rel);
     }
     for (ColumnData& col : rel->columns) SizeColumn(new_count, &col);
     for (uint32_t row = old_count; row < new_count; ++row) {
@@ -208,7 +217,7 @@ void ColumnSnapshot::PatchCells(const Database& db,
     // After the copy this snapshot holds the only reference, so the rest
     // of the relation's cells are patched in place.
     if (slot.use_count() != 1) {
-      slot = std::make_shared<RelationColumns>(*slot);
+      slot = CopyShared(*slot);
     }
     // Created mutable and only typed const by the shared_ptr, as in
     // ExtendAppended.

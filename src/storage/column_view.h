@@ -119,8 +119,10 @@ struct RelationColumns {
 /// A read-only columnar snapshot of a Database: per-relation typed column
 /// vectors plus one shared string dictionary. The row store stays the
 /// source of truth — the snapshot is derived data the violation engine
-/// scans instead of the row cells, and it must be rebuilt (or Rebase'd)
-/// after the rows change.
+/// scans instead of the row cells, and it must be rebuilt, Rebase'd,
+/// extended or patched after the rows change. Copies share their column
+/// vectors; a snapshot copies a shared relation before it changes it
+/// (counted as scan.columnar.relation_copies).
 class ColumnSnapshot {
  public:
   ColumnSnapshot() = default;

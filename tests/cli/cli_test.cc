@@ -560,6 +560,83 @@ TEST_F(CliTest, GenSubcommandWritesExportAndMetrics) {
   ASSERT_NE(gauges->Find("repair.inconsistency"), nullptr);
 }
 
+TEST_F(CliTest, GenTraceFlagPrintsSpanTreeToStderr) {
+  const RunResult result =
+      RunCliStderr("gen client-buy --rows 200 --seed 2 --quiet --trace");
+  EXPECT_EQ(result.exit_code, 0);
+  const std::string& text = result.stdout_text;  // captured stderr
+  EXPECT_EQ(text.rfind("repair ", 0), 0u) << text;  // the tree's root
+  for (const char* phase : {"build", "violations", "solve", "verify"}) {
+    EXPECT_NE(text.find(phase), std::string::npos) << phase << "\n" << text;
+  }
+  EXPECT_EQ(text.find("repair summary"), std::string::npos) << text;
+}
+
+TEST_F(CliTest, GenTraceOutWritesChromeTrace) {
+  const std::string trace_path = dir_ + "/gen_trace.json";
+  const RunResult result =
+      RunCli("gen client-buy --rows 200 --seed 2 --quiet --threads 2 "
+             "--trace-out " + trace_path);
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_EQ(result.stdout_text, "");  // no --output: no export
+  auto trace = obs::Json::Parse(ReadFile(trace_path));
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  EXPECT_EQ(trace->Find("displayTimeUnit")->AsString(), "ms");
+  std::map<std::string, int> main_spans;
+  for (const obs::Json& event : trace->Find("traceEvents")->AsArray()) {
+    if (event.Find("ph")->AsString() == "X" && event.Find("tid")->AsInt() == 0) {
+      ++main_spans[event.Find("name")->AsString()];
+    }
+  }
+  for (const char* span : {"repair", "build", "snapshot", "violations",
+                           "solve", "apply", "verify"}) {
+    EXPECT_EQ(main_spans[span], 1) << span;
+  }
+}
+
+TEST_F(CliTest, GenReportPrintsSummaryThenHistograms) {
+  const RunResult result =
+      RunCliStderr("gen client-buy --rows 200 --seed 2 --quiet --report");
+  EXPECT_EQ(result.exit_code, 0);
+  const std::string& text = result.stdout_text;  // captured stderr
+  const size_t summary = text.find("repair summary");
+  const size_t histograms =
+      text.find("histograms (count / mean / p50 / p95 / p99)");
+  ASSERT_NE(summary, std::string::npos) << text;
+  ASSERT_NE(histograms, std::string::npos) << text;
+  EXPECT_LT(summary, histograms);
+  EXPECT_NE(text.find("build.fix_set_size"), std::string::npos) << text;
+  EXPECT_EQ(text.find("(distance "), std::string::npos) << text;  // --measure
+}
+
+TEST_F(CliTest, GenMeasurePrintsInconsistency) {
+  const RunResult result =
+      RunCliStderr("gen client-buy --rows 200 --seed 2 --quiet --measure");
+  EXPECT_EQ(result.exit_code, 0);
+  const std::string& text = result.stdout_text;  // captured stderr
+  EXPECT_EQ(text.rfind("inconsistency ", 0), 0u) << text;
+  EXPECT_NE(text.find("(distance "), std::string::npos) << text;
+  EXPECT_NE(text.find(" tuples, "), std::string::npos) << text;
+  EXPECT_EQ(text.find("repair summary"), std::string::npos) << text;
+}
+
+TEST_F(CliTest, GenStderrBlocksKeepTheirOrder) {
+  // Report and histograms, then the measure line, then the span tree.
+  const RunResult result = RunCliStderr(
+      "gen client-buy --rows 200 --seed 2 --quiet --trace --measure "
+      "--report");
+  EXPECT_EQ(result.exit_code, 0);
+  const std::string& text = result.stdout_text;  // captured stderr
+  const size_t summary = text.find("repair summary");
+  const size_t histograms = text.find("histograms (count");
+  const size_t measure = text.find("\ninconsistency ");
+  const size_t tree = text.find("\nrepair ");
+  ASSERT_NE(tree, std::string::npos) << text;
+  EXPECT_LT(summary, histograms) << text;
+  EXPECT_LT(histograms, measure) << text;
+  EXPECT_LT(measure, tree) << text;
+}
+
 TEST_F(CliTest, GenSubcommandErrors) {
   // Unknown scenario is a runtime error; unknown flag is a usage error; a
   // missing scenario prints usage.

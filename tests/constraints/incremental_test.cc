@@ -14,6 +14,7 @@
 #include "constraints/violation_engine.h"
 #include "gen/client_buy.h"
 #include "gen/scenario.h"
+#include "obs/context.h"
 #include "storage/column_view.h"
 
 namespace dbrepair {
@@ -282,6 +283,27 @@ TEST(IncrementalTest, RejectsWrongMarkArity) {
 // None of that may change a violation set: after every step the long-lived
 // engine's three enumerations must equal a fresh engine's on the same rows.
 
+// Every column of `a` holds what the same column of `b` holds.
+void ExpectSameColumns(const ColumnSnapshot& a, const ColumnSnapshot& b) {
+  ASSERT_EQ(a.relation_count(), b.relation_count());
+  for (uint32_t r = 0; r < a.relation_count(); ++r) {
+    const RelationColumns& x = a.relation(r);
+    const RelationColumns& y = b.relation(r);
+    ASSERT_EQ(x.row_count, y.row_count) << "relation " << r;
+    ASSERT_EQ(x.columns.size(), y.columns.size()) << "relation " << r;
+    for (size_t c = 0; c < x.columns.size(); ++c) {
+      EXPECT_EQ(x.columns[c].has_nulls, y.columns[c].has_nulls);
+      EXPECT_EQ(x.columns[c].lossy, y.columns[c].lossy);
+      EXPECT_EQ(x.columns[c].ints, y.columns[c].ints)
+          << "relation " << r << " column " << c;
+      EXPECT_EQ(x.columns[c].doubles, y.columns[c].doubles)
+          << "relation " << r << " column " << c;
+      EXPECT_EQ(x.columns[c].codes, y.columns[c].codes)
+          << "relation " << r << " column " << c;
+    }
+  }
+}
+
 struct LongLivedCase {
   const char* scenario;
   // A join column an appended row leaves NULL, so it turns unclean and its
@@ -335,7 +357,13 @@ void ExpectLongLivedEngineMatchesFresh(const LongLivedCase& c,
   size_t next = rows.size() * 2 / 5;
   for (size_t i = 0; i < next; ++i) ASSERT_TRUE(insert(i));
 
-  ColumnSnapshot snapshot = ColumnSnapshot::Build(db);
+  obs::ObsContext obs;
+  const obs::ScopedObs scoped(&obs);
+  // The caller's snapshot, and an independent build of the same rows to
+  // hold it to: the engine copies the caller's, and the copy shares its
+  // columns, so every change must copy a relation before touching it.
+  const ColumnSnapshot snapshot = ColumnSnapshot::Build(db);
+  const ColumnSnapshot before = ColumnSnapshot::Build(db);
   ViolationEngineOptions options;
   options.num_threads = num_threads;
   if (!own_snapshot) options.columnar = &snapshot;
@@ -364,7 +392,6 @@ void ExpectLongLivedEngineMatchesFresh(const LongLivedCase& c,
     // Scattered in-place updates every other step, each copying another
     // row's value of the same column, so updated join keys meet new rows.
     std::vector<CellRef> cells;
-    std::vector<std::pair<uint32_t, uint32_t>> columns;
     for (int k = 0; step % 2 == 1 && k < 8; ++k) {
       const auto r = static_cast<uint32_t>(rng.Uniform(db.relation_count()));
       const Table& table = db.table(r);
@@ -375,13 +402,9 @@ void ExpectLongLivedEngineMatchesFresh(const LongLivedCase& c,
       if (v.is_null()) continue;
       ASSERT_TRUE(db.mutable_table(r).UpdateValue(row, a, v).ok());
       cells.push_back(CellRef{TupleRef{r, row}, a});
-      columns.emplace_back(r, a);
     }
-    if (!own_snapshot) {
-      snapshot.ExtendAppended(db, appended);
-      snapshot.PatchCells(db, cells);
-    }
-    engine.NoteRowChanges(appended, columns);
+    engine.NoteRowChanges(appended, cells);
+    ExpectSameColumns(snapshot, before);
 
     // The dirty rows, ascending: this step's appended rows and updated ones.
     std::vector<std::vector<uint32_t>> dirty(db.relation_count());
@@ -415,6 +438,16 @@ void ExpectLongLivedEngineMatchesFresh(const LongLivedCase& c,
     ASSERT_EQ(*got, *want) << "FindViolationsTouching";
   }
   EXPECT_TRUE(null_appended);
+  // Each shared relation is copied once, before its first change; an
+  // engine that built its own snapshot never copies.
+  const uint64_t copies =
+      obs.metrics.GetCounter("scan.columnar.relation_copies")->value();
+  if (own_snapshot) {
+    EXPECT_EQ(copies, 0u);
+  } else {
+    EXPECT_GT(copies, 0u);
+    EXPECT_LE(copies, db.relation_count());
+  }
 }
 
 TEST(IncrementalTest, LongLivedEngineMatchesFreshEngines) {

@@ -525,12 +525,13 @@ TEST(EngineSnapshotTest, OwnSnapshotFollowsNoteRowChanges) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->size(), 2u);
   EXPECT_EQ(*second, OracleViolations(db, ics));
-  // In-place updates of the join column on both sides: the engine rebases
-  // its snapshot and drops every index keyed on that column, so the moved
-  // pair still joins and the row left behind does not.
+  // In-place updates of the join column on both sides: the engine patches
+  // the two cells into its snapshot and drops every index keyed on that
+  // column, so the moved pair still joins and the row left behind does not.
   ASSERT_TRUE(db.mutable_table(0).UpdateValue(0, 1, Value::Int(5)).ok());
   ASSERT_TRUE(db.mutable_table(1).UpdateValue(0, 1, Value::Int(5)).ok());
-  engine.NoteRowChanges({}, {{0, 1}, {1, 1}});
+  engine.NoteRowChanges({}, {CellRef{TupleRef{0, 0}, 1},
+                             CellRef{TupleRef{1, 0}, 1}});
   auto third = engine.FindViolations();
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   EXPECT_EQ(third->size(), 1u);

@@ -638,14 +638,39 @@ TEST(SessionTest, InconsistencyTrendMatchesOneShotMeasure) {
                    session_measure.normalized);
 }
 
+TEST(SessionTest, OpenKeepsTheBuildsEngine) {
+  // Open builds its problem on the session's one engine and keeps it, so
+  // Open's verify probes the join indexes and reads the planner statistics
+  // the build's scan left: two index builds (Client and Buy on the client
+  // id, the second one first probed by the verify) and one statistics
+  // compute per relation. A second engine would build them all again.
+  auto workload = GenerateScenario({"client-buy", 4'000, 5});
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  obs::ObsContext obs;
+  const obs::ScopedObs scoped(&obs);
+  auto opened = RepairSession::Open(workload->db, workload->ics,
+                                    RepairOptions{});
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  ASSERT_GT((*opened)->open_updates().size(), 0u);  // so the verify ran
+  const auto count = [&obs](const char* name) {
+    return obs.metrics.GetCounter(name)->value();
+  };
+  EXPECT_EQ(count("engine.code_index.builds"), 2u);
+  EXPECT_EQ(count("engine.stats.computes"), 2u);
+  EXPECT_EQ(count("scan.columnar.snapshots"), 1u);
+  EXPECT_EQ(count("scan.columnar.relation_copies"), 0u);
+  ExpectConsistent((*opened)->db(), workload->ics);
+}
+
 TEST(SessionTest, BatchesGrowCachesInsteadOfRebuildingThem) {
   // 50 batches of 100 rows onto a 20k-row base. Timing-free guard on the
   // per-batch cache work: the engine's join indexes grow by each batch's
   // suffix and fold into a full rebuild only when the relation has grown
   // by 1/kTailFoldShare, so full builds stay logarithmic in the growth
   // (a rebuild per touched relation would be >= 2 per batch); planner
-  // statistics follow the same rule. The snapshot is patched cell by
-  // cell, and must still equal a fresh build of the session database. The
+  // statistics follow the same rule. The engine's snapshot is patched cell
+  // by cell in place, never copying a relation, and must still equal a
+  // fresh build of the session database. The
   // verify's touched scan is driven from exactly the batch's rows plus the
   // distinct older rows its repairs updated, never from a walk over whole
   // relations.
@@ -699,9 +724,10 @@ TEST(SessionTest, BatchesGrowCachesInsteadOfRebuildingThem) {
   EXPECT_GT(updated_old_rows, 0u);  // both kinds of dirty row occurred
   EXPECT_EQ(count("scan.columnar.patched_cells"),
             s.open_updates().size() + updates);
+  EXPECT_EQ(count("scan.columnar.relation_copies"), 0u);
 
-  // Open's verify built the session engine's two join indexes (Client and
-  // Buy on the client id) and its statistics; from then on each is rebuilt
+  // Open built the session engine's two join indexes (Client and Buy on
+  // the client id) and its statistics; from then on each is rebuilt
   // once per 1/kTailFoldShare of its relation's growth, and at least one
   // fold must have run.
   double growth = 1.0;

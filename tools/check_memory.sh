@@ -8,8 +8,12 @@
 # cell by cell), the serial-vs-parallel and
 # scan-vs-oracle differential harness, the repair suite (the instance builder,
 # whose Algorithm-4 linking binds `const Value*` cells through a one-cell
-# override), the RepairSession suite (snapshots extended and patched batch by
-# batch; each batch appended one AppendRows call per relation, and a batch
+# override), the RepairSession suite (the session adopts the build's
+# ViolationEngine, which outlives BuildRepairProblem and holds `&db_` and
+# `&bound_`; the engine's own snapshot extended and patched batch by batch,
+# copy-on-write when another snapshot still shares a relation, as the
+# incremental-engine tests drive with a supplied snapshot; each batch
+# appended one AppendRows call per relation, and a batch
 # whose later relation fails rolled back by truncating the relations
 # appended before it, cells and key slots both; the verify's membership
 # marks set and cleared from row lists) and the scenario suites, plus the
