@@ -664,24 +664,20 @@ int RunServe(int argc, char** argv, int arg_start) {
 int RunClient(int argc, char** argv, int arg_start) {
   std::string host = "127.0.0.1";
   size_t port = 0;
+  FlagSet flags;
+  flags.AddString("--host", &host, "literal IPv4 address of the server");
+  flags.AddSize("--port", &port, "TCP port of the server");
   std::vector<std::string> words;
-  for (int i = arg_start; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--host" && i + 1 < argc) {
-      host = argv[++i];
-    } else if (arg == "--port" && i + 1 < argc) {
-      auto value = ParseInt64(argv[++i]);
-      if (!value.ok() || *value < 0 || *value > 65535) {
-        return Fail(Status::InvalidArgument("bad --port value"));
-      }
-      port = static_cast<size_t>(*value);
-    } else {
-      words.push_back(arg);
-    }
+  const Status parsed = flags.Parse(argc, argv, arg_start, &words);
+  if (!parsed.ok()) return UsageError(parsed);
+  if (port == 0) {
+    return UsageError(Status::InvalidArgument("client needs --port"));
   }
-  if (port == 0 || words.empty()) {
-    PrintUsage();
-    return 2;
+  if (port > 65535) {
+    return Fail(Status::InvalidArgument("port must be <= 65535"));
+  }
+  if (words.empty()) {
+    return UsageError(Status::InvalidArgument("client needs a command"));
   }
 
   auto client = server::RepairClient::Connect(host, static_cast<uint16_t>(port));
@@ -701,12 +697,7 @@ int RunClient(int argc, char** argv, int arg_start) {
     }
     reply = client->SendBatch(words[1], rows);
   } else {
-    std::string command;
-    for (size_t i = 0; i < words.size(); ++i) {
-      if (i > 0) command += ' ';
-      command += words[i];
-    }
-    reply = client->Send(command);
+    reply = client->Send(Join(words, " "));
   }
   if (!reply.ok()) return Fail(reply.status());
   if (reply->kind == server::Reply::Kind::kOk) {
@@ -757,14 +748,10 @@ int main(int argc, char** argv) {
 
   if (command == "check") {
     bool quiet = false;
-    for (int i = config_arg + 1; i < argc; ++i) {
-      if (std::string(argv[i]) == "--quiet") {
-        quiet = true;
-      } else {
-        PrintUsage();
-        return 2;
-      }
-    }
+    FlagSet flags;
+    flags.AddBool("--quiet", &quiet, "suppress incidental output");
+    const Status parsed = flags.Parse(argc, argv, config_arg + 1);
+    if (!parsed.ok()) return UsageError(parsed);
     return RunCheck(*config, quiet);
   }
   if (command == "explain") {

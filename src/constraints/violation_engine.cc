@@ -1172,7 +1172,15 @@ Status ViolationEngine::EmitMinimal(uint32_t ic_index, SetBuffer* sets,
   return Status::OK();
 }
 
-void ViolationEngine::SortViolations(std::vector<ViolationSet>* out) {
+Result<std::vector<ViolationSet>> ViolationEngine::Enumerate(
+    const RunConstraint& run) {
+  std::vector<ViolationSet> out;
+  ExecCounters counters;
+  for (const BoundConstraint& ic : ics_) {
+    SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
+    DBREPAIR_RETURN_IF_ERROR(run(ic, &sets, &counters));
+    DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
+  }
   const auto by_ic_then_tuples = [](const ViolationSet& a,
                                     const ViolationSet& b) {
     if (a.ic_index != b.ic_index) return a.ic_index < b.ic_index;
@@ -1180,83 +1188,33 @@ void ViolationEngine::SortViolations(std::vector<ViolationSet>* out) {
   };
   // Each constraint's sets are emitted sorted, so `out` is already sorted
   // unless ics_ is not in ic_index order.
-  if (!std::is_sorted(out->begin(), out->end(), by_ic_then_tuples)) {
-    std::sort(out->begin(), out->end(), by_ic_then_tuples);
+  if (!std::is_sorted(out.begin(), out.end(), by_ic_then_tuples)) {
+    std::sort(out.begin(), out.end(), by_ic_then_tuples);
   }
+  obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
+  metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
+  metrics.GetCounter("engine.assignments_found")
+      ->Add(counters.assignments_found);
+  return out;
 }
 
 Result<std::vector<ViolationSet>> ViolationEngine::FindViolations() {
   DBREPAIR_RETURN_IF_ERROR(PrepareSnapshot());
   const size_t num_threads = ResolveNumThreads(options_.num_threads);
-  std::vector<ViolationSet> out;
-  ExecCounters counters;
-  for (const BoundConstraint& ic : ics_) {
-    const Plan plan = BuildPlan(ic);
-    const ColumnarPlan cplan = PrepareColumnar(plan);
-    SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
-    if (num_threads <= 1 || plan.steps.empty()) {
-      DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(plan, cplan, nullptr, &sets, &counters));
-    } else {
-      DBREPAIR_RETURN_IF_ERROR(
-          ExecuteShardedInto(plan, cplan, num_threads, &sets, &counters));
-    }
-    DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
-  }
-  SortViolations(&out);
+  DBREPAIR_ASSIGN_OR_RETURN(
+      std::vector<ViolationSet> out,
+      Enumerate([&](const BoundConstraint& ic, SetBuffer* sets,
+                    ExecCounters* counters) {
+        const Plan plan = BuildPlan(ic);
+        const ColumnarPlan cplan = PrepareColumnar(plan);
+        if (num_threads <= 1 || plan.steps.empty()) {
+          return ExecuteInto(plan, cplan, nullptr, sets, counters);
+        }
+        return ExecuteShardedInto(plan, cplan, num_threads, sets, counters);
+      }));
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
-  metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
-  metrics.GetCounter("engine.assignments_found")
-      ->Add(counters.assignments_found);
   metrics.GetCounter("engine.enumerations")->Add(1);
   metrics.GetCounter("engine.violation_sets")->Add(out.size());
-  return out;
-}
-
-Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsSince(
-    const std::vector<uint32_t>& first_new_row) {
-  if (first_new_row.size() != db_.relation_count()) {
-    return Status::InvalidArgument(
-        "first_new_row must have one entry per relation");
-  }
-  DBREPAIR_RETURN_IF_ERROR(PrepareSnapshot());
-  std::vector<ViolationSet> out;
-  ExecCounters counters;
-  for (const BoundConstraint& ic : ics_) {
-    SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
-    // Delta-join partition by the first atom bound to a new tuple: atoms
-    // before the pivot see only old rows, the pivot only new rows, the rest
-    // everything. Every assignment with >= 1 new tuple lands in exactly one
-    // pivot run.
-    for (size_t pivot = 0; pivot < ic.atoms.size(); ++pivot) {
-      AtomFilters filters(ic.atoms.size());
-      bool feasible = true;
-      for (size_t a = 0; a < ic.atoms.size(); ++a) {
-        const uint32_t threshold = first_new_row[ic.atoms[a].relation_index];
-        if (a < pivot) {
-          filters[a].max_row = threshold;  // old rows only
-          if (threshold == 0) feasible = false;
-        } else if (a == pivot) {
-          filters[a].min_row = threshold;  // new rows only
-          if (threshold >=
-              db_.table(ic.atoms[a].relation_index).size()) {
-            feasible = false;
-          }
-        }
-      }
-      if (!feasible) continue;
-      const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
-      const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
-      DBREPAIR_RETURN_IF_ERROR(
-          ExecuteInto(pivot_plan, cplan, &filters, &sets, &counters));
-    }
-    DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
-  }
-  SortViolations(&out);
-  obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
-  metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
-  metrics.GetCounter("engine.assignments_found")
-      ->Add(counters.assignments_found);
   return out;
 }
 
@@ -1288,48 +1246,40 @@ Result<std::vector<ViolationSet>> ViolationEngine::FindViolationsTouching(
     num_dirty += dirty_rows[r].size();
   }
 
-  std::vector<ViolationSet> out;
-  ExecCounters counters;
-  const Status status = [&]() -> Status {
-    for (const BoundConstraint& ic : ics_) {
-      SetBuffer sets(ic.atoms.size(), options_.max_violation_sets);
-      // FindViolationsSince's partition with "new" generalised to "dirty":
-      // atoms before the pivot bind clean rows only, the pivot binds dirty
-      // rows only, later atoms bind anything — every assignment touching
-      // >= 1 dirty row lands in exactly one pivot run.
-      for (size_t pivot = 0; pivot < ic.atoms.size(); ++pivot) {
-        const uint32_t pivot_rel = ic.atoms[pivot].relation_index;
-        if (dirty_rows[pivot_rel].empty()) continue;  // no dirty row to bind
-        AtomFilters filters(ic.atoms.size());
-        for (size_t a = 0; a < ic.atoms.size(); ++a) {
-          const uint32_t rel = ic.atoms[a].relation_index;
-          if (a < pivot) {
-            filters[a].member = &dirty_marks_[rel];
-            filters[a].exclude = true;  // clean rows only
-          } else if (a == pivot) {
-            filters[a].member = &dirty_marks_[rel];
-            filters[a].exact_rows = &dirty_rows[rel];  // dirty rows only
+  Result<std::vector<ViolationSet>> out = Enumerate(
+      [&](const BoundConstraint& ic, SetBuffer* sets, ExecCounters* counters) {
+        // The delta-join partition: atoms before the pivot bind clean rows
+        // only, the pivot binds dirty rows only, later atoms bind anything
+        // — every assignment touching >= 1 dirty row lands in exactly one
+        // pivot run.
+        for (size_t pivot = 0; pivot < ic.atoms.size(); ++pivot) {
+          const uint32_t pivot_rel = ic.atoms[pivot].relation_index;
+          if (dirty_rows[pivot_rel].empty()) continue;  // nothing to bind
+          AtomFilters filters(ic.atoms.size());
+          for (size_t a = 0; a < ic.atoms.size(); ++a) {
+            const uint32_t rel = ic.atoms[a].relation_index;
+            if (a < pivot) {
+              filters[a].member = &dirty_marks_[rel];
+              filters[a].exclude = true;  // clean rows only
+            } else if (a == pivot) {
+              filters[a].member = &dirty_marks_[rel];
+              filters[a].exact_rows = &dirty_rows[rel];  // dirty rows only
+            }
           }
+          const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
+          const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
+          DBREPAIR_RETURN_IF_ERROR(
+              ExecuteInto(pivot_plan, cplan, &filters, sets, counters));
         }
-        const Plan pivot_plan = BuildPlan(ic, static_cast<int>(pivot));
-        const ColumnarPlan cplan = PrepareColumnar(pivot_plan);
-        DBREPAIR_RETURN_IF_ERROR(
-            ExecuteInto(pivot_plan, cplan, &filters, &sets, &counters));
-      }
-      DBREPAIR_RETURN_IF_ERROR(EmitMinimal(ic.ic_index, &sets, &out));
-    }
-    return Status::OK();
-  }();
+        return Status::OK();
+      });
   for (uint32_t r = 0; r < dirty_rows.size(); ++r) {
     for (const uint32_t row : dirty_rows[r]) dirty_marks_[r][row] = 0;
   }
-  DBREPAIR_RETURN_IF_ERROR(status);
-  SortViolations(&out);
-  obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
-  metrics.GetCounter("engine.rows_scanned")->Add(counters.rows_scanned);
-  metrics.GetCounter("engine.assignments_found")
-      ->Add(counters.assignments_found);
-  metrics.GetCounter("engine.touching.dirty_rows")->Add(num_dirty);
+  if (out.ok()) {
+    obs::CurrentObs().metrics.GetCounter("engine.touching.dirty_rows")
+        ->Add(num_dirty);
+  }
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define DBREPAIR_CONSTRAINTS_VIOLATION_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -69,31 +70,21 @@ class ViolationEngine {
   /// deduplicated, with non-minimal supersets filtered out.
   Result<std::vector<ViolationSet>> FindViolations();
 
-  /// Incremental (delta-join) enumeration: only the minimal violation sets
-  /// involving at least one *new* tuple, where rows >= first_new_row[rel]
-  /// of each relation are new (tables are append-only, so a batch insert is
-  /// exactly a row-id suffix). When the pre-batch instance was consistent,
-  /// these are ALL violation sets of the grown instance — found without
-  /// re-joining the old data against itself. Each constraint runs once per
-  /// pivot atom with the standard delta-join partition (atoms before the
-  /// pivot bind old rows, the pivot binds new rows), so no assignment is
-  /// enumerated twice.
-  Result<std::vector<ViolationSet>> FindViolationsSince(
-      const std::vector<uint32_t>& first_new_row);
-
-  /// Generalisation of FindViolationsSince to an arbitrary set of dirty
-  /// rows: enumerates the minimal violation sets involving at least one row
-  /// listed in `dirty_rows[rel]`. Each list holds strictly ascending row ids
-  /// of its relation; a list that is not, or a list count other than the
-  /// relation count, fails with InvalidArgument. Used by repair sessions to
-  /// verify a batch incrementally — after a batch the dirty rows are the
-  /// appended suffix plus the scattered rows the applied fixes updated in
-  /// place, so a suffix mark cannot describe them. Same pivot partition as
-  /// FindViolationsSince: atoms before the pivot bind clean rows only, the
-  /// pivot binds dirty rows only, later atoms bind anything, so no
-  /// assignment is enumerated twice. Costs O(listed rows) beyond the joins:
-  /// the engine keeps one membership byte per row of each relation, grows
-  /// it with the table, and sets and clears only the listed entries.
+  /// Delta-join enumeration: the minimal violation sets involving at least
+  /// one row listed in `dirty_rows[rel]`. Each list holds strictly
+  /// ascending row ids of its relation; a list that is not, or a list count
+  /// other than the relation count, fails with InvalidArgument. A repair
+  /// session calls it twice per batch: to detect, with each relation's
+  /// appended rows [first new row, size) (when the pre-batch instance was
+  /// consistent these are ALL violation sets of the grown instance, found
+  /// without re-joining the old rows against themselves), and to verify,
+  /// with those rows plus the scattered older rows the applied fixes
+  /// updated in place. Each constraint runs once per pivot atom with the
+  /// standard delta-join partition: atoms before the pivot bind clean rows
+  /// only, the pivot binds dirty rows only, later atoms bind anything, so
+  /// no assignment is enumerated twice. Costs O(listed rows) beyond the
+  /// joins: the engine keeps one membership byte per row of each relation,
+  /// grows it with the table, and sets and clears only the listed entries.
   Result<std::vector<ViolationSet>> FindViolationsTouching(
       const std::vector<std::vector<uint32_t>>& dirty_rows);
 
@@ -288,12 +279,11 @@ class ViolationEngine {
   const CodeIndex& GetCodeIndex(uint32_t relation,
                                 const std::vector<uint32_t>& key);
 
-  // Per-atom row admission filter, used by the delta-join pivots, the
-  // dirty-row pivots, and the parallel scan shards. The [min_row, max_row)
-  // window serves contiguous partitions (shards, append suffixes); the
-  // optional membership bitmap serves scattered dirty-row sets; and
-  // `exact_rows` lets a driving-atom full scan walk a precomputed row list
-  // instead of the whole table.
+  // Per-atom row admission filter, used by the delta-join pivots and the
+  // parallel scan shards. The [min_row, max_row) window serves the shards'
+  // contiguous partitions; the optional membership bitmap serves dirty-row
+  // sets; and `exact_rows` lets a driving-atom full scan walk a
+  // precomputed row list instead of the whole table.
   struct AtomFilter {
     uint32_t min_row = 0;
     uint32_t max_row = UINT32_MAX;
@@ -351,9 +341,13 @@ class ViolationEngine {
   Status EmitMinimal(uint32_t ic_index, SetBuffer* sets,
                      std::vector<ViolationSet>* out) const;
 
-  // Shared tail of the Find* entry points: makes `out` sorted by
-  // (ic_index, tuples) when the constraint order left it unsorted.
-  static void SortViolations(std::vector<ViolationSet>* out);
+  // The body the Find* entry points share: per constraint, `run` fills a
+  // fresh record buffer with the constraint's assignments and EmitMinimal
+  // turns it into violation sets; then the output is sorted by (ic_index,
+  // tuples) and the join counters are recorded.
+  using RunConstraint =
+      std::function<Status(const BoundConstraint&, SetBuffer*, ExecCounters*)>;
+  Result<std::vector<ViolationSet>> Enumerate(const RunConstraint& run);
 
   const Database& db_;
   const std::vector<BoundConstraint>& ics_;

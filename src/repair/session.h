@@ -127,8 +127,9 @@ struct SessionStats {
 ///  2. extends the engine's snapshot by exactly the appended suffix (its
 ///     join indexes grow by the same suffix on their next probe);
 ///  3. delta-joins only the new rows against the instance
-///     (ViolationEngine::FindViolationsSince) — when the pre-batch instance
-///     was consistent these are ALL violation sets of the grown instance;
+///     (ViolationEngine::FindViolationsTouching over each relation's
+///     appended rows) — when the pre-batch instance was consistent these
+///     are ALL violation sets of the grown instance;
 ///  4. generates mono-local fixes for the new violation sets only and
 ///     appends them to the frozen instance as one epoch (new sets, extended
 ///     sets, refreshed weights);
@@ -137,7 +138,8 @@ struct SessionStats {
 ///     the engine's snapshot;
 ///  6. re-verifies incrementally: only violation sets touching this batch's
 ///     dirty rows (inserted or updated) are re-enumerated, driven from the
-///     ascending list of those rows.
+///     ascending list of those rows (step 3's lists plus the updated older
+///     rows).
 ///
 /// Every step costs O(batch) in the rows and caches it touches, not
 /// O(instance) (DESIGN.md, "What each cache costs per batch").

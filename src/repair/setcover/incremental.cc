@@ -1,6 +1,7 @@
 #include "repair/setcover/incremental.h"
 
 #include "obs/context.h"
+#include "repair/setcover/solvers.h"
 
 namespace dbrepair {
 
@@ -12,9 +13,8 @@ IncrementalGreedySolver::IncrementalGreedySolver(
       uncovered_count_(instance->num_sets(), 0),
       heap_(instance->num_sets()),
       remaining_(instance->num_elements()) {
-  // Identical to ModifiedGreedySetCover's initialisation: every set with at
-  // least one (necessarily uncovered) element enters the queue under its
-  // initial effective weight.
+  // Every set with at least one (necessarily uncovered) element enters the
+  // queue under its initial effective weight.
   for (uint32_t s = 0; s < instance_->num_sets(); ++s) {
     uncovered_count_[s] = instance_->set_size(s);
     if (uncovered_count_[s] > 0) {
@@ -105,9 +105,9 @@ Result<SetCoverSolution> IncrementalGreedySolver::SolveDelta() {
   uint64_t heap_pops = 0;
   uint64_t cross_link_updates = 0;
 
-  // The ModifiedGreedySetCover main loop, verbatim, over the preserved
-  // state — same effective weights, same smaller-id tie-break, so a fresh
-  // instance yields exactly the non-incremental cover.
+  // Algorithm 5's main loop over the preserved state: pick the set of
+  // least effective weight (smaller id on ties), cover its elements, and
+  // reprice every other set holding one of them through the element links.
   while (remaining_ > 0) {
     ++solution.iterations;
     if (heap_.empty()) {
@@ -139,13 +139,19 @@ Result<SetCoverSolution> IncrementalGreedySolver::SolveDelta() {
     }
   }
   obs::MetricsRegistry& metrics = obs::CurrentObs().metrics;
-  metrics.GetCounter("solver.incremental-greedy.solves")->Add(1);
-  metrics.GetCounter("solver.incremental-greedy.iterations")
+  metrics.GetCounter("solver.modified-greedy.runs")->Add(1);
+  metrics.GetCounter("solver.modified-greedy.iterations")
       ->Add(solution.iterations);
-  metrics.GetCounter("solver.incremental-greedy.heap_pops")->Add(heap_pops);
-  metrics.GetCounter("solver.incremental-greedy.cross_link_updates")
+  metrics.GetCounter("solver.modified-greedy.heap_pops")->Add(heap_pops);
+  metrics.GetCounter("solver.modified-greedy.cross_link_updates")
       ->Add(cross_link_updates);
   return solution;
+}
+
+Result<SetCoverSolution> ModifiedGreedySetCover(
+    const CsrSetCoverInstance& view) {
+  IncrementalGreedySolver solver(&view);
+  return solver.SolveDelta();
 }
 
 }  // namespace dbrepair

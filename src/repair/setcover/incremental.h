@@ -10,23 +10,26 @@
 
 namespace dbrepair {
 
-/// Modified greedy (Algorithm 5) with persistent solver state, for repair
-/// sessions that patch one instance across many batches instead of
-/// rebuilding it. The covered set, the per-set uncovered counts, and the
-/// effective-weight priority queue survive between solves; a batch appends
-/// its delta to the frozen CSR view with AppendEpoch and announces each
-/// change here, then SolveDelta() runs the exact modified-greedy loop over
-/// whatever is currently uncovered.
+/// Modified greedy (Algorithm 5), the one implementation of its loop, with
+/// solver state that persists between solves. ModifiedGreedySetCover is a
+/// fresh solver's single SolveDelta(). Repair sessions keep one solver and
+/// patch its instance instead of rebuilding it: the covered set, the
+/// per-set uncovered counts, and the effective-weight priority queue
+/// survive between solves; a batch appends its delta to the frozen CSR
+/// view with AppendEpoch and announces each change here, then SolveDelta()
+/// continues the loop over whatever is currently uncovered.
 ///
-/// The solver reads only the frozen CsrSetCoverInstance — its hot loop is
-/// the same span walk as ModifiedGreedySetCover's. Every On* call therefore
-/// requires the matching AppendEpoch to have already run (the session
-/// appends the epoch, then replays the callbacks).
+/// The solver reads only the frozen CsrSetCoverInstance; its hot loop walks
+/// the set and element spans. Every On* call therefore requires the
+/// matching AppendEpoch to have already run (the session appends the
+/// epoch, then replays the callbacks).
 ///
-/// Equivalence anchor: on a freshly frozen instance, one SolveDelta() call
-/// picks exactly the sets ModifiedGreedySetCover picks, in the same order
-/// (same effective weights, same smaller-id tie-break). Incremental solves
-/// continue that loop from the preserved state rather than restarting it.
+/// A new solver's first SolveDelta() picks exactly the sets GreedySetCover
+/// (Algorithm 1) and LazyGreedySetCover pick, in the same order (same
+/// effective weights, same smaller-id tie-break), on a fresh Freeze and on
+/// an instance grown epoch by epoch alike. Later solves continue that loop
+/// from the preserved state rather than restarting it. Every solve counts
+/// as one `solver.modified-greedy.runs`.
 ///
 /// The caller must uphold two session invariants the solver checks where it
 /// cheaply can:

@@ -26,7 +26,9 @@ Result<SetCoverSolution> GreedySetCover(const CsrSetCoverInstance& instance);
 /// only the affected entries. O(n^2 log n) in general, O(n log n) under
 /// bounded degree (Proposition 3.7). Produces exactly the same cover as
 /// GreedySetCover (same tie-breaking on set id). The cross-link walk reads
-/// one contiguous span per element.
+/// one contiguous span per element. One SolveDelta of a fresh
+/// IncrementalGreedySolver (incremental.h), the loop repair sessions
+/// continue batch after batch.
 Result<SetCoverSolution> ModifiedGreedySetCover(
     const CsrSetCoverInstance& instance);
 

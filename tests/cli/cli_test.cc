@@ -282,6 +282,26 @@ TEST_F(CliTest, CheckSubcommandCleanDatabaseExitsZero) {
   EXPECT_NE(result.stdout_text.find("violation sets: 0"), std::string::npos);
 }
 
+TEST_F(CliTest, CheckSubcommandRejectsUnknownFlag) {
+  const RunResult result = RunCli("check " + dir_ + "/repair.conf --bogus");
+  EXPECT_EQ(result.exit_code, 2);
+  EXPECT_TRUE(result.stdout_text.empty()) << result.stdout_text;
+}
+
+// The client fails on its arguments before it opens a connection, so these
+// need no server.
+TEST_F(CliTest, ClientWithoutPortIsAUsageError) {
+  EXPECT_EQ(RunCli("client PING").exit_code, 2);
+  EXPECT_EQ(RunCli("client --host 127.0.0.1 PING").exit_code, 2);
+  EXPECT_EQ(RunCli("client PING --port").exit_code, 2);
+}
+
+TEST_F(CliTest, ClientRejectsOutOfRangePort) {
+  const RunResult result = RunCli("client --port 70000 PING");
+  EXPECT_NE(result.exit_code, 0);
+  EXPECT_TRUE(result.stdout_text.empty()) << result.stdout_text;
+}
+
 TEST_F(CliTest, ExplainSubcommandShowsViewsAndLocality) {
   const RunResult result = RunCli("explain " + dir_ + "/repair.conf");
   EXPECT_EQ(result.exit_code, 0);

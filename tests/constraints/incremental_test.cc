@@ -1,6 +1,8 @@
-// Tests for FindViolationsSince: the delta-join enumeration of violation
-// sets involving newly appended tuples; and for one long-lived engine whose
-// caches follow appended rows and in-place updates (NoteRowChanges).
+// Tests for FindViolationsTouching over appended rows: the delta-join
+// enumeration of violation sets involving newly appended tuples, the way a
+// repair session detects a batch's violations; and for one long-lived
+// engine whose caches follow appended rows and in-place updates
+// (NoteRowChanges).
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,19 @@ std::vector<uint32_t> MarkNow(const Database& db) {
     first_new_row[r] = static_cast<uint32_t>(db.table(r).size());
   }
   return first_new_row;
+}
+
+// Each relation's rows from `mark` on, the appended suffix, as the
+// ascending dirty-row lists FindViolationsTouching takes.
+std::vector<std::vector<uint32_t>> RowsSince(
+    const Database& db, const std::vector<uint32_t>& mark) {
+  std::vector<std::vector<uint32_t>> rows(db.relation_count());
+  for (uint32_t r = 0; r < db.relation_count(); ++r) {
+    for (uint32_t row = mark[r]; row < db.table(r).size(); ++row) {
+      rows[r].push_back(row);
+    }
+  }
+  return rows;
 }
 
 TEST(IncrementalTest, FindsAllViolationsWhenBaseIsConsistent) {
@@ -59,7 +74,8 @@ TEST(IncrementalTest, FindsAllViolationsWhenBaseIsConsistent) {
   ASSERT_FALSE(full->empty());
 
   ViolationEngine incr_engine(base->db, *bound);
-  auto incremental = incr_engine.FindViolationsSince(mark);
+  auto incremental =
+      incr_engine.FindViolationsTouching(RowsSince(base->db, mark));
   ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
   EXPECT_EQ(*incremental, *full);
 }
@@ -82,7 +98,7 @@ TEST(IncrementalTest, IgnoresOldOnlyViolations) {
   auto bound = BindAll(base->db.schema(), base->ics);
   ASSERT_TRUE(bound.ok());
   ViolationEngine engine(base->db, *bound);
-  auto incremental = engine.FindViolationsSince(mark);
+  auto incremental = engine.FindViolationsTouching(RowsSince(base->db, mark));
   ASSERT_TRUE(incremental.ok());
   EXPECT_TRUE(incremental->empty());
 
@@ -107,7 +123,7 @@ TEST(IncrementalTest, CrossBatchJoinViolations) {
   auto bound = BindAll(db.schema(), ics);
   ASSERT_TRUE(bound.ok());
   ViolationEngine engine(db, *bound);
-  auto incremental = engine.FindViolationsSince(mark);
+  auto incremental = engine.FindViolationsTouching(RowsSince(db, mark));
   ASSERT_TRUE(incremental.ok());
   ASSERT_EQ(incremental->size(), 1u);
   EXPECT_EQ((*incremental)[0].tuples.size(), 2u);
@@ -142,7 +158,7 @@ TEST(IncrementalTest, MatchesFilteredFullEnumeration) {
     auto bound = BindAll(base->db.schema(), base->ics);
     ASSERT_TRUE(bound.ok());
     ViolationEngine engine(base->db, *bound);
-    auto incremental = engine.FindViolationsSince(mark);
+    auto incremental = engine.FindViolationsTouching(RowsSince(base->db, mark));
     ASSERT_TRUE(incremental.ok());
 
     ViolationEngine full_engine(base->db, *bound);
@@ -185,7 +201,7 @@ TEST(IncrementalTest, DuplicateContentRowsInOneBatch) {
   auto bound = BindAll(base->db.schema(), base->ics);
   ASSERT_TRUE(bound.ok());
   ViolationEngine engine(base->db, *bound);
-  auto incremental = engine.FindViolationsSince(mark);
+  auto incremental = engine.FindViolationsTouching(RowsSince(base->db, mark));
   ASSERT_TRUE(incremental.ok());
   // Per duplicated client: one ic1 set {Buy, Client} and one ic2 set
   // {Client}.
@@ -228,14 +244,16 @@ TEST(IncrementalTest, MatchesFilteredFullEnumerationColumnarAndThreaded) {
     ASSERT_TRUE(bound.ok());
 
     ViolationEngine serial_engine(base->db, *bound);
-    auto serial = serial_engine.FindViolationsSince(mark);
+    auto serial =
+        serial_engine.FindViolationsTouching(RowsSince(base->db, mark));
     ASSERT_TRUE(serial.ok());
 
     const ColumnSnapshot snapshot = ColumnSnapshot::Build(base->db);
     ViolationEngineOptions columnar_options;
     columnar_options.columnar = &snapshot;
     ViolationEngine columnar_engine(base->db, *bound, columnar_options);
-    auto columnar = columnar_engine.FindViolationsSince(mark);
+    auto columnar =
+        columnar_engine.FindViolationsTouching(RowsSince(base->db, mark));
     ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
     EXPECT_EQ(*columnar, *serial);
 
@@ -243,7 +261,8 @@ TEST(IncrementalTest, MatchesFilteredFullEnumerationColumnarAndThreaded) {
     threaded_options.num_threads = 4;
     threaded_options.columnar = &snapshot;
     ViolationEngine threaded_engine(base->db, *bound, threaded_options);
-    auto threaded = threaded_engine.FindViolationsSince(mark);
+    auto threaded =
+        threaded_engine.FindViolationsTouching(RowsSince(base->db, mark));
     ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
     EXPECT_EQ(*threaded, *serial);
   }
@@ -258,7 +277,8 @@ TEST(IncrementalTest, EmptyBatchFindsNothing) {
   auto bound = BindAll(base->db.schema(), base->ics);
   ASSERT_TRUE(bound.ok());
   ViolationEngine engine(base->db, *bound);
-  auto incremental = engine.FindViolationsSince(MarkNow(base->db));
+  auto incremental = engine.FindViolationsTouching(
+      RowsSince(base->db, MarkNow(base->db)));
   ASSERT_TRUE(incremental.ok());
   EXPECT_TRUE(incremental->empty());
 }
@@ -271,7 +291,8 @@ TEST(IncrementalTest, RejectsWrongMarkArity) {
   auto bound = BindAll(base->db.schema(), base->ics);
   ASSERT_TRUE(bound.ok());
   ViolationEngine engine(base->db, *bound);
-  EXPECT_FALSE(engine.FindViolationsSince({0}).ok());
+  // One row list for a two-relation database.
+  EXPECT_FALSE(engine.FindViolationsTouching({{0}}).ok());
 }
 
 // ---- One long-lived engine against fresh engines. ----
@@ -407,14 +428,13 @@ void ExpectLongLivedEngineMatchesFresh(const LongLivedCase& c,
     ExpectSameColumns(snapshot, before);
 
     // The dirty rows, ascending: this step's appended rows and updated ones.
-    std::vector<std::vector<uint32_t>> dirty(db.relation_count());
+    const std::vector<std::vector<uint32_t>> appended_rows =
+        RowsSince(db, mark);
+    std::vector<std::vector<uint32_t>> dirty = appended_rows;
     for (const CellRef& cell : cells) {
       dirty[cell.tuple.relation].push_back(cell.tuple.row);
     }
     for (uint32_t r = 0; r < db.relation_count(); ++r) {
-      for (uint32_t row = mark[r]; row < db.table(r).size(); ++row) {
-        dirty[r].push_back(row);
-      }
       std::sort(dirty[r].begin(), dirty[r].end());
       dirty[r].erase(std::unique(dirty[r].begin(), dirty[r].end()),
                      dirty[r].end());
@@ -426,16 +446,16 @@ void ExpectLongLivedEngineMatchesFresh(const LongLivedCase& c,
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ASSERT_EQ(*got, *want) << "FindViolations";
-    got = engine.FindViolationsSince(mark);
-    want = fresh.FindViolationsSince(mark);
+    got = engine.FindViolationsTouching(appended_rows);
+    want = fresh.FindViolationsTouching(appended_rows);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ASSERT_EQ(*got, *want) << "FindViolationsSince";
+    ASSERT_EQ(*got, *want) << "FindViolationsTouching, appended rows";
     got = engine.FindViolationsTouching(dirty);
     want = fresh.FindViolationsTouching(dirty);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    ASSERT_EQ(*got, *want) << "FindViolationsTouching";
+    ASSERT_EQ(*got, *want) << "FindViolationsTouching, dirty rows";
   }
   EXPECT_TRUE(null_appended);
   // Each shared relation is copied once, before its first change; an

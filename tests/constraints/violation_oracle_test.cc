@@ -451,8 +451,6 @@ TEST(EngineSnapshotTest, StaleSuppliedSnapshotIsRejected) {
   auto found = engine.FindViolations();
   ASSERT_FALSE(found.ok());
   EXPECT_EQ(found.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.FindViolationsSince({1, 0}).status().code(),
-            StatusCode::kFailedPrecondition);
   EXPECT_EQ(engine.FindViolationsTouching({{0, 1}, {}}).status().code(),
             StatusCode::kFailedPrecondition);
   // A snapshot of another shape entirely is rejected the same way.

@@ -290,6 +290,42 @@ TEST(SessionTest, TelemetryRecordsEveryBatch) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
 }
 
+TEST(SessionTest, TelemetryTimesEveryVerify) {
+  // Open's verify is batch 0's verify: its time lands in the batch-0
+  // record like any batch's, and every record's verify time lands in the
+  // session.batch.verify_us histogram next to the other phases.
+  ClientBuyOptions gen;
+  gen.num_clients = 60;
+  gen.inconsistency_ratio = 0.3;
+  gen.seed = 11;
+  auto workload = GenerateClientBuy(gen);
+  ASSERT_TRUE(workload.ok());
+  obs::ObsContext obs;
+  const obs::ScopedObs scoped(&obs);
+  auto session = RepairSession::Open(workload->db, workload->ics);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  RepairSession& s = **session;
+  ASSERT_GT(s.open_updates().size(), 0u);  // so Open's verify ran
+  ASSERT_EQ(s.telemetry().size(), 1u);
+  EXPECT_GT(s.telemetry()[0].verify_seconds, 0.0);
+
+  auto batch = s.ApplyBatch(
+      {{"Client", {Value::Int(9001), Value::Int(15), Value::Int(10)}},
+       {"Buy", {Value::Int(9001), Value::Int(9001), Value::Int(80)}}});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_GT(s.telemetry().back().verify_seconds, 0.0);
+
+  const obs::Histogram* verify =
+      obs.metrics.GetHistogram("session.batch.verify_us");
+  EXPECT_EQ(verify->count(), 2u);
+  EXPECT_EQ(verify->count(),
+            obs.metrics.GetHistogram("session.batch.total_us")->count());
+  const obs::Json json = s.TelemetryToJson();
+  EXPECT_GT(json.Find("window")->AsArray()[0].Find("verify_seconds")
+                ->AsDouble(),
+            0.0);
+}
+
 TEST(SessionTest, TelemetryWindowIsBounded) {
   const Database empty(MakeClientBuySchema());
   const auto ics = MakeClientBuyConstraints();
@@ -670,10 +706,10 @@ TEST(SessionTest, BatchesGrowCachesInsteadOfRebuildingThem) {
   // (a rebuild per touched relation would be >= 2 per batch); planner
   // statistics follow the same rule. The engine's snapshot is patched cell
   // by cell in place, never copying a relation, and must still equal a
-  // fresh build of the session database. The
-  // verify's touched scan is driven from exactly the batch's rows plus the
-  // distinct older rows its repairs updated, never from a walk over whole
-  // relations.
+  // fresh build of the session database. The touched scans are driven
+  // from row lists, never from a walk over whole relations: the detect
+  // from exactly the batch's rows, the verify from those rows plus the
+  // distinct older rows its repairs updated.
   auto workload = GenerateScenario({"client-buy", 26'000, 5});
   ASSERT_TRUE(workload.ok()) << workload.status().ToString();
   // Shuffled, so both relations grow and a Buy may arrive before its
@@ -716,7 +752,7 @@ TEST(SessionTest, BatchesGrowCachesInsteadOfRebuildingThem) {
       }
     }
     EXPECT_EQ(count("engine.touching.dirty_rows") - dirty_before,
-              100 + updated.size())
+              2 * 100 + updated.size())
         << "batch " << b;
     updated_old_rows += updated.size();
   }

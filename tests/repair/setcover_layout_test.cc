@@ -322,15 +322,35 @@ TEST_P(LayoutDifferentialTest, PruneRemovesTheSameSetsOnBothViews) {
   }
 }
 
+// `got` picks exactly the sets `want` picks, in the same order, with a
+// bit-equal weight. Iteration counts are left out: they count different
+// steps in different implementations.
+void ExpectSameCover(const SetCoverSolution& want, const SetCoverSolution& got,
+                     const std::string& label) {
+  EXPECT_EQ(want.chosen, got.chosen) << label;
+  EXPECT_EQ(want.weight, got.weight) << label;
+}
+
 TEST_P(LayoutDifferentialTest, IncrementalOneShotEqualsModifiedGreedy) {
+  // A new solver's first SolveDelta is Algorithm 5 itself, the loop
+  // ModifiedGreedySetCover runs, so it is held to the independent greedy
+  // implementations instead: Algorithm 1 and the lazy variant pick the
+  // modified greedy's cover on the fresh Freeze, and the solver must pick
+  // it on both layouts.
   for (const Layouts& layouts : AllLayouts(GetParam())) {
-    IncrementalGreedySolver solver(&layouts.grown);
-    auto incremental = solver.SolveDelta();
-    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
-    auto reference = ModifiedGreedySetCover(layouts.frozen);
-    ASSERT_TRUE(reference.ok());
-    ExpectIdenticalSolutions(*reference, *incremental, "incremental");
-    EXPECT_EQ(solver.num_uncovered(), 0u);
+    auto greedy = GreedySetCover(layouts.frozen);
+    auto lazy = LazyGreedySetCover(layouts.frozen);
+    ASSERT_TRUE(greedy.ok() && lazy.ok());
+    for (const bool grown : {false, true}) {
+      const std::string label = grown ? "grown" : "frozen";
+      IncrementalGreedySolver solver(grown ? &layouts.grown : &layouts.frozen);
+      auto incremental = solver.SolveDelta();
+      ASSERT_TRUE(incremental.ok())
+          << label << ": " << incremental.status().ToString();
+      ExpectSameCover(*greedy, *incremental, "greedy vs " + label);
+      ExpectSameCover(*lazy, *incremental, "lazy greedy vs " + label);
+      EXPECT_EQ(solver.num_uncovered(), 0u) << label;
+    }
   }
 }
 
@@ -396,6 +416,12 @@ TEST_P(LayoutDifferentialTest, AppendedEpochsMirrorAFreshFreeze) {
       EXPECT_EQ(refrozen->chosen, appended->chosen);
       EXPECT_EQ(refrozen->weight, appended->weight);
     }
+    // And the appended view's modified greedy cover is Algorithm 1's.
+    auto greedy = GreedySetCover(fresh);
+    auto modified = ModifiedGreedySetCover(csr);
+    ASSERT_TRUE(greedy.ok() && modified.ok());
+    ExpectSameCover(*greedy, *modified,
+                    "greedy vs appended, epoch " + std::to_string(epoch));
   }
 }
 
@@ -441,11 +467,15 @@ TEST(LayoutEpochTest, RelocationCompactsOnceDeadSlackDominates) {
   EXPECT_TRUE(compacted) << "dead slack never triggered a compaction "
                          << "(max dead slots seen: " << max_dead << ")";
 
-  auto fresh = ModifiedGreedySetCover(CsrSetCoverInstance::Freeze(record));
+  // Modified greedy on the relocated, compacted view picks what the
+  // independent greedy implementations pick on a fresh Freeze.
+  const CsrSetCoverInstance fresh = CsrSetCoverInstance::Freeze(record);
+  auto greedy = GreedySetCover(fresh);
+  auto lazy = LazyGreedySetCover(fresh);
   auto flat = ModifiedGreedySetCover(csr);
-  ASSERT_TRUE(fresh.ok() && flat.ok());
-  EXPECT_EQ(fresh->chosen, flat->chosen);
-  EXPECT_EQ(fresh->weight, flat->weight);
+  ASSERT_TRUE(greedy.ok() && lazy.ok() && flat.ok());
+  ExpectSameCover(*greedy, *flat, "greedy");
+  ExpectSameCover(*lazy, *flat, "lazy greedy");
 }
 
 TEST(LayoutEpochTest, AppendEpochKeepsLinksAscending) {

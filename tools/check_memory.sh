@@ -21,9 +21,8 @@
 # Values wholesale: the catalog tests (every copy, move and assignment of each
 # Value kind), the io tests (the CSV scanner's field views into the loaded
 # text, chunked appends and the truncation that undoes a failed load, and
-# export), the SQL tests, the CQA
-# tests (row views copied into owning Tuple combos) and the generator tests
-# (every table built through Insert, so its cell array grows and moves); and
+# export), the SQL tests and the generator tests (every table built through
+# Insert, so its cell array grows and moves); and
 # the obs and server tests, whose per-thread event lanes (mutex-guarded
 # deques) trim their oldest span trees from the front while open Spans still
 # hold the lane and snapshot readers copy it. The scan's hot loop reads typed
@@ -42,7 +41,7 @@ BUILD_DIR="${1:-build-asan}"
 SUITES=(catalog_test io_test sql_test storage_test constraints_test
         incremental_test differential_test repair_test session_test
         inconsistency_test scenario_metamorphic_test
-        scenario_differential_test obs_test server_test cqa_test gen_test)
+        scenario_differential_test obs_test server_test gen_test)
 
 # UBSan is fatal at compile time (no recovery) and at run time; the
 # libstdc++ assertions bounds-check every container index.
